@@ -458,6 +458,23 @@ def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
     return True
 
 
+def _replayed(
+    cert: ZeroCertificate | NonzeroCertificate, report: DimensionReport
+) -> ZeroCertificate | NonzeroCertificate:
+    """`cert`, after replaying it against `report`; a failed replay raises."""
+    if isinstance(cert, NonzeroCertificate):
+        kind, ok = "nonzero", _replay_nonzero(cert, report)
+    else:
+        kind, ok = cert.kind, _replay_zero(cert, report)
+    if not ok:
+        if cert.class_id is None:  # an excluded graph has no class
+            raise AssertionError(f"{kind} certificate ({cert.reason}) failed replay")
+        raise AssertionError(
+            f"{kind} certificate for class {cert.class_id} failed replay"
+        )
+    return cert
+
+
 def certify(
     target: int | DartGraph | tuple[DartGraph, OrientedLabelling],
     report: DimensionReport,
@@ -478,8 +495,7 @@ def certify(
                 witness_dart_perm=cls.witness.dart_perm,
                 witness_sign=-1,
             )
-            assert _replay_zero(cert, report)
-            return cert
+            return _replayed(cert, report)
         return _certify_generator(cls, report)
     if g.num_vertices != 2 * basis.k:
         raise WrongSize("target graph size does not match the basis")
@@ -496,8 +512,7 @@ def certify(
             )
         else:
             cert = ZeroCertificate(kind="excluded", reason=res.zero_reason)
-        assert _replay_zero(cert, report)
-        return cert
+        return _replayed(cert, report)
     return _certify_generator(res.cls, report)
 
 
@@ -523,8 +538,7 @@ def _certify_generator(
             class_id=class_id,
             combination=[(i, c) for i, c in enumerate(coeffs) if c],
         )
-        assert _replay_zero(cert, report)
-        return cert
+        return _replayed(cert, report)
     except NoSolution:
         pass
     gen_ids = [c.class_id for c in basis.classes if c.status is ClassStatus.GENERATOR]
@@ -536,6 +550,5 @@ def _certify_generator(
                     (gen_ids[i], v) for i, v in enumerate(vec) if v
                 ],
             )
-            assert _replay_nonzero(cert, report)
-            return cert
+            return _replayed(cert, report)
     raise AssertionError("linear algebra inconsistency: neither certificate exists")

@@ -235,21 +235,32 @@ def random_relabelling(g: DartGraph, rng: random.Random) -> Isomorphism:
     return Isomorphism(tuple(vp), tuple(dp))
 
 
+class _BelowBound(Exception):
+    """A search prefix fell strictly below the bound passed to `_min_code_maps`."""
+
+
 def _min_code_maps(
-    g: DartGraph, collect_all: bool
-) -> tuple[tuple[int, ...], list[list[int]]]:
+    g: DartGraph,
+    collect_all: bool,
+    bound: Sequence[int] | None = None,
+) -> tuple[tuple[int, ...], list[list[int]]] | None:
     """Lexicographically least partner code over all relabellings.
 
     Returns the code and the dart maps (old dart -> new dart) achieving it;
     one map unless collect_all.  The search reveals vertices in discovery
     order; the only branch points are the seed and the order in which a
     partially revealed vertex exposes its remaining darts.
+
+    `bound`, if given, is a code that g achieves.  The search then starts
+    tight against it and returns None at the first prefix strictly below
+    it, so a non-None result means `bound` is the minimal code.  A bound
+    that no relabelling reaches raises ValueError.
     """
     nv = g.num_vertices
     nd = g.num_darts
     partner = g.partner
 
-    best: list[int] | None = None
+    best: list[int] | None = None if bound is None else list(bound)
     best_maps: list[list[int]] = []
 
     loop_vertices = [
@@ -261,15 +272,22 @@ def _min_code_maps(
     dinv = [-1] * nd  # new slot -> old dart
     vmap = [-1] * nv  # old vertex -> new vertex
 
-    def search(pos: int, vnext: int, code: list[int], tight: bool) -> None:
+    def search(pos: int, vnext: int, code: list[int], tight: bool) -> bool:
+        """Extend `code` from slot `pos`; True if a new best was set below.
+
+        `tight` means code[:pos] == best[:pos], so a slot above best[pos]
+        prunes the branch.  A new best shares the current prefix, so the
+        remaining siblings are compared against it again.
+        """
         nonlocal best, best_maps
         if pos == nd:
             if best is None or code < best:
                 best = list(code)
                 best_maps = [dmap.copy()]
-            elif collect_all and code == best:
+                return True
+            if code == best and (collect_all or not best_maps):
                 best_maps.append(dmap.copy())
-            return
+            return False
         x = dinv[pos]
         if x == -1:
             # slot belongs to a partially revealed vertex; branch over its
@@ -279,14 +297,16 @@ def _min_code_maps(
                 if vmap[ov] == pos // 3:
                     w = ov
                     break
+            improved = False
             for y in g.darts_of(w):
                 if dmap[y] == -1:
                     dmap[y] = pos
                     dinv[pos] = y
-                    search(pos, vnext, code, tight)
+                    if search(pos, vnext, code, tight):
+                        improved = tight = True
                     dmap[y] = -1
                     dinv[pos] = -1
-            return
+            return improved
         y = partner[x]
         if dmap[y] != -1:
             c = dmap[y]
@@ -307,10 +327,12 @@ def _min_code_maps(
                         break
                 reveal = -1
                 new_vnext = vnext
-        if tight and best is not None:
+        if tight:
             if c > best[pos]:
-                return
+                return False
             if c < best[pos]:
+                if bound is not None:
+                    raise _BelowBound
                 tight = False
         if reveal != -1:
             vmap[reveal] = vnext
@@ -321,28 +343,33 @@ def _min_code_maps(
         else:
             assigned = False
         code.append(c)
-        search(pos + 1, new_vnext, code, tight)
+        improved = search(pos + 1, new_vnext, code, tight)
         code.pop()
         if assigned:
             dmap[y] = -1
             dinv[c] = -1
         if reveal != -1:
             vmap[reveal] = -1
+        return improved
 
-    for seed in seeds:
-        darts = g.darts_of(seed)
-        for order in permutations(darts):
-            vmap[seed] = 0
-            for i, d in enumerate(order):
-                dmap[d] = i
-                dinv[i] = d
-            search(0, 1, [], best is not None)
-            for i, d in enumerate(order):
-                dmap[d] = -1
-                dinv[i] = -1
-            vmap[seed] = -1
+    try:
+        for seed in seeds:
+            darts = g.darts_of(seed)
+            for order in permutations(darts):
+                vmap[seed] = 0
+                for i, d in enumerate(order):
+                    dmap[d] = i
+                    dinv[i] = d
+                search(0, 1, [], best is not None)
+                for i, d in enumerate(order):
+                    dmap[d] = -1
+                    dinv[i] = -1
+                vmap[seed] = -1
+    except _BelowBound:
+        return None
 
-    assert best is not None
+    if not best_maps:
+        raise ValueError(f"bound {tuple(bound)} is not a code of {g!r}")
     return tuple(best), best_maps
 
 
@@ -420,17 +447,18 @@ def enumerate_trivalent(
         raise ValueError(f"k must be >= 1, got {k}")
     limit = max_classes if max_classes is not None else max_classes_limit()
     include_loops = policy is TadpolePolicy.INCLUDE
-    codes: set[tuple[int, ...]] = set()
+    kept: list[tuple[int, ...]] = []
     for pairing in _pairing_dfs(k, include_loops):
+        # orderly generation: keep the one DFS pairing per class that is
+        # its own minimal code (that code is itself a DFS pairing)
         g = DartGraph(2 * k, pairing, True)
-        code = canonical_code(g)
-        if code not in codes:
-            codes.add(code)
-            if len(codes) > limit:
+        if _min_code_maps(g, collect_all=False, bound=pairing) is not None:
+            kept.append(pairing)
+            if len(kept) > limit:
                 raise ResourceLimit(
                     f"class count exceeded AK_MAX_CLASSES={limit} at k={k}"
                 )
-    for code in sorted(codes):
+    for code in sorted(kept):
         yield DartGraph(2 * k, code, True)
 
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -178,6 +180,49 @@ def test_certificates_replay_all_classes(k, conv):
                     sum((cols.get(c, Fraction(0)) * v for c, v in row), Fraction(0))
                     == 0
                 )
+
+
+_FAILED_REPLAY = """
+from trihom import homology as hom
+from trihom.multigraph import TadpolePolicy as TP
+from trihom.orientation import ClassStatus, Convention
+
+hom._replay_zero = lambda cert, report: False
+hom._replay_nonzero = lambda cert, report: False
+rep = hom.dimension(2, Convention.EVEN, TP.INCLUDE)
+rep_excl = hom.dimension(2, Convention.EVEN, TP.EXCLUDE)
+loop_graph = next(c.rep for c in rep.basis.classes if c.rep.has_loop)
+zero_graph = next(c.rep for c in rep_excl.basis.classes if c.status is ClassStatus.ZERO)
+cases = [(cid, rep) for cid in range(len(rep.basis.classes))]
+cases += [(zero_graph, rep_excl), (loop_graph, rep_excl)]
+for target, report in cases:
+    try:
+        hom.certify(target, report)
+    except AssertionError as exc:
+        print(exc)
+    else:
+        print("accepted")
+"""
+
+
+def test_failed_replay_raises_under_optimize():
+    """A certificate whose replay fails is refused even when `python -O`
+    strips assert statements; every certify path is exercised."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILED_REPLAY],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "sign-witness certificate for class 0 failed replay",
+        "relation-combination certificate for class 1 failed replay",
+        "sign-witness certificate for class 2 failed replay",
+        "sign-witness certificate for class 3 failed replay",
+        "nonzero certificate for class 4 failed replay",
+        "sign-witness certificate for class 0 failed replay",
+        "excluded certificate (tadpole) failed replay",
+    ]
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -94,11 +95,13 @@ def test_cli_dim_report_schema():
 
 def test_cli_dim_certify_schema():
     out = run_cli("dim", "--k", "2", "--convention", "even", "--certify")
+    assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     jsonschema.validate(doc, _schema("report.schema.json"))
     assert len(doc["certificates"]) == len(doc["classes"])
     kinds = {c.get("kind") or c["type"] for c in doc["certificates"]}
-    assert kinds  # mixed zero witnesses and nonzero functionals
+    # mixed zero witnesses and nonzero functionals
+    assert kinds == {"sign-witness", "nonzero"}
 
 
 def test_cli_dim_oracle_check():
@@ -201,3 +204,23 @@ def test_cli_byte_determinism():
     a = run_cli_ok("enumerate", "--k", "3")
     b = run_cli_ok("enumerate", "--k", "3")
     assert a == b
+
+
+# sha256 of `trihom dim --k 3 --certify` stdout: a change of class order,
+# witness map or certificate changes the bytes.
+CERTIFY_K3_SHA256 = {
+    ("even", "exclude"): "13023d188d158f65e0cf8bac225fb62d40e816ae40ad9c0ef53600c00a550f9b",
+    ("even", "include"): "f486950ea4828db586e88c9385d5dab080d1946a633cbba437da6dc956694b97",
+    ("odd", "exclude"): "04d377442d8102fbdb6952f721a7da923c8d9bc7b6518d21aa8c982c99d8d0fe",
+    ("odd", "include"): "07c4a7b9747abb0870e7f674c6ccf2a8fb63bf125d6fb27a046da385dc1e9960",
+}
+
+
+@pytest.mark.parametrize("convention, tadpoles", sorted(CERTIFY_K3_SHA256))
+def test_cli_dim_certify_bytes_pinned(convention, tadpoles):
+    out = run_cli_ok(
+        "dim", "--k", "3", "--convention", convention,
+        "--tadpoles", tadpoles, "--certify",
+    )
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CERTIFY_K3_SHA256[convention, tadpoles]

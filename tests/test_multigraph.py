@@ -80,6 +80,40 @@ def test_enumerate_matches_naive_pairing_oracle(k, policy):
         codes.add(mg.canonical_code(g))
     enumerated = [g.partner for g in mg.enumerate_trivalent(k, policy)]
     assert sorted(codes) == enumerated
+    # the premise of orderly generation: each minimal code is a DFS pairing
+    assert codes <= set(mg._pairing_dfs(k, include))
+
+
+@pytest.mark.parametrize(
+    "k, policy",
+    [(k, pol) for k in (1, 2, 3) for pol in mg.TadpolePolicy]
+    + [(4, mg.TadpolePolicy.EXCLUDE)],
+)
+def test_one_dfs_pairing_per_class_passes_bound(k, policy):
+    """The bounded search keeps a DFS pairing exactly when it is its own
+    minimal code, so each class reached by the DFS is kept once."""
+    include = policy is mg.TadpolePolicy.INCLUDE
+    codes, kept = set(), []
+    for p in mg._pairing_dfs(k, include):
+        g = mg.DartGraph(2 * k, p, True)
+        code = mg.canonical_code(g)
+        codes.add(code)
+        minimal = mg._min_code_maps(g, collect_all=False, bound=p) is not None
+        assert minimal == (p == code)
+        if minimal:
+            kept.append(p)
+    assert sorted(kept) == sorted(codes)
+    assert sorted(kept) == [g.partner for g in mg.enumerate_trivalent(k, policy)]
+
+
+def test_min_code_bound_not_reached(theta, dumbbell):
+    # the dumbbell's minimal code lies below every code of the theta graph
+    low = mg.canonical_code(dumbbell)
+    assert low < mg.canonical_code(theta)
+    with pytest.raises(ValueError, match="not a code"):
+        mg._min_code_maps(theta, collect_all=False, bound=low)
+    # a bound above the minimal code reports "not minimal"
+    assert mg._min_code_maps(dumbbell, collect_all=False, bound=theta.partner) is None
 
 
 def test_enumeration_deterministic():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate data/census.json: derived counts with no asserted expectations.
 
-Covers class counts (k <= 5 loop-free, k <= 4 with loops), quotient
+Covers class counts (k <= 5, both tadpole policies), quotient
 dimensions for k <= 4, and the vertex-typing feasibility census.
 Dimensions for k >= 3 have no external anchor; they are recorded here as
 computed values.
@@ -25,8 +25,6 @@ def main():
     t0 = time.time()
     for k in range(1, 6):
         for pol in (TadpolePolicy.EXCLUDE, TadpolePolicy.INCLUDE):
-            if pol is TadpolePolicy.INCLUDE and k > 4:
-                continue
             n = sum(1 for _ in mg.enumerate_trivalent(k, pol))
             census["class_counts"][f"k{k}_{pol.value}"] = n
             print(f"count k={k} {pol.value}: {n}  [{time.time() - t0:.1f}s]")
