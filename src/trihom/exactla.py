@@ -2,8 +2,9 @@
 
 Everything here is exact: ranks come from division-free integer
 elimination (cross-multiplication with per-row content removal, dense
-Bareiss fallback), nullspaces and solves from Fraction elimination, and
-modular ranks serve as an independent cross-check.  No floating point.
+Bareiss fallback), nullspaces and solves from one tracked Fraction
+elimination, and modular ranks serve as an independent cross-check.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import _kernels
 from .errors import MalformedPairing, NoSolution, ResourceLimit, env_int
 
 DEFAULT_MAX_MATRIX_CELLS = 100_000_000
@@ -243,7 +241,7 @@ def default_primes(m: SparseIntMatrix, count: int = 3, bits: int = 62) -> list[i
 
 
 def _rank_mod_p_exact(m: SparseIntMatrix, p: int) -> int:
-    """Python-int elimination mod p, for primes too large for the kernels."""
+    """Python-int elimination mod p."""
     work = []
     for row in m.rows:
         d = {c: v % p for c, v in row if v % p}
@@ -274,29 +272,19 @@ def modular_rank(m: SparseIntMatrix, primes: Sequence[int]) -> int:
     """max over primes of rank mod p; a certified lower bound for rank()."""
     if len(primes) < 2:
         raise ValueError("need at least 2 primes")
-    best = 0
-    for p in primes:
-        if p < (1 << 31) and m.num_rows and m.num_cols:
-            dense = np.zeros((m.num_rows, m.num_cols), dtype=np.int64)
-            for i, row in enumerate(m.rows):
-                for c, v in row:
-                    dense[i, c] = v % p
-            r = _kernels.rank_mod_p(dense, p)
-        else:
-            r = _rank_mod_p_exact(m, p)
-        best = max(best, r)
-    return best
+    return max(_rank_mod_p_exact(m, p) for p in primes)
 
 
-def _reduce_rows_tracked(
-    m: SparseIntMatrix,
-) -> tuple[
-    list[tuple[int, dict[int, Fraction], dict[int, Fraction]]],
-    list[dict[int, Fraction]],
-]:
+# (pivot column, reduced row, that row as a combination of the original rows)
+Pivot = tuple[int, dict[int, Fraction], dict[int, Fraction]]
+# (echelon pivots, combinations of the original rows that reduce to zero)
+Echelon = tuple[list[Pivot], list[dict[int, Fraction]]]
+
+
+def _reduce_rows_tracked(m: SparseIntMatrix) -> Echelon:
     """Echelonize rows over Q, tracking each reduced row as a combination of
-    the original rows.  Returns (echelon pivots, combinations of zero rows)."""
-    echelon: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
+    the original rows."""
+    echelon: list[Pivot] = []
     zero_combos: list[dict[int, Fraction]] = []
     for i, source in enumerate(m.rows):
         row = {c: Fraction(v) for c, v in source}
@@ -340,15 +328,21 @@ def left_nullspace(m: SparseIntMatrix) -> list[list[Fraction]]:
 
 
 def solve_combination(
-    m: SparseIntMatrix, target: Sequence[int | Fraction]
+    m: SparseIntMatrix,
+    target: Sequence[int | Fraction],
+    echelon: Echelon | None = None,
 ) -> list[Fraction]:
-    """Coefficients x with x M = target, or raise NoSolution."""
+    """Coefficients x with x M = target, or raise NoSolution.
+
+    `echelon`, when given, is `_reduce_rows_tracked(m)`: a caller solving
+    many targets against one matrix eliminates it once.
+    """
     if len(target) != m.num_cols:
         raise ValueError("target length mismatch")
-    echelon, _ = _reduce_rows_tracked(m)
+    pivots, _ = echelon if echelon is not None else _reduce_rows_tracked(m)
     t = {c: Fraction(v) for c, v in enumerate(target) if v}
     combo: dict[int, Fraction] = {}
-    for pc, prow, pcombo in echelon:
+    for pc, prow, pcombo in pivots:
         f = t.get(pc)
         if f:
             for c, v in prow.items():

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+from . import exactla
 from .errors import LoopEdge, ResourceLimit, WrongSize
 from .exactla import (
+    Echelon,
     SparseIntMatrix,
     default_primes,
     left_nullspace,
@@ -45,18 +48,13 @@ from .orientation import (
 
 
 class ClassTable:
-    """Cache of classify() results keyed by canonical code and convention."""
+    """The classes of one basis, carrying their ids, keyed by canonical code."""
 
-    def __init__(self, convention: Convention):
-        self.convention = convention
-        self._cache: dict[tuple[int, ...], GraphClass] = {}
+    def __init__(self, classes: Sequence[GraphClass]):
+        self._classes = {c.rep.partner: c for c in classes}
 
     def get(self, canon: DartGraph) -> GraphClass:
-        cls = self._cache.get(canon.partner)
-        if cls is None:
-            cls = classify(canon, self.convention)
-            self._cache[canon.partner] = cls
-        return cls
+        return self._classes[canon.partner]
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,11 @@ def class_basis(
     policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
     max_classes: int | None = None,
 ) -> ClassBasis:
-    table = ClassTable(convention)
-    classes = []
-    for i, g in enumerate(enumerate_trivalent(k, policy, max_classes=max_classes)):
-        classes.append(table.get(g).with_id(i))
-    return ClassBasis(k, convention, policy, classes, table)
+    classes = [
+        classify(g, convention).with_id(i)
+        for i, g in enumerate(enumerate_trivalent(k, policy, max_classes=max_classes))
+    ]
+    return ClassBasis(k, convention, policy, classes, ClassTable(classes))
 
 
 @dataclass
@@ -232,10 +230,24 @@ class RelationRow:
 
 @dataclass
 class RelationData:
+    """The relation matrix with its provenance.  Its exact elimination is
+    made by the first certificate that needs it and shared by the rest."""
+
     matrix: SparseIntMatrix
     rows: list[RelationRow]
     zero_rows: list[RelationRow]
     duplicates: int
+
+    @cached_property
+    def echelon(self) -> Echelon:
+        """Tracked echelon of `matrix`, for solving x M = e_col."""
+        return exactla._reduce_rows_tracked(self.matrix)
+
+    @cached_property
+    def functionals(self) -> list[list[Fraction]]:
+        """Basis of the functionals on generator columns that vanish on
+        every row: the left nullspace of the transpose."""
+        return left_nullspace(self.matrix.transpose())
 
 
 def expand_row(
@@ -504,9 +516,7 @@ def certify(
         if res.zero_reason == "zero-class":
             cert = ZeroCertificate(
                 kind="sign-witness",
-                class_id=res.cls.class_id
-                if res.cls.class_id is not None
-                else _find_class_id(basis, res.cls),
+                class_id=res.cls.class_id,
                 witness_dart_perm=res.cls.witness.dart_perm,
                 witness_sign=-1,
             )
@@ -516,36 +526,29 @@ def certify(
     return _certify_generator(res.cls, report)
 
 
-def _find_class_id(basis: ClassBasis, cls: GraphClass) -> int:
-    for c in basis.classes:
-        if c.rep.partner == cls.rep.partner:
-            return c.class_id
-    raise KeyError("class not in basis")
-
-
 def _certify_generator(
     cls: GraphClass, report: DimensionReport
 ) -> ZeroCertificate | NonzeroCertificate:
     basis = report.basis
-    class_id = cls.class_id if cls.class_id is not None else _find_class_id(basis, cls)
-    col = basis.column_of(basis.classes[class_id])
+    rel = report.relations
+    col = basis.column_of(cls)
     unit = [0] * basis.num_generators
     unit[col] = 1
     try:
-        coeffs = solve_combination(report.relations.matrix, unit)
+        coeffs = solve_combination(rel.matrix, unit, rel.echelon)
         cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
             kind="relation-combination",
-            class_id=class_id,
+            class_id=cls.class_id,
             combination=[(i, c) for i, c in enumerate(coeffs) if c],
         )
         return _replayed(cert, report)
     except NoSolution:
         pass
-    gen_ids = [c.class_id for c in basis.classes if c.status is ClassStatus.GENERATOR]
-    for vec in left_nullspace(report.relations.matrix.transpose()):
+    gen_ids = [c.class_id for c in basis.generators]
+    for vec in rel.functionals:
         if vec[col]:
             cert = NonzeroCertificate(
-                class_id=class_id,
+                class_id=cls.class_id,
                 functional=[
                     (gen_ids[i], v) for i, v in enumerate(vec) if v
                 ],

@@ -201,17 +201,6 @@ def from_pairing(
     return DartGraph(num_vertices, partner, conn)
 
 
-def from_partner_array(
-    partner: Sequence[int], allow_disconnected: bool = False
-) -> DartGraph:
-    nv = len(partner) // 3
-    return from_pairing(
-        nv,
-        [(d, p) for d, p in enumerate(partner) if d < p],
-        allow_disconnected=allow_disconnected,
-    )
-
-
 def relabel(g: DartGraph, iso: Isomorphism) -> DartGraph:
     """Apply a dart-level relabelling, producing the image graph."""
     partner = [0] * g.num_darts

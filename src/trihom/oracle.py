@@ -70,10 +70,6 @@ def _has_loop(partner) -> bool:
     return any(partner[d] // 3 == d // 3 for d in range(len(partner)))
 
 
-def _vertex_profile(partner, v) -> tuple:
-    return tuple(sorted(partner[d] // 3 == v for d in (3 * v, 3 * v + 1, 3 * v + 2)))
-
-
 def _graph_invariant(partner) -> tuple:
     nv = len(partner) // 3
     loops = sorted(
@@ -91,9 +87,6 @@ def _graph_invariant(partner) -> tuple:
 def _isos(p1, p2, all_of_them: bool = False) -> list[list[int]]:
     """Dart bijections p1 -> p2 by vertex-by-vertex backtracking."""
     nv = len(p1) // 3
-
-    def vkey(p, v):
-        return tuple(sorted(p[d] // 3 for d in (3 * v, 3 * v + 1, 3 * v + 2)))
 
     # neighbour-multiset keys are label-dependent; use only degree of self-loops
     def lkey(p, v):

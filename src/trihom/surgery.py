@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DimensionTooSmall, Infeasible
-from .multigraph import DartGraph, from_pairing
+from .multigraph import DartGraph
 
 
 class VertexType(Enum):
@@ -301,10 +301,6 @@ def render_plan_text(p: SurgeryPlan) -> str:
             f"dart {e['big_member_at_dart']}{tag}"
         )
     return "\n".join(lines) + "\n"
-
-
-def plan_graph(p: SurgeryPlan) -> DartGraph:
-    return from_pairing(2 * p.k, p.graph_pairing)
 
 
 def plan_json_roundtrip(p: SurgeryPlan) -> bool:

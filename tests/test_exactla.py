@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from trihom import _kernels, exactla as la
+from trihom import exactla as la
 from trihom.errors import NoSolution, ResourceLimit
 
 
@@ -108,23 +107,6 @@ def test_matrixmarket_roundtrip():
     assert text.startswith("%%MatrixMarket matrix coordinate integer general")
     back = la.SparseIntMatrix.from_matrixmarket(text)
     assert back.rows == m.rows and back.num_cols == m.num_cols
-
-
-def test_kernel_paths_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.integers(-9, 9, size=(30, 45)).astype(np.int64)
-        p = 1000003
-        assert _kernels.rank_mod_p_numpy(a.copy(), p) == _kernels.rank_mod_p_numba(
-            a.copy(), p
-        )
-
-
-def test_kernel_env_flag(monkeypatch):
-    monkeypatch.setenv("AK_KERNELS", "python")
-    assert _kernels.kernel_mode() == "python"
-    monkeypatch.setenv("AK_KERNELS", "numba")
-    assert _kernels.kernel_mode() in ("numba", "python")
 
 
 def test_matrix_resource_limit(monkeypatch):

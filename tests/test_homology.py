@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from trihom import exactla as la
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
-from trihom.errors import LoopEdge, WrongSize
+from trihom.errors import LoopEdge, NoSolution, WrongSize
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import ClassStatus, Convention, reference_labelling
 
@@ -180,6 +181,76 @@ def test_certificates_replay_all_classes(k, conv):
                     sum((cols.get(c, Fraction(0)) * v for c, v in row), Fraction(0))
                     == 0
                 )
+
+
+def _random_labelled(rep, rng):
+    """A random relabelling of `rep` with shuffled labels and directions."""
+    g = mg.relabel(rep, mg.random_relabelling(rep, rng))
+    vertex_labels = list(range(1, g.num_vertices + 1))
+    edge_labels = list(range(1, g.num_edges + 1))
+    rng.shuffle(vertex_labels)
+    rng.shuffle(edge_labels)
+    directions = tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in g.edges)
+    return g, ori.OrientedLabelling(
+        tuple(vertex_labels), tuple(edge_labels), directions
+    )
+
+
+@pytest.mark.parametrize(
+    "k, conv, policy, eliminations, kinds",
+    [
+        (4, Convention.ODD, TP.EXCLUDE, 2, {"sign-witness", "nonzero"}),
+        (3, Convention.EVEN, TP.INCLUDE, 1, {"sign-witness", "relation-combination"}),
+    ],
+    ids=["k4-odd-exclude", "k3-even-include"],
+)
+def test_certificates_share_one_elimination(
+    monkeypatch, rng, k, conv, policy, eliminations, kinds
+):
+    """Every class and 50 random labelled graphs certified against one report
+    eliminate its relation matrix at most twice in all (M for the solves, its
+    transpose for the functionals), and each certificate is the one that
+    eliminating an unshared copy of the matrix for that query alone gives."""
+    report = hom.dimension(k, conv, policy)
+    classes = report.basis.classes
+    targets = [c.class_id for c in classes]
+    targets += [_random_labelled(rng.choice(classes).rep, rng) for _ in range(50)]
+    calls = []
+    reduce_rows_tracked = la._reduce_rows_tracked
+
+    def counted(m):
+        calls.append(m)
+        return reduce_rows_tracked(m)
+
+    monkeypatch.setattr(la, "_reduce_rows_tracked", counted)
+    certs = [hom.certify(t, report) for t in targets]
+    assert len(calls) == eliminations
+    monkeypatch.undo()
+
+    m = report.relations.matrix
+    gen_ids = [c.class_id for c in report.basis.generators]
+    assert {c.to_json().get("kind", "nonzero") for c in certs} == kinds
+    for cert in certs:
+        cls = classes[cert.class_id]
+        if cls.status is ClassStatus.ZERO:
+            assert cert.kind == "sign-witness"
+            continue
+        unshared = la.SparseIntMatrix(m.num_rows, m.num_cols, m.rows)
+        col = report.basis.column_of(cls)
+        unit = [int(c == col) for c in range(m.num_cols)]
+        try:
+            coeffs = la.solve_combination(unshared, unit)
+            want = hom.ZeroCertificate(
+                kind="relation-combination",
+                class_id=cls.class_id,
+                combination=[(i, c) for i, c in enumerate(coeffs) if c],
+            )
+        except NoSolution:
+            vec = next(v for v in la.left_nullspace(unshared.transpose()) if v[col])
+            want = hom.NonzeroCertificate(
+                cls.class_id, [(gen_ids[i], v) for i, v in enumerate(vec) if v]
+            )
+        assert cert.to_json() == want.to_json()
 
 
 _FAILED_REPLAY = """

@@ -206,21 +206,29 @@ def test_cli_byte_determinism():
     assert a == b
 
 
-# sha256 of `trihom dim --k 3 --certify` stdout: a change of class order,
+# sha256 of `trihom dim --certify` stdout: a change of class order,
 # witness map or certificate changes the bytes.
-CERTIFY_K3_SHA256 = {
-    ("even", "exclude"): "13023d188d158f65e0cf8bac225fb62d40e816ae40ad9c0ef53600c00a550f9b",
-    ("even", "include"): "f486950ea4828db586e88c9385d5dab080d1946a633cbba437da6dc956694b97",
-    ("odd", "exclude"): "04d377442d8102fbdb6952f721a7da923c8d9bc7b6518d21aa8c982c99d8d0fe",
-    ("odd", "include"): "07c4a7b9747abb0870e7f674c6ccf2a8fb63bf125d6fb27a046da385dc1e9960",
+CERTIFY_SHA256 = {
+    (3, "even", "exclude"): "13023d188d158f65e0cf8bac225fb62d40e816ae40ad9c0ef53600c00a550f9b",
+    (3, "even", "include"): "f486950ea4828db586e88c9385d5dab080d1946a633cbba437da6dc956694b97",
+    (3, "odd", "exclude"): "04d377442d8102fbdb6952f721a7da923c8d9bc7b6518d21aa8c982c99d8d0fe",
+    (3, "odd", "include"): "07c4a7b9747abb0870e7f674c6ccf2a8fb63bf125d6fb27a046da385dc1e9960",
+    (4, "odd", "exclude"): "65fe8c7287fff2e85b46b0f83edceb85c3779faaa997fbf5668e6fbca584622f",
 }
 
 
-@pytest.mark.parametrize("convention, tadpoles", sorted(CERTIFY_K3_SHA256))
-def test_cli_dim_certify_bytes_pinned(convention, tadpoles):
+@pytest.mark.parametrize(
+    "k, convention, tadpoles",
+    [
+        # k=3 cases are named by convention and policy alone
+        pytest.param(k, c, t, id=f"{c}-{t}" if k == 3 else f"k{k}-{c}-{t}")
+        for k, c, t in sorted(CERTIFY_SHA256)
+    ],
+)
+def test_cli_dim_certify_bytes_pinned(k, convention, tadpoles):
     out = run_cli_ok(
-        "dim", "--k", "3", "--convention", convention,
+        "dim", "--k", str(k), "--convention", convention,
         "--tadpoles", tadpoles, "--certify",
     )
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == CERTIFY_K3_SHA256[convention, tadpoles]
+    assert digest == CERTIFY_SHA256[k, convention, tadpoles]

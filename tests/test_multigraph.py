@@ -106,6 +106,36 @@ def test_one_dfs_pairing_per_class_passes_bound(k, policy):
     assert sorted(kept) == [g.partner for g in mg.enumerate_trivalent(k, policy)]
 
 
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_enumeration_one_bounded_search_per_pairing(monkeypatch, policy):
+    """Enumeration cost without a clock: one minimal-code search per DFS
+    pairing, each bounded by that pairing, and no canonicalization, so a
+    return to canonicalizing every pairing fails here."""
+    pairings, searches = [], []
+    pairing_dfs, min_code_maps = mg._pairing_dfs, mg._min_code_maps
+
+    def counted_dfs(k, include_loops):
+        for p in pairing_dfs(k, include_loops):
+            pairings.append(p)
+            yield p
+
+    def counted_search(g, collect_all, bound=None):
+        searches.append((g.partner, bound))
+        return min_code_maps(g, collect_all, bound)
+
+    def refused(g):
+        raise AssertionError("enumeration canonicalized a graph")
+
+    monkeypatch.setattr(mg, "_pairing_dfs", counted_dfs)
+    monkeypatch.setattr(mg, "_min_code_maps", counted_search)
+    monkeypatch.setattr(mg, "canonical_form", refused)
+    monkeypatch.setattr(mg, "canonical_code", refused)
+    classes = list(mg.enumerate_trivalent(4, policy))
+    assert len(classes) == {"exclude": 20, "include": 71}[policy.value]
+    assert [g for g, _ in searches] == pairings
+    assert all(bound == g for g, bound in searches)
+
+
 def test_min_code_bound_not_reached(theta, dumbbell):
     # the dumbbell's minimal code lies below every code of the theta graph
     low = mg.canonical_code(dumbbell)
