@@ -2,8 +2,8 @@
 
 Exit codes: 0 ok, 2 bad input, 3 infeasible vertex typing, 4 resource
 limit exceeded, 5 oracle mismatch.  A malformed `AK_MAX_CLASSES` or
-`AK_MAX_MATRIX` value is bad input.  Output is byte-deterministic for
-fixed arguments.
+`AK_MAX_MATRIX` value and an output path that cannot be written are bad
+input.  Output is byte-deterministic for fixed arguments.
 """
 
 from __future__ import annotations
@@ -36,12 +36,23 @@ def _policy(name: str) -> TadpolePolicy:
     return TadpolePolicy(name)
 
 
+class _CannotWrite(Exception):
+    """An output file could not be written."""
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 def cmd_enumerate(args) -> int:
@@ -101,8 +112,7 @@ def cmd_dim(args) -> int:
             )
             return EXIT_ORACLE_MISMATCH
     if args.dump_matrix:
-        with open(args.dump_matrix, "w") as fh:
-            fh.write(report.relations.matrix.to_matrixmarket())
+        _write_file(args.dump_matrix, report.relations.matrix.to_matrixmarket())
     _emit_report(args, doc)
     return EXIT_OK
 
@@ -182,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BadEnvironment as exc:
+    except (BadEnvironment, _CannotWrite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

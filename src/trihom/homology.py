@@ -32,7 +32,6 @@ from .multigraph import (
     DartGraph,
     Isomorphism,
     TadpolePolicy,
-    automorphisms,
     canonical_form,
     enumerate_trivalent,
 )
@@ -55,6 +54,10 @@ class ClassTable:
 
     def get(self, canon: DartGraph) -> GraphClass:
         return self._classes[canon.partner]
+
+    def represented_by(self, g: DartGraph) -> GraphClass | None:
+        """The class whose representative is g itself, if any."""
+        return self._classes.get(g.partner)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,15 @@ def signed_class(
         return Expressed(0, None, "disconnected")
     if policy is TadpolePolicy.EXCLUDE and g.has_loop:
         return Expressed(0, None, "tadpole")
-    canon, iso = canonical_form(g)
-    cls = table.get(canon)
+    cls = table.represented_by(g)
+    if cls is not None:
+        # A representative is its own canonical form.  Any witness differs
+        # from the identity by an automorphism, whose sign is +1 in a
+        # generator class, so the identity gives the same coefficient.
+        canon, iso = g, Isomorphism.identity(g.num_vertices)
+    else:
+        canon, iso = canonical_form(g)
+        cls = table.get(canon)
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
     return Expressed(transported_sign(canon, iso, labelling, g, convention), cls)

@@ -235,10 +235,26 @@ def _min_code_maps(
 ) -> tuple[tuple[int, ...], list[list[int]]] | None:
     """Lexicographically least partner code over all relabellings.
 
-    Returns the code and the dart maps (old dart -> new dart) achieving it;
-    one map unless collect_all.  The search reveals vertices in discovery
-    order; the only branch points are the seed and the order in which a
-    partially revealed vertex exposes its remaining darts.
+    Returns the code and dart maps (old dart -> new dart) achieving it.
+    maps[0] is the first such map in search order; with collect_all the
+    list also holds every further map the search reached, and
+    maps[0]^-1 o m over those m generates the automorphism group.
+
+    The search reveals vertices in discovery order.  Its branch points are
+    the seed vertex, the order of the seed's darts, and the order in which
+    a partially revealed vertex with two free darts exposes them; every
+    other slot is forced and filled in a loop.
+
+    Automorphism pruning (first-path pruning, after McKay & Piperno,
+    "Practical graph isomorphism II", J. Symb. Comput. 2014): a leaf whose
+    code equals the best one gives the automorphism best_map^-1 o map.  It
+    fixes the branch node where the two leaves' paths part and maps the
+    child on this leaf's path onto the child on the best leaf's path, whose
+    subtree is already searched, so the search goes back to that node and
+    on with its next child.  The first map reaching the minimal code is
+    never in a skipped subtree (its image there would be an earlier one),
+    and for each node on its path every child in the orbit of the path's
+    child yields a generator, so the maps found generate the whole group.
 
     `bound`, if given, is a code that g achieves.  The search then starts
     tight against it and returns None at the first prefix strictly below
@@ -251,6 +267,9 @@ def _min_code_maps(
 
     best: list[int] | None = None if bound is None else list(bound)
     best_maps: list[list[int]] = []
+    best_path: list = []
+    path: list = []  # branch choices from the root to the current node
+    code: list[int] = []
 
     loop_vertices = [
         v for v in range(nv) if any(partner[d] // 3 == v for d in g.darts_of(v))
@@ -260,106 +279,151 @@ def _min_code_maps(
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
     vmap = [-1] * nv  # old vertex -> new vertex
+    vinv = [-1] * nv  # new vertex -> old vertex
 
-    def search(pos: int, vnext: int, code: list[int], tight: bool) -> bool:
-        """Extend `code` from slot `pos`; True if a new best was set below.
+    def search(pos: int, vnext: int, tight: bool) -> tuple[int, bool]:
+        """Search below the node that `path` leads to, whose code so far is
+        code[:pos].
 
-        `tight` means code[:pos] == best[:pos], so a slot above best[pos]
-        prunes the branch.  A new best shares the current prefix, so the
-        remaining siblings are compared against it again.
+        Returns (back, improved).  `back` is the depth of the branch node
+        the search goes on from: len(path) - 1, the parent, unless an
+        automorphism sends it further up.  `improved` is True if a new best
+        was set below.  `tight` means code[:pos] == best[:pos], so a slot
+        above best[pos] prunes the node.  A new best shares the current
+        prefix, so the remaining siblings are compared against it again.
         """
-        nonlocal best, best_maps
-        if pos == nd:
-            if best is None or code < best:
-                best = list(code)
-                best_maps = [dmap.copy()]
-                return True
-            if code == best and (collect_all or not best_maps):
-                best_maps.append(dmap.copy())
-            return False
-        x = dinv[pos]
-        if x == -1:
-            # slot belongs to a partially revealed vertex; branch over its
-            # unassigned darts
-            w = -1
-            for ov in range(nv):
-                if vmap[ov] == pos // 3:
-                    w = ov
+        nonlocal best, best_maps, best_path
+        depth = len(path)
+        start = pos
+        assigned: list[int] = []  # darts given a slot at this node
+        revealed: list[int] = []  # old vertices revealed at this node
+        back, improved = depth - 1, False
+        while True:
+            if pos == nd:
+                if not tight:
+                    best = code.copy()
+                    best_maps, best_path = [dmap.copy()], path.copy()
+                    improved = True
+                elif not best_maps:  # first leaf reaching the bound
+                    best_maps, best_path = [dmap.copy()], path.copy()
+                else:
+                    if collect_all:
+                        best_maps.append(dmap.copy())
+                    back = next(
+                        i for i, (a, b) in enumerate(zip(path, best_path)) if a != b
+                    )
+                break
+            x = dinv[pos]
+            if x == -1:
+                # slot of a partially revealed vertex: a branch point when
+                # two of its darts are free
+                w = vinv[pos // 3]
+                free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
+                if len(free) > 1:
+                    for y in free:
+                        dmap[y] = pos
+                        dinv[pos] = y
+                        path.append(y)
+                        child_back, child_improved = search(pos, vnext, tight)
+                        path.pop()
+                        dmap[y] = -1
+                        dinv[pos] = -1
+                        if child_improved:
+                            improved = tight = True
+                        if child_back < depth:
+                            back = child_back
+                            break
                     break
-            improved = False
-            for y in g.darts_of(w):
-                if dmap[y] == -1:
-                    dmap[y] = pos
-                    dinv[pos] = y
-                    if search(pos, vnext, code, tight):
-                        improved = tight = True
-                    dmap[y] = -1
-                    dinv[pos] = -1
-            return improved
-        y = partner[x]
-        if dmap[y] != -1:
-            c = dmap[y]
-            new_vnext = vnext
-            reveal = -1
-        else:
-            w = y // 3
-            if vmap[w] == -1:
-                c = 3 * vnext
-                reveal = w
-                new_vnext = vnext + 1
-            else:
-                t = vmap[w]
-                c = -1
-                for s in (3 * t, 3 * t + 1, 3 * t + 2):
-                    if dinv[s] == -1:
-                        c = s
-                        break
+                x = free[0]
+                dmap[x] = pos
+                dinv[pos] = x
+                assigned.append(x)
+            y = partner[x]
+            if dmap[y] != -1:
+                c = dmap[y]
                 reveal = -1
-                new_vnext = vnext
-        if tight:
-            if c > best[pos]:
-                return False
-            if c < best[pos]:
-                if bound is not None:
-                    raise _BelowBound
-                tight = False
-        if reveal != -1:
-            vmap[reveal] = vnext
-        if dmap[y] == -1:
-            dmap[y] = c
-            dinv[c] = y
-            assigned = True
-        else:
-            assigned = False
-        code.append(c)
-        improved = search(pos + 1, new_vnext, code, tight)
-        code.pop()
-        if assigned:
-            dmap[y] = -1
-            dinv[c] = -1
-        if reveal != -1:
-            vmap[reveal] = -1
-        return improved
+            else:
+                w = y // 3
+                t = vmap[w]
+                if t == -1:
+                    c = 3 * vnext
+                    reveal = w
+                else:
+                    c = 3 * t
+                    while dinv[c] != -1:
+                        c += 1
+                    reveal = -1
+            if tight:
+                if c > best[pos]:
+                    break
+                if c < best[pos]:
+                    if bound is not None:
+                        raise _BelowBound
+                    tight = False
+            if reveal != -1:
+                vmap[reveal] = vnext
+                vinv[vnext] = reveal
+                revealed.append(reveal)
+                vnext += 1
+            if dmap[y] == -1:
+                dmap[y] = c
+                dinv[c] = y
+                assigned.append(y)
+            code.append(c)
+            pos += 1
+        for d in assigned:
+            dinv[dmap[d]] = -1
+            dmap[d] = -1
+        for w in revealed:
+            vinv[vmap[w]] = -1
+            vmap[w] = -1
+        del code[start:]
+        return back, improved
 
     try:
         for seed in seeds:
-            darts = g.darts_of(seed)
-            for order in permutations(darts):
-                vmap[seed] = 0
+            path.append(seed)
+            vmap[seed] = 0
+            vinv[0] = seed
+            for order in permutations(g.darts_of(seed)):
+                path.append(order)
                 for i, d in enumerate(order):
                     dmap[d] = i
                     dinv[i] = d
-                search(0, 1, [], best is not None)
+                back, _ = search(0, 1, best is not None)
                 for i, d in enumerate(order):
                     dmap[d] = -1
                     dinv[i] = -1
-                vmap[seed] = -1
+                path.pop()
+                if back == 0:  # this seed's subtree maps onto an earlier one
+                    break
+            vmap[seed] = -1
+            vinv[0] = -1
+            path.pop()
     except _BelowBound:
         return None
 
     if not best_maps:
         raise ValueError(f"bound {tuple(bound)} is not a code of {g!r}")
     return tuple(best), best_maps
+
+
+def _group(gens: Iterable[Sequence[int]], num_darts: int) -> list[Isomorphism]:
+    """The group generated by the dart permutations `gens`, sorted by dart map."""
+    images = [tuple(s).__getitem__ for s in gens]
+    identity = tuple(range(num_darts))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for image in images:
+                p = tuple(map(image, e))
+                if p not in elements:
+                    elements.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return [Isomorphism.from_dart_map(p) for p in sorted(elements)]
 
 
 def canonical_form(g: DartGraph) -> tuple[DartGraph, Isomorphism]:
@@ -369,17 +433,29 @@ def canonical_form(g: DartGraph) -> tuple[DartGraph, Isomorphism]:
     return canon, Isomorphism.from_dart_map(maps[0])
 
 
+def canonize(g: DartGraph) -> tuple[DartGraph, Isomorphism, list[Isomorphism]]:
+    """Canonical representative, a witness g -> canonical, and the
+    automorphism group of the canonical graph sorted by dart map, all from
+    one search."""
+    code, maps = _min_code_maps(g, collect_all=True)
+    canon = DartGraph(g.num_vertices, code, g.connected)
+    witness = Isomorphism.from_dart_map(maps[0])
+    base_inv = witness.inverse().dart_perm
+    # every map sends g onto canon, so m o maps[0]^-1 is an automorphism of canon
+    autos = _group(([m[x] for x in base_inv] for m in maps[1:]), g.num_darts)
+    return canon, witness, autos
+
+
 def canonical_code(g: DartGraph) -> tuple[int, ...]:
     return _min_code_maps(g, collect_all=False)[0]
 
 
 def automorphisms(g: DartGraph) -> list[Isomorphism]:
-    """The full automorphism group as dart-level maps (identity included)."""
+    """The full automorphism group as dart-level maps (identity included),
+    sorted by dart map."""
     _, maps = _min_code_maps(g, collect_all=True)
-    base_inv = Isomorphism.from_dart_map(maps[0]).inverse()
-    autos = [base_inv.compose(Isomorphism.from_dart_map(m)) for m in maps]
-    autos.sort(key=lambda a: a.dart_perm)
-    return autos
+    base_inv = Isomorphism.from_dart_map(maps[0]).inverse().dart_perm
+    return _group(([base_inv[x] for x in m] for m in maps[1:]), g.num_darts)
 
 
 def _pairing_dfs(k: int, include_loops: bool) -> Iterator[tuple[int, ...]]:

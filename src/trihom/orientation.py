@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .multigraph import DartGraph, Isomorphism, automorphisms, canonical_form
+from .multigraph import DartGraph, Isomorphism, canonize
 
 
 class Convention(Enum):
@@ -265,9 +265,9 @@ class GraphClass:
 
 def classify(g: DartGraph, convention: Convention) -> GraphClass:
     """Zero with a -1 witness, or Generator.  Canonicalizes its input."""
-    canon, _ = canonical_form(g)
+    canon, _, autos = canonize(g)
     labelling = reference_labelling(canon)
-    for auto in automorphisms(canon):
+    for auto in autos:
         if total_sign(convention, canon, labelling.directions, auto) == -1:
             return GraphClass(canon, labelling, convention, ClassStatus.ZERO, auto)
     return GraphClass(canon, labelling, convention, ClassStatus.GENERATOR, None)

@@ -253,6 +253,35 @@ def test_certificates_share_one_elimination(
         assert cert.to_json() == want.to_json()
 
 
+def test_one_search_per_class_and_per_unlisted_ihx_term(monkeypatch):
+    """Canonical-search count in dimension(4, odd, exclude), without a
+    clock: after enumeration class_basis runs one search per class (the
+    canonical form and the automorphism group together), and
+    relation_matrix searches only the 268 of its 462 IHX terms whose
+    pairing is not a class representative."""
+    phase, searches = ["basis"], []
+    min_code_maps, relation_matrix = mg._min_code_maps, hom.relation_matrix
+
+    def counted_search(g, collect_all, bound=None):
+        if bound is None:
+            searches.append((phase[0], g.partner))
+        return min_code_maps(g, collect_all, bound)
+
+    def relations_phase(basis):
+        phase[0] = "relations"
+        return relation_matrix(basis)
+
+    monkeypatch.setattr(mg, "_min_code_maps", counted_search)
+    monkeypatch.setattr(hom, "relation_matrix", relations_phase)
+    report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    reps = {c.rep.partner for c in report.basis.classes}
+    basis_searches = [p for ph, p in searches if ph == "basis"]
+    term_searches = [p for ph, p in searches if ph == "relations"]
+    assert sorted(basis_searches) == sorted(reps)
+    assert len(term_searches) == 268
+    assert not reps & set(term_searches)
+
+
 _FAILED_REPLAY = """
 from trihom import homology as hom
 from trihom.multigraph import TadpolePolicy as TP

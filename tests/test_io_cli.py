@@ -170,6 +170,28 @@ def test_cli_infeasible_exit_code(monkeypatch, tmp_path, theta):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--k", "1", "--output"),
+        ("dim", "--k", "1", "--convention", "odd", "--json"),
+        ("dim", "--k", "1", "--convention", "odd", "--dump-matrix"),
+        ("plan", "--ambient-dim", "4", "--output"),
+    ],
+    ids=["enumerate-output", "dim-json", "dim-dump-matrix", "plan-output"],
+)
+def test_cli_unwritable_output_exit_code(tmp_path, theta, argv):
+    if argv[0] == "plan":
+        gfile = tmp_path / "theta.g"
+        gfile.write_text(gio.to_graph_text(theta))
+        argv = (argv[0], "--graph", str(gfile), *argv[1:])
+    path = tmp_path / "missing" / "out"
+    out = run_cli(*argv, str(path))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: cannot write {path}: ")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+
 def test_cli_resource_limit_exit_code(monkeypatch):
     monkeypatch.setenv("AK_MAX_CLASSES", "1")
     out = subprocess.run(
@@ -204,6 +226,23 @@ def test_cli_byte_determinism():
     a = run_cli_ok("enumerate", "--k", "3")
     b = run_cli_ok("enumerate", "--k", "3")
     assert a == b
+
+
+# sha256 of `trihom enumerate --format jsonl` stdout: a change of canonical
+# code or class order changes the bytes.
+ENUMERATE_SHA256 = {
+    (4, "exclude"): "1bc92b0ffbad082afc284fc3091a718ab1346dcad708863f810573aa7f87c675",
+    (4, "include"): "2f9ee9da5f60d82ce271e20bad3ec247b9a75f6c59801d754836c2f3b0821186",
+    (5, "exclude"): "978624f7800da79559bce95b4c3e8f14f4d85902e1a8f11ddc76e32d4ed9542b",
+    (5, "include"): "7ce0eb5b2b0b1aea5fe6d3e14d7d60b9e04cf4b40bfda4129d6854c3669bbdc6",
+}
+
+
+@pytest.mark.parametrize("k, tadpoles", sorted(ENUMERATE_SHA256))
+def test_cli_enumerate_bytes_pinned(k, tadpoles):
+    out = run_cli_ok("enumerate", "--k", str(k), "--tadpoles", tadpoles, "--format", "jsonl")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ENUMERATE_SHA256[k, tadpoles]
 
 
 # sha256 of `trihom dim --certify` stdout: a change of class order,

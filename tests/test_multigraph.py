@@ -1,5 +1,9 @@
+import math
+import random
+
 import pytest
 
+import exhaustive_search
 from trihom import multigraph as mg
 from trihom.errors import (
     BadEnvironment,
@@ -144,6 +148,110 @@ def test_min_code_bound_not_reached(theta, dumbbell):
         mg._min_code_maps(theta, collect_all=False, bound=low)
     # a bound above the minimal code reports "not minimal"
     assert mg._min_code_maps(dumbbell, collect_all=False, bound=theta.partner) is None
+
+
+def _reference_automorphisms(g):
+    _, maps = exhaustive_search.min_code_maps(g, collect_all=True)
+    base_inv = mg.Isomorphism.from_dart_map(maps[0]).inverse()
+    autos = [base_inv.compose(mg.Isomorphism.from_dart_map(m)) for m in maps]
+    return sorted(autos, key=lambda a: a.dart_perm)
+
+
+def _reference_cases():
+    rng = random.Random(5)
+    cases = []
+    for k in (1, 2, 3, 4):
+        for policy in mg.TadpolePolicy:
+            for rep in mg.enumerate_trivalent(k, policy):
+                for _ in range(2):
+                    cases.append(mg.relabel(rep, mg.random_relabelling(rep, rng)))
+    reps = list(mg.enumerate_trivalent(5))
+    for rep in rng.sample(reps, 15):
+        cases.append(mg.relabel(rep, mg.random_relabelling(rep, rng)))
+    return cases
+
+
+def test_pruned_search_matches_exhaustive_reference():
+    """On random relabellings (k <= 4 both policies, a k=5 sample) the
+    automorphism-pruned search gives the exhaustive search's minimal code,
+    first witness map and sorted automorphism group; `canonize` gives the
+    same three from one search."""
+    for g in _reference_cases():
+        code, maps = exhaustive_search.min_code_maps(g, collect_all=False)
+        autos = _reference_automorphisms(g)
+        assert mg._min_code_maps(g, collect_all=False) == (code, maps)
+        assert mg._min_code_maps(g, collect_all=True)[1][0] == maps[0]
+        assert mg.automorphisms(g) == autos
+        canon, wit, canon_autos = mg.canonize(g)
+        assert (canon, wit) == mg.canonical_form(g)
+        assert canon.partner == code
+        assert canon_autos == _reference_automorphisms(canon)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_bounded_search_matches_exhaustive_reference(k, policy):
+    include = policy is mg.TadpolePolicy.INCLUDE
+    for p in mg._pairing_dfs(k, include):
+        g = mg.DartGraph(2 * k, p, True)
+        want = exhaustive_search.min_code_maps(g, collect_all=False, bound=p)
+        assert mg._min_code_maps(g, collect_all=False, bound=p) == want
+
+
+def _connected_pairings(k: int, include_loops: bool) -> int:
+    """Connected pairings of 6k darts, three darts per vertex: all pairings
+    are (3n-1)!!, loop-free ones follow by inclusion-exclusion over the
+    vertices carrying a loop, and the exponential formula leaves the
+    connected ones."""
+
+    def matchings(darts):
+        return math.prod(range(darts - 1, 0, -2)) if darts % 2 == 0 else 0
+
+    def pairings(n):
+        if include_loops:
+            return matchings(3 * n)
+        return sum(
+            (-1) ** j * math.comb(n, j) * 3**j * matchings(3 * n - 2 * j)
+            for j in range(n + 1)
+        )
+
+    connected = [0]
+    for n in range(1, 2 * k + 1):
+        connected.append(
+            pairings(n)
+            - sum(
+                math.comb(n - 1, j - 1) * connected[j] * pairings(n - j)
+                for j in range(1, n)
+            )
+        )
+    return connected[2 * k]
+
+
+def test_connected_pairing_count_matches_brute_force():
+    for k in (1, 2):
+        for include in (True, False):
+            brute = sum(
+                1
+                for p in mg.all_pairings(k)
+                if mg._connected(2 * k, p)
+                and (include or all(p[d] // 3 != d // 3 for d in range(6 * k)))
+            )
+            assert _connected_pairings(k, include) == brute
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_automorphism_mass_formula(k, policy):
+    """Each class has (2k)! 6^(2k) / |Aut| labelled pairings, so the sum over
+    classes is the number of connected labelled pairings; a generator the
+    pruned search failed to find would shrink some |Aut| and break it."""
+    relabellings = math.factorial(2 * k) * 6 ** (2 * k)
+    total = 0
+    for g in mg.enumerate_trivalent(k, policy):
+        orbit, rest = divmod(relabellings, len(mg.automorphisms(g)))
+        assert rest == 0
+        total += orbit
+    assert total == _connected_pairings(k, policy is mg.TadpolePolicy.INCLUDE)
 
 
 def test_enumeration_deterministic():
