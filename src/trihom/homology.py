@@ -33,7 +33,7 @@ from .multigraph import (
     Isomorphism,
     TadpolePolicy,
     canonical_form,
-    enumerate_trivalent,
+    enumerate_classes,
 )
 from .orientation import (
     ClassStatus,
@@ -222,8 +222,10 @@ def class_basis(
     max_classes: int | None = None,
 ) -> ClassBasis:
     classes = [
-        classify(g, convention).with_id(i)
-        for i, g in enumerate(enumerate_trivalent(k, policy, max_classes=max_classes))
+        classify(rep, convention, maps).with_id(i)
+        for i, (rep, maps) in enumerate(
+            enumerate_classes(k, policy, max_classes=max_classes)
+        )
     ]
     return ClassBasis(k, convention, policy, classes, ClassTable(classes))
 

@@ -153,9 +153,6 @@ class Isomorphism:
             dp[d] = i
         return Isomorphism(tuple(vp), tuple(dp))
 
-    def is_identity(self) -> bool:
-        return all(i == d for i, d in enumerate(self.dart_perm))
-
 
 def _connected(num_vertices: int, partner: Sequence[int]) -> bool:
     seen = [False] * num_vertices
@@ -229,11 +226,12 @@ class _BelowBound(Exception):
 
 
 def _min_code_maps(
-    g: DartGraph,
+    partner: Sequence[int],
     collect_all: bool,
     bound: Sequence[int] | None = None,
 ) -> tuple[tuple[int, ...], list[list[int]]] | None:
-    """Lexicographically least partner code over all relabellings.
+    """Lexicographically least partner code over all relabellings of the
+    pairing `partner` (three darts per vertex).
 
     Returns the code and dart maps (old dart -> new dart) achieving it.
     maps[0] is the first such map in search order; with collect_all the
@@ -256,14 +254,25 @@ def _min_code_maps(
     and for each node on its path every child in the orbit of the path's
     child yields a generator, so the maps found generate the whole group.
 
-    `bound`, if given, is a code that g achieves.  The search then starts
-    tight against it and returns None at the first prefix strictly below
-    it, so a non-None result means `bound` is the minimal code.  A bound
-    that no relabelling reaches raises ValueError.
+    `bound`, if given, is a code that the pairing achieves, or a prefix of
+    one.  The search then starts tight against it and returns None at the
+    first prefix strictly below it, so a non-None result means no
+    relabelling has a code below `bound`.  A bound that no relabelling
+    reaches raises ValueError.
+
+    `partner` may hold -1 for darts whose partner is not yet known, with a
+    prefix bound that covers known darts only (the orderly generator's
+    partial pairings).  A relabelling's code then counts only up to the
+    first slot whose dart has an unknown partner: the branch ends there,
+    and a branch that ties the whole bound is no conclusion either.  So
+    None means some relabelling gives a determined code strictly below the
+    bound, and every completion of `partner` has a code below its own.
+    Leaves that tie a prefix are not automorphisms, so only complete codes
+    prune by automorphism.
     """
-    nv = g.num_vertices
-    nd = g.num_darts
-    partner = g.partner
+    nd = len(partner)
+    nv = nd // 3
+    end = nd if bound is None else len(bound)
 
     best: list[int] | None = None if bound is None else list(bound)
     best_maps: list[list[int]] = []
@@ -271,10 +280,14 @@ def _min_code_maps(
     path: list = []  # branch choices from the root to the current node
     code: list[int] = []
 
+    # a loop takes two of its vertex's three darts, one of them 3v or 3v+1
     loop_vertices = [
-        v for v in range(nv) if any(partner[d] // 3 == v for d in g.darts_of(v))
+        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
     ]
-    seeds = loop_vertices if loop_vertices else list(range(nv))
+    # a vertex whose first dart has no known partner is no seed: in the
+    # generator's partial pairings it has no known partner at all, so it
+    # starts no determined code
+    seeds = loop_vertices or [v for v in range(nv) if partner[3 * v] != -1]
 
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
@@ -299,14 +312,14 @@ def _min_code_maps(
         revealed: list[int] = []  # old vertices revealed at this node
         back, improved = depth - 1, False
         while True:
-            if pos == nd:
+            if pos == end:
                 if not tight:
                     best = code.copy()
                     best_maps, best_path = [dmap.copy()], path.copy()
                     improved = True
                 elif not best_maps:  # first leaf reaching the bound
                     best_maps, best_path = [dmap.copy()], path.copy()
-                else:
+                elif end == nd:
                     if collect_all:
                         best_maps.append(dmap.copy())
                     back = next(
@@ -339,6 +352,8 @@ def _min_code_maps(
                 dinv[pos] = x
                 assigned.append(x)
             y = partner[x]
+            if y == -1:  # unknown partner: the code is determined up to here
+                break
             if dmap[y] != -1:
                 c = dmap[y]
                 reveal = -1
@@ -385,7 +400,7 @@ def _min_code_maps(
             path.append(seed)
             vmap[seed] = 0
             vinv[0] = seed
-            for order in permutations(g.darts_of(seed)):
+            for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
                 path.append(order)
                 for i, d in enumerate(order):
                     dmap[d] = i
@@ -404,7 +419,7 @@ def _min_code_maps(
         return None
 
     if not best_maps:
-        raise ValueError(f"bound {tuple(bound)} is not a code of {g!r}")
+        raise ValueError(f"bound {tuple(bound)} is not a code of {tuple(partner)}")
     return tuple(best), best_maps
 
 
@@ -428,7 +443,7 @@ def _group(gens: Iterable[Sequence[int]], num_darts: int) -> list[Isomorphism]:
 
 def canonical_form(g: DartGraph) -> tuple[DartGraph, Isomorphism]:
     """Canonical representative plus one witnessing isomorphism g -> canonical."""
-    code, maps = _min_code_maps(g, collect_all=False)
+    code, maps = _min_code_maps(g.partner, collect_all=False)
     canon = DartGraph(g.num_vertices, code, g.connected)
     return canon, Isomorphism.from_dart_map(maps[0])
 
@@ -437,7 +452,7 @@ def canonize(g: DartGraph) -> tuple[DartGraph, Isomorphism, list[Isomorphism]]:
     """Canonical representative, a witness g -> canonical, and the
     automorphism group of the canonical graph sorted by dart map, all from
     one search."""
-    code, maps = _min_code_maps(g, collect_all=True)
+    code, maps = _min_code_maps(g.partner, collect_all=True)
     canon = DartGraph(g.num_vertices, code, g.connected)
     witness = Isomorphism.from_dart_map(maps[0])
     base_inv = witness.inverse().dart_perm
@@ -447,59 +462,98 @@ def canonize(g: DartGraph) -> tuple[DartGraph, Isomorphism, list[Isomorphism]]:
 
 
 def canonical_code(g: DartGraph) -> tuple[int, ...]:
-    return _min_code_maps(g, collect_all=False)[0]
+    return _min_code_maps(g.partner, collect_all=False)[0]
+
+
+def automorphism_group(maps: Sequence[Sequence[int]]) -> list[Isomorphism]:
+    """The automorphism group, sorted by dart map, of the graph whose
+    `collect_all` search returned `maps`: maps[0]^-1 o m generate it."""
+    base_inv = Isomorphism.from_dart_map(maps[0]).inverse().dart_perm
+    return _group(([base_inv[x] for x in m] for m in maps[1:]), len(base_inv))
 
 
 def automorphisms(g: DartGraph) -> list[Isomorphism]:
     """The full automorphism group as dart-level maps (identity included),
     sorted by dart map."""
-    _, maps = _min_code_maps(g, collect_all=True)
-    base_inv = Isomorphism.from_dart_map(maps[0]).inverse().dart_perm
-    return _group(([base_inv[x] for x in m] for m in maps[1:]), g.num_darts)
+    return automorphism_group(_min_code_maps(g.partner, collect_all=True)[1])
 
 
-def _pairing_dfs(k: int, include_loops: bool) -> Iterator[tuple[int, ...]]:
-    """Connected pairings, one discovery-normalized presentation per slot orbit.
+def enumerate_classes(
+    k: int,
+    policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
+    max_classes: int | None = None,
+) -> Iterator[tuple[DartGraph, list[list[int]]]]:
+    """One canonical representative per isomorphism class, in canonical-code
+    order, each with the maps of its complete search (`automorphism_group`
+    turns them into the group).
 
-    Vertices are revealed in discovery order and each vertex's free darts
-    are consumed smallest first, so every isomorphism class appears (possibly
-    several times) while the bulk of the labelled redundancy is skipped.
+    Orderly generation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998).  A DFS pairs the smallest free dart x with the
+    first free dart of a revealed vertex or the first dart of a new one, so
+    vertices are revealed in discovery order and each vertex's darts are
+    consumed smallest first; every minimal code is such a pairing.  At an
+    internal node the search bounded by partner[:x] cuts the subtree when a
+    relabelling of the revealed part already has a smaller determined code,
+    so no completion is its own minimal code.  A complete pairing is kept
+    when no relabelling is below it, that is once per class.
+
+    A node with a single child is not tested: the child's prefix extends
+    its own, so the child's test (or, for a complete pairing, the leaf
+    search) finds every smaller code the node's test would.  Pairings that
+    would leave a component closed before all 2k vertices are revealed are
+    not tried, so such single-child nodes are common near the leaves.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    limit = max_classes if max_classes is not None else max_classes_limit()
+    include_loops = policy is TadpolePolicy.INCLUDE
     nv = 2 * k
-    nd = 6 * k
-    partner = [-1] * nd
+    partner = [-1] * (3 * nv)
+    kept: list[tuple[tuple[int, ...], list[list[int]]]] = []
 
-    def rec(touched: int):
-        x = -1
-        for d in range(3 * touched):
-            if partner[d] == -1:
-                x = d
-                break
-        if x == -1:
+    def rec(x: int, touched: int) -> None:
+        while x < 3 * touched and partner[x] != -1:
+            x += 1
+        if x == 3 * touched:
             if touched == nv:
-                yield tuple(partner)
+                code = tuple(partner)
+                found = _min_code_maps(code, collect_all=True, bound=code)
+                if found is not None:
+                    kept.append((code, found[1]))
+                    if len(kept) > limit:
+                        raise ResourceLimit(
+                            f"class count exceeded AK_MAX_CLASSES={limit} at k={k}"
+                        )
             return
         cands = []
-        for w in range(touched):
-            for y in g_darts(w):
-                if partner[y] == -1 and y != x:
-                    if w != x // 3 or include_loops:
-                        cands.append(y)
-                    break
+        # a revealed partner would close off the revealed vertices when x
+        # and it are their last free darts
+        if touched == nv or partner[x + 1 : 3 * touched].count(-1) > 1:
+            for w in range(touched):
+                for y in (3 * w, 3 * w + 1, 3 * w + 2):
+                    if partner[y] == -1 and y != x:
+                        if w != x // 3 or include_loops:
+                            cands.append(y)
+                        break
         if touched < nv:
             cands.append(3 * touched)
+        # the root reveals nothing to test
+        if (
+            len(cands) > 1
+            and x
+            and _min_code_maps(partner, collect_all=False, bound=partner[:x]) is None
+        ):
+            return
         for y in cands:
-            fresh = y >= 3 * touched
             partner[x] = y
             partner[y] = x
-            yield from rec(touched + 1 if fresh else touched)
+            rec(x + 1, touched + 1 if y == 3 * touched else touched)
             partner[x] = -1
             partner[y] = -1
 
-    def g_darts(v: int):
-        return (3 * v, 3 * v + 1, 3 * v + 2)
-
-    yield from rec(1)
+    rec(0, 1)
+    for code, maps in sorted(kept):
+        yield DartGraph(nv, code, True), maps
 
 
 def enumerate_trivalent(
@@ -508,45 +562,5 @@ def enumerate_trivalent(
     max_classes: int | None = None,
 ) -> Iterator[DartGraph]:
     """One canonical representative per isomorphism class, in canonical-code order."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    limit = max_classes if max_classes is not None else max_classes_limit()
-    include_loops = policy is TadpolePolicy.INCLUDE
-    kept: list[tuple[int, ...]] = []
-    for pairing in _pairing_dfs(k, include_loops):
-        # orderly generation: keep the one DFS pairing per class that is
-        # its own minimal code (that code is itself a DFS pairing)
-        g = DartGraph(2 * k, pairing, True)
-        if _min_code_maps(g, collect_all=False, bound=pairing) is not None:
-            kept.append(pairing)
-            if len(kept) > limit:
-                raise ResourceLimit(
-                    f"class count exceeded AK_MAX_CLASSES={limit} at k={k}"
-                )
-    for code in sorted(kept):
-        yield DartGraph(2 * k, code, True)
-
-
-def all_pairings(k: int) -> Iterator[tuple[int, ...]]:
-    """Every fixed-point-free involution on 6k darts (test oracle; exponential)."""
-    nd = 6 * k
-    partner = [-1] * nd
-
-    def rec():
-        x = -1
-        for d in range(nd):
-            if partner[d] == -1:
-                x = d
-                break
-        if x == -1:
-            yield tuple(partner)
-            return
-        for y in range(x + 1, nd):
-            if partner[y] == -1:
-                partner[x] = y
-                partner[y] = x
-                yield from rec()
-                partner[x] = -1
-                partner[y] = -1
-
-    yield from rec()
+    for rep, _ in enumerate_classes(k, policy, max_classes):
+        yield rep

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .multigraph import DartGraph, Isomorphism, canonize
+from .multigraph import DartGraph, Isomorphism, automorphism_group, canonize
 
 
 class Convention(Enum):
@@ -263,9 +263,19 @@ class GraphClass:
         )
 
 
-def classify(g: DartGraph, convention: Convention) -> GraphClass:
-    """Zero with a -1 witness, or Generator.  Canonicalizes its input."""
-    canon, _, autos = canonize(g)
+def classify(
+    g: DartGraph,
+    convention: Convention,
+    search_maps: Sequence[Sequence[int]] | None = None,
+) -> GraphClass:
+    """Zero with a -1 witness, or Generator.  Canonicalizes its input, unless
+    `search_maps` is given: then g is a canonical representative and
+    `search_maps` the maps of its complete search, as `enumerate_classes`
+    yields them, which give its automorphism group without a new search."""
+    if search_maps is None:
+        canon, _, autos = canonize(g)
+    else:
+        canon, autos = g, automorphism_group(search_maps)
     labelling = reference_labelling(canon)
     for auto in autos:
         if total_sign(convention, canon, labelling.directions, auto) == -1:

@@ -9,7 +9,6 @@ bookkeeping; no embeddings or framings are represented.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -301,7 +300,3 @@ def render_plan_text(p: SurgeryPlan) -> str:
             f"dart {e['big_member_at_dart']}{tag}"
         )
     return "\n".join(lines) + "\n"
-
-
-def plan_json_roundtrip(p: SurgeryPlan) -> bool:
-    return SurgeryPlan.from_json(json.loads(json.dumps(p.to_json()))) == p

@@ -227,27 +227,30 @@ def test_criterion_8_determinism():
     )
 
 
-# Connected cubic multigraphs on 2k vertices, k = 1..5, from the OEIS:
+# Connected cubic multigraphs on 2k vertices, k = 1..6, from the OEIS:
 # A000421 counts those without loops, A005967 those with loops allowed
 # (https://oeis.org/A000421, https://oeis.org/A005967).
-OEIS_A000421 = (1, 2, 6, 20, 91)
-OEIS_A005967 = (2, 5, 17, 71, 388)
+OEIS_A000421 = (1, 2, 6, 20, 91, 509)
+OEIS_A005967 = (2, 5, 17, 71, 388, 2592)
 
 
 def test_criterion_9_oeis_class_counts():
     census = json.loads(DATA.read_text())["class_counts"]
     recorded = {
-        pol.value: tuple(census[f"k{k}_{pol.value}"] for k in range(1, 6))
+        pol.value: tuple(census[f"k{k}_{pol.value}"] for k in range(1, 7))
         for pol in TP
     }
     t0 = time.time()
     n5 = sum(1 for _ in mg.enumerate_trivalent(5, TP.INCLUDE))
+    n6 = sum(1 for _ in mg.enumerate_trivalent(6, TP.EXCLUDE))
     dt = time.time() - t0
     _report(
         "9 oeis-class-counts",
         recorded["exclude"] == OEIS_A000421
         and recorded["include"] == OEIS_A005967
-        and n5 == OEIS_A005967[4],
-        f"(k=5 with loops: {n5} classes in {dt:.1f}s, A005967 gives "
-        f"{OEIS_A005967[4]}; census {recorded})",
+        and n5 == OEIS_A005967[4]
+        and n6 == OEIS_A000421[5],
+        f"(k=5 with loops: {n5} classes, A005967 gives {OEIS_A005967[4]}; "
+        f"k=6 without: {n6}, A000421 gives {OEIS_A000421[5]}; {dt:.1f}s; "
+        f"census {recorded})",
     )

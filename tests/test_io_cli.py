@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -271,3 +272,19 @@ def test_cli_dim_certify_bytes_pinned(k, convention, tadpoles):
     )
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == CERTIFY_SHA256[k, convention, tadpoles]
+
+
+def test_build_census_help_writes_nothing():
+    """`--help` prints usage and exits before any regeneration, so the
+    census is left as it was."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    census = root / "data" / "census.json"
+    before = census.read_bytes(), census.stat().st_mtime_ns
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "build_census.py"), "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:") and "--out" in proc.stdout
+    assert (census.read_bytes(), census.stat().st_mtime_ns) == before

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import exhaustive_search
+import leaf_only_generation as ref
 from trihom import multigraph as mg
 from trihom.errors import (
     BadEnvironment,
@@ -54,7 +55,7 @@ def test_disconnected_detected():
 
 def test_fifteen_pairings_two_codes():
     codes = set()
-    for p in mg.all_pairings(1):
+    for p in ref.all_pairings(1):
         if mg._connected(2, p):
             codes.add(mg.canonical_code(mg.DartGraph(2, p, True)))
     assert len(codes) == 2
@@ -75,7 +76,7 @@ def test_enumerate_matches_naive_pairing_oracle(k, policy):
     """Brute force over all pairings, quotient by isomorphism."""
     include = policy is mg.TadpolePolicy.INCLUDE
     codes = set()
-    for p in mg.all_pairings(k):
+    for p in ref.all_pairings(k):
         if not mg._connected(2 * k, p):
             continue
         g = mg.DartGraph(2 * k, p, True)
@@ -85,7 +86,7 @@ def test_enumerate_matches_naive_pairing_oracle(k, policy):
     enumerated = [g.partner for g in mg.enumerate_trivalent(k, policy)]
     assert sorted(codes) == enumerated
     # the premise of orderly generation: each minimal code is a DFS pairing
-    assert codes <= set(mg._pairing_dfs(k, include))
+    assert codes <= set(ref.pairing_dfs(k, include))
 
 
 @pytest.mark.parametrize(
@@ -98,11 +99,10 @@ def test_one_dfs_pairing_per_class_passes_bound(k, policy):
     minimal code, so each class reached by the DFS is kept once."""
     include = policy is mg.TadpolePolicy.INCLUDE
     codes, kept = set(), []
-    for p in mg._pairing_dfs(k, include):
-        g = mg.DartGraph(2 * k, p, True)
-        code = mg.canonical_code(g)
+    for p in ref.pairing_dfs(k, include):
+        code = mg.canonical_code(mg.DartGraph(2 * k, p, True))
         codes.add(code)
-        minimal = mg._min_code_maps(g, collect_all=False, bound=p) is not None
+        minimal = mg._min_code_maps(p, collect_all=False, bound=p) is not None
         assert minimal == (p == code)
         if minimal:
             kept.append(p)
@@ -110,34 +110,89 @@ def test_one_dfs_pairing_per_class_passes_bound(k, policy):
     assert sorted(kept) == [g.partner for g in mg.enumerate_trivalent(k, policy)]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
-def test_enumeration_one_bounded_search_per_pairing(monkeypatch, policy):
-    """Enumeration cost without a clock: one minimal-code search per DFS
-    pairing, each bounded by that pairing, and no canonicalization, so a
-    return to canonicalizing every pairing fails here."""
-    pairings, searches = [], []
-    pairing_dfs, min_code_maps = mg._pairing_dfs, mg._min_code_maps
+def test_prefix_pruned_enumeration_matches_leaf_only_reference(k, policy):
+    include = policy is mg.TadpolePolicy.INCLUDE
+    enumerated = [g.partner for g in mg.enumerate_trivalent(k, policy)]
+    assert enumerated == ref.orderly_codes(k, include)
 
-    def counted_dfs(k, include_loops):
-        for p in pairing_dfs(k, include_loops):
-            pairings.append(p)
-            yield p
 
-    def counted_search(g, collect_all, bound=None):
-        searches.append((g.partner, bound))
-        return min_code_maps(g, collect_all, bound)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_prefix_cuts_hold_no_minimal_pairing(monkeypatch, k, policy):
+    """Every subtree the prefix test cuts, walked with the leaf-only DFS,
+    holds no pairing that is its own minimal code."""
+    include = policy is mg.TadpolePolicy.INCLUDE
+    cut = []
+    min_code_maps = mg._min_code_maps
+
+    def recording_search(partner, collect_all, bound=None):
+        found = min_code_maps(partner, collect_all, bound)
+        if found is None and len(bound) < len(partner):
+            cut.append(tuple(partner))
+        return found
+
+    monkeypatch.setattr(mg, "_min_code_maps", recording_search)
+    list(mg.enumerate_trivalent(k, policy))
+    monkeypatch.undo()
+    assert cut or k == 1
+    for node in cut:
+        for p in ref.pairing_dfs(k, include, start=node):
+            assert mg.canonical_code(mg.DartGraph(2 * k, p, True)) < p
+
+
+@pytest.mark.parametrize(
+    "k, policy",
+    [(k, pol) for k in (1, 2, 3, 4) for pol in mg.TadpolePolicy]
+    + [(5, mg.TadpolePolicy.EXCLUDE)],
+)
+def test_enumerated_maps_give_the_automorphism_group(k, policy):
+    """The maps a kept pairing's complete leaf search collects generate the
+    same group a fresh search of the representative finds."""
+    for rep, maps in mg.enumerate_classes(k, policy):
+        assert mg.automorphism_group(maps) == mg.automorphisms(rep)
+
+
+@pytest.mark.parametrize(
+    "k, policy, counts",
+    [
+        (4, mg.TadpolePolicy.EXCLUDE, (149, 64, 37)),
+        (4, mg.TadpolePolicy.INCLUDE, (289, 114, 168)),
+        (5, mg.TadpolePolicy.EXCLUDE, (718, 303, 201)),
+    ],
+    ids=["k4-exclude", "k4-include", "k5-exclude"],
+)
+def test_enumeration_search_counts(monkeypatch, k, policy, counts):
+    """Enumeration cost without a clock: the exact numbers of prefix
+    searches (one per DFS node with two or more children, the root aside),
+    of prefixes cut and of bounded leaf searches (one per complete pairing
+    reached).  Nothing is canonicalized, so a return to leaf-only testing
+    or to canonicalizing every pairing fails here."""
+    nd = 6 * k
+    prefixes, cuts, leaves = [], [], []
+    min_code_maps = mg._min_code_maps
+
+    def counted_search(partner, collect_all, bound=None):
+        assert bound is not None and list(bound) == list(partner[: len(bound)])
+        found = min_code_maps(partner, collect_all, bound)
+        if len(bound) == nd:
+            leaves.append(tuple(partner))
+        else:
+            prefixes.append(len(bound))
+            if found is None:
+                cuts.append(len(bound))
+        return found
 
     def refused(g):
         raise AssertionError("enumeration canonicalized a graph")
 
-    monkeypatch.setattr(mg, "_pairing_dfs", counted_dfs)
     monkeypatch.setattr(mg, "_min_code_maps", counted_search)
     monkeypatch.setattr(mg, "canonical_form", refused)
     monkeypatch.setattr(mg, "canonical_code", refused)
-    classes = list(mg.enumerate_trivalent(4, policy))
-    assert len(classes) == {"exclude": 20, "include": 71}[policy.value]
-    assert [g for g, _ in searches] == pairings
-    assert all(bound == g for g, bound in searches)
+    classes = [g.partner for g in mg.enumerate_trivalent(k, policy)]
+    assert (len(prefixes), len(cuts), len(leaves)) == counts
+    assert set(classes) <= set(leaves)
 
 
 def test_min_code_bound_not_reached(theta, dumbbell):
@@ -145,9 +200,12 @@ def test_min_code_bound_not_reached(theta, dumbbell):
     low = mg.canonical_code(dumbbell)
     assert low < mg.canonical_code(theta)
     with pytest.raises(ValueError, match="not a code"):
-        mg._min_code_maps(theta, collect_all=False, bound=low)
+        mg._min_code_maps(theta.partner, collect_all=False, bound=low)
     # a bound above the minimal code reports "not minimal"
-    assert mg._min_code_maps(dumbbell, collect_all=False, bound=theta.partner) is None
+    assert (
+        mg._min_code_maps(dumbbell.partner, collect_all=False, bound=theta.partner)
+        is None
+    )
 
 
 def _reference_automorphisms(g):
@@ -179,8 +237,8 @@ def test_pruned_search_matches_exhaustive_reference():
     for g in _reference_cases():
         code, maps = exhaustive_search.min_code_maps(g, collect_all=False)
         autos = _reference_automorphisms(g)
-        assert mg._min_code_maps(g, collect_all=False) == (code, maps)
-        assert mg._min_code_maps(g, collect_all=True)[1][0] == maps[0]
+        assert mg._min_code_maps(g.partner, collect_all=False) == (code, maps)
+        assert mg._min_code_maps(g.partner, collect_all=True)[1][0] == maps[0]
         assert mg.automorphisms(g) == autos
         canon, wit, canon_autos = mg.canonize(g)
         assert (canon, wit) == mg.canonical_form(g)
@@ -192,10 +250,10 @@ def test_pruned_search_matches_exhaustive_reference():
 @pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
 def test_bounded_search_matches_exhaustive_reference(k, policy):
     include = policy is mg.TadpolePolicy.INCLUDE
-    for p in mg._pairing_dfs(k, include):
+    for p in ref.pairing_dfs(k, include):
         g = mg.DartGraph(2 * k, p, True)
         want = exhaustive_search.min_code_maps(g, collect_all=False, bound=p)
-        assert mg._min_code_maps(g, collect_all=False, bound=p) == want
+        assert mg._min_code_maps(p, collect_all=False, bound=p) == want
 
 
 def _connected_pairings(k: int, include_loops: bool) -> int:
@@ -232,7 +290,7 @@ def test_connected_pairing_count_matches_brute_force():
         for include in (True, False):
             brute = sum(
                 1
-                for p in mg.all_pairings(k)
+                for p in ref.all_pairings(k)
                 if mg._connected(2 * k, p)
                 and (include or all(p[d] // 3 != d // 3 for d in range(6 * k)))
             )

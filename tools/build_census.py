@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate data/census.json: derived counts with no asserted expectations.
 
-Covers class counts (k <= 5, both tadpole policies), quotient
+Covers class counts (k <= 6, both tadpole policies), quotient
 dimensions for k <= 4, and the vertex-typing feasibility census.
 Dimensions for k >= 3 have no external anchor; they are recorded here as
 computed values.
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -17,13 +18,21 @@ from trihom.errors import Infeasible
 from trihom.multigraph import TadpolePolicy
 from trihom.orientation import Convention
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "data" / "census.json"
+CENSUS = pathlib.Path(__file__).resolve().parent.parent / "data" / "census.json"
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--out",
+        type=pathlib.Path,
+        default=CENSUS,
+        help="where to write the census JSON (default: data/census.json)",
+    )
+    out = parser.parse_args(argv).out
     census = {"class_counts": {}, "dimensions": {}, "typing": {}}
     t0 = time.time()
-    for k in range(1, 6):
+    for k in range(1, 7):
         for pol in (TadpolePolicy.EXCLUDE, TadpolePolicy.INCLUDE):
             n = sum(1 for _ in mg.enumerate_trivalent(k, pol))
             census["class_counts"][f"k{k}_{pol.value}"] = n
@@ -54,9 +63,9 @@ def main():
         "infeasible": infeasible,
     }
     print(f"typing census: {total} graphs, {len(infeasible)} infeasible")
-    OUT.parent.mkdir(exist_ok=True)
-    OUT.write_text(json.dumps(census, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {OUT}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(census, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":
