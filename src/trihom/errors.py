@@ -61,3 +61,7 @@ class DimensionTooSmall(TrihomError):
 
 class NoSolution(TrihomError):
     """The target row is not a rational combination of the matrix rows."""
+
+
+class UnknownClass(TrihomError):
+    """A graph is not isomorphic to any representative of a class table."""

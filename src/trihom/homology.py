@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import exactla
-from .errors import LoopEdge, ResourceLimit, WrongSize
+from .errors import LoopEdge, ResourceLimit, UnknownClass, WrongSize
 from .exactla import (
     Echelon,
     SparseIntMatrix,
@@ -32,7 +32,7 @@ from .multigraph import (
     DartGraph,
     Isomorphism,
     TadpolePolicy,
-    canonical_form,
+    _trie_walk,
     enumerate_classes,
 )
 from .orientation import (
@@ -47,17 +47,34 @@ from .orientation import (
 
 
 class ClassTable:
-    """The classes of one basis, carrying their ids, keyed by canonical code."""
+    """The classes of one basis, carrying their ids, keyed by canonical code
+    and held in a trie of those codes for `find`."""
 
     def __init__(self, classes: Sequence[GraphClass]):
         self._classes = {c.rep.partner: c for c in classes}
+        self._trie: dict = {}
+        for c in classes:
+            *head, last = c.rep.partner
+            node = self._trie
+            for x in head:
+                node = node.setdefault(x, {})
+            node[last] = c
 
-    def get(self, canon: DartGraph) -> GraphClass:
-        return self._classes[canon.partner]
+    def find(self, g: DartGraph) -> tuple[GraphClass, Isomorphism]:
+        """The class of g and an isomorphism from g onto its representative.
 
-    def represented_by(self, g: DartGraph) -> GraphClass | None:
-        """The class whose representative is g itself, if any."""
-        return self._classes.get(g.partner)
+        A representative is its own witness under the identity; any other
+        graph is matched by walking the trie of the representatives' codes.
+        Representatives are pairwise non-isomorphic, so the class is unique.
+        """
+        cls = self._classes.get(g.partner)
+        if cls is not None:
+            return cls, Isomorphism.identity(g.num_vertices)
+        found = _trie_walk(g.partner, self._trie)
+        if found is None:
+            raise UnknownClass(f"no class in the table for pairing {g.code_str()}")
+        cls, dart_map = found
+        return cls, Isomorphism.from_dart_map(dart_map)
 
 
 @dataclass(frozen=True)
@@ -112,18 +129,12 @@ def signed_class(
         return Expressed(0, None, "disconnected")
     if policy is TadpolePolicy.EXCLUDE and g.has_loop:
         return Expressed(0, None, "tadpole")
-    cls = table.represented_by(g)
-    if cls is not None:
-        # A representative is its own canonical form.  Any witness differs
-        # from the identity by an automorphism, whose sign is +1 in a
-        # generator class, so the identity gives the same coefficient.
-        canon, iso = g, Isomorphism.identity(g.num_vertices)
-    else:
-        canon, iso = canonical_form(g)
-        cls = table.get(canon)
+    # Any two witnesses onto a generator's representative differ by an
+    # automorphism, whose sign is +1, so every witness gives one coefficient.
+    cls, iso = table.find(g)
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
-    return Expressed(transported_sign(canon, iso, labelling, g, convention), cls)
+    return Expressed(transported_sign(cls.rep, iso, labelling, g, convention), cls)
 
 
 def _conjugate_term(

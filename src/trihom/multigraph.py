@@ -3,7 +3,7 @@
 A graph on 2k vertices is stored as a fixed-point-free involution on the
 6k darts, with darts 3v, 3v+1, 3v+2 belonging to vertex v.  This module
 provides validation, isomorphism machinery, minimal-code canonical forms,
-and isomorph-free enumeration.
+isomorph-free enumeration, and the lookup of a graph among known codes.
 """
 
 from __future__ import annotations
@@ -421,6 +421,115 @@ def _min_code_maps(
     if not best_maps:
         raise ValueError(f"bound {tuple(bound)} is not a code of {tuple(partner)}")
     return tuple(best), best_maps
+
+
+def _trie_walk(partner: Sequence[int], trie: dict) -> tuple[object, list[int]] | None:
+    """A relabelling of the complete pairing `partner` whose code is one of
+    the codes stored in `trie`, or None if there is none.
+
+    `trie` holds codes as nested dicts, one level per slot, with a payload
+    in place of the last level's dict.  Returns the payload and the dart
+    map (old dart -> new dart) at the first code found.
+
+    The walk follows the relabellings of `_min_code_maps` in the same
+    order (seeds, the seed's dart orders, the order of a partially revealed
+    vertex's two free darts) but goes down a branch only while its code so
+    far is a path of `trie`; there is no bound and no automorphism pruning.
+    `_min_code_maps` reaches the minimal code on one of these relabellings,
+    so a trie holding that code is always matched.
+    """
+    nd = len(partner)
+    nv = nd // 3
+    loop_vertices = [
+        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
+    ]
+    seeds = loop_vertices or range(nv)
+
+    dmap = [-1] * nd  # old dart -> new slot
+    dinv = [-1] * nd  # new slot -> old dart
+    vmap = [-1] * nv  # old vertex -> new vertex
+    vinv = [-1] * nv  # new vertex -> old vertex
+
+    def walk(pos: int, vnext: int, node) -> tuple[object, list[int]] | None:
+        """Extend the relabelling from slot `pos`, whose code prefix led to
+        `node` of the trie."""
+        assigned: list[int] = []  # darts given a slot at this node
+        revealed: list[int] = []  # old vertices revealed at this node
+        found = None
+        while True:
+            if pos == nd:
+                found = node, dmap.copy()
+                break
+            x = dinv[pos]
+            if x == -1:
+                w = vinv[pos // 3]
+                free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
+                if len(free) > 1:
+                    for y in free:
+                        dmap[y] = pos
+                        dinv[pos] = y
+                        found = walk(pos, vnext, node)
+                        dmap[y] = -1
+                        dinv[pos] = -1
+                        if found is not None:
+                            break
+                    break
+                x = free[0]
+                dmap[x] = pos
+                dinv[pos] = x
+                assigned.append(x)
+            y = partner[x]
+            if dmap[y] != -1:
+                c = dmap[y]
+                reveal = -1
+            else:
+                w = y // 3
+                t = vmap[w]
+                if t == -1:
+                    c = 3 * vnext
+                    reveal = w
+                else:
+                    c = 3 * t
+                    while dinv[c] != -1:
+                        c += 1
+                    reveal = -1
+            node = node.get(c)
+            if node is None:
+                break
+            if reveal != -1:
+                vmap[reveal] = vnext
+                vinv[vnext] = reveal
+                revealed.append(reveal)
+                vnext += 1
+            if dmap[y] == -1:
+                dmap[y] = c
+                dinv[c] = y
+                assigned.append(y)
+            pos += 1
+        for d in assigned:
+            dinv[dmap[d]] = -1
+            dmap[d] = -1
+        for w in revealed:
+            vinv[vmap[w]] = -1
+            vmap[w] = -1
+        return found
+
+    for seed in seeds:
+        vmap[seed] = 0
+        vinv[0] = seed
+        for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
+            for i, d in enumerate(order):
+                dmap[d] = i
+                dinv[i] = d
+            found = walk(0, 1, trie)
+            for i, d in enumerate(order):
+                dmap[d] = -1
+                dinv[i] = -1
+            if found is not None:
+                return found
+        vmap[seed] = -1
+        vinv[0] = -1
+    return None
 
 
 def _group(gens: Iterable[Sequence[int]], num_darts: int) -> list[Isomorphism]:

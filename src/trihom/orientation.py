@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .multigraph import DartGraph, Isomorphism, automorphism_group, canonize
 
@@ -186,6 +186,35 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _h1_action(
+    g: DartGraph, directions: Sequence[tuple[int, int]]
+) -> Callable[[Isomorphism], int]:
+    """The determinant sign of an automorphism's action on the cycle space,
+    as a function of the automorphism; the cycle basis is built once."""
+    non_tree, cycles = cycle_basis(g, directions)
+    col_of = {f: j for j, f in enumerate(non_tree)}
+
+    def sign(iso: Isomorphism) -> int:
+        dp = iso.dart_perm
+        mat = []
+        for vec in cycles:
+            image = [0] * len(non_tree)
+            for e, c in vec.items():
+                t, h = directions[e]
+                it, ih = dp[t], dp[h]
+                j = g.edge_of_dart(it)
+                eps = 1 if (it, ih) == directions[j] else -1
+                if j in col_of:
+                    image[col_of[j]] += c * eps
+            mat.append(image)
+        det = _int_det(mat)
+        if det not in (1, -1):
+            raise AssertionError(f"cycle-space action has determinant {det}")
+        return det
+
+    return sign
+
+
 def h1_action_sign(
     g: DartGraph,
     directions: Sequence[tuple[int, int]] | None,
@@ -194,24 +223,7 @@ def h1_action_sign(
     """Determinant sign of the action of an automorphism on the cycle space."""
     if directions is None:
         directions = reference_labelling(g).directions
-    non_tree, cycles = cycle_basis(g, directions)
-    col_of = {f: j for j, f in enumerate(non_tree)}
-    dp = iso.dart_perm
-    mat = []
-    for vec in cycles:
-        image = [0] * len(non_tree)
-        for e, c in vec.items():
-            t, h = directions[e]
-            it, ih = dp[t], dp[h]
-            j = g.edge_of_dart(it)
-            eps = 1 if (it, ih) == directions[j] else -1
-            if j in col_of:
-                image[col_of[j]] += c * eps
-        mat.append(image)
-    det = _int_det(mat)
-    if det not in (1, -1):
-        raise AssertionError(f"cycle-space action has determinant {det}")
-    return det
+    return _h1_action(g, directions)(iso)
 
 
 def closed_form_h1_sign(
@@ -226,6 +238,22 @@ def closed_form_h1_sign(
     return perm_sign(edge_perm) * (-1) ** reversals * perm_sign(vertex_perm)
 
 
+def _automorphism_sign(
+    convention: Convention, g: DartGraph, directions: Sequence[tuple[int, int]]
+) -> Callable[[Isomorphism], int]:
+    """The sign of an automorphism of g under `convention`, as a function of
+    the automorphism; the odd convention's cycle basis is built once."""
+    h1 = _h1_action(g, directions) if convention is Convention.ODD else None
+
+    def sign(iso: Isomorphism) -> int:
+        edge_perm, _, _ = iso_signature(g, directions, iso)
+        if h1 is None:
+            return perm_sign(edge_perm)
+        return perm_sign(edge_perm) * h1(iso)
+
+    return sign
+
+
 def total_sign(
     convention: Convention,
     g: DartGraph,
@@ -237,12 +265,9 @@ def total_sign(
     """Sign of an automorphism composed with an optional label change."""
     if directions is None:
         directions = reference_labelling(g).directions
-    edge_perm, _, _ = iso_signature(g, directions, iso)
     extra = perm_sign(edge_label_perm) if edge_label_perm is not None else 1
     del vertex_label_perm  # never contributes
-    if convention is Convention.EVEN:
-        return perm_sign(edge_perm) * extra
-    return perm_sign(edge_perm) * extra * h1_action_sign(g, directions, iso)
+    return _automorphism_sign(convention, g, directions)(iso) * extra
 
 
 @dataclass(frozen=True)
@@ -277,7 +302,8 @@ def classify(
     else:
         canon, autos = g, automorphism_group(search_maps)
     labelling = reference_labelling(canon)
+    sign = _automorphism_sign(convention, canon, labelling.directions)
     for auto in autos:
-        if total_sign(convention, canon, labelling.directions, auto) == -1:
+        if sign(auto) == -1:
             return GraphClass(canon, labelling, convention, ClassStatus.ZERO, auto)
     return GraphClass(canon, labelling, convention, ClassStatus.GENERATOR, None)

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -253,34 +254,149 @@ def test_certificates_share_one_elimination(
         assert cert.to_json() == want.to_json()
 
 
-def test_one_search_per_class_and_per_unlisted_ihx_term(monkeypatch):
-    """Canonical-search count in dimension(4, odd, exclude), without a
-    clock: class_basis runs no unbounded search (each class's group comes
-    from the maps its enumeration search collected), and relation_matrix
-    searches only the 268 of its 462 IHX terms whose pairing is not a class
-    representative."""
-    phase, searches = ["basis"], []
-    min_code_maps, relation_matrix = mg._min_code_maps, hom.relation_matrix
+def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
+    """Lookup counts in dimension(4, odd, exclude), without a clock:
+    class_basis runs no unbounded search (each class's group comes from the
+    maps its enumeration search collected), relation_matrix runs no
+    canonical search at all, and it walks the class table's trie once for
+    each of the 268 of its 462 IHX terms whose pairing is not a class
+    representative (the rest are found by their code)."""
+    phase, searches, walks = ["basis"], [], []
+    min_code_maps, trie_walk = mg._min_code_maps, hom._trie_walk
+    relation_matrix = hom.relation_matrix
 
     def counted_search(partner, collect_all, bound=None):
-        if bound is None:
-            searches.append((phase[0], tuple(partner)))
+        searches.append((phase[0], bound is None, tuple(partner)))
         return min_code_maps(partner, collect_all, bound)
+
+    def counted_walk(partner, trie):
+        walks.append((phase[0], tuple(partner)))
+        return trie_walk(partner, trie)
 
     def relations_phase(basis):
         phase[0] = "relations"
         return relation_matrix(basis)
 
     monkeypatch.setattr(mg, "_min_code_maps", counted_search)
+    monkeypatch.setattr(hom, "_trie_walk", counted_walk)
     monkeypatch.setattr(hom, "relation_matrix", relations_phase)
     report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
     reps = {c.rep.partner for c in report.basis.classes}
-    basis_searches = [p for ph, p in searches if ph == "basis"]
-    term_searches = [p for ph, p in searches if ph == "relations"]
+    basis_searches = [p for ph, unbounded, p in searches if ph == "basis" and unbounded]
+    relation_searches = [p for ph, _, p in searches if ph == "relations"]
+    term_walks = [p for ph, p in walks if ph == "relations"]
     assert len(reps) == 20
     assert basis_searches == []
-    assert len(term_searches) == 268
-    assert not reps & set(term_searches)
+    assert relation_searches == []
+    assert len(walks) == len(term_walks) == 268
+    assert not reps & set(term_walks)
+
+
+def _random_labelling(g, rng):
+    """Random vertex labels, edge labels and edge directions for g."""
+    vertex_labels = list(range(1, g.num_vertices + 1))
+    edge_labels = list(range(1, g.num_edges + 1))
+    rng.shuffle(vertex_labels)
+    rng.shuffle(edge_labels)
+    directions = tuple(e if rng.random() < 0.5 else e[::-1] for e in g.edges)
+    return ori.OrientedLabelling(tuple(vertex_labels), tuple(edge_labels), directions)
+
+
+def _lookup_cases():
+    """(basis, sampled classes) for k <= 4 in both policies, plus every
+    sixth of the 91 k=5 classes without loops."""
+    for k in (1, 2, 3, 4):
+        for policy in (TP.EXCLUDE, TP.INCLUDE):
+            basis = hom.class_basis(k, Convention.ODD, policy)
+            yield basis, basis.classes
+    basis = hom.class_basis(5, Convention.ODD, TP.EXCLUDE)
+    yield basis, basis.classes[::6]
+
+
+def test_find_matches_canonical_form_reference():
+    """ClassTable.find on random relabellings of every sampled class gives
+    the class that canonical_form followed by a code lookup gives, and its
+    witness maps the graph exactly onto that class's representative."""
+    rng = random.Random(7)
+    for basis, sample in _lookup_cases():
+        by_code = {c.rep.partner: c for c in basis.classes}
+        for cls in sample:
+            graphs = [cls.rep] + [
+                mg.relabel(cls.rep, mg.random_relabelling(cls.rep, rng))
+                for _ in range(3)
+            ]
+            for g in graphs:
+                found, witness = basis.table.find(g)
+                canon, _ = mg.canonical_form(g)
+                assert found is by_code[canon.partner] is cls
+                assert mg.relabel(g, witness) == found.rep
+
+
+@pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
+@pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
+def test_signed_class_matches_canonical_form_reference(conv, policy):
+    """For random labellings of random relabellings, signed_class gives the
+    coefficient that transported_sign gives through the canonical_form
+    witness, and 0 on a zero class."""
+    rng = random.Random(11)
+    for k in (2, 3, 4):
+        basis = hom.class_basis(k, conv, policy)
+        by_code = {c.rep.partner: c for c in basis.classes}
+        for cls in basis.classes:
+            for _ in range(4):
+                g = mg.relabel(cls.rep, mg.random_relabelling(cls.rep, rng))
+                lab = _random_labelling(g, rng)
+                res = hom.signed_class(g, lab, conv, policy, basis.table)
+                canon, witness = mg.canonical_form(g)
+                ref_cls = by_code[canon.partner]
+                assert res.cls is ref_cls
+                if ref_cls.status is ClassStatus.ZERO:
+                    assert res.coefficient == 0 and res.zero_reason == "zero-class"
+                else:
+                    assert res.coefficient == hom.transported_sign(
+                        canon, witness, lab, g, conv
+                    )
+
+
+_LOOKUP_MISS = """
+import random
+from trihom import homology as hom, multigraph as mg
+from trihom.errors import UnknownClass
+from trihom.multigraph import TadpolePolicy as TP
+from trihom.orientation import Convention
+
+basis = hom.class_basis(3, Convention.ODD, TP.EXCLUDE)
+missing = basis.classes[2]
+table = hom.ClassTable(basis.classes[:2] + basis.classes[3:])
+rng = random.Random(3)
+graphs = [missing.rep] + [
+    mg.relabel(missing.rep, mg.random_relabelling(missing.rep, rng)) for _ in range(5)
+]
+for g in graphs:
+    try:
+        table.find(g)
+    except UnknownClass as exc:
+        assert not isinstance(exc, KeyError)
+        print(str(exc) == f"no class in the table for pairing {g.code_str()}")
+    else:
+        print("found")
+for c in basis.classes[:2] + basis.classes[3:]:
+    print(table.find(c.rep)[0] is c)
+"""
+
+
+def test_lookup_miss_raises_unknown_class():
+    """A graph whose class is not in the table raises UnknownClass naming
+    its pairing, also under `python -O`, for the representative itself and
+    for relabellings of it; the classes left in the table are still found."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _LOOKUP_MISS],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"] * 11
 
 
 _FAILED_REPLAY = """

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
 
@@ -141,3 +142,19 @@ def test_sign_multiplicativity(rng):
                 assert ori.total_sign(conv, g, dirs, a.compose(b)) == ori.total_sign(
                     conv, g, dirs, a
                 ) * ori.total_sign(conv, g, dirs, b)
+
+
+def test_classify_builds_one_cycle_basis_per_class(monkeypatch):
+    """classify builds the cycle basis of a class once and reuses it for
+    every automorphism it tests."""
+    calls = []
+    cycle_basis = ori.cycle_basis
+
+    def counted(g, directions):
+        calls.append(g.partner)
+        return cycle_basis(g, directions)
+
+    monkeypatch.setattr(ori, "cycle_basis", counted)
+    basis = hom.class_basis(4, ori.Convention.ODD, mg.TadpolePolicy.EXCLUDE)
+    assert len(calls) == len(set(calls)) <= len(basis.classes)
+    assert calls

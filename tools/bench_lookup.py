@@ -1,0 +1,152 @@
+"""Counters and timings of IHX-term and query lookups, as JSON on stdout.
+
+    PYTHONPATH=src python tools/bench_lookup.py [--repeats N] [--k6]
+
+Everything is counted from outside the program, by replacing module
+attributes with counting wrappers or by a profile hook on nested function
+frames, so the same script measures any checkout put on PYTHONPATH.  Figures
+that a checkout's code does not have (a tree without the trie walk) read
+null.
+
+- `relations`: for k=4, 5 (and 6 with --k6) odd without loops, the
+  `orientation.cycle_basis` calls made by `class_basis`, the
+  `_min_code_maps` calls and trie walks made inside `relation_matrix`, the
+  matrix shape, rank and dimension, and `relation_matrix` wall times over
+  `--repeats` further runs on the same basis, uncounted.
+- `frames`: 2,000 random relabellings of the k=4 classes without loops (100
+  per class): recursive frames of the min-code search behind
+  `canonical_form` and of the trie walk behind `ClassTable.find`, per lookup.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import time
+
+from trihom import homology as hom
+from trihom import multigraph as mg
+from trihom import orientation as ori
+from trihom.multigraph import TadpolePolicy
+from trihom.orientation import Convention
+
+
+class _Counted:
+    """Replace `module.attr` with a wrapper counting its calls."""
+
+    def __init__(self, module, attr):
+        self.module, self.attr = module, attr
+        self.fn = getattr(module, attr, None)
+        self.calls = 0
+
+    def __enter__(self):
+        if self.fn is None:
+            return self
+
+        def wrapper(*args, **kwargs):
+            self.calls += 1
+            return self.fn(*args, **kwargs)
+
+        setattr(self.module, self.attr, wrapper)
+        return self
+
+    def __exit__(self, *exc):
+        if self.fn is not None:
+            setattr(self.module, self.attr, self.fn)
+
+    @property
+    def count(self):
+        return self.calls if self.fn is not None else None
+
+
+def _nested_code(fn, name):
+    """The code object of the function `name` defined inside `fn`."""
+    if fn is None:
+        return None
+    return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
+
+
+def _frames(code, call):
+    """Frames of `code` entered while `call()` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def relations(k, repeats):
+    with _Counted(ori, "cycle_basis") as cycles:
+        basis = hom.class_basis(k, Convention.ODD, TadpolePolicy.EXCLUDE)
+    with _Counted(mg, "_min_code_maps") as searches, _Counted(hom, "_trie_walk") as walks:
+        rel = hom.relation_matrix(basis)
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        hom.relation_matrix(basis)
+        walls.append(round(time.perf_counter() - start, 3))
+    rank = hom.rank(rel.matrix)
+    return {
+        "k": k,
+        "classes": len(basis.classes),
+        "generators": basis.num_generators,
+        "rows": rel.matrix.num_rows,
+        "rank": rank,
+        "dimension": basis.num_generators - rank,
+        "min_code_maps_calls_in_relation_matrix": searches.count,
+        "trie_walks_in_relation_matrix": walks.count,
+        "relation_matrix_wall_s": walls,
+        "cycle_basis_calls_in_class_basis": cycles.count,
+    }
+
+
+def frames(n_per_class=100):
+    basis = hom.class_basis(4, Convention.ODD, TadpolePolicy.EXCLUDE)
+    rng = random.Random(2000)
+    graphs = [
+        mg.relabel(c.rep, mg.random_relabelling(c.rep, rng))
+        for c in basis.classes
+        for _ in range(n_per_class)
+    ]
+    search = _nested_code(mg._min_code_maps, "search")
+    search_frames = _frames(search, lambda: [mg.canonical_form(g) for g in graphs])
+    walk = _nested_code(getattr(mg, "_trie_walk", None), "walk")
+    find = getattr(basis.table, "find", None)
+    walk_frames = (
+        _frames(walk, lambda: [find(g) for g in graphs]) if walk is not None else None
+    )
+    return {
+        "lookups": len(graphs),
+        "search_frames_per_lookup": round(search_frames / len(graphs), 2),
+        "walk_frames_per_lookup": None
+        if walk_frames is None
+        else round(walk_frames / len(graphs), 2),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--k6", action="store_true", help="also measure k=6")
+    args = parser.parse_args(argv)
+    sizes = (4, 5, 6) if args.k6 else (4, 5)
+    result = {
+        "relations": [relations(k, args.repeats) for k in sizes],
+        "frames": frames(),
+    }
+    json.dump(result, sys.stdout, indent=2)
+    print()
+
+
+if __name__ == "__main__":
+    main()
