@@ -254,25 +254,14 @@ def _min_code_maps(
     and for each node on its path every child in the orbit of the path's
     child yields a generator, so the maps found generate the whole group.
 
-    `bound`, if given, is a code that the pairing achieves, or a prefix of
-    one.  The search then starts tight against it and returns None at the
-    first prefix strictly below it, so a non-None result means no
-    relabelling has a code below `bound`.  A bound that no relabelling
-    reaches raises ValueError.
-
-    `partner` may hold -1 for darts whose partner is not yet known, with a
-    prefix bound that covers known darts only (the orderly generator's
-    partial pairings).  A relabelling's code then counts only up to the
-    first slot whose dart has an unknown partner: the branch ends there,
-    and a branch that ties the whole bound is no conclusion either.  So
-    None means some relabelling gives a determined code strictly below the
-    bound, and every completion of `partner` has a code below its own.
-    Leaves that tie a prefix are not automorphisms, so only complete codes
-    prune by automorphism.
+    `bound`, if given, is a code that the pairing achieves.  The search
+    then starts tight against it and returns None at the first prefix
+    strictly below it, so a non-None result means no relabelling has a
+    code below `bound`.  A bound that no relabelling reaches raises
+    ValueError.
     """
     nd = len(partner)
     nv = nd // 3
-    end = nd if bound is None else len(bound)
 
     best: list[int] | None = None if bound is None else list(bound)
     best_maps: list[list[int]] = []
@@ -284,10 +273,7 @@ def _min_code_maps(
     loop_vertices = [
         v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
     ]
-    # a vertex whose first dart has no known partner is no seed: in the
-    # generator's partial pairings it has no known partner at all, so it
-    # starts no determined code
-    seeds = loop_vertices or [v for v in range(nv) if partner[3 * v] != -1]
+    seeds = loop_vertices or range(nv)
 
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
@@ -312,14 +298,14 @@ def _min_code_maps(
         revealed: list[int] = []  # old vertices revealed at this node
         back, improved = depth - 1, False
         while True:
-            if pos == end:
+            if pos == nd:
                 if not tight:
                     best = code.copy()
                     best_maps, best_path = [dmap.copy()], path.copy()
                     improved = True
                 elif not best_maps:  # first leaf reaching the bound
                     best_maps, best_path = [dmap.copy()], path.copy()
-                elif end == nd:
+                else:
                     if collect_all:
                         best_maps.append(dmap.copy())
                     back = next(
@@ -352,8 +338,6 @@ def _min_code_maps(
                 dinv[pos] = x
                 assigned.append(x)
             y = partner[x]
-            if y == -1:  # unknown partner: the code is determined up to here
-                break
             if dmap[y] != -1:
                 c = dmap[y]
                 reveal = -1
@@ -421,6 +405,106 @@ def _min_code_maps(
     if not best_maps:
         raise ValueError(f"bound {tuple(bound)} is not a code of {tuple(partner)}")
     return tuple(best), best_maps
+
+
+def _prefix_ties(
+    partner: Sequence[int],
+    end: int,
+    ties: Sequence[tuple],
+    fresh_seeds: Iterable[int],
+) -> list[tuple] | None:
+    """The relabellings of a partial pairing that tie the bound
+    partner[:end], or None if one gives a code strictly below it.
+
+    `partner` holds -1 for darts whose partner is not yet known; the darts
+    below `end` are known (the orderly generator's partial pairings).  The
+    relabellings are those of `_min_code_maps`, and a relabelling's code
+    counts only up to the first slot whose dart has an unknown partner.  A
+    tie state (pos, vnext, dmap, dinv, vmap, vinv) is a partial relabelling
+    whose code is partner[:pos] and which stopped at `end` or at a slot
+    whose dart has no known partner; `vinv[0]` is its seed.  So None means
+    every completion of `partner` has a code below its own.
+
+    The search starts from each order of each seed's darts in
+    `fresh_seeds` and resumes each state in `ties`.  Tie states of a
+    shorter bound of a pairing that `partner` extends are enough: a code
+    that went above or below that bound before its first unknown partner
+    still does, so only the relabellings that tied it can change the
+    verdict.  A state whose next dart still has no partner is returned as
+    the same object; no state is changed in place.
+    """
+    nd = len(partner)
+    nv = nd // 3
+    found: list[tuple] = []
+
+    def extend(pos: int, vnext: int, dmap, dinv, vmap, vinv) -> bool:
+        """Follow a relabelling from slot `pos`, whose code so far ties the
+        bound, on lists it owns; False if its code falls below the bound."""
+        while pos < end:
+            x = dinv[pos]
+            if x == -1:
+                # slot of a partially revealed vertex: a branch point when
+                # two of its darts are free
+                w = vinv[pos // 3]
+                free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
+                if len(free) > 1:
+                    y, z = free
+                    d, i = dmap.copy(), dinv.copy()
+                    d[y], i[pos] = pos, y
+                    if not extend(pos, vnext, d, i, vmap.copy(), vinv.copy()):
+                        return False
+                    dmap[z], dinv[pos] = pos, z
+                    return extend(pos, vnext, dmap, dinv, vmap, vinv)
+                x = free[0]
+                dmap[x] = pos
+                dinv[pos] = x
+            y = partner[x]
+            if y == -1:  # unknown partner: the code is determined up to here
+                break
+            c = dmap[y]
+            if c == -1:
+                w = y // 3
+                t = vmap[w]
+                if t == -1:
+                    c = 3 * vnext
+                else:
+                    c = 3 * t
+                    while dinv[c] != -1:
+                        c += 1
+            if c != partner[pos]:
+                return c > partner[pos]
+            if dmap[y] == -1:
+                if t == -1:
+                    vmap[w] = vnext
+                    vinv[vnext] = w
+                    vnext += 1
+                dmap[y] = c
+                dinv[c] = y
+            pos += 1
+        found.append((pos, vnext, dmap, dinv, vmap, vinv))
+        return True
+
+    for tie in ties:
+        pos, vnext, dmap, dinv, vmap, vinv = tie
+        x = dinv[pos]
+        if x != -1 and partner[x] == -1:
+            found.append(tie)
+        elif not extend(pos, vnext, dmap.copy(), dinv.copy(), vmap.copy(), vinv.copy()):
+            return None
+    for seed in fresh_seeds:
+        for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
+            dmap = [-1] * nd
+            dinv = [-1] * nd
+            vmap = [-1] * nv
+            vinv = [-1] * nv
+            for i, d in enumerate(order):
+                dmap[d] = i
+                dinv[i] = d
+            vmap[seed] = 0
+            vinv[0] = seed
+            if not extend(0, 1, dmap, dinv, vmap, vinv):
+                return None
+    return found
 
 
 def _trie_walk(partner: Sequence[int], trie: dict) -> tuple[object, list[int]] | None:
@@ -601,16 +685,22 @@ def enumerate_classes(
     first free dart of a revealed vertex or the first dart of a new one, so
     vertices are revealed in discovery order and each vertex's darts are
     consumed smallest first; every minimal code is such a pairing.  At an
-    internal node the search bounded by partner[:x] cuts the subtree when a
-    relabelling of the revealed part already has a smaller determined code,
-    so no completion is its own minimal code.  A complete pairing is kept
-    when no relabelling is below it, that is once per class.
+    internal node the prefix test against partner[:x] cuts the subtree when
+    a relabelling of the revealed part already has a smaller determined
+    code, so no completion is its own minimal code.  A complete pairing is
+    kept when the leaf search finds no relabelling below it, that is once
+    per class.
+
+    The prefix test resumes the tie states of the nearest tested ancestor
+    (`_prefix_ties`) and starts fresh only the seeds that ancestor did not
+    have, so it checks the same relabellings as a test from the root.
 
     A node with a single child is not tested: the child's prefix extends
     its own, so the child's test (or, for a complete pairing, the leaf
-    search) finds every smaller code the node's test would.  Pairings that
-    would leave a component closed before all 2k vertices are revealed are
-    not tried, so such single-child nodes are common near the leaves.
+    search) finds every smaller code the node's test would, and the child
+    gets the tie states unchanged.  Pairings that would leave a component
+    closed before all 2k vertices are revealed are not tried, so such
+    single-child nodes are common near the leaves.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -620,7 +710,7 @@ def enumerate_classes(
     partner = [-1] * (3 * nv)
     kept: list[tuple[tuple[int, ...], list[list[int]]]] = []
 
-    def rec(x: int, touched: int) -> None:
+    def rec(x: int, touched: int, ties: list[tuple], seeded: Sequence[int]) -> None:
         while x < 3 * touched and partner[x] != -1:
             x += 1
         if x == 3 * touched:
@@ -647,20 +737,30 @@ def enumerate_classes(
         if touched < nv:
             cands.append(3 * touched)
         # the root reveals nothing to test
-        if (
-            len(cands) > 1
-            and x
-            and _min_code_maps(partner, collect_all=False, bound=partner[:x]) is None
-        ):
-            return
+        if len(cands) > 1 and x:
+            # every revealed vertex has its first dart paired; once loops
+            # exist only loop vertices are seeds, as in `_min_code_maps`
+            loops = [
+                v
+                for v in range(touched)
+                if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
+            ]
+            seeds = loops or range(touched)
+            if loops and any(v not in loops for v in seeded):  # the first loop
+                ties = [t for t in ties if t[5][0] in loops]
+            fresh = [v for v in seeds if v not in seeded]
+            ties = _prefix_ties(partner, x, ties, fresh)
+            if ties is None:
+                return
+            seeded = seeds
         for y in cands:
             partner[x] = y
             partner[y] = x
-            rec(x + 1, touched + 1 if y == 3 * touched else touched)
+            rec(x + 1, touched + 1 if y == 3 * touched else touched, ties, seeded)
             partner[x] = -1
             partner[y] = -1
 
-    rec(0, 1)
+    rec(0, 1, [], ())
     for code, maps in sorted(kept):
         yield DartGraph(nv, code, True), maps
 

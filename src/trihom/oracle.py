@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, UnknownClass
 from .exactla import SparseIntMatrix, rank
 from .multigraph import TadpolePolicy
 from .orientation import Convention
@@ -268,7 +268,10 @@ def _ihx_term_transports(rep, e_idx, reps, policy):
                 if found:
                     target = (ci, found[0])
                     break
-        assert target is not None, "IHX term matches no representative"
+        if target is None:
+            raise UnknownClass(
+                f"IHX term {' '.join(map(str, term))} matches no representative"
+            )
         ci, psi = target
         # tau permutes darts across vertex blocks, so the vertex map of the
         # transport comes from psi alone; edges and reversals are dart-level

@@ -125,21 +125,74 @@ def test_prefix_cuts_hold_no_minimal_pairing(monkeypatch, k, policy):
     holds no pairing that is its own minimal code."""
     include = policy is mg.TadpolePolicy.INCLUDE
     cut = []
-    min_code_maps = mg._min_code_maps
+    prefix_ties = mg._prefix_ties
 
-    def recording_search(partner, collect_all, bound=None):
-        found = min_code_maps(partner, collect_all, bound)
-        if found is None and len(bound) < len(partner):
+    def recording_test(partner, end, ties, fresh_seeds):
+        found = prefix_ties(partner, end, ties, fresh_seeds)
+        if found is None:
             cut.append(tuple(partner))
         return found
 
-    monkeypatch.setattr(mg, "_min_code_maps", recording_search)
+    monkeypatch.setattr(mg, "_prefix_ties", recording_test)
     list(mg.enumerate_trivalent(k, policy))
     monkeypatch.undo()
     assert cut or k == 1
     for node in cut:
         for p in ref.pairing_dfs(k, include, start=node):
             assert mg.canonical_code(mg.DartGraph(2 * k, p, True)) < p
+
+
+def _seeds_from_scratch(partner):
+    """The seeds of a partial pairing's prefix test: its loop vertices if it
+    has any, else every vertex whose first dart has a known partner."""
+    nv = len(partner) // 3
+    loops = [
+        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
+    ]
+    return loops or [v for v in range(nv) if partner[3 * v] != -1]
+
+
+def _tie_key(tie):
+    pos, vnext, *lists = tie
+    return (pos, vnext, *map(tuple, lists))
+
+
+@pytest.mark.parametrize(
+    "k, policy",
+    [(k, pol) for k in (1, 2, 3, 4) for pol in mg.TadpolePolicy]
+    + [(5, mg.TadpolePolicy.EXCLUDE)],
+)
+def test_resumed_prefix_test_matches_test_from_scratch(monkeypatch, k, policy):
+    """At every tested node the prefix test resumed from the nearest tested
+    ancestor's tie states gives the verdict, and on a pass the tie states,
+    that the same test gives from scratch: no tie states and every seed
+    fresh.  Every state resumed and every seed started is a seed of the
+    node.  Resumed states are passed back unchanged when their next dart
+    is still unpaired, and never modified in place."""
+    prefix_ties = mg._prefix_ties
+    tested = resumed = carried = 0
+
+    def checked(partner, end, ties, fresh_seeds):
+        nonlocal tested, resumed, carried
+        seeds = _seeds_from_scratch(partner)
+        assert set(fresh_seeds) <= set(seeds)
+        assert all(t[5][0] in seeds for t in ties)
+        before = [_tie_key(t) for t in ties]
+        got = prefix_ties(partner, end, ties, fresh_seeds)
+        want = prefix_ties(list(partner), end, [], seeds)
+        assert [_tie_key(t) for t in ties] == before
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert sorted(map(_tie_key, got)) == sorted(map(_tie_key, want))
+            same = {id(t) for t in ties}
+            carried += sum(id(t) in same for t in got)
+        tested += 1
+        resumed += len(ties)
+        return got
+
+    monkeypatch.setattr(mg, "_prefix_ties", checked)
+    list(mg.enumerate_trivalent(k, policy))
+    assert (tested and resumed and carried) or k == 1
 
 
 @pytest.mark.parametrize(
@@ -165,28 +218,31 @@ def test_enumerated_maps_give_the_automorphism_group(k, policy):
 )
 def test_enumeration_search_counts(monkeypatch, k, policy, counts):
     """Enumeration cost without a clock: the exact numbers of prefix
-    searches (one per DFS node with two or more children, the root aside),
+    tests (one per DFS node with two or more children, the root aside),
     of prefixes cut and of bounded leaf searches (one per complete pairing
     reached).  Nothing is canonicalized, so a return to leaf-only testing
     or to canonicalizing every pairing fails here."""
     nd = 6 * k
     prefixes, cuts, leaves = [], [], []
-    min_code_maps = mg._min_code_maps
+    prefix_ties, min_code_maps = mg._prefix_ties, mg._min_code_maps
+
+    def counted_test(partner, end, ties, fresh_seeds):
+        assert 0 < end < nd and -1 not in partner[:end]
+        found = prefix_ties(partner, end, ties, fresh_seeds)
+        prefixes.append(end)
+        if found is None:
+            cuts.append(end)
+        return found
 
     def counted_search(partner, collect_all, bound=None):
-        assert bound is not None and list(bound) == list(partner[: len(bound)])
-        found = min_code_maps(partner, collect_all, bound)
-        if len(bound) == nd:
-            leaves.append(tuple(partner))
-        else:
-            prefixes.append(len(bound))
-            if found is None:
-                cuts.append(len(bound))
-        return found
+        assert bound is not None and list(bound) == list(partner)
+        leaves.append(tuple(partner))
+        return min_code_maps(partner, collect_all, bound)
 
     def refused(g):
         raise AssertionError("enumeration canonicalized a graph")
 
+    monkeypatch.setattr(mg, "_prefix_ties", counted_test)
     monkeypatch.setattr(mg, "_min_code_maps", counted_search)
     monkeypatch.setattr(mg, "canonical_form", refused)
     monkeypatch.setattr(mg, "canonical_code", refused)

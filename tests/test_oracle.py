@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from trihom import homology as hom
@@ -60,3 +63,38 @@ def test_oracle_paranoid_mode_k1(conv, pol):
     direct = oracle.brute_dimension_directed(1, conv, pol)
     assert direct["dim"] == plain["dim"]
     assert direct["basis_size"] == plain["basis_size"] * 8  # 2^(3k) directions
+
+
+_TERM_MISS = """
+from trihom import oracle
+from trihom.errors import UnknownClass
+from trihom.multigraph import TadpolePolicy as TP
+from trihom.orientation import Convention
+
+oracle._representatives(1)
+isos = oracle._isos
+# automorphisms are still found; no IHX term matches its representative
+oracle._isos = lambda p1, p2, all_of_them=False: (
+    isos(p1, p2, all_of_them) if all_of_them else []
+)
+try:
+    oracle.brute_dimension(1, Convention.ODD, TP.EXCLUDE)
+except UnknownClass as exc:
+    print(exc)
+else:
+    print("no error")
+"""
+
+
+def test_unmatched_ihx_term_raises_unknown_class():
+    """An IHX term that matches no representative raises UnknownClass
+    naming the term, also under `python -O`, which strips asserts."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _TERM_MISS],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("IHX term "), proc.stdout
+        assert proc.stdout.rstrip().endswith(" matches no representative")

@@ -1,0 +1,185 @@
+"""Counters and timings of orderly enumeration, as JSON on stdout.
+
+    PYTHONPATH=src python tools/bench_enum.py [--cases 4e,4i,...] [--time N]
+
+Everything is counted from outside the program, by replacing module
+attributes with counting wrappers and by a profile hook on nested function
+frames, so the same script measures any checkout put on PYTHONPATH.  Figures
+that a checkout's code does not have (a tree without `_prefix_ties`) read
+null.  A case is k followed by `e` (no loops) or `i` (loops included); the
+default cases are k=4..7 without loops and k=4..6 with them.
+
+Per case, from one enumeration:
+- `tested_nodes` and `cuts`: prefix tests run by the DFS and those that cut
+  (calls of `_prefix_ties`, or in a tree without it `_min_code_maps` calls
+  whose bound is shorter than the pairing, that return None);
+- `leaf_searches`: `_min_code_maps` calls with a complete bound;
+- `prefix_test_frames`: recursive frames of the prefix test as enumeration
+  runs it (`_prefix_ties.extend` resumed, or `_min_code_maps.search`);
+- `from_scratch_frames`: frames of `_prefix_ties.extend` when the same test
+  is called at the same nodes with no tie states and every seed fresh;
+- `tie_states`: states handed to tested nodes that pass (`given`), those
+  returned as the same object because their next dart is still unpaired
+  (`carried`), the rest, which were extended (`resumed`), and the most
+  returned by one node (`most_held`).
+
+With `--time N` each case also gets the wall times of N further runs of
+`list(enumerate_trivalent(k, policy))`, uncounted, and their median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+
+from trihom import multigraph as mg
+from trihom.multigraph import TadpolePolicy
+
+DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
+
+
+def _nested_code(fn, name):
+    """The code object of the function `name` defined inside `fn`."""
+    if fn is None:
+        return None
+    return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
+
+
+class _Frames:
+    """Count the frames of one code object entered while switched on."""
+
+    def __init__(self, code):
+        self.code, self.count = code, 0
+
+    def _profile(self, frame, event, arg):
+        if event == "call" and frame.f_code is self.code:
+            self.count += 1
+
+    def run(self, call, *args):
+        sys.setprofile(self._profile)
+        try:
+            return call(*args)
+        finally:
+            sys.setprofile(None)
+
+
+def _seeds(partner):
+    """The seeds of a partial pairing's prefix test from scratch: its loop
+    vertices if it has any, else every vertex whose first dart is paired."""
+    nv = len(partner) // 3
+    loops = [
+        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
+    ]
+    return loops or [v for v in range(nv) if partner[3 * v] != -1]
+
+
+def counters(k, policy):
+    nd = 6 * k
+    prefix_ties = getattr(mg, "_prefix_ties", None)
+    min_code_maps = mg._min_code_maps
+    out = {"tested_nodes": 0, "cuts": 0, "leaf_searches": 0}
+    ties_seen = {"given": 0, "carried": 0, "most_held": 0}
+    if prefix_ties is not None:
+        extend = _nested_code(prefix_ties, "extend")
+        resumed_frames, scratch_frames = _Frames(extend), _Frames(extend)
+
+        def counted_test(partner, end, ties, fresh_seeds):
+            found = resumed_frames.run(prefix_ties, partner, end, ties, fresh_seeds)
+            scratch_frames.run(prefix_ties, list(partner), end, [], _seeds(partner))
+            out["tested_nodes"] += 1
+            if found is None:
+                out["cuts"] += 1
+            else:
+                ties_seen["given"] += len(ties)
+                same = {id(t) for t in ties}
+                ties_seen["carried"] += sum(id(t) in same for t in found)
+                ties_seen["most_held"] = max(ties_seen["most_held"], len(found))
+            return found
+
+        def counted_search(partner, collect_all, bound=None):
+            out["leaf_searches"] += 1
+            return min_code_maps(partner, collect_all, bound)
+
+        mg._prefix_ties, mg._min_code_maps = counted_test, counted_search
+    else:
+        resumed_frames = _Frames(_nested_code(min_code_maps, "search"))
+        scratch_frames = None
+
+        def counted_search(partner, collect_all, bound=None):
+            if len(bound) == nd:
+                out["leaf_searches"] += 1
+                return min_code_maps(partner, collect_all, bound)
+            found = resumed_frames.run(min_code_maps, partner, collect_all, bound)
+            out["tested_nodes"] += 1
+            out["cuts"] += found is None
+            return found
+
+        mg._min_code_maps = counted_search
+    try:
+        classes = sum(1 for _ in mg.enumerate_classes(k, policy))
+    finally:
+        mg._min_code_maps = min_code_maps
+        if prefix_ties is not None:
+            mg._prefix_ties = prefix_ties
+    out["classes"] = classes
+    out["prefix_test_frames"] = {
+        "function": "_prefix_ties.extend"
+        if prefix_ties is not None
+        else "_min_code_maps.search",
+        "frames": resumed_frames.count,
+    }
+    out["from_scratch_frames"] = (
+        None if scratch_frames is None else scratch_frames.count
+    )
+    if prefix_ties is None:
+        out["tie_states"] = None
+    else:
+        given, carried = ties_seen["given"], ties_seen["carried"]
+        out["tie_states"] = {
+            "given": given,
+            "carried": carried,
+            "resumed": given - carried,
+            "most_held": ties_seen["most_held"],
+        }
+    return out
+
+
+def wall_times(k, policy, runs):
+    walls = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        list(mg.enumerate_trivalent(k, policy))
+        walls.append(round(time.perf_counter() - start, 4))
+    return {"wall_s": walls, "median_s": round(statistics.median(walls), 4)}
+
+
+def _case(text):
+    policy = {"e": TadpolePolicy.EXCLUDE, "i": TadpolePolicy.INCLUDE}[text[-1]]
+    return int(text[:-1]), policy
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--cases", default=DEFAULT_CASES)
+    parser.add_argument("--time", type=int, default=0, metavar="N")
+    parser.add_argument(
+        "--no-counters", action="store_true", help="only time the cases"
+    )
+    args = parser.parse_args(argv)
+    result = []
+    for k, policy in map(_case, args.cases.split(",")):
+        row = {"k": k, "policy": policy.value}
+        if not args.no_counters:
+            row.update(counters(k, policy))
+        if args.time:
+            row.update(wall_times(k, policy, args.time))
+        result.append(row)
+    json.dump(result, sys.stdout, indent=2)
+    print()
+
+
+if __name__ == "__main__":
+    main()
