@@ -1,7 +1,8 @@
 """Command-line front end: enumerate, dim, plan.
 
 Exit codes: 0 ok, 2 bad input, 3 infeasible vertex typing, 4 resource
-limit exceeded, 5 oracle mismatch.  A malformed `AK_MAX_CLASSES` or
+limit exceeded, 5 oracle mismatch (also an oracle that cannot place an IHX
+term in its own class list).  A malformed `AK_MAX_CLASSES` or
 `AK_MAX_MATRIX` value and an output path that cannot be written are bad
 input.  Output is byte-deterministic for fixed arguments.
 """
@@ -21,6 +22,7 @@ from .errors import (
     NotConnected,
     NotTrivalent,
     ResourceLimit,
+    UnknownClass,
 )
 from .multigraph import TadpolePolicy, enumerate_trivalent
 from .orientation import ClassStatus, Convention
@@ -100,7 +102,11 @@ def cmd_dim(args) -> int:
             certs.append(cert.to_json())
         doc["certificates"] = certs
     if args.oracle_check:
-        orc = oracle.brute_dimension(args.k, convention, policy)
+        try:
+            orc = oracle.brute_dimension(args.k, convention, policy)
+        except UnknownClass as exc:
+            print(f"error: oracle failed: {exc}", file=sys.stderr)
+            return EXIT_ORACLE_MISMATCH
         agrees = orc["dim"] == report.dimension
         doc["oracle_check"] = {"dim": orc["dim"], "agrees": agrees}
         if not agrees:

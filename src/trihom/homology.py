@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import exactla
@@ -253,8 +254,12 @@ class RelationRow:
 
 @dataclass
 class RelationData:
-    """The relation matrix with its provenance.  Its exact elimination is
-    made by the first certificate that needs it and shared by the rest."""
+    """The relation matrix with its provenance.  Its exact eliminations are
+    made by the first certificate that needs each and shared by the rest:
+    `functionals` by the first generator of a report of dimension > 0, and
+    `echelon` by the first generator that every functional misses (a
+    relation combination), so a report whose generators are all nonzero
+    never makes it."""
 
     matrix: SparseIntMatrix
     rows: list[RelationRow]
@@ -466,31 +471,37 @@ def _replay_zero(
             == -1
         )
     if cert.kind == "relation-combination":
-        target_col = None
-        for c in report.basis.classes:
-            if c.class_id == cert.class_id:
-                target_col = report.basis.column_of(c)
-        acc: dict[int, Fraction] = {}
-        for rid, coeff in cert.combination:
-            for col, v in report.relations.matrix.rows[rid]:
-                acc[col] = acc.get(col, Fraction(0)) + coeff * v
-        acc = {c: v for c, v in acc.items() if v}
-        return acc == {target_col: Fraction(1)}
+        basis = report.basis
+        target_col = basis.column_of(basis.classes[cert.class_id])
+        scale, coeffs = _scaled(cert.combination)
+        rows = report.relations.matrix.rows
+        acc: dict[int, int] = {}
+        for rid, w in coeffs:
+            for col, v in rows[rid]:
+                acc[col] = acc.get(col, 0) + w * v
+        return {c: v for c, v in acc.items() if v} == {target_col: scale}
     return False
 
 
+def _scaled(vec: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
+    """`vec` times the lcm of its denominators, as that lcm and integers.
+
+    A positive scale keeps every sum's zero-ness, so a replay checks the
+    integer vector exactly as it would check the Fraction one.
+    """
+    scale = lcm(*(v.denominator for _, v in vec))
+    return scale, [(i, v.numerator * (scale // v.denominator)) for i, v in vec]
+
+
 def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
-    func: dict[int, Fraction] = {}
-    for cid, v in cert.functional:
-        col = report.basis.column_of(report.basis.classes[cid])
-        func[col] = v
-    target_col = report.basis.column_of(report.basis.classes[cert.class_id])
-    if not func.get(target_col):
+    basis = report.basis
+    _, scaled = _scaled(cert.functional)
+    func = {basis.column_of(basis.classes[cid]): v for cid, v in scaled}
+    if not func.get(basis.column_of(basis.classes[cert.class_id])):
         return False
-    for row in report.relations.matrix.rows:
-        if sum((func.get(c, Fraction(0)) * v for c, v in row), Fraction(0)):
-            return False
-    return True
+    return not any(
+        sum(func.get(c, 0) * v for c, v in row) for row in report.relations.matrix.rows
+    )
 
 
 def _replayed(
@@ -552,29 +563,36 @@ def certify(
 def _certify_generator(
     cls: GraphClass, report: DimensionReport
 ) -> ZeroCertificate | NonzeroCertificate:
+    """A nonzero functional when one exists, else a relation combination.
+
+    The functionals are a basis of ker M, `report.dimension` vectors, so the
+    class is a combination of rows exactly when every functional vanishes at
+    its column; the solve runs only then, and a dim-0 report needs no
+    functionals.
+    """
     basis = report.basis
     rel = report.relations
     col = basis.column_of(cls)
+    if report.dimension:
+        vec = next((v for v in rel.functionals if v[col]), None)
+        if vec is not None:
+            gen_ids = [c.class_id for c in basis.generators]
+            cert: ZeroCertificate | NonzeroCertificate = NonzeroCertificate(
+                class_id=cls.class_id,
+                functional=[(gen_ids[i], v) for i, v in enumerate(vec) if v],
+            )
+            return _replayed(cert, report)
     unit = [0] * basis.num_generators
     unit[col] = 1
     try:
         coeffs = solve_combination(rel.matrix, unit, rel.echelon)
-        cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
-            kind="relation-combination",
-            class_id=cls.class_id,
-            combination=[(i, c) for i, c in enumerate(coeffs) if c],
-        )
-        return _replayed(cert, report)
     except NoSolution:
-        pass
-    gen_ids = [c.class_id for c in basis.generators]
-    for vec in rel.functionals:
-        if vec[col]:
-            cert = NonzeroCertificate(
-                class_id=cls.class_id,
-                functional=[
-                    (gen_ids[i], v) for i, v in enumerate(vec) if v
-                ],
-            )
-            return _replayed(cert, report)
-    raise AssertionError("linear algebra inconsistency: neither certificate exists")
+        raise AssertionError(
+            "linear algebra inconsistency: neither certificate exists"
+        ) from None
+    cert = ZeroCertificate(
+        kind="relation-combination",
+        class_id=cls.class_id,
+        combination=[(i, c) for i, c in enumerate(coeffs) if c],
+    )
+    return _replayed(cert, report)

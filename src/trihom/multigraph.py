@@ -41,10 +41,13 @@ class DartGraph:
 
     `partner[d]` is the dart paired with dart `d`; each 2-cycle of the
     involution is one edge.  Edges are indexed by the sorted list of their
-    dart pairs (min dart, max dart).
+    dart pairs (min dart, max dart).  `has_loop` says whether any edge is a
+    self-loop.
     """
 
-    __slots__ = ("num_vertices", "partner", "connected", "_edges", "_edge_of_dart")
+    __slots__ = (
+        "num_vertices", "partner", "connected", "has_loop", "_edges", "_edge_of_dart"
+    )
 
     def __init__(self, num_vertices: int, partner: Sequence[int], connected: bool):
         self.num_vertices = num_vertices
@@ -54,9 +57,12 @@ class DartGraph:
             sorted((d, p) for d, p in enumerate(self.partner) if d < p)
         )
         eod = [-1] * len(self.partner)
+        has_loop = False
         for i, (a, b) in enumerate(self._edges):
             eod[a] = eod[b] = i
+            has_loop = has_loop or a // 3 == b // 3
         self._edge_of_dart = tuple(eod)
+        self.has_loop = has_loop
 
     @property
     def k(self) -> int:
@@ -86,10 +92,6 @@ class DartGraph:
     def is_loop(self, edge_index: int) -> bool:
         a, b = self._edges[edge_index]
         return a // 3 == b // 3
-
-    @property
-    def has_loop(self) -> bool:
-        return any(self.is_loop(i) for i in range(self.num_edges))
 
     def loop_count(self, vertex: int) -> int:
         return sum(

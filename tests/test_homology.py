@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -197,10 +198,39 @@ def _random_labelled(rep, rng):
     )
 
 
+def _solve_first_reference(report, cls, echelon, functionals):
+    """The certificate of `cls` in the order that solves first: a relation
+    combination when e_col is in the row space, else the first functional
+    that is nonzero at its column."""
+    if cls.status is ClassStatus.ZERO:
+        return hom.ZeroCertificate(
+            kind="sign-witness",
+            class_id=cls.class_id,
+            witness_dart_perm=cls.witness.dart_perm,
+            witness_sign=-1,
+        )
+    m = report.relations.matrix
+    col = report.basis.column_of(cls)
+    unit = [int(c == col) for c in range(m.num_cols)]
+    try:
+        coeffs = la.solve_combination(m, unit, echelon)
+    except NoSolution:
+        gen_ids = [c.class_id for c in report.basis.generators]
+        vec = next(v for v in functionals if v[col])
+        return hom.NonzeroCertificate(
+            cls.class_id, [(gen_ids[i], v) for i, v in enumerate(vec) if v]
+        )
+    return hom.ZeroCertificate(
+        kind="relation-combination",
+        class_id=cls.class_id,
+        combination=[(i, c) for i, c in enumerate(coeffs) if c],
+    )
+
+
 @pytest.mark.parametrize(
     "k, conv, policy, eliminations, kinds",
     [
-        (4, Convention.ODD, TP.EXCLUDE, 2, {"sign-witness", "nonzero"}),
+        (4, Convention.ODD, TP.EXCLUDE, 1, {"sign-witness", "nonzero"}),
         (3, Convention.EVEN, TP.INCLUDE, 1, {"sign-witness", "relation-combination"}),
     ],
     ids=["k4-odd-exclude", "k3-even-include"],
@@ -209,9 +239,11 @@ def test_certificates_share_one_elimination(
     monkeypatch, rng, k, conv, policy, eliminations, kinds
 ):
     """Every class and 50 random labelled graphs certified against one report
-    eliminate its relation matrix at most twice in all (M for the solves, its
-    transpose for the functionals), and each certificate is the one that
-    eliminating an unshared copy of the matrix for that query alone gives."""
+    eliminate its relation matrix once in all: its transpose for the
+    functionals when the report has dimension > 0 and every generator is
+    nonzero, M for the solves when the dimension is 0.  Each certificate is
+    the one that eliminating an unshared copy of the matrix for that query
+    alone gives."""
     report = hom.dimension(k, conv, policy)
     classes = report.basis.classes
     targets = [c.class_id for c in classes]
@@ -229,29 +261,88 @@ def test_certificates_share_one_elimination(
     monkeypatch.undo()
 
     m = report.relations.matrix
-    gen_ids = [c.class_id for c in report.basis.generators]
     assert {c.to_json().get("kind", "nonzero") for c in certs} == kinds
     for cert in certs:
-        cls = classes[cert.class_id]
-        if cls.status is ClassStatus.ZERO:
-            assert cert.kind == "sign-witness"
-            continue
         unshared = la.SparseIntMatrix(m.num_rows, m.num_cols, m.rows)
-        col = report.basis.column_of(cls)
-        unit = [int(c == col) for c in range(m.num_cols)]
-        try:
-            coeffs = la.solve_combination(unshared, unit)
-            want = hom.ZeroCertificate(
-                kind="relation-combination",
-                class_id=cls.class_id,
-                combination=[(i, c) for i, c in enumerate(coeffs) if c],
-            )
-        except NoSolution:
-            vec = next(v for v in la.left_nullspace(unshared.transpose()) if v[col])
-            want = hom.NonzeroCertificate(
-                cls.class_id, [(gen_ids[i], v) for i, v in enumerate(vec) if v]
-            )
+        want = _solve_first_reference(
+            report,
+            classes[cert.class_id],
+            la._reduce_rows_tracked(unshared),
+            la.left_nullspace(unshared.transpose()),
+        )
         assert cert.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
+@pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_certificates_match_solve_first_reference(rng, k, conv, policy):
+    """Trying the functionals before any solve gives, for every class and 20
+    random labelled graphs, the certificate that solving first gives."""
+    report = hom.dimension(k, conv, policy)
+    m = report.relations.matrix
+    echelon = la._reduce_rows_tracked(m)
+    functionals = la.left_nullspace(m.transpose())
+    classes = report.basis.classes
+    targets = [(c.class_id, c) for c in classes]
+    for _ in range(20):
+        cls = rng.choice(classes)
+        targets.append((_random_labelled(cls.rep, rng), cls))
+    for target, cls in targets:
+        want = _solve_first_reference(report, cls, echelon, functionals)
+        assert hom.certify(target, report).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "k, conv, policy, changes",
+    [
+        (2, Convention.EVEN, TP.INCLUDE, {"target", "coefficient", "doubled"}),
+        (4, Convention.ODD, TP.EXCLUDE, {"entry", "target"}),
+    ],
+    ids=["k2-even-include", "k4-odd-exclude"],
+)
+def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
+    """Replay accepts each generator's certificate, and its functional with
+    every value divided by 6, but refuses it, naming its class, after any
+    one change: a functional entry on a column some row uses moved by 1/3
+    ("entry"), the target entry dropped ("target"), a combination
+    coefficient moved by 1/3 ("coefficient"), the combination doubled."""
+    report = hom.dimension(k, conv, policy)
+    basis = report.basis
+    used = {c for row in report.relations.matrix.rows for c, _ in row}
+    tampered = []
+    for cls in basis.generators:
+        cert = hom.certify(cls.class_id, report)
+        if isinstance(cert, hom.NonzeroCertificate):
+            sixth = [(cid, v / 6) for cid, v in cert.functional]
+            hom._replayed(hom.NonzeroCertificate(cls.class_id, sixth), report)
+            for i, (cid, v) in enumerate(cert.functional):
+                func = list(cert.functional)
+                if cid == cls.class_id:
+                    dropped = func[:i] + func[i + 1 :]
+                    tampered.append(
+                        ("target", dataclasses.replace(cert, functional=dropped))
+                    )
+                if basis.column_of(basis.classes[cid]) in used:
+                    func[i] = (cid, v + Fraction(1, 3))
+                    tampered.append(
+                        ("entry", dataclasses.replace(cert, functional=func))
+                    )
+        else:
+            for i, (rid, c) in enumerate(cert.combination):
+                combo = list(cert.combination)
+                combo[i] = (rid, c + Fraction(1, 3))
+                tampered.append(
+                    ("coefficient", dataclasses.replace(cert, combination=combo))
+                )
+            doubled = [(rid, 2 * c) for rid, c in cert.combination]
+            tampered.append(("doubled", dataclasses.replace(cert, combination=doubled)))
+    assert {change for change, _ in tampered} == changes
+    for _, cert in tampered:
+        with pytest.raises(
+            AssertionError, match=rf"certificate for class {cert.class_id} failed"
+        ):
+            hom._replayed(cert, report)
 
 
 def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):

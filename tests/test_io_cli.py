@@ -114,6 +114,18 @@ def test_cli_dim_oracle_check():
     assert out.returncode == 2  # oracle capped at k <= 2
 
 
+def test_cli_oracle_failure_exit_code(monkeypatch, capsys):
+    """An oracle that places no IHX term in its class list ends in one
+    `error:` line and the oracle-mismatch exit code, not a traceback."""
+    from trihom import oracle
+
+    monkeypatch.setattr(oracle, "_isos", lambda *args, **kwargs: [])
+    assert main(["dim", "--k", "1", "--convention", "odd", "--oracle-check"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_dump_matrix(tmp_path):
     path = tmp_path / "rel.mtx"
     out = run_cli(

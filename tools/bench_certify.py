@@ -1,0 +1,139 @@
+"""Counters and timings of certificate construction, as JSON on stdout.
+
+    PYTHONPATH=src python tools/bench_certify.py [--seed N] [--repeats N]
+
+Everything is counted from outside the program, by replacing module
+attributes with counting wrappers, so the same script measures any checkout
+put on PYTHONPATH.
+
+- `queries`: the 2,000 random labelled k=4 graphs of perfbench's
+  certify-queries workload (drawn from `--seed`), certified against one odd
+  report without loops: `solve_combination` and `left_nullspace` calls made
+  by `homology`, `_reduce_rows_tracked` calls, replays run (`_replayed`
+  calls) and the certificate kinds; then the wall time of the 2,000
+  `certify` calls alone over `--repeats` further runs on the same report,
+  uncounted.
+- `reports`: for each report of perfbench's dim-report grid, `dimension`
+  followed by `certify` of every class, as `trihom dim --certify` does: the
+  same counters, per report.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import CertifyQueries, DimReport  # noqa: E402
+
+import trihom  # noqa: E402
+from trihom import exactla as la  # noqa: E402
+from trihom import homology as hom  # noqa: E402
+from trihom import multigraph as mg  # noqa: E402
+from trihom import orientation as ori  # noqa: E402
+from trihom import surgery  # noqa: E402
+
+COUNTED = (
+    (hom, "solve_combination"),
+    (hom, "left_nullspace"),
+    (la, "_reduce_rows_tracked"),
+    (hom, "_replayed"),
+)
+
+
+class _Counters:
+    """Replace each attribute in COUNTED with a wrapper counting its calls."""
+
+    def __enter__(self):
+        self.calls = collections.Counter()
+        self.saved = []
+        for module, attr in COUNTED:
+            fn = getattr(module, attr)
+            self.saved.append((module, attr, fn))
+
+            def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
+                self.calls[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            setattr(module, attr, wrapper)
+        return self
+
+    def __exit__(self, *exc):
+        for module, attr, fn in self.saved:
+            setattr(module, attr, fn)
+
+    def counts(self) -> dict:
+        names = {
+            "_replayed": "replays",
+            "_reduce_rows_tracked": "reduce_rows_tracked_calls",
+        }
+        return {names.get(a, f"{a}_calls"): self.calls[a] for _, a in COUNTED}
+
+
+def _kinds(certs) -> dict:
+    return dict(
+        sorted(collections.Counter(c.to_json().get("kind", "nonzero") for c in certs).items())
+    )
+
+
+def queries(seed: int, repeats: int) -> dict:
+    mods = SimpleNamespace(
+        trihom=trihom, multigraph=mg, orientation=ori, homology=hom, surgery=surgery
+    )
+    (report, drawn), _ = CertifyQueries().setup(mods, seed, None)
+    targets = [(g, labelling) for _, g, labelling in drawn]
+    with _Counters() as counters:
+        certs = [hom.certify(t, report) for t in targets]
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for t in targets:
+            hom.certify(t, report)
+        walls.append(round(time.perf_counter() - start, 3))
+    return {
+        "seed": seed,
+        "queries": len(targets),
+        **counters.counts(),
+        "kinds": _kinds(certs),
+        "certify_wall_s": walls,
+    }
+
+
+def reports() -> list[dict]:
+    out = []
+    for k, policy, convention in DimReport.GRID:
+        with _Counters() as counters:
+            report = hom.dimension(
+                k, ori.Convention(convention), mg.TadpolePolicy(policy)
+            )
+            certs = [hom.certify(c.class_id, report) for c in report.basis.classes]
+        out.append(
+            {
+                "report": f"k{k}_{convention}_{policy}",
+                "generators": report.basis.num_generators,
+                "dimension": report.dimension,
+                **counters.counts(),
+                "kinds": _kinds(certs),
+            }
+        )
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    result = {"queries": queries(args.seed, args.repeats), "reports": reports()}
+    json.dump(result, sys.stdout, indent=2)
+    print()
+
+
+if __name__ == "__main__":
+    main()
