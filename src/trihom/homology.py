@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import exactla
 from .errors import LoopEdge, ResourceLimit, UnknownClass, WrongSize
@@ -33,14 +33,17 @@ from .multigraph import (
     DartGraph,
     Isomorphism,
     TadpolePolicy,
+    _connected,
     _trie_walk,
     enumerate_classes,
+    vertex_invariants,
 )
 from .orientation import (
     ClassStatus,
     Convention,
     GraphClass,
     OrientedLabelling,
+    _automorphism_sign,
     classify,
     perm_sign,
     reference_labelling,
@@ -49,14 +52,20 @@ from .orientation import (
 
 class ClassTable:
     """The classes of one basis, carrying their ids, keyed by canonical code
-    and held in a trie of those codes for `find`."""
+    and held in tries of those codes for `find`.
+
+    The tries are bucketed by `vertex_invariants`: first by the sorted
+    invariants of the whole graph, then by the invariant of the
+    representative's vertex 0."""
 
     def __init__(self, classes: Sequence[GraphClass]):
         self._classes = {c.rep.partner: c for c in classes}
-        self._trie: dict = {}
+        self._buckets: dict[tuple, dict[tuple, dict]] = {}
         for c in classes:
+            invariants = vertex_invariants(c.rep.partner)
+            roots = self._buckets.setdefault(tuple(sorted(invariants)), {})
             *head, last = c.rep.partner
-            node = self._trie
+            node = roots.setdefault(invariants[0], {})
             for x in head:
                 node = node.setdefault(x, {})
             node[last] = c
@@ -65,13 +74,25 @@ class ClassTable:
         """The class of g and an isomorphism from g onto its representative.
 
         A representative is its own witness under the identity; any other
-        graph is matched by walking the trie of the representatives' codes.
+        graph is matched by walking the representatives' codes in its
+        invariants' bucket, from each vertex whose invariant some
+        representative's vertex 0 has.  g's own representative is in that
+        bucket, and a relabelling onto it sends to vertex 0 a vertex with
+        the invariant of the representative's vertex 0; so the walk skips
+        only seeds and codes that match nothing, and its first match is the
+        one a walk of every code from every seed would find.
         Representatives are pairwise non-isomorphic, so the class is unique.
         """
         cls = self._classes.get(g.partner)
         if cls is not None:
             return cls, Isomorphism.identity(g.num_vertices)
-        found = _trie_walk(g.partner, self._trie)
+        invariants = vertex_invariants(g.partner)
+        roots = self._buckets.get(tuple(sorted(invariants)))
+        found = (
+            None
+            if roots is None
+            else _trie_walk(g.partner, [roots.get(x) for x in invariants])
+        )
         if found is None:
             raise UnknownClass(f"no class in the table for pairing {g.code_str()}")
         cls, dart_map = found
@@ -155,8 +176,7 @@ def _conjugate_term(
     partner = [0] * g.num_darts
     for d in range(g.num_darts):
         partner[tau(d)] = tau(g.partner[d])
-    from .multigraph import _connected  # local: validation already done upstream
-
+    # a regrouping is a valid pairing, so only connectivity is checked
     term = DartGraph(g.num_vertices, partner, _connected(g.num_vertices, partner))
     edge_labels = [0] * term.num_edges
     directions: list[tuple[int, int]] = [(0, 0)] * term.num_edges
@@ -345,6 +365,18 @@ class DimensionReport:
     basis: ClassBasis
     relations: RelationData
     oracle_checked: bool = False
+    _signs: dict[int, Callable[[Isomorphism], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def automorphism_sign(self, cls: GraphClass) -> Callable[[Isomorphism], int]:
+        """The sign of an automorphism of `cls`'s representative under the
+        report's convention, as a function made once per class and kept."""
+        sign = self._signs.get(cls.class_id)
+        if sign is None:
+            sign = _automorphism_sign(self.convention, cls.rep, cls.labelling.directions)
+            self._signs[cls.class_id] = sign
+        return sign
 
     def to_json(self) -> dict:
         classes = []
@@ -460,16 +492,9 @@ def _replay_zero(
     if cert.kind == "excluded":
         return True
     if cert.kind == "sign-witness":
-        from .orientation import total_sign
-
         cls = report.basis.classes[cert.class_id]
         iso = Isomorphism.from_dart_map(cert.witness_dart_perm)
-        return (
-            total_sign(
-                report.convention, cls.rep, cls.labelling.directions, iso
-            )
-            == -1
-        )
+        return report.automorphism_sign(cls)(iso) == -1
     if cert.kind == "relation-combination":
         basis = report.basis
         target_col = basis.column_of(basis.classes[cert.class_id])

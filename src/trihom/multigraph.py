@@ -509,27 +509,58 @@ def _prefix_ties(
     return found
 
 
-def _trie_walk(partner: Sequence[int], trie: dict) -> tuple[object, list[int]] | None:
-    """A relabelling of the complete pairing `partner` whose code is one of
-    the codes stored in `trie`, or None if there is none.
+def vertex_invariants(partner: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """A tuple per vertex of the complete pairing `partner` that every
+    relabelling carries to its image vertex: whether the vertex has a loop,
+    its number of distinct neighbours, the triangles through it (pairs of
+    distinct neighbours that are adjacent) and the size of its radius-2
+    ball.  Seeds the trie walk (McKay & Piperno, J. Symbolic Comput. 2014:
+    cheap invariants first)."""
+    nv = len(partner) // 3
+    nbrs = [
+        {partner[3 * v] // 3, partner[3 * v + 1] // 3, partner[3 * v + 2] // 3}
+        for v in range(nv)
+    ]
+    out = []
+    for v, ns in enumerate(nbrs):
+        ball = set(ns)
+        ball.add(v)
+        others = [w for w in ns if w != v]
+        triangles = 0
+        for i, w in enumerate(others):
+            ball |= nbrs[w]
+            for x in others[i + 1 :]:
+                if x in nbrs[w]:
+                    triangles += 1
+        out.append((int(v in ns), len(others), triangles, len(ball)))
+    return out
 
-    `trie` holds codes as nested dicts, one level per slot, with a payload
-    in place of the last level's dict.  Returns the payload and the dart
-    map (old dart -> new dart) at the first code found.
+
+def _trie_walk(
+    partner: Sequence[int], roots: Sequence[dict | None]
+) -> tuple[object, list[int]] | None:
+    """A relabelling of the complete pairing `partner` whose code is one of
+    the codes stored in the tries `roots`, or None if there is none.
+
+    `roots[v]` holds the codes that a relabelling sending vertex v to
+    vertex 0 may reach, as nested dicts, one level per slot, with a payload
+    in place of the last level's dict; None there means no code is reached
+    from v, and v is not tried.  Returns the payload and the dart map (old
+    dart -> new dart) at the first code found.
 
     The walk follows the relabellings of `_min_code_maps` in the same
     order (seeds, the seed's dart orders, the order of a partially revealed
     vertex's two free darts) but goes down a branch only while its code so
-    far is a path of `trie`; there is no bound and no automorphism pruning.
-    `_min_code_maps` reaches the minimal code on one of these relabellings,
-    so a trie holding that code is always matched.
+    far is a path of its seed's trie; there is no bound and no automorphism
+    pruning.  `_min_code_maps` reaches the minimal code on one of these
+    relabellings, so a code in the trie of that relabelling's seed is
+    always matched.  The search seeds only loop vertices when there are
+    loops; the walk leaves that to `roots`, since a relabelling from any
+    other seed puts a loopless vertex first and so matches no minimal code
+    of a graph with loops.
     """
     nd = len(partner)
     nv = nd // 3
-    loop_vertices = [
-        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
-    ]
-    seeds = loop_vertices or range(nv)
 
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
@@ -600,14 +631,16 @@ def _trie_walk(partner: Sequence[int], trie: dict) -> tuple[object, list[int]] |
             vmap[w] = -1
         return found
 
-    for seed in seeds:
+    for seed, root in enumerate(roots):
+        if root is None:
+            continue
         vmap[seed] = 0
         vinv[0] = seed
         for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
             for i, d in enumerate(order):
                 dmap[d] = i
                 dinv[i] = d
-            found = walk(0, 1, trie)
+            found = walk(0, 1, root)
             for i, d in enumerate(order):
                 dmap[d] = -1
                 dinv[i] = -1

@@ -5,12 +5,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+import shared_trie_walk as ref
 
 from trihom import exactla as la
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
-from trihom.errors import LoopEdge, NoSolution, WrongSize
+from trihom.errors import LoopEdge, NoSolution, UnknownClass, WrongSize
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import ClassStatus, Convention, reference_labelling
 
@@ -360,9 +361,9 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
         searches.append((phase[0], bound is None, tuple(partner)))
         return min_code_maps(partner, collect_all, bound)
 
-    def counted_walk(partner, trie):
+    def counted_walk(partner, roots):
         walks.append((phase[0], tuple(partner)))
-        return trie_walk(partner, trie)
+        return trie_walk(partner, roots)
 
     def relations_phase(basis):
         phase[0] = "relations"
@@ -381,6 +382,43 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     assert relation_searches == []
     assert len(walks) == len(term_walks) == 268
     assert not reps & set(term_walks)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The pairings that `ClassTable.find` walks, in call order."""
+    walked = []
+    trie_walk = hom._trie_walk
+
+    def counted_walk(partner, roots):
+        walked.append(partner)
+        return trie_walk(partner, roots)
+
+    monkeypatch.setattr(hom, "_trie_walk", counted_walk)
+    return walked
+
+
+def test_term_walks_follow_a_third_of_the_shared_trie_frames(walks):
+    """Recursive walk frames in dimension(4, odd, exclude), without a clock:
+    its 268 term walks follow 2,556 frames from the bucketed tries, where
+    walks of one trie of every code followed 10,266."""
+    walk = next(
+        c for c in mg._trie_walk.__code__.co_consts if getattr(c, "co_name", None) == "walk"
+    )
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            frames.append(1)
+
+    sys.setprofile(profile)
+    try:
+        hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    finally:
+        sys.setprofile(None)
+    assert len(walks) == 268
+    assert len(frames) == 2_556
+    assert 3 * len(frames) <= 10_266
 
 
 def _random_labelling(g, rng):
@@ -407,20 +445,60 @@ def _lookup_cases():
 def test_find_matches_canonical_form_reference():
     """ClassTable.find on random relabellings of every sampled class gives
     the class that canonical_form followed by a code lookup gives, and its
-    witness maps the graph exactly onto that class's representative."""
+    witness maps the graph exactly onto that class's representative.  The
+    witness is the dart map that a walk of one trie of every code from
+    every seed gives (the identity on a representative), and every vertex
+    keeps its invariant under each relabelling."""
     rng = random.Random(7)
+    walked = 0
     for basis, sample in _lookup_cases():
         by_code = {c.rep.partner: c for c in basis.classes}
+        trie = ref.shared_trie(basis.classes)
         for cls in sample:
-            graphs = [cls.rep] + [
-                mg.relabel(cls.rep, mg.random_relabelling(cls.rep, rng))
-                for _ in range(3)
+            rep_invariants = mg.vertex_invariants(cls.rep.partner)
+            isos = [mg.Isomorphism.identity(cls.rep.num_vertices)] + [
+                mg.random_relabelling(cls.rep, rng) for _ in range(3)
             ]
-            for g in graphs:
+            for iso in isos:
+                g = mg.relabel(cls.rep, iso)
+                invariants = mg.vertex_invariants(g.partner)
+                for v, w in enumerate(iso.vertex_perm):
+                    assert invariants[w] == rep_invariants[v]
                 found, witness = basis.table.find(g)
                 canon, _ = mg.canonical_form(g)
                 assert found is by_code[canon.partner] is cls
                 assert mg.relabel(g, witness) == found.rep
+                if g.partner in by_code:
+                    expected = list(range(g.num_darts))
+                else:
+                    ref_cls, expected = ref.trie_walk(g.partner, trie)
+                    assert ref_cls is cls
+                    walked += 1
+                assert list(witness.dart_perm) == expected
+    assert walked > 300
+
+
+@pytest.mark.parametrize("bucket", ["absent", "present"])
+def test_lookup_miss_with_and_without_its_bucket(walks, bucket):
+    """A class left out of the table raises UnknownClass: at once, with no
+    walk, when no class left has its invariants; after walking its bucket
+    when another class shares them."""
+    basis = hom.class_basis(5, Convention.ODD, TP.EXCLUDE)
+    keys = [tuple(sorted(mg.vertex_invariants(c.rep.partner))) for c in basis.classes]
+    shared = bucket == "present"
+    missing = next(c for c, key in zip(basis.classes, keys) if (keys.count(key) > 1) == shared)
+    table = hom.ClassTable([c for c in basis.classes if c is not missing])
+    rng = random.Random(5)
+    graphs = [missing.rep] + [
+        mg.relabel(missing.rep, mg.random_relabelling(missing.rep, rng)) for _ in range(5)
+    ]
+    for g in graphs:
+        with pytest.raises(UnknownClass, match=g.code_str()):
+            table.find(g)
+    assert len(walks) == (len(graphs) if shared else 0)
+    for c in basis.classes[::10]:
+        if c is not missing:
+            assert table.find(mg.relabel(c.rep, mg.random_relabelling(c.rep, rng)))[0] is c
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
@@ -513,6 +591,57 @@ for target, report in cases:
 """
 
 
+_SIGN_REPLAY = """
+import random
+from trihom import homology as hom, multigraph as mg, orientation as ori
+from trihom.multigraph import Isomorphism, TadpolePolicy as TP
+from trihom.orientation import ClassStatus, Convention
+
+calls = []
+cycle_basis = ori.cycle_basis
+ori.cycle_basis = lambda *a: calls.append(1) or cycle_basis(*a)
+replays = []
+replay_zero = hom._replay_zero
+hom._replay_zero = lambda cert, report: replays.append(1) or replay_zero(cert, report)
+report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+zeros = [c for c in report.basis.classes if c.status is ClassStatus.ZERO]
+built = len(calls)
+rng = random.Random(9)
+kinds = set()
+for _ in range(3):
+    for c in zeros:
+        g = mg.relabel(c.rep, mg.random_relabelling(c.rep, rng))
+        kinds.add(hom.certify(g, report).kind)
+        kinds.add(hom.certify(c.class_id, report).kind)
+print(len(zeros), len(calls) - built, len(replays), *kinds)
+identity = Isomorphism.identity(zeros[0].rep.num_vertices).dart_perm
+cert = hom.ZeroCertificate("sign-witness", zeros[0].class_id, identity, -1)
+try:
+    hom._replayed(cert, report)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_sign_witness_replay_builds_one_cycle_basis_per_class():
+    """Repeated zero-class queries against one report build each zero
+    class's cycle basis once, replay the witness on every certify call, and
+    still refuse a witness of sign +1 from a class already replayed, also
+    under `python -O`."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _SIGN_REPLAY],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts, refused = proc.stdout.splitlines()
+        zeros, built, replays, kinds = counts.split(maxsplit=3)
+        assert int(zeros) > 0 and kinds == "sign-witness"
+        assert (int(built), int(replays)) == (int(zeros), 6 * int(zeros))
+        assert refused.startswith("sign-witness certificate for class")
+
+
 def test_failed_replay_raises_under_optimize():
     """A certificate whose replay fails is refused even when `python -O`
     strips assert statements; every certify path is exercised."""
@@ -534,10 +663,13 @@ def test_failed_replay_raises_under_optimize():
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
-@pytest.mark.parametrize("k", [2, 3])
-def test_rows_labelling_invariant_and_complete(k, conv, rng):
-    """Rows from random labellings of every class (zero classes included)
-    stay inside the span of the reference rows."""
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rows_labelling_invariant_and_complete(walks, k, conv, rng):
+    """Rows from random relabellings of every class (zero classes
+    included), with their reference labelling and with a random one, stay
+    inside the span of the reference rows: stacked on the relation matrix
+    they leave its exact rank unchanged.  Their terms that are not
+    representatives are found by trie walks."""
     from trihom.exactla import SparseIntMatrix, rank
 
     basis = hom.class_basis(k, conv, TP.INCLUDE)
@@ -546,18 +678,18 @@ def test_rows_labelling_invariant_and_complete(k, conv, rng):
     extra_rows = [list(r.entries) for r in rel.rows]
     for cls in basis.classes:
         for _ in range(3):
-            iso = mg.random_relabelling(cls.rep, rng)
-            h = mg.relabel(cls.rep, iso)
-            lab = reference_labelling(h)
-            for e in range(h.num_edges):
-                if h.is_loop(e):
-                    continue
-                acc, _notes = hom.expand_row(basis, h, lab, e)
-                if acc:
-                    extra_rows.append(sorted(acc.items()))
+            h, random_lab = _random_labelled(cls.rep, rng)
+            for lab in (reference_labelling(h), random_lab):
+                for e in range(h.num_edges):
+                    if h.is_loop(e):
+                        continue
+                    acc, _notes = hom.expand_row(basis, h, lab, e)
+                    if acc:
+                        extra_rows.append(sorted(acc.items()))
     stacked = SparseIntMatrix(
         len(extra_rows), basis.num_generators, extra_rows
     )
+    assert len(extra_rows) > len(rel.rows) and walks
     assert rank(stacked) == base_rank
 
 

@@ -10,9 +10,9 @@ put on PYTHONPATH.
   certify-queries workload (drawn from `--seed`), certified against one odd
   report without loops: `solve_combination` and `left_nullspace` calls made
   by `homology`, `_reduce_rows_tracked` calls, replays run (`_replayed`
-  calls) and the certificate kinds; then the wall time of the 2,000
-  `certify` calls alone over `--repeats` further runs on the same report,
-  uncounted.
+  calls), `orientation.cycle_basis` calls and the certificate kinds; then
+  the wall time of the 2,000 `certify` calls alone over `--repeats` further
+  runs on the same report, uncounted.
 - `reports`: for each report of perfbench's dim-report grid, `dimension`
   followed by `certify` of every class, as `trihom dim --certify` does: the
   same counters, per report.
@@ -44,6 +44,7 @@ COUNTED = (
     (hom, "left_nullspace"),
     (la, "_reduce_rows_tracked"),
     (hom, "_replayed"),
+    (ori, "cycle_basis"),
 )
 
 

@@ -15,7 +15,9 @@ null.
   `--repeats` further runs on the same basis, uncounted.
 - `frames`: 2,000 random relabellings of the k=4 classes without loops (100
   per class): recursive frames of the min-code search behind
-  `canonical_form` and of the trie walk behind `ClassTable.find`, per lookup.
+  `canonical_form` and of the trie walk behind `ClassTable.find`, per lookup,
+  and the seeds each starts per lookup (the distinct values of the outer
+  function's `seed` loop variable at its calls of the recursive one).
 """
 
 from __future__ import annotations
@@ -68,21 +70,31 @@ def _nested_code(fn, name):
     return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
 
 
-def _frames(code, call):
-    """Frames of `code` entered while `call()` runs."""
+def _frames(fn, code, call):
+    """Frames of `code`, a function nested in `fn`, entered while `call()`
+    runs, and the seeds started: over the calls of `fn`, the distinct
+    values of its `seed` loop variable at its calls of `code`."""
     count = 0
+    calls = 0
+    seeds: set[tuple[int, int]] = set()
 
     def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code is code:
+        nonlocal count, calls
+        if event != "call":
+            return
+        if frame.f_code is fn.__code__:
+            calls += 1
+        elif frame.f_code is code:
             count += 1
+            if frame.f_back.f_code is fn.__code__:
+                seeds.add((calls, frame.f_back.f_locals["seed"]))
 
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return count
+    return count, len(seeds)
 
 
 def relations(k, repeats):
@@ -119,18 +131,26 @@ def frames(n_per_class=100):
         for _ in range(n_per_class)
     ]
     search = _nested_code(mg._min_code_maps, "search")
-    search_frames = _frames(search, lambda: [mg.canonical_form(g) for g in graphs])
-    walk = _nested_code(getattr(mg, "_trie_walk", None), "walk")
-    find = getattr(basis.table, "find", None)
-    walk_frames = (
-        _frames(walk, lambda: [find(g) for g in graphs]) if walk is not None else None
+    search_frames, search_seeds = _frames(
+        mg._min_code_maps, search, lambda: [mg.canonical_form(g) for g in graphs]
     )
+    trie_walk = getattr(mg, "_trie_walk", None)
+    walk = _nested_code(trie_walk, "walk")
+    walk_frames, walk_seeds = (
+        _frames(trie_walk, walk, lambda: [basis.table.find(g) for g in graphs])
+        if walk is not None
+        else (None, None)
+    )
+
+    def per_lookup(n):
+        return None if n is None else round(n / len(graphs), 2)
+
     return {
         "lookups": len(graphs),
-        "search_frames_per_lookup": round(search_frames / len(graphs), 2),
-        "walk_frames_per_lookup": None
-        if walk_frames is None
-        else round(walk_frames / len(graphs), 2),
+        "search_frames_per_lookup": per_lookup(search_frames),
+        "search_seeds_per_lookup": per_lookup(search_seeds),
+        "walk_frames_per_lookup": per_lookup(walk_frames),
+        "walk_seeds_per_lookup": per_lookup(walk_seeds),
     }
 
 
