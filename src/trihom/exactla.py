@@ -1,10 +1,8 @@
 """Exact sparse integer/rational linear algebra.
 
-Everything here is exact: ranks come from division-free integer
-elimination (cross-multiplication with per-row content removal, dense
-Bareiss fallback), nullspaces and solves from one tracked Fraction
-elimination, and modular ranks serve as an independent cross-check.  No
-floating point.
+Everything here is exact: nullspaces, solves and ranks come from one
+tracked Fraction elimination, gated by `AK_MAX_MATRIX`, and modular ranks
+serve as an independent cross-check.  No floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import MalformedPairing, NoSolution, ResourceLimit, env_int
@@ -108,100 +105,6 @@ class SparseIntMatrix:
         return SparseIntMatrix(nr, nc, rows)
 
 
-def _row_content(row: dict[int, int]) -> int:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            break
-    return g or 1
-
-
-def _bareiss_rank_dense(dense: list[list[int]]) -> int:
-    """Classic fraction-free Bareiss elimination; entries stay minors."""
-    rows = [r[:] for r in dense]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-    return r
-
-
-def rank(m: SparseIntMatrix) -> int:
-    """Exact rank over the rationals, division-free integer elimination.
-
-    Sparse path: Markowitz-flavoured pivoting with cross-multiplication and
-    per-row content removal (content never changes rank); dense Bareiss when
-    the working set gets dense.
-    """
-    if m.num_rows * m.num_cols > _max_cells():
-        raise ResourceLimit(
-            f"matrix {m.num_rows}x{m.num_cols} exceeds AK_MAX_MATRIX cell limit"
-        )
-    work = [dict(row) for row in m.rows if row]
-    rank_count = 0
-    while work:
-        cells = sum(len(r) for r in work)
-        if work and cells > 0.25 * len(work) * m.num_cols and len(work) <= 600:
-            dense = [[0] * m.num_cols for _ in range(len(work))]
-            for i, row in enumerate(work):
-                for c, v in row.items():
-                    dense[i][c] = v
-            return rank_count + _bareiss_rank_dense(dense)
-        col_count: dict[int, int] = {}
-        for row in work:
-            for c in row:
-                col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        for i, row in enumerate(work):
-            for c in row:
-                score = (len(row) - 1) * (col_count[c] - 1)
-                if best is None or score < best[0]:
-                    best = (score, i, c)
-            if best and best[0] == 0:
-                break
-        _, pi, pc = best
-        pivot_row = work.pop(pi)
-        pv = pivot_row[pc]
-        rank_count += 1
-        new_work = []
-        for row in work:
-            f = row.get(pc)
-            if f:
-                merged = {c: v * pv for c, v in row.items() if c != pc}
-                for c, v in pivot_row.items():
-                    if c == pc:
-                        continue
-                    nv = merged.get(c, 0) - f * v
-                    if nv:
-                        merged[c] = nv
-                    elif c in merged:
-                        del merged[c]
-                if merged:
-                    g = _row_content(merged)
-                    if g > 1:
-                        merged = {c: v // g for c, v in merged.items()}
-                    new_work.append(merged)
-            else:
-                new_work.append(row)
-        work = new_work
-    return rank_count
-
-
 def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 2**64."""
     if n < 2:
@@ -284,6 +187,10 @@ Echelon = tuple[list[Pivot], list[dict[int, Fraction]]]
 def _reduce_rows_tracked(m: SparseIntMatrix) -> Echelon:
     """Echelonize rows over Q, tracking each reduced row as a combination of
     the original rows."""
+    if m.num_rows * m.num_cols > _max_cells():
+        raise ResourceLimit(
+            f"matrix {m.num_rows}x{m.num_cols} exceeds AK_MAX_MATRIX cell limit"
+        )
     echelon: list[Pivot] = []
     zero_combos: list[dict[int, Fraction]] = []
     for i, source in enumerate(m.rows):
@@ -325,6 +232,12 @@ def left_nullspace(m: SparseIntMatrix) -> list[list[Fraction]]:
             vec[i] = v
         out.append(vec)
     return out
+
+
+def rank(m: SparseIntMatrix) -> int:
+    """Exact rank over the rationals: the number of columns less the number
+    of independent functionals on them that vanish on every row."""
+    return m.num_cols - len(left_nullspace(m.transpose()))
 
 
 def solve_combination(

@@ -25,7 +25,6 @@ from .exactla import (
     default_primes,
     left_nullspace,
     modular_rank,
-    rank,
     solve_combination,
 )
 from .errors import NoSolution
@@ -275,10 +274,9 @@ class RelationRow:
 @dataclass
 class RelationData:
     """The relation matrix with its provenance.  Its exact eliminations are
-    made by the first certificate that needs each and shared by the rest:
-    `functionals` by the first generator of a report of dimension > 0, and
-    `echelon` by the first generator that every functional misses (a
-    relation combination), so a report whose generators are all nonzero
+    made once each and shared: `functionals` by `dimension`, whose rank they
+    give, and `echelon` by the first generator that every functional misses
+    (a relation combination), so a report whose generators are all nonzero
     never makes it."""
 
     matrix: SparseIntMatrix
@@ -294,7 +292,8 @@ class RelationData:
     @cached_property
     def functionals(self) -> list[list[Fraction]]:
         """Basis of the functionals on generator columns that vanish on
-        every row: the left nullspace of the transpose."""
+        every row: the left nullspace of the transpose.  There are
+        (columns - rank) of them."""
         return left_nullspace(self.matrix.transpose())
 
 
@@ -405,21 +404,22 @@ def dimension(
     k: int,
     convention: Convention,
     policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-    modular_check: bool = True,
     max_classes: int | None = None,
 ) -> DimensionReport:
-    """Exact dimension of the quotient at (k, convention, policy)."""
+    """Exact dimension of the quotient at (k, convention, policy): the number
+    of functionals that vanish on every relation row, which certify
+    nonzero classes; the rank is the generators less that number."""
     basis = class_basis(k, convention, policy, max_classes=max_classes)
     rel = relation_matrix(basis)
-    r = rank(rel.matrix)
-    if modular_check and rel.matrix.num_rows:
+    n = basis.num_generators
+    r = n - len(rel.functionals)
+    if rel.matrix.num_rows:
         rm = modular_rank(rel.matrix, default_primes(rel.matrix))
         if rm != r:
             raise AssertionError(
-                "modular rank disagrees with fraction-free rank: "
+                "modular rank disagrees with exact rank: "
                 f"{rm} != {r}; matrix dump:\n{rel.matrix.to_matrixmarket()}"
             )
-    n = basis.num_generators
     return DimensionReport(
         k, convention, policy, n, rel.matrix.num_rows, r, n - r, basis, rel
     )
@@ -592,21 +592,19 @@ def _certify_generator(
 
     The functionals are a basis of ker M, `report.dimension` vectors, so the
     class is a combination of rows exactly when every functional vanishes at
-    its column; the solve runs only then, and a dim-0 report needs no
-    functionals.
+    its column; the solve runs only then.
     """
     basis = report.basis
     rel = report.relations
     col = basis.column_of(cls)
-    if report.dimension:
-        vec = next((v for v in rel.functionals if v[col]), None)
-        if vec is not None:
-            gen_ids = [c.class_id for c in basis.generators]
-            cert: ZeroCertificate | NonzeroCertificate = NonzeroCertificate(
-                class_id=cls.class_id,
-                functional=[(gen_ids[i], v) for i, v in enumerate(vec) if v],
-            )
-            return _replayed(cert, report)
+    vec = next((v for v in rel.functionals if v[col]), None)
+    if vec is not None:
+        gen_ids = [c.class_id for c in basis.generators]
+        cert: ZeroCertificate | NonzeroCertificate = NonzeroCertificate(
+            class_id=cls.class_id,
+            functional=[(gen_ids[i], v) for i, v in enumerate(vec) if v],
+        )
+        return _replayed(cert, report)
     unit = [0] * basis.num_generators
     unit[col] = 1
     try:

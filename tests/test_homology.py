@@ -232,23 +232,19 @@ def _solve_first_reference(report, cls, echelon, functionals):
     "k, conv, policy, eliminations, kinds",
     [
         (4, Convention.ODD, TP.EXCLUDE, 1, {"sign-witness", "nonzero"}),
-        (3, Convention.EVEN, TP.INCLUDE, 1, {"sign-witness", "relation-combination"}),
+        (3, Convention.EVEN, TP.INCLUDE, 2, {"sign-witness", "relation-combination"}),
     ],
     ids=["k4-odd-exclude", "k3-even-include"],
 )
 def test_certificates_share_one_elimination(
     monkeypatch, rng, k, conv, policy, eliminations, kinds
 ):
-    """Every class and 50 random labelled graphs certified against one report
-    eliminate its relation matrix once in all: its transpose for the
-    functionals when the report has dimension > 0 and every generator is
-    nonzero, M for the solves when the dimension is 0.  Each certificate is
-    the one that eliminating an unshared copy of the matrix for that query
-    alone gives."""
-    report = hom.dimension(k, conv, policy)
-    classes = report.basis.classes
-    targets = [c.class_id for c in classes]
-    targets += [_random_labelled(rng.choice(classes).rep, rng) for _ in range(50)]
+    """A report and every class and 50 random labelled graphs certified
+    against it eliminate its relation matrix at most twice in all: its
+    transpose once, for the functionals that give both the rank and the
+    nonzero certificates, and M once more only when some generator is a
+    relation combination.  Each certificate is the one that eliminating an
+    unshared copy of the matrix for that query alone gives."""
     calls = []
     reduce_rows_tracked = la._reduce_rows_tracked
 
@@ -257,6 +253,10 @@ def test_certificates_share_one_elimination(
         return reduce_rows_tracked(m)
 
     monkeypatch.setattr(la, "_reduce_rows_tracked", counted)
+    report = hom.dimension(k, conv, policy)
+    classes = report.basis.classes
+    targets = [c.class_id for c in classes]
+    targets += [_random_labelled(rng.choice(classes).rep, rng) for _ in range(50)]
     certs = [hom.certify(t, report) for t in targets]
     assert len(calls) == eliminations
     monkeypatch.undo()

@@ -28,6 +28,7 @@ import random
 import sys
 import time
 
+from trihom import exactla
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
@@ -107,7 +108,7 @@ def relations(k, repeats):
         start = time.perf_counter()
         hom.relation_matrix(basis)
         walls.append(round(time.perf_counter() - start, 3))
-    rank = hom.rank(rel.matrix)
+    rank = exactla.rank(rel.matrix)
     return {
         "k": k,
         "classes": len(basis.classes),
