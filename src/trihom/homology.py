@@ -358,6 +358,7 @@ class DimensionReport:
     convention: Convention
     policy: TadpolePolicy
     num_classes: int
+    num_generators: int
     num_rows: int
     rank: int
     dimension: int
@@ -392,6 +393,7 @@ class DimensionReport:
             "convention": self.convention.value,
             "tadpoles": self.policy.value,
             "num_classes": self.num_classes,
+            "num_generators": self.num_generators,
             "num_rows": self.num_rows,
             "rank": self.rank,
             "dimension": self.dimension,
@@ -421,7 +423,16 @@ def dimension(
                 f"{rm} != {r}; matrix dump:\n{rel.matrix.to_matrixmarket()}"
             )
     return DimensionReport(
-        k, convention, policy, n, rel.matrix.num_rows, r, n - r, basis, rel
+        k,
+        convention,
+        policy,
+        len(basis.classes),
+        n,
+        rel.matrix.num_rows,
+        r,
+        n - r,
+        basis,
+        rel,
     )
 
 

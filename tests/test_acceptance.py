@@ -227,17 +227,18 @@ def test_criterion_8_determinism():
     )
 
 
-# Connected cubic multigraphs on 2k vertices, k = 1..6, from the OEIS:
+# Connected cubic multigraphs on 2k vertices, k = 1..7, from the OEIS:
 # A000421 counts those without loops, A005967 those with loops allowed
-# (https://oeis.org/A000421, https://oeis.org/A005967).
-OEIS_A000421 = (1, 2, 6, 20, 91, 509)
-OEIS_A005967 = (2, 5, 17, 71, 388, 2592)
+# (https://oeis.org/A000421, https://oeis.org/A005967).  The k = 7 values
+# are checked against the census only; no k = 7 enumeration runs here.
+OEIS_A000421 = (1, 2, 6, 20, 91, 509, 3608)
+OEIS_A005967 = (2, 5, 17, 71, 388, 2592, 21096)
 
 
 def test_criterion_9_oeis_class_counts():
     census = json.loads(DATA.read_text())["class_counts"]
     recorded = {
-        pol.value: tuple(census[f"k{k}_{pol.value}"] for k in range(1, 7))
+        pol.value: tuple(census[f"k{k}_{pol.value}"] for k in range(1, 8))
         for pol in TP
     }
     t0 = time.time()
@@ -253,4 +254,32 @@ def test_criterion_9_oeis_class_counts():
         f"(k=5 with loops: {n5} classes, A005967 gives {OEIS_A005967[4]}; "
         f"k=6 without: {n6}, A000421 gives {OEIS_A000421[5]}; {dt:.1f}s; "
         f"census {recorded})",
+    )
+
+
+def test_census_dimensions_consistent():
+    """Every stored dimension is the generators less the rank, of at most
+    the stored classes, with k = 5..7 recorded for both conventions without
+    tadpoles.  Read from the census only: no k >= 5 dimension runs here."""
+    census = json.loads(DATA.read_text())
+    bad = []
+    for key, d in census["dimensions"].items():
+        k, _conv, pol = key.split("_")
+        if not (
+            d["dimension"] == d["num_generators"] - d["rank"]
+            and d["rank"] <= min(d["num_rows"], d["num_generators"])
+            and d["num_generators"] <= d["num_classes"]
+            and d["num_classes"] == census["class_counts"][f"{k}_{pol}"]
+        ):
+            bad.append(key)
+    missing = [
+        f"k{k}_{conv}_exclude"
+        for k in (5, 6, 7)
+        for conv in ("even", "odd")
+        if f"k{k}_{conv}_exclude" not in census["dimensions"]
+    ]
+    _report(
+        "census-dimensions",
+        not bad and not missing,
+        f"({len(census['dimensions'])} entries; inconsistent {bad}; missing {missing})",
     )

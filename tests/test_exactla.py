@@ -110,8 +110,14 @@ def test_matrixmarket_roundtrip():
 
 def test_matrix_resource_limit(monkeypatch):
     monkeypatch.setenv("AK_MAX_MATRIX", "10")
-    with pytest.raises(ResourceLimit):
-        la.rank(dense([[1] * 6 for _ in range(6)]))
+    m = dense([[1] * 6 for _ in range(6)])
+    for call in (
+        lambda: la.rank(m),
+        lambda: la.left_nullspace(m),
+        lambda: la.solve_combination(m, [1] * 6),
+    ):
+        with pytest.raises(ResourceLimit):
+            call()
 
 
 def test_no_floats_in_results():

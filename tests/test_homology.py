@@ -11,7 +11,7 @@ from trihom import exactla as la
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
-from trihom.errors import LoopEdge, NoSolution, UnknownClass, WrongSize
+from trihom.errors import LoopEdge, NoSolution, ResourceLimit, UnknownClass, WrongSize
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import ClassStatus, Convention, reference_labelling
 
@@ -272,6 +272,35 @@ def test_certificates_share_one_elimination(
             la.left_nullspace(unshared.transpose()),
         )
         assert cert.to_json() == want.to_json()
+
+
+def test_matrix_limit_gates_every_elimination(monkeypatch):
+    """`AK_MAX_MATRIX` guards the one exact elimination: the functionals
+    that `dimension` and `certify` share, and the echelon that a relation
+    combination is solved against.  Certificates whose elimination the
+    report already made need no further one."""
+    odd = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    even = hom.dimension(4, Convention.EVEN, TP.INCLUDE)
+    m = odd.relations.matrix
+    rel = odd.relations
+    fresh = dataclasses.replace(
+        odd,
+        relations=hom.RelationData(m, rel.rows, rel.zero_rows, rel.duplicates),
+    )
+    gen = odd.basis.generators[0].class_id
+    unit = [1] + [0] * (m.num_cols - 1)
+    monkeypatch.setenv("AK_MAX_MATRIX", "10")
+    assert m.num_rows * m.num_cols > 10
+    for call in (
+        lambda: la.left_nullspace(m),
+        lambda: la.solve_combination(m, unit),
+        lambda: hom.dimension(4, Convention.ODD, TP.EXCLUDE),
+        lambda: hom.certify(gen, fresh),
+        lambda: hom.certify(even.basis.generators[0].class_id, even),  # dim 0
+    ):
+        with pytest.raises(ResourceLimit, match="AK_MAX_MATRIX"):
+            call()
+    assert hom.certify(gen, odd).to_json()["type"] == "nonzero"
 
 
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
@@ -709,8 +738,10 @@ def test_rank_stable_under_duplicates():
 def test_report_json_shape():
     rep = hom.dimension(2, Convention.EVEN, TP.INCLUDE)
     doc = rep.to_json()
-    assert doc["num_classes"] == rep.num_classes
-    assert doc["dimension"] == doc["num_classes"] - doc["rank"]
+    assert doc["num_classes"] == rep.num_classes == len(rep.basis.classes)
+    assert doc["num_generators"] == rep.num_generators == rep.basis.num_generators
+    assert doc["num_classes"] > doc["num_generators"]
+    assert doc["dimension"] == doc["num_generators"] - doc["rank"]
     assert len(doc["classes"]) == len(rep.basis.classes)
     for c in doc["classes"]:
         assert c["status"] in ("generator", "zero")

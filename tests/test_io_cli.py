@@ -215,6 +215,14 @@ def test_cli_resource_limit_exit_code(monkeypatch):
     assert out.returncode == 4
 
 
+def test_cli_matrix_limit_exit_code(monkeypatch):
+    monkeypatch.setenv("AK_MAX_MATRIX", "10")
+    out = run_cli("dim", "--k", "4", "--convention", "odd", "--certify")
+    assert out.returncode == 4
+    assert out.stderr.startswith("error: matrix ") and "AK_MAX_MATRIX" in out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "var, argv",
     [
@@ -261,11 +269,11 @@ def test_cli_enumerate_bytes_pinned(k, tadpoles):
 # sha256 of `trihom dim --certify` stdout: a change of class order,
 # witness map or certificate changes the bytes.
 CERTIFY_SHA256 = {
-    (3, "even", "exclude"): "13023d188d158f65e0cf8bac225fb62d40e816ae40ad9c0ef53600c00a550f9b",
-    (3, "even", "include"): "f486950ea4828db586e88c9385d5dab080d1946a633cbba437da6dc956694b97",
-    (3, "odd", "exclude"): "04d377442d8102fbdb6952f721a7da923c8d9bc7b6518d21aa8c982c99d8d0fe",
-    (3, "odd", "include"): "07c4a7b9747abb0870e7f674c6ccf2a8fb63bf125d6fb27a046da385dc1e9960",
-    (4, "odd", "exclude"): "65fe8c7287fff2e85b46b0f83edceb85c3779faaa997fbf5668e6fbca584622f",
+    (3, "even", "exclude"): "3a17880d21eac17d791a70a57669bc2573a56fce8e1ca4ba119d0a7ddb2c9b29",
+    (3, "even", "include"): "135ffa2ba168beadfbe8ece31f30b863a04119cc777679a2bbc4909a2b7082f6",
+    (3, "odd", "exclude"): "f19aebc96ee492ca237117c6713652e2d79d56d426eedb4c796f78ed33ef379a",
+    (3, "odd", "include"): "b7c04822f5c971c665528c4441b8e5bcc7b74ac7aa7971039b9fa0f081efef40",
+    (4, "odd", "exclude"): "6f5ee2f2a39f6c75e3a833a0bcf917e758b473bd457f2c5780f6975298811e47",
 }
 
 
