@@ -414,7 +414,8 @@ def dimension(
     basis = class_basis(k, convention, policy, max_classes=max_classes)
     rel = relation_matrix(basis)
     n = basis.num_generators
-    r = n - len(rel.functionals)
+    d = len(rel.functionals)
+    r = n - d
     if rel.matrix.num_rows:
         rm = modular_rank(rel.matrix, default_primes(rel.matrix))
         if rm != r:
@@ -430,7 +431,7 @@ def dimension(
         n,
         rel.matrix.num_rows,
         r,
-        n - r,
+        d,
         basis,
         rel,
     )
