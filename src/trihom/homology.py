@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import exactla
 from .errors import LoopEdge, ResourceLimit, UnknownClass, WrongSize
@@ -42,10 +42,10 @@ from .orientation import (
     Convention,
     GraphClass,
     OrientedLabelling,
-    _automorphism_sign,
     classify,
-    perm_sign,
     reference_labelling,
+    relabelling_sign,
+    total_sign,
 )
 
 
@@ -133,9 +133,7 @@ def transported_sign(
         t, h = labelling.directions[i]
         if (dp[t], dp[h]) != canon.edges[j]:
             reversals += 1
-    if convention is Convention.EVEN:
-        return perm_sign(sigma_e)
-    return (-1) ** reversals * perm_sign(sigma_v)
+    return relabelling_sign(convention, sigma_e, sigma_v, reversals)
 
 
 def signed_class(
@@ -365,18 +363,6 @@ class DimensionReport:
     basis: ClassBasis
     relations: RelationData
     oracle_checked: bool = False
-    _signs: dict[int, Callable[[Isomorphism], int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def automorphism_sign(self, cls: GraphClass) -> Callable[[Isomorphism], int]:
-        """The sign of an automorphism of `cls`'s representative under the
-        report's convention, as a function made once per class and kept."""
-        sign = self._signs.get(cls.class_id)
-        if sign is None:
-            sign = _automorphism_sign(self.convention, cls.rep, cls.labelling.directions)
-            self._signs[cls.class_id] = sign
-        return sign
 
     def to_json(self) -> dict:
         classes = []
@@ -506,7 +492,8 @@ def _replay_zero(
     if cert.kind == "sign-witness":
         cls = report.basis.classes[cert.class_id]
         iso = Isomorphism.from_dart_map(cert.witness_dart_perm)
-        return report.automorphism_sign(cls)(iso) == -1
+        sign = total_sign(report.convention, cls.rep, cls.labelling.directions, iso)
+        return sign == -1
     if cert.kind == "relation-combination":
         basis = report.basis
         target_col = basis.column_of(basis.classes[cert.class_id])

@@ -80,9 +80,6 @@ class DartGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def vertex_of(self, dart: int) -> int:
-        return dart // 3
-
     def darts_of(self, vertex: int) -> tuple[int, int, int]:
         return (3 * vertex, 3 * vertex + 1, 3 * vertex + 2)
 
@@ -99,9 +96,6 @@ class DartGraph:
             for i in range(self.num_edges)
             if self.is_loop(i) and self._edges[i][0] // 3 == vertex
         )
-
-    def code(self) -> tuple[int, ...]:
-        return self.partner
 
     def code_str(self) -> str:
         return " ".join(str(p) for p in self.partner)

@@ -21,6 +21,7 @@ from trihom import surgery as sg
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import Convention
 
+import cycle_space_sign as ref
 from conftest import random_pairing
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "census.json"
@@ -59,26 +60,58 @@ def test_criterion_2_anchored_values():
     _report("2 anchored-small-values", vals == (0, 1, 1), f"(got {vals})")
 
 
-def test_criterion_3_sign_identity_suite():
-    t0 = time.time()
+def _sign_identity_failures(ks):
+    """Compare, for every automorphism of every graph with k in `ks` (both
+    tadpole policies) and both conventions, the sign that `classify` and the
+    sign-witness replay use with the cycle-space reference; and each
+    class's status and witness with the reference signs of its group.
+    Returns (automorphisms checked, failures)."""
     checked = 0
     failures = 0
-    for k in (1, 2, 3, 4):
+    for k in ks:
         for pol in (TP.EXCLUDE, TP.INCLUDE):
             for g in mg.enumerate_trivalent(k, pol):
                 dirs = ori.reference_labelling(g).directions
-                for a in mg.automorphisms(g):
-                    checked += 1
-                    det = ori.h1_action_sign(g, dirs, a)
-                    closed = ori.closed_form_h1_sign(g, dirs, a)
-                    if det != closed:
-                        failures += 1
+                autos = mg.automorphisms(g)
+                for conv in (Convention.EVEN, Convention.ODD):
+                    signs = [ref.reference_sign(conv, g, dirs, a) for a in autos]
+                    for a, sign in zip(autos, signs):
+                        checked += 1
+                        failures += ori.total_sign(conv, g, dirs, a) != sign
+                    c = ori.classify(g, conv)
+                    zero = c.status is ori.ClassStatus.ZERO
+                    failures += zero != (-1 in signs)
+                    if zero:
+                        wit = ref.reference_sign(
+                            conv, c.rep, c.labelling.directions, c.witness
+                        )
+                        failures += wit != -1
+    return checked, failures
+
+
+def test_criterion_3_sign_identity_suite():
+    t0 = time.time()
+    checked, failures = _sign_identity_failures((1, 2, 3, 4))
     dt = time.time() - t0
     _report(
         "3 sign-identity",
         failures == 0 and dt < 120,
         f"({checked} automorphisms, {failures} failures, {dt:.1f}s)",
     )
+
+
+def test_criterion_3_detects_a_flipped_odd_sign(monkeypatch):
+    """The sign-identity check fails when the production odd sign is
+    flipped: it reads the sign that `classify` uses, not a copy."""
+    rule = ori.relabelling_sign
+
+    def flipped(convention, *args):
+        sign = rule(convention, *args)
+        return -sign if convention is Convention.ODD else sign
+
+    monkeypatch.setattr(ori, "relabelling_sign", flipped)
+    checked, failures = _sign_identity_failures((1, 2))
+    assert checked and failures >= checked // 2  # every odd comparison
 
 
 def test_criterion_4_randomized_properties():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycle_space_sign as ref
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
@@ -19,7 +20,26 @@ def test_label_change_sign_examples():
     assert ori.label_change_sign(ori.Convention.EVEN, transposition, identity3) == -1
     assert ori.label_change_sign(ori.Convention.EVEN, identity3, transposition) == 1
     three_cycle = [1, 2, 0]
-    assert ori.label_change_sign(ori.Convention.ODD, three_cycle, transposition) == 1
+    assert ori.label_change_sign(ori.Convention.ODD, three_cycle, transposition) == -1
+    assert ori.label_change_sign(ori.Convention.ODD, transposition, identity3) == 1
+
+
+@pytest.mark.parametrize("conv", [ori.Convention.EVEN, ori.Convention.ODD])
+def test_label_change_sign_matches_transport(theta, conv):
+    """A pure label change has the sign that `transported_sign`, the sign of
+    every IHX term, gives the relabelled graph."""
+    ident = mg.Isomorphism.identity(theta.num_vertices)
+    directions = ori.reference_labelling(theta).directions
+    for edge_perm in ([0, 1, 2], [1, 0, 2], [1, 2, 0]):
+        for vertex_perm in ([0, 1], [1, 0]):
+            labelling = ori.OrientedLabelling(
+                tuple(v + 1 for v in vertex_perm),
+                tuple(e + 1 for e in edge_perm),
+                directions,
+            )
+            assert hom.transported_sign(
+                theta, ident, labelling, theta, conv
+            ) == ori.label_change_sign(conv, edge_perm, vertex_perm)
 
 
 def test_perm_sign_basics():
@@ -38,11 +58,11 @@ def test_perm_sign_homomorphism(p, q):
 def test_h1_sign_theta_examples(theta):
     dirs = ori.reference_labelling(theta).directions
     edge_swap = _iso([1, 0, 2, 4, 3, 5])  # swaps parallel edges, fixes vertices
-    assert ori.h1_action_sign(theta, dirs, edge_swap) == -1
+    assert ref.h1_action_sign(theta, dirs, edge_swap) == -1
     vertex_swap = _iso([3, 4, 5, 0, 1, 2])  # reverses all three edges
-    assert ori.h1_action_sign(theta, dirs, vertex_swap) == 1
+    assert ref.h1_action_sign(theta, dirs, vertex_swap) == 1
     ident = mg.Isomorphism.identity(2)
-    assert ori.h1_action_sign(theta, dirs, ident) == 1
+    assert ref.h1_action_sign(theta, dirs, ident) == 1
 
 
 def test_total_sign_examples(theta, dumbbell, k4):
@@ -50,8 +70,7 @@ def test_total_sign_examples(theta, dumbbell, k4):
     vertex_swap = _iso([3, 4, 5, 0, 1, 2])
     # odd: 3 reversals, vertex transposition -> (-1)^3 * (-1) = +1
     assert ori.total_sign(ori.Convention.ODD, theta, dirs, vertex_swap) == 1
-    assert ori.closed_form_h1_sign(theta, dirs, vertex_swap) == \
-        ori.h1_action_sign(theta, dirs, vertex_swap)
+    assert ref.reference_sign(ori.Convention.ODD, theta, dirs, vertex_swap) == 1
 
     ddirs = ori.reference_labelling(dumbbell).directions
     loop_swap = _iso([1, 0, 2, 3, 4, 5])  # reverse one loop
@@ -74,35 +93,51 @@ def test_closed_form_identity(k):
     for g in mg.enumerate_trivalent(k, mg.TadpolePolicy.INCLUDE):
         dirs = ori.reference_labelling(g).directions
         for a in mg.automorphisms(g):
-            assert ori.h1_action_sign(g, dirs, a) == ori.closed_form_h1_sign(
-                g, dirs, a
-            )
+            assert ori.total_sign(
+                ori.Convention.ODD, g, dirs, a
+            ) == ref.reference_sign(ori.Convention.ODD, g, dirs, a)
 
 
 def test_h1_sign_direction_independence(k4, rng):
+    """The cycle-space determinant and the closed-form signs of both
+    conventions do not depend on the edge directions they are measured
+    against."""
     autos = mg.automorphisms(k4)
-    ref = ori.reference_labelling(k4).directions
-    base = [ori.h1_action_sign(k4, ref, a) for a in autos]
+
+    def signs(dirs):
+        return [
+            (ref.h1_action_sign(k4, dirs, a),
+             ori.total_sign(ori.Convention.EVEN, k4, dirs, a),
+             ori.total_sign(ori.Convention.ODD, k4, dirs, a))
+            for a in autos
+        ]
+
+    base = signs(ori.reference_labelling(k4).directions)
     for _ in range(10):
         dirs = tuple(
             (a, b) if rng.random() < 0.5 else (b, a) for a, b in k4.edges
         )
-        assert [ori.h1_action_sign(k4, dirs, a) for a in autos] == base
+        assert signs(dirs) == base
 
 
 def test_h1_sign_presentation_independence(k4, rng):
-    """Respinning the graph changes the spanning tree; determinants agree."""
+    """Respinning the graph changes the spanning tree; determinants agree,
+    and so do the closed-form signs."""
     autos = mg.automorphisms(k4)
-    ref = ori.reference_labelling(k4).directions
+    ref_dirs = ori.reference_labelling(k4).directions
     for _ in range(10):
         rl = mg.random_relabelling(k4, rng)
         h = mg.relabel(k4, rl)
         hdirs = ori.reference_labelling(h).directions
         for a in autos[:8]:
             conj = rl.compose(a).compose(rl.inverse())
-            assert ori.h1_action_sign(h, hdirs, conj) == ori.h1_action_sign(
-                k4, ref, a
+            assert ref.h1_action_sign(h, hdirs, conj) == ref.h1_action_sign(
+                k4, ref_dirs, a
             )
+            for conv in (ori.Convention.EVEN, ori.Convention.ODD):
+                assert ori.total_sign(conv, h, hdirs, conj) == ori.total_sign(
+                    conv, k4, ref_dirs, a
+                )
 
 
 def test_classify_examples(theta, b1):
@@ -142,19 +177,3 @@ def test_sign_multiplicativity(rng):
                 assert ori.total_sign(conv, g, dirs, a.compose(b)) == ori.total_sign(
                     conv, g, dirs, a
                 ) * ori.total_sign(conv, g, dirs, b)
-
-
-def test_classify_builds_one_cycle_basis_per_class(monkeypatch):
-    """classify builds the cycle basis of a class once and reuses it for
-    every automorphism it tests."""
-    calls = []
-    cycle_basis = ori.cycle_basis
-
-    def counted(g, directions):
-        calls.append(g.partner)
-        return cycle_basis(g, directions)
-
-    monkeypatch.setattr(ori, "cycle_basis", counted)
-    basis = hom.class_basis(4, ori.Convention.ODD, mg.TadpolePolicy.EXCLUDE)
-    assert len(calls) == len(set(calls)) <= len(basis.classes)
-    assert calls

@@ -10,7 +10,8 @@ put on PYTHONPATH.
   certify-queries workload (drawn from `--seed`), certified against one odd
   report without loops: `solve_combination` and `left_nullspace` calls made
   by `homology`, `_reduce_rows_tracked` calls, replays run (`_replayed`
-  calls), `orientation.cycle_basis` calls and the certificate kinds; then
+  calls), `orientation.cycle_basis` calls (null on a checkout that has no
+  cycle basis) and the certificate kinds; then
   the wall time of the 2,000 `certify` calls alone over `--repeats` further
   runs on the same report, uncounted.
 - `reports`: for each report of perfbench's dim-report grid, `dimension`
@@ -49,13 +50,16 @@ COUNTED = (
 
 
 class _Counters:
-    """Replace each attribute in COUNTED with a wrapper counting its calls."""
+    """Replace each attribute in COUNTED with a wrapper counting its calls;
+    an attribute the checkout does not have counts as null."""
 
     def __enter__(self):
         self.calls = collections.Counter()
         self.saved = []
         for module, attr in COUNTED:
-            fn = getattr(module, attr)
+            fn = getattr(module, attr, None)
+            if fn is None:
+                continue
             self.saved.append((module, attr, fn))
 
             def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
@@ -74,7 +78,10 @@ class _Counters:
             "_replayed": "replays",
             "_reduce_rows_tracked": "reduce_rows_tracked_calls",
         }
-        return {names.get(a, f"{a}_calls"): self.calls[a] for _, a in COUNTED}
+        return {
+            names.get(a, f"{a}_calls"): self.calls[a] if hasattr(m, a) else None
+            for m, a in COUNTED
+        }
 
 
 def _kinds(certs) -> dict:
