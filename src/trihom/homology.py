@@ -251,8 +251,8 @@ def class_basis(
     max_classes: int | None = None,
 ) -> ClassBasis:
     classes = [
-        classify(rep, convention, maps).with_id(i)
-        for i, (rep, maps) in enumerate(
+        classify(rep, convention, autos).with_id(i)
+        for i, (rep, autos) in enumerate(
             enumerate_classes(k, policy, max_classes=max_classes)
         )
     ]

@@ -90,13 +90,6 @@ class DartGraph:
         a, b = self._edges[edge_index]
         return a // 3 == b // 3
 
-    def loop_count(self, vertex: int) -> int:
-        return sum(
-            1
-            for i in range(self.num_edges)
-            if self.is_loop(i) and self._edges[i][0] // 3 == vertex
-        )
-
     def code_str(self) -> str:
         return " ".join(str(p) for p in self.partner)
 
@@ -217,22 +210,20 @@ def random_relabelling(g: DartGraph, rng: random.Random) -> Isomorphism:
     return Isomorphism(tuple(vp), tuple(dp))
 
 
-class _BelowBound(Exception):
-    """A search prefix fell strictly below the bound passed to `_min_code_maps`."""
+def _seeds(partner: Sequence[int], nv: int) -> Sequence[int]:
+    """The seed vertices of a relabelling among the first `nv` vertices of
+    the pairing `partner`: its loop vertices if it has any, else all."""
+    # a loop takes two of its vertex's three darts, one of them 3v or 3v+1
+    loops = [
+        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
+    ]
+    return loops or range(nv)
 
 
-def _min_code_maps(
-    partner: Sequence[int],
-    collect_all: bool,
-    bound: Sequence[int] | None = None,
-) -> tuple[tuple[int, ...], list[list[int]]] | None:
+def _min_code_maps(partner: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
     """Lexicographically least partner code over all relabellings of the
-    pairing `partner` (three darts per vertex).
-
-    Returns the code and dart maps (old dart -> new dart) achieving it.
-    maps[0] is the first such map in search order; with collect_all the
-    list also holds every further map the search reached, and
-    maps[0]^-1 o m over those m generates the automorphism group.
+    pairing `partner` (three darts per vertex), and the first dart map (old
+    dart -> new dart) in search order that achieves it.
 
     The search reveals vertices in discovery order.  Its branch points are
     the seed vertex, the order of the seed's darts, and the order in which
@@ -246,30 +237,16 @@ def _min_code_maps(
     child on this leaf's path onto the child on the best leaf's path, whose
     subtree is already searched, so the search goes back to that node and
     on with its next child.  The first map reaching the minimal code is
-    never in a skipped subtree (its image there would be an earlier one),
-    and for each node on its path every child in the orbit of the path's
-    child yields a generator, so the maps found generate the whole group.
-
-    `bound`, if given, is a code that the pairing achieves.  The search
-    then starts tight against it and returns None at the first prefix
-    strictly below it, so a non-None result means no relabelling has a
-    code below `bound`.  A bound that no relabelling reaches raises
-    ValueError.
+    never in a skipped subtree (its image there would be an earlier one).
     """
     nd = len(partner)
     nv = nd // 3
 
-    best: list[int] | None = None if bound is None else list(bound)
-    best_maps: list[list[int]] = []
+    best: list[int] = []
+    best_map: list[int] = []
     best_path: list = []
     path: list = []  # branch choices from the root to the current node
     code: list[int] = []
-
-    # a loop takes two of its vertex's three darts, one of them 3v or 3v+1
-    loop_vertices = [
-        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
-    ]
-    seeds = loop_vertices or range(nv)
 
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
@@ -287,7 +264,7 @@ def _min_code_maps(
         above best[pos] prunes the node.  A new best shares the current
         prefix, so the remaining siblings are compared against it again.
         """
-        nonlocal best, best_maps, best_path
+        nonlocal best, best_map, best_path
         depth = len(path)
         start = pos
         assigned: list[int] = []  # darts given a slot at this node
@@ -297,13 +274,9 @@ def _min_code_maps(
             if pos == nd:
                 if not tight:
                     best = code.copy()
-                    best_maps, best_path = [dmap.copy()], path.copy()
+                    best_map, best_path = dmap.copy(), path.copy()
                     improved = True
-                elif not best_maps:  # first leaf reaching the bound
-                    best_maps, best_path = [dmap.copy()], path.copy()
                 else:
-                    if collect_all:
-                        best_maps.append(dmap.copy())
                     back = next(
                         i for i, (a, b) in enumerate(zip(path, best_path)) if a != b
                     )
@@ -352,8 +325,6 @@ def _min_code_maps(
                 if c > best[pos]:
                     break
                 if c < best[pos]:
-                    if bound is not None:
-                        raise _BelowBound
                     tight = False
             if reveal != -1:
                 vmap[reveal] = vnext
@@ -375,32 +346,26 @@ def _min_code_maps(
         del code[start:]
         return back, improved
 
-    try:
-        for seed in seeds:
-            path.append(seed)
-            vmap[seed] = 0
-            vinv[0] = seed
-            for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
-                path.append(order)
-                for i, d in enumerate(order):
-                    dmap[d] = i
-                    dinv[i] = d
-                back, _ = search(0, 1, best is not None)
-                for i, d in enumerate(order):
-                    dmap[d] = -1
-                    dinv[i] = -1
-                path.pop()
-                if back == 0:  # this seed's subtree maps onto an earlier one
-                    break
-            vmap[seed] = -1
-            vinv[0] = -1
+    for seed in _seeds(partner, nv):
+        path.append(seed)
+        vmap[seed] = 0
+        vinv[0] = seed
+        for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
+            path.append(order)
+            for i, d in enumerate(order):
+                dmap[d] = i
+                dinv[i] = d
+            back, _ = search(0, 1, bool(best))
+            for i, d in enumerate(order):
+                dmap[d] = -1
+                dinv[i] = -1
             path.pop()
-    except _BelowBound:
-        return None
-
-    if not best_maps:
-        raise ValueError(f"bound {tuple(bound)} is not a code of {tuple(partner)}")
-    return tuple(best), best_maps
+            if back == 0:  # this seed's subtree maps onto an earlier one
+                break
+        vmap[seed] = -1
+        vinv[0] = -1
+        path.pop()
+    return tuple(best), best_map
 
 
 def _prefix_ties(
@@ -428,6 +393,11 @@ def _prefix_ties(
     still does, so only the relabellings that tied it can change the
     verdict.  A state whose next dart still has no partner is returned as
     the same object; no state is changed in place.
+
+    On a complete pairing (`end` = len(partner)) with every seed of
+    `_seeds` started or resumed, None means some relabelling has a smaller
+    code, and otherwise the states are the relabellings that reproduce the
+    code: their `dmap`s are the pairing's automorphisms, each once.
     """
     nd = len(partner)
     nv = nd // 3
@@ -480,27 +450,35 @@ def _prefix_ties(
         found.append((pos, vnext, dmap, dinv, vmap, vinv))
         return True
 
-    for tie in ties:
-        pos, vnext, dmap, dinv, vmap, vinv = tie
-        x = dinv[pos]
-        if x != -1 and partner[x] == -1:
-            found.append(tie)
-        elif not extend(pos, vnext, dmap.copy(), dinv.copy(), vmap.copy(), vinv.copy()):
-            return None
-    for seed in fresh_seeds:
-        for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
-            dmap = [-1] * nd
-            dinv = [-1] * nd
-            vmap = [-1] * nv
-            vinv = [-1] * nv
-            for i, d in enumerate(order):
-                dmap[d] = i
-                dinv[i] = d
-            vmap[seed] = 0
-            vinv[0] = seed
-            if not extend(0, 1, dmap, dinv, vmap, vinv):
+    try:
+        for tie in ties:
+            pos, vnext, dmap, dinv, vmap, vinv = tie
+            x = dinv[pos]
+            if x != -1 and partner[x] == -1:
+                found.append(tie)
+            elif not extend(
+                pos, vnext, dmap.copy(), dinv.copy(), vmap.copy(), vinv.copy()
+            ):
                 return None
-    return found
+        for seed in fresh_seeds:
+            for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
+                dmap = [-1] * nd
+                dinv = [-1] * nd
+                vmap = [-1] * nv
+                vinv = [-1] * nv
+                for i, d in enumerate(order):
+                    dmap[d] = i
+                    dinv[i] = d
+                vmap[seed] = 0
+                vinv[0] = seed
+                if not extend(0, 1, dmap, dinv, vmap, vinv):
+                    return None
+        return found
+    finally:
+        # `extend` refers to itself through its closure, and that cycle
+        # holds `found`; breaking it frees the states without waiting for
+        # the cyclic garbage collector
+        del extend
 
 
 def vertex_invariants(partner: Sequence[int]) -> list[tuple[int, int, int, int]]:
@@ -645,59 +623,48 @@ def _trie_walk(
     return None
 
 
-def _group(gens: Iterable[Sequence[int]], num_darts: int) -> list[Isomorphism]:
-    """The group generated by the dart permutations `gens`, sorted by dart map."""
-    images = [tuple(s).__getitem__ for s in gens]
-    identity = tuple(range(num_darts))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for image in images:
-                p = tuple(map(image, e))
-                if p not in elements:
-                    elements.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return [Isomorphism.from_dart_map(p) for p in sorted(elements)]
+def _canonize_maps(
+    partner: Sequence[int],
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """The minimal code, the first witness map, and the code's automorphisms
+    as dart maps: the tie states of its full-length test from scratch."""
+    code, witness = _min_code_maps(partner)
+    nd = len(code)
+    ties = _prefix_ties(code, nd, [], _seeds(code, nd // 3))
+    return code, witness, [t[2] for t in ties]
 
 
 def canonical_form(g: DartGraph) -> tuple[DartGraph, Isomorphism]:
     """Canonical representative plus one witnessing isomorphism g -> canonical."""
-    code, maps = _min_code_maps(g.partner, collect_all=False)
+    code, witness = _min_code_maps(g.partner)
     canon = DartGraph(g.num_vertices, code, g.connected)
-    return canon, Isomorphism.from_dart_map(maps[0])
+    return canon, Isomorphism.from_dart_map(witness)
 
 
 def canonize(g: DartGraph) -> tuple[DartGraph, Isomorphism, list[Isomorphism]]:
     """Canonical representative, a witness g -> canonical, and the
-    automorphism group of the canonical graph sorted by dart map, all from
-    one search."""
-    code, maps = _min_code_maps(g.partner, collect_all=True)
+    automorphism group of the canonical graph sorted by dart map.  The
+    group is the canonical code's full-length tie test run from scratch."""
+    code, witness, group = _canonize_maps(g.partner)
     canon = DartGraph(g.num_vertices, code, g.connected)
-    witness = Isomorphism.from_dart_map(maps[0])
-    base_inv = witness.inverse().dart_perm
-    # every map sends g onto canon, so m o maps[0]^-1 is an automorphism of canon
-    autos = _group(([m[x] for x in base_inv] for m in maps[1:]), g.num_darts)
-    return canon, witness, autos
+    autos = [Isomorphism.from_dart_map(a) for a in sorted(group)]
+    return canon, Isomorphism.from_dart_map(witness), autos
 
 
 def canonical_code(g: DartGraph) -> tuple[int, ...]:
-    return _min_code_maps(g.partner, collect_all=False)[0]
-
-
-def automorphism_group(maps: Sequence[Sequence[int]]) -> list[Isomorphism]:
-    """The automorphism group, sorted by dart map, of the graph whose
-    `collect_all` search returned `maps`: maps[0]^-1 o m generate it."""
-    base_inv = Isomorphism.from_dart_map(maps[0]).inverse().dart_perm
-    return _group(([base_inv[x] for x in m] for m in maps[1:]), len(base_inv))
+    return _min_code_maps(g.partner)[0]
 
 
 def automorphisms(g: DartGraph) -> list[Isomorphism]:
     """The full automorphism group as dart-level maps (identity included),
-    sorted by dart map."""
-    return automorphism_group(_min_code_maps(g.partner, collect_all=True)[1])
+    sorted by dart map: the canonical code's group conjugated by the
+    witness w, each a becoming w^-1 o a o w."""
+    _, w, group = _canonize_maps(g.partner)
+    w_inv = [0] * len(w)
+    for d, c in enumerate(w):
+        w_inv[c] = d
+    conjugates = sorted([w_inv[a[c]] for c in w] for a in group)
+    return [Isomorphism.from_dart_map(a) for a in conjugates]
 
 
 def enumerate_classes(
@@ -706,53 +673,42 @@ def enumerate_classes(
     max_classes: int | None = None,
 ) -> Iterator[tuple[DartGraph, list[list[int]]]]:
     """One canonical representative per isomorphism class, in canonical-code
-    order, each with the maps of its complete search (`automorphism_group`
-    turns them into the group).
+    order, each with its automorphism group as dart maps, in no set order.
 
     Orderly generation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998).  A DFS pairs the smallest free dart x with the
     first free dart of a revealed vertex or the first dart of a new one, so
     vertices are revealed in discovery order and each vertex's darts are
-    consumed smallest first; every minimal code is such a pairing.  At an
-    internal node the prefix test against partner[:x] cuts the subtree when
-    a relabelling of the revealed part already has a smaller determined
-    code, so no completion is its own minimal code.  A complete pairing is
-    kept when the leaf search finds no relabelling below it, that is once
-    per class.
+    consumed smallest first; every minimal code is such a pairing.  Each
+    tested node runs one test, `_prefix_ties` against partner[:x], and is
+    cut when a relabelling of the revealed part already has a smaller
+    determined code, so no completion is its own minimal code.  A complete
+    pairing is always tested; it passes once per class, and the relabellings
+    that tie its whole code are its automorphism group.
 
-    The prefix test resumes the tie states of the nearest tested ancestor
-    (`_prefix_ties`) and starts fresh only the seeds that ancestor did not
-    have, so it checks the same relabellings as a test from the root.
+    The test resumes the tie states of the nearest tested ancestor and
+    starts fresh only the seeds that ancestor did not have, so it checks
+    the same relabellings as a test from the root.
 
-    A node with a single child is not tested: the child's prefix extends
-    its own, so the child's test (or, for a complete pairing, the leaf
-    search) finds every smaller code the node's test would, and the child
-    gets the tie states unchanged.  Pairings that would leave a component
-    closed before all 2k vertices are revealed are not tried, so such
-    single-child nodes are common near the leaves.
+    An inner node with a single child is not tested: the child's prefix
+    extends its own, so the child's test finds every smaller code the
+    node's test would, and the child gets the tie states unchanged.
+    Pairings that would leave a component closed before all 2k vertices
+    are revealed are not tried, so such single-child nodes are common near
+    the leaves.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     limit = max_classes if max_classes is not None else max_classes_limit()
     include_loops = policy is TadpolePolicy.INCLUDE
     nv = 2 * k
-    partner = [-1] * (3 * nv)
+    nd = 3 * nv
+    partner = [-1] * nd
     kept: list[tuple[tuple[int, ...], list[list[int]]]] = []
 
     def rec(x: int, touched: int, ties: list[tuple], seeded: Sequence[int]) -> None:
         while x < 3 * touched and partner[x] != -1:
             x += 1
-        if x == 3 * touched:
-            if touched == nv:
-                code = tuple(partner)
-                found = _min_code_maps(code, collect_all=True, bound=code)
-                if found is not None:
-                    kept.append((code, found[1]))
-                    if len(kept) > limit:
-                        raise ResourceLimit(
-                            f"class count exceeded AK_MAX_CLASSES={limit} at k={k}"
-                        )
-            return
         cands = []
         # a revealed partner would close off the revealed vertices when x
         # and it are their last free darts
@@ -765,23 +721,27 @@ def enumerate_classes(
                         break
         if touched < nv:
             cands.append(3 * touched)
-        # the root reveals nothing to test
-        if len(cands) > 1 and x:
-            # every revealed vertex has its first dart paired; once loops
-            # exist only loop vertices are seeds, as in `_min_code_maps`
-            loops = [
-                v
-                for v in range(touched)
-                if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
-            ]
-            seeds = loops or range(touched)
-            if loops and any(v not in loops for v in seeded):  # the first loop
-                ties = [t for t in ties if t[5][0] in loops]
+        # the root reveals nothing to test; a complete pairing always is
+        if x == nd or (len(cands) > 1 and x):
+            # every revealed vertex has its first dart paired; from the
+            # first loop on, only loop vertices seed
+            seeds = _seeds(partner, touched)
+            if any(v not in seeds for v in seeded):
+                ties = [t for t in ties if t[5][0] in seeds]
             fresh = [v for v in seeds if v not in seeded]
             ties = _prefix_ties(partner, x, ties, fresh)
             if ties is None:
                 return
             seeded = seeds
+        if x == nd:
+            # tuples of ints drop out of the cyclic collector's tracking,
+            # so the kept groups cost its full collections nothing
+            kept.append((tuple(partner), [tuple(t[2]) for t in ties]))
+            if len(kept) > limit:
+                raise ResourceLimit(
+                    f"class count exceeded AK_MAX_CLASSES={limit} at k={k}"
+                )
+            return
         for y in cands:
             partner[x] = y
             partner[y] = x
@@ -790,8 +750,8 @@ def enumerate_classes(
             partner[y] = -1
 
     rec(0, 1, [], ())
-    for code, maps in sorted(kept):
-        yield DartGraph(nv, code, True), maps
+    for code, group in sorted(kept):
+        yield DartGraph(nv, code, True), group
 
 
 def enumerate_trivalent(

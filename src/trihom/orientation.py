@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .multigraph import DartGraph, Isomorphism, automorphism_group, canonize
+from .multigraph import DartGraph, Isomorphism, canonize
 
 
 class Convention(Enum):
@@ -157,18 +157,19 @@ class GraphClass:
 def classify(
     g: DartGraph,
     convention: Convention,
-    search_maps: Sequence[Sequence[int]] | None = None,
+    autos: Iterable[Sequence[int]] | None = None,
 ) -> GraphClass:
-    """Zero with a -1 witness, or Generator.  Canonicalizes its input, unless
-    `search_maps` is given: then g is a canonical representative and
-    `search_maps` the maps of its complete search, as `enumerate_classes`
-    yields them, which give its automorphism group without a new search."""
-    if search_maps is None:
-        canon, _, autos = canonize(g)
+    """Zero with a -1 witness, or Generator.  The witness is the first
+    automorphism of sign -1 by dart map.  Canonicalizes its input, unless
+    `autos` is given: then g is a canonical representative and `autos` its
+    automorphism group as dart maps in any order, as `enumerate_classes`
+    yields it."""
+    if autos is None:
+        canon, _, group = canonize(g)
     else:
-        canon, autos = g, automorphism_group(search_maps)
+        canon, group = g, map(Isomorphism.from_dart_map, sorted(autos))
     labelling = reference_labelling(canon)
-    for auto in autos:
+    for auto in group:
         if total_sign(convention, canon, labelling.directions, auto) == -1:
             return GraphClass(canon, labelling, convention, ClassStatus.ZERO, auto)
     return GraphClass(canon, labelling, convention, ClassStatus.GENERATOR, None)

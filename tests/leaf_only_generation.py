@@ -3,7 +3,9 @@ prefix pruning, kept as the reference the pruned enumeration is compared
 against, plus the exhaustive pairing oracle.
 
 `pairing_dfs` walks every DFS pairing; `orderly_codes` keeps a pairing when
-the bounded minimal-code search finds nothing below it.  Nothing is cut
+the exhaustive reference search, bounded by the pairing, finds no code below
+it, so it goes through neither the tie-state test that enumeration runs nor
+the pruned minimal-code search.  Nothing is cut
 before a pairing is complete, so these are the codes prefix pruning must
 reproduce.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import exhaustive_search
 from trihom import multigraph as mg
 
 
@@ -67,7 +70,10 @@ def orderly_codes(k: int, include_loops: bool) -> list[tuple[int, ...]]:
     return sorted(
         p
         for p in pairing_dfs(k, include_loops)
-        if mg._min_code_maps(p, collect_all=False, bound=p) is not None
+        if exhaustive_search.min_code_maps(
+            mg.DartGraph(2 * k, p, True), collect_all=False, bound=p
+        )
+        is not None
     )
 
 

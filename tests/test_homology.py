@@ -372,18 +372,18 @@ def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
 
 def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     """Lookup counts in dimension(4, odd, exclude), without a clock:
-    class_basis runs no unbounded search (each class's group comes from the
-    maps its enumeration search collected), relation_matrix runs no
-    canonical search at all, and it walks the class table's trie once for
-    each of the 268 of its 462 IHX terms whose pairing is not a class
-    representative (the rest are found by their code)."""
+    class_basis runs no minimal-code search (each class's group is the tie
+    states of its enumeration test), relation_matrix runs none either, and
+    it walks the class table's trie once for each of the 268 of its 462
+    IHX terms whose pairing is not a class representative (the rest are
+    found by their code)."""
     phase, searches, walks = ["basis"], [], []
     min_code_maps, trie_walk = mg._min_code_maps, hom._trie_walk
     relation_matrix = hom.relation_matrix
 
-    def counted_search(partner, collect_all, bound=None):
-        searches.append((phase[0], bound is None, tuple(partner)))
-        return min_code_maps(partner, collect_all, bound)
+    def counted_search(partner):
+        searches.append((phase[0], tuple(partner)))
+        return min_code_maps(partner)
 
     def counted_walk(partner, roots):
         walks.append((phase[0], tuple(partner)))
@@ -398,8 +398,8 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     monkeypatch.setattr(hom, "relation_matrix", relations_phase)
     report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
     reps = {c.rep.partner for c in report.basis.classes}
-    basis_searches = [p for ph, unbounded, p in searches if ph == "basis" and unbounded]
-    relation_searches = [p for ph, _, p in searches if ph == "relations"]
+    basis_searches = [p for ph, p in searches if ph == "basis"]
+    relation_searches = [p for ph, p in searches if ph == "relations"]
     term_walks = [p for ph, p in walks if ph == "relations"]
     assert len(reps) == 20
     assert basis_searches == []

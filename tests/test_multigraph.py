@@ -26,8 +26,6 @@ def test_theta_construction(theta):
 
 def test_dumbbell_construction(dumbbell):
     assert dumbbell.has_loop
-    assert dumbbell.loop_count(0) == 1
-    assert dumbbell.loop_count(1) == 1
 
 
 def test_malformed_pairings():
@@ -94,19 +92,21 @@ def test_enumerate_matches_naive_pairing_oracle(k, policy):
     [(k, pol) for k in (1, 2, 3) for pol in mg.TadpolePolicy]
     + [(4, mg.TadpolePolicy.EXCLUDE)],
 )
-def test_one_dfs_pairing_per_class_passes_bound(k, policy):
-    """The bounded search keeps a DFS pairing exactly when it is its own
-    minimal code, so each class reached by the DFS is kept once."""
+def test_full_length_tie_test_matches_exhaustive_reference(k, policy):
+    """On every DFS pairing the full-length tie test from scratch returns
+    None exactly when the exhaustive search finds a code below the pairing;
+    otherwise its states' dart maps are the exhaustive search's
+    automorphism group.  So each class reached by the DFS is kept once."""
     include = policy is mg.TadpolePolicy.INCLUDE
-    codes, kept = set(), []
+    kept = []
     for p in ref.pairing_dfs(k, include):
-        code = mg.canonical_code(mg.DartGraph(2 * k, p, True))
-        codes.add(code)
-        minimal = mg._min_code_maps(p, collect_all=False, bound=p) is not None
-        assert minimal == (p == code)
-        if minimal:
+        g = mg.DartGraph(2 * k, p, True)
+        ties = mg._prefix_ties(p, 6 * k, [], _seeds_from_scratch(p))
+        want = exhaustive_search.min_code_maps(g, collect_all=True, bound=p)
+        assert (ties is None) == (want is None)
+        if ties is not None:
+            assert sorted(t[2] for t in ties) == sorted(want[1])
             kept.append(p)
-    assert sorted(kept) == sorted(codes)
     assert sorted(kept) == [g.partner for g in mg.enumerate_trivalent(k, policy)]
 
 
@@ -201,67 +201,55 @@ def test_resumed_prefix_test_matches_test_from_scratch(monkeypatch, k, policy):
     + [(5, mg.TadpolePolicy.EXCLUDE)],
 )
 def test_enumerated_maps_give_the_automorphism_group(k, policy):
-    """The maps a kept pairing's complete leaf search collects generate the
-    same group a fresh search of the representative finds."""
-    for rep, maps in mg.enumerate_classes(k, policy):
-        assert mg.automorphism_group(maps) == mg.automorphisms(rep)
+    """The dart maps enumeration yields with a representative are the
+    automorphism group the exhaustive search finds, each once."""
+    for rep, autos in mg.enumerate_classes(k, policy):
+        want = [a.dart_perm for a in _reference_automorphisms(rep)]
+        assert sorted(map(tuple, autos)) == want
 
 
 @pytest.mark.parametrize(
     "k, policy, counts",
     [
-        (4, mg.TadpolePolicy.EXCLUDE, (149, 64, 37)),
-        (4, mg.TadpolePolicy.INCLUDE, (289, 114, 168)),
-        (5, mg.TadpolePolicy.EXCLUDE, (718, 303, 201)),
+        (4, mg.TadpolePolicy.EXCLUDE, (149, 64, 37, 17)),
+        (4, mg.TadpolePolicy.INCLUDE, (289, 114, 168, 97)),
+        (5, mg.TadpolePolicy.EXCLUDE, (718, 303, 201, 110)),
     ],
     ids=["k4-exclude", "k4-include", "k5-exclude"],
 )
 def test_enumeration_search_counts(monkeypatch, k, policy, counts):
-    """Enumeration cost without a clock: the exact numbers of prefix
-    tests (one per DFS node with two or more children, the root aside),
-    of prefixes cut and of bounded leaf searches (one per complete pairing
-    reached).  Nothing is canonicalized, so a return to leaf-only testing
-    or to canonicalizing every pairing fails here."""
+    """Enumeration cost without a clock: the exact numbers of inner prefix
+    tests (one per DFS node with two or more children, the root aside), of
+    those that cut, of full-length leaf tests (one per complete pairing
+    reached) and of those that cut.  Nothing is canonicalized and no
+    minimal-code search runs, so a return to leaf-only testing, to a
+    second leaf search or to canonicalizing every pairing fails here."""
     nd = 6 * k
-    prefixes, cuts, leaves = [], [], []
-    prefix_ties, min_code_maps = mg._prefix_ties, mg._min_code_maps
+    inner, leaves = [], []
+    prefix_ties = mg._prefix_ties
 
     def counted_test(partner, end, ties, fresh_seeds):
-        assert 0 < end < nd and -1 not in partner[:end]
+        assert 0 < end <= nd and -1 not in partner[:end]
         found = prefix_ties(partner, end, ties, fresh_seeds)
-        prefixes.append(end)
-        if found is None:
-            cuts.append(end)
+        (leaves if end == nd else inner).append((tuple(partner), found is None))
         return found
 
-    def counted_search(partner, collect_all, bound=None):
-        assert bound is not None and list(bound) == list(partner)
-        leaves.append(tuple(partner))
-        return min_code_maps(partner, collect_all, bound)
-
-    def refused(g):
+    def refused(*args):
         raise AssertionError("enumeration canonicalized a graph")
 
     monkeypatch.setattr(mg, "_prefix_ties", counted_test)
-    monkeypatch.setattr(mg, "_min_code_maps", counted_search)
+    monkeypatch.setattr(mg, "_min_code_maps", refused)
     monkeypatch.setattr(mg, "canonical_form", refused)
     monkeypatch.setattr(mg, "canonical_code", refused)
     classes = [g.partner for g in mg.enumerate_trivalent(k, policy)]
-    assert (len(prefixes), len(cuts), len(leaves)) == counts
-    assert set(classes) <= set(leaves)
-
-
-def test_min_code_bound_not_reached(theta, dumbbell):
-    # the dumbbell's minimal code lies below every code of the theta graph
-    low = mg.canonical_code(dumbbell)
-    assert low < mg.canonical_code(theta)
-    with pytest.raises(ValueError, match="not a code"):
-        mg._min_code_maps(theta.partner, collect_all=False, bound=low)
-    # a bound above the minimal code reports "not minimal"
-    assert (
-        mg._min_code_maps(dumbbell.partner, collect_all=False, bound=theta.partner)
-        is None
+    got = (
+        len(inner),
+        sum(cut for _, cut in inner),
+        len(leaves),
+        sum(cut for _, cut in leaves),
     )
+    assert got == counts
+    assert sorted(p for p, cut in leaves if not cut) == classes
 
 
 def _reference_automorphisms(g):
@@ -287,29 +275,19 @@ def _reference_cases():
 
 def test_pruned_search_matches_exhaustive_reference():
     """On random relabellings (k <= 4 both policies, a k=5 sample) the
-    automorphism-pruned search gives the exhaustive search's minimal code,
-    first witness map and sorted automorphism group; `canonize` gives the
-    same three from one search."""
+    automorphism-pruned search gives the exhaustive search's minimal code
+    and first witness map, and `automorphisms` its sorted automorphism
+    group; `canonize` gives the code, the witness and the canonical
+    graph's group."""
     for g in _reference_cases():
         code, maps = exhaustive_search.min_code_maps(g, collect_all=False)
         autos = _reference_automorphisms(g)
-        assert mg._min_code_maps(g.partner, collect_all=False) == (code, maps)
-        assert mg._min_code_maps(g.partner, collect_all=True)[1][0] == maps[0]
+        assert mg._min_code_maps(g.partner) == (code, maps[0])
         assert mg.automorphisms(g) == autos
         canon, wit, canon_autos = mg.canonize(g)
         assert (canon, wit) == mg.canonical_form(g)
         assert canon.partner == code
         assert canon_autos == _reference_automorphisms(canon)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
-def test_bounded_search_matches_exhaustive_reference(k, policy):
-    include = policy is mg.TadpolePolicy.INCLUDE
-    for p in ref.pairing_dfs(k, include):
-        g = mg.DartGraph(2 * k, p, True)
-        want = exhaustive_search.min_code_maps(g, collect_all=False, bound=p)
-        assert mg._min_code_maps(p, collect_all=False, bound=p) == want
 
 
 def _connected_pairings(k: int, include_loops: bool) -> int:

@@ -10,33 +10,43 @@ null.  A case is k followed by `e` (no loops) or `i` (loops included); the
 default cases are k=4..7 without loops and k=4..6 with them.
 
 Per case, from one enumeration:
-- `tested_nodes` and `cuts`: prefix tests run by the DFS and those that cut
-  (calls of `_prefix_ties`, or in a tree without it `_min_code_maps` calls
-  whose bound is shorter than the pairing, that return None);
-- `leaf_searches`: `_min_code_maps` calls with a complete bound;
-- `prefix_test_frames`: recursive frames of the prefix test as enumeration
-  runs it (`_prefix_ties.extend` resumed, or `_min_code_maps.search`);
-- `from_scratch_frames`: frames of `_prefix_ties.extend` when the same test
-  is called at the same nodes with no tie states and every seed fresh;
-- `tie_states`: states handed to tested nodes that pass (`given`), those
-  returned as the same object because their next dart is still unpaired
-  (`carried`), the rest, which were extended (`resumed`), and the most
-  returned by one node (`most_held`).
+- `tested_nodes` and `cuts`: inner prefix tests run by the DFS and those
+  that cut (calls of `_prefix_ties` on a partial pairing, or in a tree
+  without it `_min_code_maps` calls whose bound is shorter than the
+  pairing, that return None);
+- `leaf_tests` and `leaf_cuts`: tests of complete pairings and those that
+  find a smaller code (calls of `_prefix_ties` on all 6k darts, or in a
+  tree whose leaf runs the bounded search, `_min_code_maps` calls with a
+  complete bound, that return None);
+- `prefix_test_frames`: recursive frames of the inner prefix tests as
+  enumeration runs them (`_prefix_ties.extend` resumed, or
+  `_min_code_maps.search`);
+- `from_scratch_frames`: frames of `_prefix_ties.extend` when the same
+  inner test is called at the same nodes with no tie states and every seed
+  fresh;
+- `tie_states`: states handed to inner tested nodes that pass (`given`),
+  those returned as the same object because their next dart is still
+  unpaired (`carried`), the rest, which were extended (`resumed`), and the
+  most returned by one node (`most_held`).
 
 With `--time N` each case also gets the wall times of N further runs of
-`list(enumerate_trivalent(k, policy))`, uncounted, and their median.
+`list(enumerate_trivalent(k, policy))` and of `class_basis(k, odd,
+policy)`, uncounted, and their medians.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import sys
 import time
 
+from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom.multigraph import TadpolePolicy
+from trihom.orientation import Convention
 
 DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
 
@@ -76,17 +86,43 @@ def _seeds(partner):
     return loops or [v for v in range(nv) if partner[3 * v] != -1]
 
 
+def _bounded_leaf(min_code_maps):
+    """Whether enumeration ends each complete pairing with a bounded
+    minimal-code search rather than a full-length tie test."""
+    return "bound" in inspect.signature(min_code_maps).parameters
+
+
 def counters(k, policy):
     nd = 6 * k
     prefix_ties = getattr(mg, "_prefix_ties", None)
     min_code_maps = mg._min_code_maps
-    out = {"tested_nodes": 0, "cuts": 0, "leaf_searches": 0}
+    bounded_leaf = _bounded_leaf(min_code_maps)
+    out = {"tested_nodes": 0, "cuts": 0, "leaf_tests": 0, "leaf_cuts": 0}
     ties_seen = {"given": 0, "carried": 0, "most_held": 0}
+
+    def counted_search(partner, collect_all, bound=None):
+        # a tree with a bounded leaf: the search with a complete bound is
+        # the leaf test, a shorter bound (before `_prefix_ties`) an inner one
+        if len(bound) == nd:
+            out["leaf_tests"] += 1
+            found = min_code_maps(partner, collect_all, bound)
+            out["leaf_cuts"] += found is None
+            return found
+        found = resumed_frames.run(min_code_maps, partner, collect_all, bound)
+        out["tested_nodes"] += 1
+        out["cuts"] += found is None
+        return found
+
     if prefix_ties is not None:
         extend = _nested_code(prefix_ties, "extend")
         resumed_frames, scratch_frames = _Frames(extend), _Frames(extend)
 
         def counted_test(partner, end, ties, fresh_seeds):
+            if end == nd:
+                out["leaf_tests"] += 1
+                found = prefix_ties(partner, end, ties, fresh_seeds)
+                out["leaf_cuts"] += found is None
+                return found
             found = resumed_frames.run(prefix_ties, partner, end, ties, fresh_seeds)
             scratch_frames.run(prefix_ties, list(partner), end, [], _seeds(partner))
             out["tested_nodes"] += 1
@@ -99,24 +135,11 @@ def counters(k, policy):
                 ties_seen["most_held"] = max(ties_seen["most_held"], len(found))
             return found
 
-        def counted_search(partner, collect_all, bound=None):
-            out["leaf_searches"] += 1
-            return min_code_maps(partner, collect_all, bound)
-
-        mg._prefix_ties, mg._min_code_maps = counted_test, counted_search
+        mg._prefix_ties = counted_test
     else:
         resumed_frames = _Frames(_nested_code(min_code_maps, "search"))
         scratch_frames = None
-
-        def counted_search(partner, collect_all, bound=None):
-            if len(bound) == nd:
-                out["leaf_searches"] += 1
-                return min_code_maps(partner, collect_all, bound)
-            found = resumed_frames.run(min_code_maps, partner, collect_all, bound)
-            out["tested_nodes"] += 1
-            out["cuts"] += found is None
-            return found
-
+    if bounded_leaf:
         mg._min_code_maps = counted_search
     try:
         classes = sum(1 for _ in mg.enumerate_classes(k, policy))
@@ -148,12 +171,20 @@ def counters(k, policy):
 
 
 def wall_times(k, policy, runs):
-    walls = []
+    walls, bases = [], []
     for _ in range(runs):
         start = time.perf_counter()
         list(mg.enumerate_trivalent(k, policy))
         walls.append(round(time.perf_counter() - start, 4))
-    return {"wall_s": walls, "median_s": round(statistics.median(walls), 4)}
+        start = time.perf_counter()
+        hom.class_basis(k, Convention.ODD, policy)
+        bases.append(round(time.perf_counter() - start, 4))
+    return {
+        "wall_s": walls,
+        "median_s": round(statistics.median(walls), 4),
+        "class_basis_s": bases,
+        "class_basis_median_s": round(statistics.median(bases), 4),
+    }
 
 
 def _case(text):
