@@ -92,6 +92,28 @@ def test_enumerate_matches_naive_pairing_oracle(k, policy):
     [(k, pol) for k in (1, 2, 3) for pol in mg.TadpolePolicy]
     + [(4, mg.TadpolePolicy.EXCLUDE)],
 )
+def test_one_dfs_pairing_per_class_passes_bound(k, policy):
+    """The full-length tie test, bounded by the pairing itself, keeps a DFS
+    pairing exactly when it is its own minimal code, so each class reached
+    by the DFS is kept once."""
+    include = policy is mg.TadpolePolicy.INCLUDE
+    codes, kept = set(), []
+    for p in ref.pairing_dfs(k, include):
+        code = mg.canonical_code(mg.DartGraph(2 * k, p, True))
+        codes.add(code)
+        minimal = mg._prefix_ties(p, 6 * k, [], _seeds_from_scratch(p)) is not None
+        assert minimal == (p == code)
+        if minimal:
+            kept.append(p)
+    assert sorted(kept) == sorted(codes)
+    assert sorted(kept) == [g.partner for g in mg.enumerate_trivalent(k, policy)]
+
+
+@pytest.mark.parametrize(
+    "k, policy",
+    [(k, pol) for k in (1, 2, 3) for pol in mg.TadpolePolicy]
+    + [(4, mg.TadpolePolicy.EXCLUDE)],
+)
 def test_full_length_tie_test_matches_exhaustive_reference(k, policy):
     """On every DFS pairing the full-length tie test from scratch returns
     None exactly when the exhaustive search finds a code below the pairing;
@@ -288,6 +310,22 @@ def test_pruned_search_matches_exhaustive_reference():
         assert (canon, wit) == mg.canonical_form(g)
         assert canon.partner == code
         assert canon_autos == _reference_automorphisms(canon)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_bounded_search_matches_exhaustive_reference(k, policy):
+    """On every DFS pairing the exhaustive search bounded by the pairing
+    returns None exactly when the pruned minimal-code search finds a code
+    below it, and otherwise the pairing with the pruned search's witness."""
+    include = policy is mg.TadpolePolicy.INCLUDE
+    for p in ref.pairing_dfs(k, include):
+        g = mg.DartGraph(2 * k, p, True)
+        want = exhaustive_search.min_code_maps(g, collect_all=False, bound=p)
+        code, witness = mg._min_code_maps(p)
+        assert (want is None) == (code < tuple(p))
+        if want is not None:
+            assert want == (code, [witness])
 
 
 def _connected_pairings(k: int, include_loops: bool) -> int:
