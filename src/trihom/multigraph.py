@@ -2,8 +2,11 @@
 
 A graph on 2k vertices is stored as a fixed-point-free involution on the
 6k darts, with darts 3v, 3v+1, 3v+2 belonging to vertex v.  This module
-provides validation, isomorphism machinery, minimal-code canonical forms,
-isomorph-free enumeration, and the lookup of a graph among known codes.
+provides validation, isomorphism machinery, isomorph-free enumeration,
+and the lookup of a graph among known codes.  Three functions walk the same
+relabellings: `_min_code_ties` (canonical code, witness and automorphism
+group in one pass), `_prefix_ties` (enumeration's tie-state test) and
+`_trie_walk` (lookup).
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class DartGraph:
     """
 
     __slots__ = (
-        "num_vertices", "partner", "connected", "has_loop", "_edges", "_edge_of_dart"
+        "num_vertices", "partner", "connected", "has_loop", "_edges", "_edge_of_dart",
+        "_canonical",
     )
 
     def __init__(self, num_vertices: int, partner: Sequence[int], connected: bool):
@@ -63,6 +67,7 @@ class DartGraph:
             has_loop = has_loop or a // 3 == b // 3
         self._edge_of_dart = tuple(eod)
         self.has_loop = has_loop
+        self._canonical = False  # set where `partner` is known to be a minimal code
 
     @property
     def k(self) -> int:
@@ -220,67 +225,32 @@ def _seeds(partner: Sequence[int], nv: int) -> Sequence[int]:
     return loops or range(nv)
 
 
-def _min_code_maps(partner: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+def _min_code_ties(
+    partner: Sequence[int],
+) -> tuple[tuple[int, ...], list[list[int]]]:
     """Lexicographically least partner code over all relabellings of the
-    pairing `partner` (three darts per vertex), and the first dart map (old
-    dart -> new dart) in search order that achieves it.
+    pairing `partner` (three darts per vertex), and every dart map (old
+    dart -> new dart) that reaches it, in search order.  The first map is
+    the witness; composed with its inverse, the maps are the code's
+    automorphisms, each once.
 
     The search reveals vertices in discovery order.  Its branch points are
-    the seed vertex, the order of the seed's darts, and the order in which
-    a partially revealed vertex with two free darts exposes them; every
-    other slot is forced and filled in a loop.
-
-    Automorphism pruning (first-path pruning, after McKay & Piperno,
-    "Practical graph isomorphism II", J. Symb. Comput. 2014): a leaf whose
-    code equals the best one gives the automorphism best_map^-1 o map.  It
-    fixes the branch node where the two leaves' paths part and maps the
-    child on this leaf's path onto the child on the best leaf's path, whose
-    subtree is already searched, so the search goes back to that node and
-    on with its next child.  The first map reaching the minimal code is
-    never in a skipped subtree (its image there would be an earlier one).
+    the seed vertex (`_seeds`), the order of the seed's darts, and the
+    order in which a partially revealed vertex with two free darts exposes
+    them; every other slot is forced.  Each relabelling is compared slot by
+    slot with a running bound, the least code so far: one that goes above
+    it is dropped, one that goes below it replaces it from that slot on and
+    clears the maps collected, and one that reaches the end is kept.
     """
     nd = len(partner)
     nv = nd // 3
+    best: list[int] = []  # the bound; shorter while a new least code is written
+    maps: list[list[int]] = []
 
-    best: list[int] = []
-    best_map: list[int] = []
-    best_path: list = []
-    path: list = []  # branch choices from the root to the current node
-    code: list[int] = []
-
-    dmap = [-1] * nd  # old dart -> new slot
-    dinv = [-1] * nd  # new slot -> old dart
-    vmap = [-1] * nv  # old vertex -> new vertex
-    vinv = [-1] * nv  # new vertex -> old vertex
-
-    def search(pos: int, vnext: int, tight: bool) -> tuple[int, bool]:
-        """Search below the node that `path` leads to, whose code so far is
-        code[:pos].
-
-        Returns (back, improved).  `back` is the depth of the branch node
-        the search goes on from: len(path) - 1, the parent, unless an
-        automorphism sends it further up.  `improved` is True if a new best
-        was set below.  `tight` means code[:pos] == best[:pos], so a slot
-        above best[pos] prunes the node.  A new best shares the current
-        prefix, so the remaining siblings are compared against it again.
-        """
-        nonlocal best, best_map, best_path
-        depth = len(path)
-        start = pos
-        assigned: list[int] = []  # darts given a slot at this node
-        revealed: list[int] = []  # old vertices revealed at this node
-        back, improved = depth - 1, False
-        while True:
-            if pos == nd:
-                if not tight:
-                    best = code.copy()
-                    best_map, best_path = dmap.copy(), path.copy()
-                    improved = True
-                else:
-                    back = next(
-                        i for i, (a, b) in enumerate(zip(path, best_path)) if a != b
-                    )
-                break
+    def extend(pos: int, vnext: int, dmap, dinv, vmap, vinv) -> None:
+        """Follow a relabelling from slot `pos`, whose code so far is
+        best[:pos], on lists it owns."""
+        while pos < nd:
             x = dinv[pos]
             if x == -1:
                 # slot of a partially revealed vertex: a branch point when
@@ -288,84 +258,62 @@ def _min_code_maps(partner: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
                 w = vinv[pos // 3]
                 free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
                 if len(free) > 1:
-                    for y in free:
-                        dmap[y] = pos
-                        dinv[pos] = y
-                        path.append(y)
-                        child_back, child_improved = search(pos, vnext, tight)
-                        path.pop()
-                        dmap[y] = -1
-                        dinv[pos] = -1
-                        if child_improved:
-                            improved = tight = True
-                        if child_back < depth:
-                            back = child_back
-                            break
-                    break
+                    y, z = free
+                    d, i = dmap.copy(), dinv.copy()
+                    d[y], i[pos] = pos, y
+                    extend(pos, vnext, d, i, vmap.copy(), vinv.copy())
+                    dmap[z], dinv[pos] = pos, z
+                    extend(pos, vnext, dmap, dinv, vmap, vinv)
+                    return
                 x = free[0]
                 dmap[x] = pos
                 dinv[pos] = x
-                assigned.append(x)
             y = partner[x]
-            if dmap[y] != -1:
-                c = dmap[y]
-                reveal = -1
-            else:
+            c = dmap[y]
+            if c == -1:
                 w = y // 3
                 t = vmap[w]
                 if t == -1:
                     c = 3 * vnext
-                    reveal = w
                 else:
                     c = 3 * t
                     while dinv[c] != -1:
                         c += 1
-                    reveal = -1
-            if tight:
+            if pos < len(best):
                 if c > best[pos]:
-                    break
+                    return
                 if c < best[pos]:
-                    tight = False
-            if reveal != -1:
-                vmap[reveal] = vnext
-                vinv[vnext] = reveal
-                revealed.append(reveal)
-                vnext += 1
+                    del best[pos:]
+                    maps.clear()
+            if pos == len(best):
+                best.append(c)
             if dmap[y] == -1:
+                if t == -1:
+                    vmap[w] = vnext
+                    vinv[vnext] = w
+                    vnext += 1
                 dmap[y] = c
                 dinv[c] = y
-                assigned.append(y)
-            code.append(c)
             pos += 1
-        for d in assigned:
-            dinv[dmap[d]] = -1
-            dmap[d] = -1
-        for w in revealed:
-            vinv[vmap[w]] = -1
-            vmap[w] = -1
-        del code[start:]
-        return back, improved
+        maps.append(dmap)
 
-    for seed in _seeds(partner, nv):
-        path.append(seed)
-        vmap[seed] = 0
-        vinv[0] = seed
-        for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
-            path.append(order)
-            for i, d in enumerate(order):
-                dmap[d] = i
-                dinv[i] = d
-            back, _ = search(0, 1, bool(best))
-            for i, d in enumerate(order):
-                dmap[d] = -1
-                dinv[i] = -1
-            path.pop()
-            if back == 0:  # this seed's subtree maps onto an earlier one
-                break
-        vmap[seed] = -1
-        vinv[0] = -1
-        path.pop()
-    return tuple(best), best_map
+    try:
+        for seed in _seeds(partner, nv):
+            for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
+                dmap = [-1] * nd
+                dinv = [-1] * nd
+                vmap = [-1] * nv
+                vinv = [-1] * nv
+                for i, d in enumerate(order):
+                    dmap[d] = i
+                    dinv[i] = d
+                vmap[seed] = 0
+                vinv[0] = seed
+                extend(0, 1, dmap, dinv, vmap, vinv)
+        return tuple(best), maps
+    finally:
+        # break the closure's reference cycle, as in `_prefix_ties`
+        del extend
 
 
 def _prefix_ties(
@@ -379,7 +327,7 @@ def _prefix_ties(
 
     `partner` holds -1 for darts whose partner is not yet known; the darts
     below `end` are known (the orderly generator's partial pairings).  The
-    relabellings are those of `_min_code_maps`, and a relabelling's code
+    relabellings are those of `_min_code_ties`, and a relabelling's code
     counts only up to the first slot whose dart has an unknown partner.  A
     tie state (pos, vnext, dmap, dinv, vmap, vinv) is a partial relabelling
     whose code is partner[:pos] and which stopped at `end` or at a slot
@@ -520,16 +468,15 @@ def _trie_walk(
     from v, and v is not tried.  Returns the payload and the dart map (old
     dart -> new dart) at the first code found.
 
-    The walk follows the relabellings of `_min_code_maps` in the same
+    The walk follows the relabellings of `_min_code_ties` in the same
     order (seeds, the seed's dart orders, the order of a partially revealed
     vertex's two free darts) but goes down a branch only while its code so
-    far is a path of its seed's trie; there is no bound and no automorphism
-    pruning.  `_min_code_maps` reaches the minimal code on one of these
-    relabellings, so a code in the trie of that relabelling's seed is
-    always matched.  The search seeds only loop vertices when there are
-    loops; the walk leaves that to `roots`, since a relabelling from any
-    other seed puts a loopless vertex first and so matches no minimal code
-    of a graph with loops.
+    far is a path of its seed's trie; there is no bound.  `_min_code_ties`
+    reaches the minimal code on one of these relabellings, so a code in the
+    trie of that relabelling's seed is always matched.  The search seeds
+    only loop vertices when there are loops; the walk leaves that to
+    `roots`, since a relabelling from any other seed puts a loopless vertex
+    first and so matches no minimal code of a graph with loops.
     """
     nd = len(partner)
     nv = nd // 3
@@ -623,48 +570,49 @@ def _trie_walk(
     return None
 
 
-def _canonize_maps(
-    partner: Sequence[int],
-) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """The minimal code, the first witness map, and the code's automorphisms
-    as dart maps: the tie states of its full-length test from scratch."""
-    code, witness = _min_code_maps(partner)
-    nd = len(code)
-    ties = _prefix_ties(code, nd, [], _seeds(code, nd // 3))
-    return code, witness, [t[2] for t in ties]
+def _canonical_graph(
+    num_vertices: int, code: Sequence[int], connected: bool
+) -> DartGraph:
+    """The graph of a minimal code, marked so that `canonical_code` reads
+    the code off it instead of searching."""
+    canon = DartGraph(num_vertices, code, connected)
+    canon._canonical = True
+    return canon
 
 
 def canonical_form(g: DartGraph) -> tuple[DartGraph, Isomorphism]:
     """Canonical representative plus one witnessing isomorphism g -> canonical."""
-    code, witness = _min_code_maps(g.partner)
-    canon = DartGraph(g.num_vertices, code, g.connected)
-    return canon, Isomorphism.from_dart_map(witness)
+    code, maps = _min_code_ties(g.partner)
+    canon = _canonical_graph(g.num_vertices, code, g.connected)
+    return canon, Isomorphism.from_dart_map(maps[0])
 
 
 def canonize(g: DartGraph) -> tuple[DartGraph, Isomorphism, list[Isomorphism]]:
-    """Canonical representative, a witness g -> canonical, and the
-    automorphism group of the canonical graph sorted by dart map.  The
-    group is the canonical code's full-length tie test run from scratch."""
-    code, witness, group = _canonize_maps(g.partner)
-    canon = DartGraph(g.num_vertices, code, g.connected)
-    autos = [Isomorphism.from_dart_map(a) for a in sorted(group)]
-    return canon, Isomorphism.from_dart_map(witness), autos
+    """Canonical representative, a witness w: g -> canonical, and the
+    automorphism group of the canonical graph sorted by dart map: each map
+    t reaching the minimal code gives t o w^-1."""
+    code, maps = _min_code_ties(g.partner)
+    witness = Isomorphism.from_dart_map(maps[0])
+    w_inv = witness.inverse().dart_perm
+    group = sorted([t[d] for d in w_inv] for t in maps)
+    canon = _canonical_graph(g.num_vertices, code, g.connected)
+    return canon, witness, [Isomorphism.from_dart_map(a) for a in group]
 
 
 def canonical_code(g: DartGraph) -> tuple[int, ...]:
-    return _min_code_maps(g.partner)[0]
+    if g._canonical:
+        return g.partner
+    return _min_code_ties(g.partner)[0]
 
 
 def automorphisms(g: DartGraph) -> list[Isomorphism]:
     """The full automorphism group as dart-level maps (identity included),
-    sorted by dart map: the canonical code's group conjugated by the
-    witness w, each a becoming w^-1 o a o w."""
-    _, w, group = _canonize_maps(g.partner)
-    w_inv = [0] * len(w)
-    for d, c in enumerate(w):
-        w_inv[c] = d
-    conjugates = sorted([w_inv[a[c]] for c in w] for a in group)
-    return [Isomorphism.from_dart_map(a) for a in conjugates]
+    sorted by dart map: each map t reaching the minimal code, after the
+    inverse of the witness w, gives w^-1 o t."""
+    _, maps = _min_code_ties(g.partner)
+    w_inv = Isomorphism.from_dart_map(maps[0]).inverse().dart_perm
+    group = sorted([w_inv[c] for c in t] for t in maps)
+    return [Isomorphism.from_dart_map(a) for a in group]
 
 
 def enumerate_classes(
@@ -751,7 +699,7 @@ def enumerate_classes(
 
     rec(0, 1, [], ())
     for code, group in sorted(kept):
-        yield DartGraph(nv, code, True), group
+        yield _canonical_graph(nv, code, True), group
 
 
 def enumerate_trivalent(

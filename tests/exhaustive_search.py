@@ -1,7 +1,8 @@
-"""The exhaustive minimal-code search that `trihom.multigraph` used before
-automorphism pruning, kept as the reference the pruned search is compared
-against: same minimal code, same first witness map, and (from every map
-reaching that code) the same automorphism group.
+"""An exhaustive minimal-code search, written separately from
+`trihom.multigraph`, kept as the reference its search is compared against:
+the same minimal code and the same maps reaching it, in the same order (so
+the same first witness map and the same automorphism group), and the same
+verdict when a pairing is its own bound.
 """
 
 from __future__ import annotations

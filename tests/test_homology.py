@@ -378,12 +378,12 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     IHX terms whose pairing is not a class representative (the rest are
     found by their code)."""
     phase, searches, walks = ["basis"], [], []
-    min_code_maps, trie_walk = mg._min_code_maps, hom._trie_walk
+    min_code_ties, trie_walk = mg._min_code_ties, hom._trie_walk
     relation_matrix = hom.relation_matrix
 
     def counted_search(partner):
         searches.append((phase[0], tuple(partner)))
-        return min_code_maps(partner)
+        return min_code_ties(partner)
 
     def counted_walk(partner, roots):
         walks.append((phase[0], tuple(partner)))
@@ -393,7 +393,7 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
         phase[0] = "relations"
         return relation_matrix(basis)
 
-    monkeypatch.setattr(mg, "_min_code_maps", counted_search)
+    monkeypatch.setattr(mg, "_min_code_ties", counted_search)
     monkeypatch.setattr(hom, "_trie_walk", counted_walk)
     monkeypatch.setattr(hom, "relation_matrix", relations_phase)
     report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)

@@ -268,6 +268,31 @@ def test_cli_enumerate_bytes_pinned(k, tadpoles):
     assert digest == ENUMERATE_SHA256[k, tadpoles]
 
 
+def test_enumerate_jsonl_runs_no_canonical_search(monkeypatch, capsys, rng):
+    """`trihom enumerate --format jsonl` writes the code that each
+    enumerated representative carries and runs no minimal-code search; the
+    record of a relabelled representative is searched and still carries
+    its representative's code."""
+    searches = []
+    search = mg._min_code_ties
+
+    def counted(partner):
+        searches.append(tuple(partner))
+        return search(partner)
+
+    monkeypatch.setattr(mg, "_min_code_ties", counted)
+    argv = ["enumerate", "--k", "4", "--tadpoles", "include", "--format", "jsonl"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[4, "include"]
+    assert searches == []
+    reps = list(mg.enumerate_trivalent(3, mg.TadpolePolicy.INCLUDE))
+    for rep in reps:
+        g = mg.relabel(rep, mg.random_relabelling(rep, rng))
+        assert json.loads(gio.to_jsonl_record(g))["canonical_code"] == rep.code_str()
+    assert len(searches) == len(reps)
+
+
 # sha256 of `trihom dim --certify` stdout: a change of class order,
 # witness map or certificate changes the bytes.
 CERTIFY_SHA256 = {

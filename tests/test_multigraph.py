@@ -260,7 +260,7 @@ def test_enumeration_search_counts(monkeypatch, k, policy, counts):
         raise AssertionError("enumeration canonicalized a graph")
 
     monkeypatch.setattr(mg, "_prefix_ties", counted_test)
-    monkeypatch.setattr(mg, "_min_code_maps", refused)
+    monkeypatch.setattr(mg, "_min_code_ties", refused)
     monkeypatch.setattr(mg, "canonical_form", refused)
     monkeypatch.setattr(mg, "canonical_code", refused)
     classes = [g.partner for g in mg.enumerate_trivalent(k, policy)]
@@ -297,14 +297,14 @@ def _reference_cases():
 
 def test_pruned_search_matches_exhaustive_reference():
     """On random relabellings (k <= 4 both policies, a k=5 sample) the
-    automorphism-pruned search gives the exhaustive search's minimal code
-    and first witness map, and `automorphisms` its sorted automorphism
-    group; `canonize` gives the code, the witness and the canonical
-    graph's group."""
+    minimal-code search gives the exhaustive search's minimal code and every
+    map reaching it, in search order (the first is the witness), and
+    `automorphisms` its sorted automorphism group; `canonize` gives the
+    code, the witness and the canonical graph's group."""
     for g in _reference_cases():
-        code, maps = exhaustive_search.min_code_maps(g, collect_all=False)
+        code, maps = exhaustive_search.min_code_maps(g, collect_all=True)
         autos = _reference_automorphisms(g)
-        assert mg._min_code_maps(g.partner) == (code, maps[0])
+        assert mg._min_code_ties(g.partner) == (code, maps)
         assert mg.automorphisms(g) == autos
         canon, wit, canon_autos = mg.canonize(g)
         assert (canon, wit) == mg.canonical_form(g)
@@ -312,20 +312,44 @@ def test_pruned_search_matches_exhaustive_reference():
         assert canon_autos == _reference_automorphisms(canon)
 
 
+def test_canonize_and_automorphisms_search_once(monkeypatch, rng, k4, dumbbell):
+    """`canonize` and `automorphisms` read the code, the witness and the
+    group off one minimal-code search and run no tie-state test; a graph
+    that `canonize` or `canonical_form` returns gives its code unsearched."""
+    searches = []
+    search = mg._min_code_ties
+
+    def counted(partner):
+        searches.append(tuple(partner))
+        return search(partner)
+
+    def refused(*args):
+        raise AssertionError("ran the enumeration's tie-state test")
+
+    monkeypatch.setattr(mg, "_min_code_ties", counted)
+    monkeypatch.setattr(mg, "_prefix_ties", refused)
+    graphs = [mg.relabel(g, mg.random_relabelling(g, rng)) for g in (k4, dumbbell)]
+    for g, order in zip(graphs, (24, 8)):
+        canon, _, group = mg.canonize(g)
+        assert len(group) == len(mg.automorphisms(g)) == order
+        assert mg.canonical_code(canon) == mg.canonical_code(mg.canonical_form(g)[0])
+    assert searches == [g.partner for g in graphs for _ in range(3)]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
 def test_bounded_search_matches_exhaustive_reference(k, policy):
     """On every DFS pairing the exhaustive search bounded by the pairing
-    returns None exactly when the pruned minimal-code search finds a code
-    below it, and otherwise the pairing with the pruned search's witness."""
+    returns None exactly when the minimal-code search finds a code below
+    it, and otherwise the pairing with that search's witness."""
     include = policy is mg.TadpolePolicy.INCLUDE
     for p in ref.pairing_dfs(k, include):
         g = mg.DartGraph(2 * k, p, True)
         want = exhaustive_search.min_code_maps(g, collect_all=False, bound=p)
-        code, witness = mg._min_code_maps(p)
+        code, maps = mg._min_code_ties(p)
         assert (want is None) == (code < tuple(p))
         if want is not None:
-            assert want == (code, [witness])
+            assert want == (code, maps[:1])
 
 
 def _connected_pairings(k: int, include_loops: bool) -> int:

@@ -4,23 +4,19 @@
 
 Everything is counted from outside the program, by replacing module
 attributes with counting wrappers and by a profile hook on nested function
-frames, so the same script measures any checkout put on PYTHONPATH.  Figures
-that a checkout's code does not have (a tree without `_prefix_ties`) read
-null.  A case is k followed by `e` (no loops) or `i` (loops included); the
-default cases are k=4..7 without loops and k=4..6 with them.
+frames, so the same script measures any checkout put on PYTHONPATH that
+has `_prefix_ties`.  A case is k followed by `e` (no loops) or `i` (loops
+included); the default cases are k=4..7 without loops and k=4..6 with
+them.
 
 Per case, from one enumeration:
 - `tested_nodes` and `cuts`: inner prefix tests run by the DFS and those
-  that cut (calls of `_prefix_ties` on a partial pairing, or in a tree
-  without it `_min_code_maps` calls whose bound is shorter than the
-  pairing, that return None);
+  that cut (calls of `_prefix_ties` on a partial pairing that return None);
 - `leaf_tests` and `leaf_cuts`: tests of complete pairings and those that
-  find a smaller code (calls of `_prefix_ties` on all 6k darts, or in a
-  tree whose leaf runs the bounded search, `_min_code_maps` calls with a
-  complete bound, that return None);
+  find a smaller code (calls of `_prefix_ties` on all 6k darts that return
+  None);
 - `prefix_test_frames`: recursive frames of the inner prefix tests as
-  enumeration runs them (`_prefix_ties.extend` resumed, or
-  `_min_code_maps.search`);
+  enumeration runs them (`_prefix_ties.extend` resumed);
 - `from_scratch_frames`: frames of `_prefix_ties.extend` when the same
   inner test is called at the same nodes with no tie states and every seed
   fresh;
@@ -37,7 +33,6 @@ policy)`, uncounted, and their medians.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import statistics
 import sys
@@ -53,8 +48,6 @@ DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
 
 def _nested_code(fn, name):
     """The code object of the function `name` defined inside `fn`."""
-    if fn is None:
-        return None
     return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
 
 
@@ -86,87 +79,50 @@ def _seeds(partner):
     return loops or [v for v in range(nv) if partner[3 * v] != -1]
 
 
-def _bounded_leaf(min_code_maps):
-    """Whether enumeration ends each complete pairing with a bounded
-    minimal-code search rather than a full-length tie test."""
-    return "bound" in inspect.signature(min_code_maps).parameters
-
-
 def counters(k, policy):
     nd = 6 * k
-    prefix_ties = getattr(mg, "_prefix_ties", None)
-    min_code_maps = mg._min_code_maps
-    bounded_leaf = _bounded_leaf(min_code_maps)
+    prefix_ties = mg._prefix_ties
+    extend = _nested_code(prefix_ties, "extend")
+    resumed_frames, scratch_frames = _Frames(extend), _Frames(extend)
     out = {"tested_nodes": 0, "cuts": 0, "leaf_tests": 0, "leaf_cuts": 0}
     ties_seen = {"given": 0, "carried": 0, "most_held": 0}
 
-    def counted_search(partner, collect_all, bound=None):
-        # a tree with a bounded leaf: the search with a complete bound is
-        # the leaf test, a shorter bound (before `_prefix_ties`) an inner one
-        if len(bound) == nd:
+    def counted_test(partner, end, ties, fresh_seeds):
+        if end == nd:
             out["leaf_tests"] += 1
-            found = min_code_maps(partner, collect_all, bound)
+            found = prefix_ties(partner, end, ties, fresh_seeds)
             out["leaf_cuts"] += found is None
             return found
-        found = resumed_frames.run(min_code_maps, partner, collect_all, bound)
+        found = resumed_frames.run(prefix_ties, partner, end, ties, fresh_seeds)
+        scratch_frames.run(prefix_ties, list(partner), end, [], _seeds(partner))
         out["tested_nodes"] += 1
-        out["cuts"] += found is None
+        if found is None:
+            out["cuts"] += 1
+        else:
+            ties_seen["given"] += len(ties)
+            same = {id(t) for t in ties}
+            ties_seen["carried"] += sum(id(t) in same for t in found)
+            ties_seen["most_held"] = max(ties_seen["most_held"], len(found))
         return found
 
-    if prefix_ties is not None:
-        extend = _nested_code(prefix_ties, "extend")
-        resumed_frames, scratch_frames = _Frames(extend), _Frames(extend)
-
-        def counted_test(partner, end, ties, fresh_seeds):
-            if end == nd:
-                out["leaf_tests"] += 1
-                found = prefix_ties(partner, end, ties, fresh_seeds)
-                out["leaf_cuts"] += found is None
-                return found
-            found = resumed_frames.run(prefix_ties, partner, end, ties, fresh_seeds)
-            scratch_frames.run(prefix_ties, list(partner), end, [], _seeds(partner))
-            out["tested_nodes"] += 1
-            if found is None:
-                out["cuts"] += 1
-            else:
-                ties_seen["given"] += len(ties)
-                same = {id(t) for t in ties}
-                ties_seen["carried"] += sum(id(t) in same for t in found)
-                ties_seen["most_held"] = max(ties_seen["most_held"], len(found))
-            return found
-
-        mg._prefix_ties = counted_test
-    else:
-        resumed_frames = _Frames(_nested_code(min_code_maps, "search"))
-        scratch_frames = None
-    if bounded_leaf:
-        mg._min_code_maps = counted_search
+    mg._prefix_ties = counted_test
     try:
         classes = sum(1 for _ in mg.enumerate_classes(k, policy))
     finally:
-        mg._min_code_maps = min_code_maps
-        if prefix_ties is not None:
-            mg._prefix_ties = prefix_ties
+        mg._prefix_ties = prefix_ties
+    given, carried = ties_seen["given"], ties_seen["carried"]
     out["classes"] = classes
     out["prefix_test_frames"] = {
-        "function": "_prefix_ties.extend"
-        if prefix_ties is not None
-        else "_min_code_maps.search",
+        "function": "_prefix_ties.extend",
         "frames": resumed_frames.count,
     }
-    out["from_scratch_frames"] = (
-        None if scratch_frames is None else scratch_frames.count
-    )
-    if prefix_ties is None:
-        out["tie_states"] = None
-    else:
-        given, carried = ties_seen["given"], ties_seen["carried"]
-        out["tie_states"] = {
-            "given": given,
-            "carried": carried,
-            "resumed": given - carried,
-            "most_held": ties_seen["most_held"],
-        }
+    out["from_scratch_frames"] = scratch_frames.count
+    out["tie_states"] = {
+        "given": given,
+        "carried": carried,
+        "resumed": given - carried,
+        "most_held": ties_seen["most_held"],
+    }
     return out
 
 

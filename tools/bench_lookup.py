@@ -9,15 +9,15 @@ that a checkout's code does not have (a tree without the trie walk) read
 null.
 
 - `relations`: for k=4, 5 (and 6 with --k6) odd without loops, the
-  `orientation.cycle_basis` calls made by `class_basis`, the
-  `_min_code_maps` calls and trie walks made inside `relation_matrix`, the
+  `_min_code_ties` calls and trie walks made inside `relation_matrix`, the
   matrix shape, rank and dimension, and `relation_matrix` wall times over
   `--repeats` further runs on the same basis, uncounted.
 - `frames`: 2,000 random relabellings of the k=4 classes without loops (100
   per class): recursive frames of the min-code search behind
-  `canonical_form` and of the trie walk behind `ClassTable.find`, per lookup,
-  and the seeds each starts per lookup (the distinct values of the outer
-  function's `seed` loop variable at its calls of the recursive one).
+  `canonical_form` (`_min_code_ties.extend`) and of the trie walk behind
+  `ClassTable.find`, per lookup, and the seeds each starts per lookup (the
+  distinct values of the outer function's `seed` loop variable at its
+  calls of the recursive one).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import time
 from trihom import exactla
 from trihom import homology as hom
 from trihom import multigraph as mg
-from trihom import orientation as ori
 from trihom.multigraph import TadpolePolicy
 from trihom.orientation import Convention
 
@@ -99,9 +98,8 @@ def _frames(fn, code, call):
 
 
 def relations(k, repeats):
-    with _Counted(ori, "cycle_basis") as cycles:
-        basis = hom.class_basis(k, Convention.ODD, TadpolePolicy.EXCLUDE)
-    with _Counted(mg, "_min_code_maps") as searches, _Counted(hom, "_trie_walk") as walks:
+    basis = hom.class_basis(k, Convention.ODD, TadpolePolicy.EXCLUDE)
+    with _Counted(mg, "_min_code_ties") as searches, _Counted(hom, "_trie_walk") as walks:
         rel = hom.relation_matrix(basis)
     walls = []
     for _ in range(repeats):
@@ -116,10 +114,9 @@ def relations(k, repeats):
         "rows": rel.matrix.num_rows,
         "rank": rank,
         "dimension": basis.num_generators - rank,
-        "min_code_maps_calls_in_relation_matrix": searches.count,
+        "min_code_ties_calls_in_relation_matrix": searches.count,
         "trie_walks_in_relation_matrix": walks.count,
         "relation_matrix_wall_s": walls,
-        "cycle_basis_calls_in_class_basis": cycles.count,
     }
 
 
@@ -131,9 +128,9 @@ def frames(n_per_class=100):
         for c in basis.classes
         for _ in range(n_per_class)
     ]
-    search = _nested_code(mg._min_code_maps, "search")
+    search = _nested_code(mg._min_code_ties, "extend")
     search_frames, search_seeds = _frames(
-        mg._min_code_maps, search, lambda: [mg.canonical_form(g) for g in graphs]
+        mg._min_code_ties, search, lambda: [mg.canonical_form(g) for g in graphs]
     )
     trie_walk = getattr(mg, "_trie_walk", None)
     walk = _nested_code(trie_walk, "walk")
