@@ -130,9 +130,9 @@ def _emit_report(args, doc: dict) -> None:
 
 def cmd_plan(args) -> int:
     try:
-        with open(args.graph) as fh:
+        with open(args.graph, encoding="utf-8") as fh:
             g = gio.from_graph_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read graph file: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (MalformedPairing, NotTrivalent, NotConnected) as exc:

@@ -44,6 +44,10 @@ def from_graph_text(text: str) -> DartGraph:
         raise MalformedPairing("missing `k` header line")
     if k < 1:
         raise MalformedPairing(f"k must be >= 1, got {k}")
+    # a trivalent graph on 2k vertices has 3k edges, loops included; checked
+    # first so that a large `k` header allocates nothing
+    if len(pairs) != 3 * k:
+        raise MalformedPairing(f"k {k} needs {3 * k} edge lines, got {len(pairs)}")
     return from_pairing(2 * k, pairs)
 
 

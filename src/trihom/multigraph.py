@@ -3,10 +3,10 @@
 A graph on 2k vertices is stored as a fixed-point-free involution on the
 6k darts, with darts 3v, 3v+1, 3v+2 belonging to vertex v.  This module
 provides validation, isomorphism machinery, isomorph-free enumeration,
-and the lookup of a graph among known codes.  Three functions walk the same
-relabellings: `_min_code_ties` (canonical code, witness and automorphism
-group in one pass), `_prefix_ties` (enumeration's tie-state test) and
-`_trie_walk` (lookup).
+and the lookup of a graph among known codes.  Two functions walk the same
+relabellings: `_prefix_ties` (enumeration's tie-state test and, with a
+running bound, the canonical code, witness and automorphism group in one
+pass) and `_trie_walk` (lookup, which prunes by a trie of codes).
 """
 
 from __future__ import annotations
@@ -225,95 +225,15 @@ def _seeds(partner: Sequence[int], nv: int) -> Sequence[int]:
     return loops or range(nv)
 
 
-def _min_code_ties(
-    partner: Sequence[int],
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Lexicographically least partner code over all relabellings of the
-    pairing `partner` (three darts per vertex), and every dart map (old
-    dart -> new dart) that reaches it, in search order.  The first map is
-    the witness; composed with its inverse, the maps are the code's
-    automorphisms, each once.
-
-    The search reveals vertices in discovery order.  Its branch points are
-    the seed vertex (`_seeds`), the order of the seed's darts, and the
-    order in which a partially revealed vertex with two free darts exposes
-    them; every other slot is forced.  Each relabelling is compared slot by
-    slot with a running bound, the least code so far: one that goes above
-    it is dropped, one that goes below it replaces it from that slot on and
-    clears the maps collected, and one that reaches the end is kept.
-    """
+def _min_code_ties(partner: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The least code over all relabellings of the pairing `partner`, and
+    every dart map (old dart -> new dart) reaching it in search order: the
+    first is the witness, and composed with its inverse they are the
+    code's automorphisms, each once.  One running-bound `_prefix_ties`."""
     nd = len(partner)
-    nv = nd // 3
-    best: list[int] = []  # the bound; shorter while a new least code is written
-    maps: list[list[int]] = []
-
-    def extend(pos: int, vnext: int, dmap, dinv, vmap, vinv) -> None:
-        """Follow a relabelling from slot `pos`, whose code so far is
-        best[:pos], on lists it owns."""
-        while pos < nd:
-            x = dinv[pos]
-            if x == -1:
-                # slot of a partially revealed vertex: a branch point when
-                # two of its darts are free
-                w = vinv[pos // 3]
-                free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
-                if len(free) > 1:
-                    y, z = free
-                    d, i = dmap.copy(), dinv.copy()
-                    d[y], i[pos] = pos, y
-                    extend(pos, vnext, d, i, vmap.copy(), vinv.copy())
-                    dmap[z], dinv[pos] = pos, z
-                    extend(pos, vnext, dmap, dinv, vmap, vinv)
-                    return
-                x = free[0]
-                dmap[x] = pos
-                dinv[pos] = x
-            y = partner[x]
-            c = dmap[y]
-            if c == -1:
-                w = y // 3
-                t = vmap[w]
-                if t == -1:
-                    c = 3 * vnext
-                else:
-                    c = 3 * t
-                    while dinv[c] != -1:
-                        c += 1
-            if pos < len(best):
-                if c > best[pos]:
-                    return
-                if c < best[pos]:
-                    del best[pos:]
-                    maps.clear()
-            if pos == len(best):
-                best.append(c)
-            if dmap[y] == -1:
-                if t == -1:
-                    vmap[w] = vnext
-                    vinv[vnext] = w
-                    vnext += 1
-                dmap[y] = c
-                dinv[c] = y
-            pos += 1
-        maps.append(dmap)
-
-    try:
-        for seed in _seeds(partner, nv):
-            for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
-                dmap = [-1] * nd
-                dinv = [-1] * nd
-                vmap = [-1] * nv
-                vinv = [-1] * nv
-                for i, d in enumerate(order):
-                    dmap[d] = i
-                    dinv[i] = d
-                vmap[seed] = 0
-                vinv[0] = seed
-                extend(0, 1, dmap, dinv, vmap, vinv)
-        return tuple(best), maps
-    finally:
-        # break the closure's reference cycle, as in `_prefix_ties`
-        del extend
+    bound = [nd] * nd
+    states = _prefix_ties(partner, nd, (), _seeds(partner, nd // 3), bound)
+    return tuple(bound), [s[2] for s in states]
 
 
 def _prefix_ties(
@@ -321,39 +241,50 @@ def _prefix_ties(
     end: int,
     ties: Sequence[tuple],
     fresh_seeds: Iterable[int],
+    bound: list[int] | None = None,
 ) -> list[tuple] | None:
     """The relabellings of a partial pairing that tie the bound
     partner[:end], or None if one gives a code strictly below it.
 
-    `partner` holds -1 for darts whose partner is not yet known; the darts
-    below `end` are known (the orderly generator's partial pairings).  The
-    relabellings are those of `_min_code_ties`, and a relabelling's code
-    counts only up to the first slot whose dart has an unknown partner.  A
-    tie state (pos, vnext, dmap, dinv, vmap, vinv) is a partial relabelling
-    whose code is partner[:pos] and which stopped at `end` or at a slot
-    whose dart has no known partner; `vinv[0]` is its seed.  So None means
-    every completion of `partner` has a code below its own.
+    The relabellings reveal vertices in discovery order; their branch
+    points are the seed, the order of the seed's darts and the order in
+    which a partially revealed vertex exposes its two free darts.  Each is
+    compared with the bound slot by slot and dropped when it goes above.
+    `partner` holds -1 for darts whose partner is not yet known (the
+    orderly generator's partial pairings); a code counts only up to the
+    first slot whose dart has an unknown partner.  A tie state (pos, vnext,
+    dmap, dinv, vmap, vinv) is a partial relabelling whose code is
+    partner[:pos] and which stopped at `end` or at such a slot; `vinv[0]`
+    is its seed.  So None means every completion of `partner` has a code
+    below its own.
 
-    The search starts from each order of each seed's darts in
-    `fresh_seeds` and resumes each state in `ties`.  Tie states of a
-    shorter bound of a pairing that `partner` extends are enough: a code
-    that went above or below that bound before its first unknown partner
-    still does, so only the relabellings that tied it can change the
-    verdict.  A state whose next dart still has no partner is returned as
-    the same object; no state is changed in place.
+    The search starts each order of each seed's darts in `fresh_seeds` and
+    resumes each state in `ties`.  The tie states of a shorter bound that
+    `partner` extends are enough: a code that went above or below it
+    before its first unknown partner still does.  A state whose next dart
+    still has no partner is returned as the same object; no state is
+    changed in place.  On a complete pairing with every seed of `_seeds`
+    started or resumed, None means some relabelling has a smaller code,
+    and otherwise the states' `dmap`s are the pairing's automorphisms.
 
-    On a complete pairing (`end` = len(partner)) with every seed of
-    `_seeds` started or resumed, None means some relabelling has a smaller
-    code, and otherwise the states are the relabellings that reproduce the
-    code: their `dmap`s are the pairing's automorphisms, each once.
+    Given `bound`, a list of len(partner) slots, the search compares with
+    it instead and lowers it in place: a code below it rewrites it from
+    that slot on (later slots reset to len(partner), above every dart) and
+    clears the states found, so `bound` ends as the least code and the
+    states are those that reach it.  `_trie_walk` keeps its own walk: its
+    bound is a set of codes in a trie, it stops at the first match and it
+    undoes in place rather than copy at branches, so folding it in would
+    add a per-slot branch to this loop, which enumeration runs hottest.
     """
     nd = len(partner)
     nv = nd // 3
+    ref = partner if bound is None else bound
     found: list[tuple] = []
 
     def extend(pos: int, vnext: int, dmap, dinv, vmap, vinv) -> bool:
         """Follow a relabelling from slot `pos`, whose code so far ties the
-        bound, on lists it owns; False if its code falls below the bound."""
+        bound, on lists it owns; False if its code falls below a fixed
+        bound."""
         while pos < end:
             x = dinv[pos]
             if x == -1:
@@ -385,8 +316,15 @@ def _prefix_ties(
                     c = 3 * t
                     while dinv[c] != -1:
                         c += 1
-            if c != partner[pos]:
-                return c > partner[pos]
+            b = ref[pos]
+            if c != b:
+                if c > b or bound is None:
+                    return c > b
+                # a new least code; clear the old one's later slots
+                bound[pos] = c
+                if b != nd:
+                    bound[pos + 1 :] = [nd] * (end - pos - 1)
+                found.clear()
             if dmap[y] == -1:
                 if t == -1:
                     vmap[w] = vnext
@@ -468,15 +406,14 @@ def _trie_walk(
     from v, and v is not tried.  Returns the payload and the dart map (old
     dart -> new dart) at the first code found.
 
-    The walk follows the relabellings of `_min_code_ties` in the same
-    order (seeds, the seed's dart orders, the order of a partially revealed
-    vertex's two free darts) but goes down a branch only while its code so
-    far is a path of its seed's trie; there is no bound.  `_min_code_ties`
-    reaches the minimal code on one of these relabellings, so a code in the
-    trie of that relabelling's seed is always matched.  The search seeds
-    only loop vertices when there are loops; the walk leaves that to
-    `roots`, since a relabelling from any other seed puts a loopless vertex
-    first and so matches no minimal code of a graph with loops.
+    The walk follows the relabellings of `_prefix_ties` in the same order
+    but goes down a branch only while its code so far is a path of its
+    seed's trie (why it is a walk of its own is said there).  The minimal
+    code is reached on one of these relabellings, so a code in the trie of
+    that relabelling's seed is always matched.  The search seeds only loop
+    vertices when there are loops; the walk leaves that to `roots`, since
+    a relabelling from any other seed puts a loopless vertex first and so
+    matches no minimal code of a graph with loops.
     """
     nd = len(partner)
     nv = nd // 3

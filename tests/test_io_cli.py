@@ -37,6 +37,12 @@ def test_graph_text_comments_and_errors():
         gio.from_graph_text("k 1\nq 0 3\n")
     with pytest.raises(MalformedPairing):
         gio.from_graph_text("k 0\n")
+    with pytest.raises(MalformedPairing, match="needs 3 edge lines, got 2"):
+        gio.from_graph_text("k 1\ne 0 3\ne 1 4\n")
+    # the edge count is checked before any dart array is built, so a huge
+    # `k` fails at once instead of asking for memory
+    with pytest.raises(MalformedPairing, match="needs 3000000000000000 edge"):
+        gio.from_graph_text("k 1000000000000000\n")
 
 
 def test_dot_and_jsonl(theta):
@@ -157,6 +163,12 @@ def test_cli_plan(tmp_path, theta):
 
     out = run_cli("plan", "--graph", str(tmp_path / "missing.g"), "--ambient-dim", "4")
     assert out.returncode == 2
+
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"\xff\xfe\x00bad")  # not UTF-8 text
+    out = run_cli("plan", "--graph", str(bad), "--ambient-dim", "4")
+    assert out.returncode == 2
+    assert "cannot read graph file" in out.stderr
 
 
 def test_cli_plan_k4_json(tmp_path, k4):

@@ -313,27 +313,30 @@ def test_pruned_search_matches_exhaustive_reference():
 
 
 def test_canonize_and_automorphisms_search_once(monkeypatch, rng, k4, dumbbell):
-    """`canonize` and `automorphisms` read the code, the witness and the
-    group off one minimal-code search and run no tie-state test; a graph
-    that `canonize` or `canonical_form` returns gives its code unsearched."""
-    searches = []
-    search = mg._min_code_ties
+    """`canonize`, `automorphisms` and `canonical_form` each read the code,
+    the witness and the group off one minimal-code search, which is one
+    tie walk of the whole pairing; a graph that `canonize` or
+    `canonical_form` returns gives its code unsearched."""
+    searches, walks = [], []
+    search, walk = mg._min_code_ties, mg._prefix_ties
 
     def counted(partner):
         searches.append(tuple(partner))
         return search(partner)
 
-    def refused(*args):
-        raise AssertionError("ran the enumeration's tie-state test")
+    def counted_walk(partner, end, *args):
+        walks.append((tuple(partner), end))
+        return walk(partner, end, *args)
 
     monkeypatch.setattr(mg, "_min_code_ties", counted)
-    monkeypatch.setattr(mg, "_prefix_ties", refused)
+    monkeypatch.setattr(mg, "_prefix_ties", counted_walk)
     graphs = [mg.relabel(g, mg.random_relabelling(g, rng)) for g in (k4, dumbbell)]
     for g, order in zip(graphs, (24, 8)):
         canon, _, group = mg.canonize(g)
         assert len(group) == len(mg.automorphisms(g)) == order
         assert mg.canonical_code(canon) == mg.canonical_code(mg.canonical_form(g)[0])
     assert searches == [g.partner for g in graphs for _ in range(3)]
+    assert walks == [(g.partner, g.num_darts) for g in graphs for _ in range(3)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

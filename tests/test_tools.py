@@ -1,0 +1,80 @@
+"""The bench tools run against this tree and report their machine-free
+counters unchanged.
+
+`tools/bench_enum.py` and `tools/bench_lookup.py` reach into private
+functions of `trihom.multigraph` (their nested recursive walks), so a
+refactor of the relabelling walks can break them without any other test
+failing.  The counters pinned here are the figures the search has had
+since the tie-state test and the trie lookup; a change to the relabelling
+order or to the pruning changes them on purpose and must update them.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run_tool(name, *args):
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_bench_enum_counters():
+    rows = _run_tool("bench_enum.py", "--cases", "4e,4i")
+    got = {
+        (r["k"], r["policy"]): (
+            r["tested_nodes"],
+            r["cuts"],
+            r["leaf_tests"],
+            r["leaf_cuts"],
+            r["prefix_test_frames"]["frames"],
+            r["from_scratch_frames"],
+            r["tie_states"],
+        )
+        for r in rows
+    }
+    assert got == {
+        (4, "exclude"): (
+            149, 64, 37, 17, 3245, 8342,
+            {"given": 2863, "carried": 1573, "resumed": 1290, "most_held": 82},
+        ),
+        (4, "include"): (
+            289, 114, 168, 97, 5634, 14091,
+            {"given": 4248, "carried": 1903, "resumed": 2345, "most_held": 82},
+        ),
+    }
+
+
+def test_bench_lookup_counters():
+    out = _run_tool("bench_lookup.py", "--repeats", "0")
+    assert out["frames"] == {
+        "lookups": 2000,
+        "search_frames_per_lookup": 228.71,
+        "search_seeds_per_lookup": 8.0,
+        "walk_frames_per_lookup": 8.88,
+        "walk_seeds_per_lookup": 1.07,
+    }
+    relations = {
+        r["k"]: (
+            r["trie_walks_in_relation_matrix"],
+            r["min_code_ties_calls_in_relation_matrix"],
+        )
+        for r in out["relations"]
+    }
+    assert relations == {4: (268, 0), 5: (1311, 0)}

@@ -13,11 +13,11 @@ null.
   matrix shape, rank and dimension, and `relation_matrix` wall times over
   `--repeats` further runs on the same basis, uncounted.
 - `frames`: 2,000 random relabellings of the k=4 classes without loops (100
-  per class): recursive frames of the min-code search behind
-  `canonical_form` (`_min_code_ties.extend`) and of the trie walk behind
-  `ClassTable.find`, per lookup, and the seeds each starts per lookup (the
-  distinct values of the outer function's `seed` loop variable at its
-  calls of the recursive one).
+  per class): recursive frames of the tie walk that the min-code search
+  behind `canonical_form` runs (`_prefix_ties.extend`) and of the trie walk
+  behind `ClassTable.find`, per lookup, and the seeds each starts per
+  lookup (the distinct values of the outer function's `seed` loop
+  variable at its calls of the recursive one).
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ def frames(n_per_class=100):
         for c in basis.classes
         for _ in range(n_per_class)
     ]
-    search = _nested_code(mg._min_code_ties, "extend")
+    search = _nested_code(mg._prefix_ties, "extend")
     search_frames, search_seeds = _frames(
-        mg._min_code_ties, search, lambda: [mg.canonical_form(g) for g in graphs]
+        mg._prefix_ties, search, lambda: [mg.canonical_form(g) for g in graphs]
     )
     trie_walk = getattr(mg, "_trie_walk", None)
     walk = _nested_code(trie_walk, "walk")
