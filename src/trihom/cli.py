@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import homology, io as gio, oracle, surgery
+from . import homology, io as gio, surgery
 from .errors import (
     BadEnvironment,
     DimensionTooSmall,
@@ -102,6 +102,8 @@ def cmd_dim(args) -> int:
             certs.append(cert.to_json())
         doc["certificates"] = certs
     if args.oracle_check:
+        from . import oracle  # numpy and scipy load only for the check
+
         try:
             orc = oracle.brute_dimension(args.k, convention, policy)
         except UnknownClass as exc:

@@ -1,8 +1,9 @@
 """Exact sparse integer/rational linear algebra.
 
-Everything here is exact: nullspaces, solves and ranks come from one
-tracked Fraction elimination, gated by `AK_MAX_MATRIX`, and modular ranks
-serve as an independent cross-check.  No floating point.
+Everything here is exact: one tracked Fraction elimination of Mᵀ, gated by
+`AK_MAX_MATRIX`, gives M's rank and left nullspace of Mᵀ and solves
+x M = target, and modular ranks serve as an independent cross-check.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -225,13 +226,8 @@ def _reduce_rows_tracked(m: SparseIntMatrix) -> Echelon:
 def left_nullspace(m: SparseIntMatrix) -> list[list[Fraction]]:
     """Basis of {y : y M = 0}, as dense Fraction vectors of length num_rows."""
     _, zero_combos = _reduce_rows_tracked(m)
-    out = []
-    for combo in zero_combos:
-        vec = [Fraction(0)] * m.num_rows
-        for i, v in combo.items():
-            vec[i] = v
-        out.append(vec)
-    return out
+    zero = Fraction(0)
+    return [[f.get(i, zero) for i in range(m.num_rows)] for f in zero_combos]
 
 
 def rank(m: SparseIntMatrix) -> int:
@@ -243,32 +239,34 @@ def rank(m: SparseIntMatrix) -> int:
 def solve_combination(
     m: SparseIntMatrix,
     target: Sequence[int | Fraction],
-    echelon: Echelon | None = None,
+    transposed: Echelon | None = None,
 ) -> list[Fraction]:
     """Coefficients x with x M = target, or raise NoSolution.
 
-    `echelon`, when given, is `_reduce_rows_tracked(m)`: a caller solving
-    many targets against one matrix eliminates it once.
+    `transposed`, when given, is `_reduce_rows_tracked(m.transpose())`, so
+    a caller holding it solves without eliminating again.  Its zero
+    combinations vanish on every row, so on the target when it is in the
+    row space.  Then pivot t gives x[pc_t] = pcombo_t . target less
+    prow_t[pc_s] x[pc_s] over the later pivots s, solved in reverse.  x is
+    the unique solution supported on the rows of M independent of the rows
+    before them, the leading positions of the row space of Mᵀ.
     """
     if len(target) != m.num_cols:
         raise ValueError("target length mismatch")
-    pivots, _ = echelon if echelon is not None else _reduce_rows_tracked(m)
+    pivots, zero_combos = (
+        transposed if transposed is not None else _reduce_rows_tracked(m.transpose())
+    )
     t = {c: Fraction(v) for c, v in enumerate(target) if v}
-    combo: dict[int, Fraction] = {}
-    for pc, prow, pcombo in pivots:
-        f = t.get(pc)
-        if f:
-            for c, v in prow.items():
-                nv = t.get(c, Fraction(0)) - f * v
-                if nv:
-                    t[c] = nv
-                elif c in t:
-                    del t[c]
-            for c, v in pcombo.items():
-                combo[c] = combo.get(c, Fraction(0)) + f * v
-    if t:
+    if any(sum(f[c] * v for c, v in t.items() if c in f) for f in zero_combos):
         raise NoSolution("target is independent of the rows")
-    vec = [Fraction(0)] * m.num_rows
-    for i, v in combo.items():
-        vec[i] = v
-    return vec
+    # a combination uses few rows, so x's entries are walked rather than each
+    # pivot's row, and zero terms make no Fraction arithmetic
+    x: dict[int, Fraction] = {}
+    for pc, prow, pcombo in reversed(pivots):
+        v = sum(pcombo[c] * w for c, w in t.items() if c in pcombo) - sum(
+            prow[c] * y for c, y in x.items() if c in prow
+        )
+        if v:
+            x[pc] = v
+    zero = Fraction(0)
+    return [x.get(i, zero) for i in range(m.num_rows)]

@@ -18,16 +18,14 @@ from math import lcm
 from typing import Sequence
 
 from . import exactla
-from .errors import LoopEdge, ResourceLimit, UnknownClass, WrongSize
+from .errors import LoopEdge, NoSolution, UnknownClass, WrongSize
 from .exactla import (
     Echelon,
     SparseIntMatrix,
     default_primes,
-    left_nullspace,
     modular_rank,
     solve_combination,
 )
-from .errors import NoSolution
 from .multigraph import (
     DartGraph,
     Isomorphism,
@@ -271,11 +269,11 @@ class RelationRow:
 
 @dataclass
 class RelationData:
-    """The relation matrix with its provenance.  Its exact eliminations are
-    made once each and shared: `functionals` by `dimension`, whose rank they
-    give, and `echelon` by the first generator that every functional misses
-    (a relation combination), so a report whose generators are all nonzero
-    never makes it."""
+    """The relation matrix with its provenance and its one exact
+    elimination, of Mᵀ, made by `dimension` and shared by every
+    certificate: its zero combinations are the functionals, which give the
+    rank and the nonzero certificates, and its pivots solve the relation
+    combination of a generator that every functional misses."""
 
     matrix: SparseIntMatrix
     rows: list[RelationRow]
@@ -283,16 +281,16 @@ class RelationData:
     duplicates: int
 
     @cached_property
-    def echelon(self) -> Echelon:
-        """Tracked echelon of `matrix`, for solving x M = e_col."""
-        return exactla._reduce_rows_tracked(self.matrix)
+    def elimination(self) -> Echelon:
+        """`_reduce_rows_tracked` of the transpose of `matrix`."""
+        return exactla._reduce_rows_tracked(self.matrix.transpose())
 
-    @cached_property
-    def functionals(self) -> list[list[Fraction]]:
+    @property
+    def functionals(self) -> list[dict[int, Fraction]]:
         """Basis of the functionals on generator columns that vanish on
-        every row: the left nullspace of the transpose.  There are
-        (columns - rank) of them."""
-        return left_nullspace(self.matrix.transpose())
+        every row, as sparse vectors with no zero entries: the left
+        nullspace of the transpose.  There are (columns - rank) of them."""
+        return self.elimination[1]
 
 
 def expand_row(
@@ -591,23 +589,24 @@ def _certify_generator(
 
     The functionals are a basis of ker M, `report.dimension` vectors, so the
     class is a combination of rows exactly when every functional vanishes at
-    its column; the solve runs only then.
+    its column.  Only then is the combination solved, by back-substitution
+    over the pivots of the report's one elimination, of Mᵀ.
     """
     basis = report.basis
     rel = report.relations
     col = basis.column_of(cls)
-    vec = next((v for v in rel.functionals if v[col]), None)
+    vec = next((v for v in rel.functionals if col in v), None)
     if vec is not None:
         gen_ids = [c.class_id for c in basis.generators]
         cert: ZeroCertificate | NonzeroCertificate = NonzeroCertificate(
             class_id=cls.class_id,
-            functional=[(gen_ids[i], v) for i, v in enumerate(vec) if v],
+            functional=[(gen_ids[i], v) for i, v in sorted(vec.items())],
         )
         return _replayed(cert, report)
     unit = [0] * basis.num_generators
     unit[col] = 1
     try:
-        coeffs = solve_combination(rel.matrix, unit, rel.echelon)
+        coeffs = solve_combination(rel.matrix, unit, rel.elimination)
     except NoSolution:
         raise AssertionError(
             "linear algebra inconsistency: neither certificate exists"

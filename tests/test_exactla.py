@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import forward_solve
 import pytest
 
 from trihom import exactla as la
@@ -88,6 +89,53 @@ def test_solve_combination_replay():
     assert [
         sum(x[i] * m[i][j] for i in range(4)) for j in range(6)
     ] == list(target)
+
+
+def _deficient_matrix(rng, nr, nc):
+    """An nr x nc integer matrix of rank at most nr // 2 + 1: rows that are
+    zero, repeat an earlier row or combine a few random base rows."""
+    base = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr // 2 + 1)]
+    rows = []
+    for _ in range(nr):
+        pick = rng.random()
+        if pick < 0.15:
+            rows.append([0] * nc)
+        elif pick < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            rows.append([sum(a * r[j] for a, r in zip(coeffs, base)) for j in range(nc)])
+    return rows
+
+
+def test_solve_combination_matches_forward_reference():
+    """Back-substitution on the elimination of Mᵀ returns, for seeded random
+    rank-deficient matrices (0 x n and n x 0 among them) and targets inside
+    and outside the row space, the Fraction list that forward reduction over
+    M's own echelon returns, and raises NoSolution exactly when it does."""
+    rng = random.Random(16)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [
+        (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)
+    ]
+    outcomes = {"solved": 0, "none": 0}
+    for nr, nc in shapes:
+        rows = _deficient_matrix(rng, nr, nc)
+        m = la.SparseIntMatrix(nr, nc, [[(j, v) for j, v in enumerate(r)] for r in rows])
+        transposed = la._reduce_rows_tracked(m.transpose())
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nr)]
+        inside = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)]
+        for target in (inside, [rng.randint(-2, 2) for _ in range(nc)]):
+            try:
+                want = forward_solve.solve_combination(m, target)
+            except NoSolution:
+                want = None
+            try:
+                got = la.solve_combination(m, target, transposed)
+            except NoSolution:
+                got = None
+            assert got == want, (rows, target)
+            outcomes["none" if want is None else "solved"] += 1
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_left_nullspace_replay():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import forward_solve
 import pytest
 import shared_trie_walk as ref
 
@@ -201,7 +202,8 @@ def _random_labelled(rep, rng):
 
 def _solve_first_reference(report, cls, echelon, functionals):
     """The certificate of `cls` in the order that solves first: a relation
-    combination when e_col is in the row space, else the first functional
+    combination when e_col is in the row space, solved forward over
+    `echelon`, the tracked echelon of M itself, else the first functional
     that is nonzero at its column."""
     if cls.status is ClassStatus.ZERO:
         return hom.ZeroCertificate(
@@ -214,7 +216,7 @@ def _solve_first_reference(report, cls, echelon, functionals):
     col = report.basis.column_of(cls)
     unit = [int(c == col) for c in range(m.num_cols)]
     try:
-        coeffs = la.solve_combination(m, unit, echelon)
+        coeffs = forward_solve.solve_combination(m, unit, echelon)
     except NoSolution:
         gen_ids = [c.class_id for c in report.basis.generators]
         vec = next(v for v in functionals if v[col])
@@ -229,22 +231,20 @@ def _solve_first_reference(report, cls, echelon, functionals):
 
 
 @pytest.mark.parametrize(
-    "k, conv, policy, eliminations, kinds",
+    "k, conv, policy, kinds",
     [
-        (4, Convention.ODD, TP.EXCLUDE, 1, {"sign-witness", "nonzero"}),
-        (3, Convention.EVEN, TP.INCLUDE, 2, {"sign-witness", "relation-combination"}),
+        (4, Convention.ODD, TP.EXCLUDE, {"sign-witness", "nonzero"}),
+        (3, Convention.EVEN, TP.INCLUDE, {"sign-witness", "relation-combination"}),
     ],
     ids=["k4-odd-exclude", "k3-even-include"],
 )
-def test_certificates_share_one_elimination(
-    monkeypatch, rng, k, conv, policy, eliminations, kinds
-):
+def test_certificates_share_one_elimination(monkeypatch, rng, k, conv, policy, kinds):
     """A report and every class and 50 random labelled graphs certified
-    against it eliminate its relation matrix at most twice in all: its
-    transpose once, for the functionals that give both the rank and the
-    nonzero certificates, and M once more only when some generator is a
-    relation combination.  Each certificate is the one that eliminating an
-    unshared copy of the matrix for that query alone gives."""
+    against it eliminate its relation matrix once in all, on its transpose:
+    the functionals that give the rank and the nonzero certificates, and
+    the pivots that every relation combination is solved over.  Each
+    certificate is the one that eliminating an unshared copy of M for that
+    query alone, and solving forward over M's own echelon, gives."""
     calls = []
     reduce_rows_tracked = la._reduce_rows_tracked
 
@@ -258,10 +258,10 @@ def test_certificates_share_one_elimination(
     targets = [c.class_id for c in classes]
     targets += [_random_labelled(rng.choice(classes).rep, rng) for _ in range(50)]
     certs = [hom.certify(t, report) for t in targets]
-    assert len(calls) == eliminations
     monkeypatch.undo()
 
     m = report.relations.matrix
+    assert [c.rows for c in calls] == [m.transpose().rows]
     assert {c.to_json().get("kind", "nonzero") for c in certs} == kinds
     for cert in certs:
         unshared = la.SparseIntMatrix(m.num_rows, m.num_cols, m.rows)
@@ -275,10 +275,10 @@ def test_certificates_share_one_elimination(
 
 
 def test_matrix_limit_gates_every_elimination(monkeypatch):
-    """`AK_MAX_MATRIX` guards the one exact elimination: the functionals
-    that `dimension` and `certify` share, and the echelon that a relation
-    combination is solved against.  Certificates whose elimination the
-    report already made need no further one."""
+    """`AK_MAX_MATRIX` guards the one exact elimination, of Mᵀ, that
+    `dimension` and `certify` share.  Certificates whose elimination the
+    report already made need no further one, whether a functional or a
+    relation combination."""
     odd = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
     even = hom.dimension(4, Convention.EVEN, TP.INCLUDE)
     rel = odd.relations
@@ -291,11 +291,12 @@ def test_matrix_limit_gates_every_elimination(monkeypatch):
     for call in (
         lambda: hom.dimension(4, Convention.ODD, TP.EXCLUDE),
         lambda: hom.certify(gen, fresh),
-        lambda: hom.certify(even.basis.generators[0].class_id, even),  # dim 0
     ):
         with pytest.raises(ResourceLimit, match="AK_MAX_MATRIX"):
             call()
     assert hom.certify(gen, odd).to_json()["type"] == "nonzero"
+    zero = hom.certify(even.basis.generators[0].class_id, even)  # dim 0
+    assert zero.to_json()["kind"] == "relation-combination"
 
 
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])

@@ -134,6 +134,21 @@ def test_cli_oracle_failure_exit_code(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("module", ["trihom", "trihom.cli"])
+def test_import_loads_no_numpy_or_scipy(module):
+    """Only the k <= 2 oracle needs numpy and scipy, and it is imported
+    where `--oracle-check` runs, so importing the package or its CLI loads
+    neither."""
+    code = (
+        f"import sys, {module}; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_dump_matrix(tmp_path):
     path = tmp_path / "rel.mtx"
     out = run_cli(

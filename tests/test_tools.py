@@ -7,6 +7,8 @@ refactor of the relabelling walks can break them without any other test
 failing.  The counters pinned here are the figures the search has had
 since the tie-state test and the trie lookup; a change to the relabelling
 order or to the pruning changes them on purpose and must update them.
+`tools/bench_certify.py` counts the exact eliminations: one per report,
+of the relation matrix's transpose, and none per certificate.
 """
 
 from __future__ import annotations
@@ -78,3 +80,34 @@ def test_bench_lookup_counters():
         for r in out["relations"]
     }
     assert relations == {4: (268, 0), 5: (1311, 0)}
+
+
+def test_bench_certify_counters():
+    out = _run_tool("bench_certify.py", "--repeats", "0")
+    queries = out["queries"]
+    assert (
+        queries["queries"],
+        queries["reduce_rows_tracked_calls"],
+        queries["solve_combination_calls"],
+        queries["replays"],
+        queries["kinds"],
+    ) == (2000, 0, 0, 2000, {"nonzero": 1597, "sign-witness": 403})
+    reports = {
+        r["report"]: (
+            r["reduce_rows_tracked_calls"],
+            r["solve_combination_calls"],
+            r["replays"],
+            r["kinds"],
+        )
+        for r in out["reports"]
+    }
+    assert reports == {
+        "k3_even_exclude": (1, 0, 6, {"sign-witness": 6}),
+        "k3_odd_exclude": (1, 0, 6, {"nonzero": 4, "sign-witness": 2}),
+        "k3_even_include": (
+            1, 2, 17, {"relation-combination": 2, "sign-witness": 15},
+        ),
+        "k3_odd_include": (1, 0, 17, {"nonzero": 4, "sign-witness": 13}),
+        "k4_even_exclude": (1, 0, 20, {"sign-witness": 20}),
+        "k4_odd_exclude": (1, 0, 20, {"nonzero": 14, "sign-witness": 6}),
+    }

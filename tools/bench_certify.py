@@ -6,14 +6,20 @@ Everything is counted from outside the program, by replacing module
 attributes with counting wrappers, so the same script measures any checkout
 put on PYTHONPATH.
 
+A report makes one exact elimination, `_reduce_rows_tracked` of the
+transpose of its relation matrix, when `dimension` asks for its
+functionals.  Every certificate reads it: a nonzero one takes a functional,
+and a relation combination is back-substituted over its pivots by
+`solve_combination`.  So each report below counts one
+`_reduce_rows_tracked` call, and the queries, certified against a report
+that has already made it, count none.
+
 - `queries`: the 2,000 random labelled k=4 graphs of perfbench's
   certify-queries workload (drawn from `--seed`), certified against one odd
-  report without loops: `solve_combination` and `left_nullspace` calls made
-  by `homology`, `_reduce_rows_tracked` calls, replays run (`_replayed`
-  calls), `orientation.cycle_basis` calls (null on a checkout that has no
-  cycle basis) and the certificate kinds; then
-  the wall time of the 2,000 `certify` calls alone over `--repeats` further
-  runs on the same report, uncounted.
+  report without loops: `solve_combination` calls made by `homology`,
+  `_reduce_rows_tracked` calls, replays run (`_replayed` calls) and the
+  certificate kinds; then the wall time of the 2,000 `certify` calls alone
+  over `--repeats` further runs on the same report, uncounted.
 - `reports`: for each report of perfbench's dim-report grid, `dimension`
   followed by `certify` of every class, as `trihom dim --certify` does: the
   same counters, per report.
@@ -42,10 +48,8 @@ from trihom import surgery  # noqa: E402
 
 COUNTED = (
     (hom, "solve_combination"),
-    (hom, "left_nullspace"),
     (la, "_reduce_rows_tracked"),
     (hom, "_replayed"),
-    (ori, "cycle_basis"),
 )
 
 
