@@ -98,11 +98,13 @@ class ClassTable:
 
 @dataclass(frozen=True)
 class Expressed:
-    """Image of a labelled graph in the class space: 0 or ±(generator)."""
+    """Image of a labelled graph in the class space: 0 or ±(generator),
+    with the isomorphism onto the generator's representative."""
 
     coefficient: int
     cls: GraphClass | None
     zero_reason: str | None = None
+    iso: Isomorphism | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -151,7 +153,8 @@ def signed_class(
     cls, iso = table.find(g)
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
-    return Expressed(transported_sign(cls.rep, iso, labelling, g, convention), cls)
+    sign = transported_sign(cls.rep, iso, labelling, g, convention)
+    return Expressed(sign, cls, iso=iso)
 
 
 def _conjugate_term(
@@ -214,13 +217,18 @@ def ihx_expand(
 
 @dataclass
 class ClassBasis:
-    """All classes at (k, convention, policy); generators carry column ids."""
+    """All classes at (k, convention, policy); generators carry column ids.
+
+    `orbit_min[class_id]` maps each edge of a generator's representative to
+    the least edge of its orbit under the automorphism group; it is None
+    for a zero class."""
 
     k: int
     convention: Convention
     policy: TadpolePolicy
     classes: list[GraphClass]
     table: ClassTable
+    orbit_min: list[tuple[int, ...] | None]
 
     @property
     def generators(self) -> list[GraphClass]:
@@ -248,13 +256,23 @@ def class_basis(
     policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
     max_classes: int | None = None,
 ) -> ClassBasis:
-    classes = [
-        classify(rep, convention, autos).with_id(i)
-        for i, (rep, autos) in enumerate(
-            enumerate_classes(k, policy, max_classes=max_classes)
+    classes = []
+    orbit_min = []
+    for i, (rep, autos) in enumerate(
+        enumerate_classes(k, policy, max_classes=max_classes)
+    ):
+        cls = classify(rep, convention, autos).with_id(i)
+        classes.append(cls)
+        orbit_min.append(
+            _orbit_min(rep, autos) if cls.status is ClassStatus.GENERATOR else None
         )
-    ]
-    return ClassBasis(k, convention, policy, classes, ClassTable(classes))
+    return ClassBasis(k, convention, policy, classes, ClassTable(classes), orbit_min)
+
+
+def _orbit_min(rep: DartGraph, autos: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Each edge's least image under the dart maps `autos`: the least edge
+    of its orbit, since `autos` is the whole automorphism group."""
+    return tuple(min(rep.edge_of_dart(t[a]) for t in autos) for a, _ in rep.edges)
 
 
 @dataclass
@@ -273,12 +291,16 @@ class RelationData:
     elimination, of Mᵀ, made by `dimension` and shared by every
     certificate: its zero combinations are the functionals, which give the
     rank and the nonzero certificates, and its pivots solve the relation
-    combination of a generator that every functional misses."""
+    combination of a generator that every functional misses.
+
+    Every non-loop edge of a generator is counted once: as a row, a zero
+    row, a duplicate, or `skipped` unexpanded (see `relation_matrix`)."""
 
     matrix: SparseIntMatrix
     rows: list[RelationRow]
     zero_rows: list[RelationRow]
     duplicates: int
+    skipped: int
 
     @cached_property
     def elimination(self) -> Echelon:
@@ -293,14 +315,23 @@ class RelationData:
         return self.elimination[1]
 
 
-def expand_row(
+def _terms(
     basis: ClassBasis, g: DartGraph, labelling: OrientedLabelling, edge_index: int
+) -> list[tuple[str, Expressed]]:
+    """The I, H and X terms around a non-loop edge, in the class space."""
+    return [
+        (tag, signed_class(term, lab, basis.convention, basis.policy, basis.table))
+        for term, lab, tag in ihx_expand(g, labelling, edge_index)
+    ]
+
+
+def _row(
+    basis: ClassBasis, terms: list[tuple[str, Expressed]]
 ) -> tuple[dict[int, int], tuple[str, ...]]:
-    """One IHX row over generator columns, plus per-term notes."""
+    """The sum of `terms` over generator columns, plus per-term notes."""
     acc: dict[int, int] = {}
     notes = []
-    for term, lab, tag in ihx_expand(g, labelling, edge_index):
-        res = signed_class(term, lab, basis.convention, basis.policy, basis.table)
+    for tag, res in terms:
         if res.is_zero:
             notes.append(f"{tag}:0({res.zero_reason})")
             continue
@@ -311,20 +342,50 @@ def expand_row(
 
 
 def relation_matrix(basis: ClassBasis) -> RelationData:
-    """Deduplicated IHX rows from every non-loop edge of every generator."""
+    """Deduplicated IHX rows from the non-loop edges of the generators.
+
+    A (generator, edge) pair is expanded only if no earlier expansion gave
+    its row up to sign already:
+
+    - orbit rule: an automorphism of a generator has sign +1, so the edges
+      of one orbit give one row, and only the orbit's least edge is
+      expanded;
+    - term rule: an expanded edge (a, b) is an edge of its H and X terms
+      too, and the three regroupings of such a term around it are this
+      row's three terms up to a dart swap inside a vertex.  So a term in a
+      generator class gives ± this row at the image of the edge under the
+      term's isomorphism onto the representative, and that pair is marked
+      done.
+
+    A skipped pair would give a zero row or a duplicate, so the rows, their
+    order and their provenance are those of expanding every pair; only
+    `zero_rows` and `duplicates` are short of the pairs counted `skipped`.
+    """
     seen: set[tuple[tuple[int, int], ...]] = set()
+    done: set[tuple[int, int]] = set()
     rows: list[RelationRow] = []
     zero_rows: list[RelationRow] = []
     duplicates = 0
-    for src_idx, cls in enumerate(basis.classes):
+    skipped = 0
+    for cls in basis.classes:
         if cls.status is not ClassStatus.GENERATOR:
             continue
         rep = cls.rep
         labelling = cls.labelling
-        for e in range(rep.num_edges):
+        for e, least in enumerate(basis.orbit_min[cls.class_id]):
             if rep.is_loop(e):
                 continue
-            acc, notes = expand_row(basis, rep, labelling, e)
+            if least != e or (cls.class_id, e) in done:
+                skipped += 1
+                continue
+            terms = _terms(basis, rep, labelling, e)
+            a = rep.edges[e][0]
+            for _, res in terms[1:]:
+                if not res.is_zero:
+                    image = res.cls.rep.edge_of_dart(res.iso.dart_perm[a])
+                    term_id = res.cls.class_id
+                    done.add((term_id, basis.orbit_min[term_id][image]))
+            acc, notes = _row(basis, terms)
             row = RelationRow(
                 tuple(sorted(acc.items())), cls.class_id, e, notes
             )
@@ -345,7 +406,7 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
     matrix = SparseIntMatrix(
         len(rows), basis.num_generators, [list(r.entries) for r in rows]
     )
-    return RelationData(matrix, rows, zero_rows, duplicates)
+    return RelationData(matrix, rows, zero_rows, duplicates, skipped)
 
 
 @dataclass

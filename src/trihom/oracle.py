@@ -26,8 +26,6 @@ from .exactla import SparseIntMatrix, rank
 from .multigraph import TadpolePolicy
 from .orientation import Convention
 
-_rep_cache: dict[int, list[tuple[int, ...]]] = {}
-
 
 def _all_pairings(k: int):
     nd = 6 * k
@@ -129,8 +127,6 @@ def _isos(p1, p2, all_of_them: bool = False) -> list[list[int]]:
 
 def _representatives(k: int) -> list[tuple[int, ...]]:
     """One pairing per isomorphism class of connected graphs (loops included)."""
-    if k in _rep_cache:
-        return _rep_cache[k]
     if k > 2:
         raise ResourceLimit("oracle is capped at k <= 2")
     buckets: dict[tuple, list[tuple[int, ...]]] = {}
@@ -143,9 +139,7 @@ def _representatives(k: int) -> list[tuple[int, ...]]:
                 break
         else:
             buckets.setdefault(inv, []).append(p)
-    reps = sorted(r for v in buckets.values() for r in v)
-    _rep_cache[k] = reps
-    return reps
+    return sorted(r for v in buckets.values() for r in v)
 
 
 def _perm_parity(perm) -> int:

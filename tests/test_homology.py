@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import forward_solve
+import full_expansion
 import pytest
 import shared_trie_walk as ref
 
@@ -62,7 +63,7 @@ def test_theta_odd_rows_vanish(theta):
     basis = hom.class_basis(1, Convention.ODD)
     lab = reference_labelling(theta)
     for e in range(3):
-        row, notes = hom.expand_row(basis, theta, lab, e)
+        row, notes = full_expansion.expand_row(basis, theta, lab, e)
         assert row == {}
 
 
@@ -70,7 +71,7 @@ def test_k4_even_row_vanishes():
     basis = hom.class_basis(2, Convention.EVEN)
     k4cls = basis.generators[0]
     for e in range(6):
-        row, notes = hom.expand_row(basis, k4cls.rep, k4cls.labelling, e)
+        row, notes = full_expansion.expand_row(basis, k4cls.rep, k4cls.labelling, e)
         assert row == {}
         # one term dies in the zero class B1, the two cubic terms cancel
         assert any("zero-class" in n for n in notes)
@@ -83,7 +84,36 @@ def test_relation_matrix_shapes():
     assert (rel.matrix.num_rows, rel.matrix.num_cols) == (0, 0)
     rel = hom.relation_matrix(hom.class_basis(2, Convention.EVEN))
     assert (rel.matrix.num_rows, rel.matrix.num_cols) == (0, 1)
-    assert len(rel.zero_rows) == 6
+    # K4's six edges form one orbit: one zero row, five edges skipped
+    assert (len(rel.zero_rows), rel.skipped) == (1, 5)
+
+
+@pytest.mark.parametrize(
+    "k, conv, policy",
+    [(k, conv, policy) for k in range(1, 6) for conv in Convention for policy in TP]
+    + [(6, Convention.ODD, TP.EXCLUDE)],
+)
+def test_skipped_edges_keep_the_full_expansion_rows(k, conv, policy):
+    """relation_matrix skips the edges whose row an earlier expansion gave
+    already (another edge of its orbit, or the edge an H or X term reached)
+    and builds the rows that expanding every edge builds: the same matrix,
+    the same rows in the same order with the same provenance.  Every
+    non-loop generator edge is a row, a zero row, a duplicate or skipped."""
+    basis = hom.class_basis(k, conv, policy)
+    rel = hom.relation_matrix(basis)
+    ref = full_expansion.relation_matrix(basis)
+
+    def provenance(rows):
+        return [(r.source_class, r.edge, r.term_notes, r.entries) for r in rows]
+
+    assert rel.matrix.content_hash() == ref.matrix.content_hash()
+    assert provenance(rel.rows) == provenance(ref.rows)
+    assert set(provenance(rel.zero_rows)) <= set(provenance(ref.zero_rows))
+    expansions = len(ref.rows) + len(ref.zero_rows) + ref.duplicates
+    assert len(rel.rows) + len(rel.zero_rows) + rel.duplicates + rel.skipped == (
+        expansions
+    )
+    assert rel.skipped or not expansions
 
 
 def test_anchored_dimensions():
@@ -284,7 +314,9 @@ def test_matrix_limit_gates_every_elimination(monkeypatch):
     rel = odd.relations
     fresh = dataclasses.replace(
         odd,
-        relations=hom.RelationData(rel.matrix, rel.rows, rel.zero_rows, rel.duplicates),
+        relations=hom.RelationData(
+            rel.matrix, rel.rows, rel.zero_rows, rel.duplicates, rel.skipped
+        ),
     )
     gen = odd.basis.generators[0].class_id
     monkeypatch.setenv("AK_MAX_MATRIX", "10")
@@ -375,9 +407,10 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     """Lookup counts in dimension(4, odd, exclude), without a clock:
     class_basis runs no minimal-code search (each class's group is the tie
     states of its enumeration test), relation_matrix runs none either, and
-    it walks the class table's trie once for each of the 268 of its 462
+    it walks the class table's trie once for each of the 59 of its 97
     IHX terms whose pairing is not a class representative (the rest are
-    found by their code)."""
+    found by their code).  Expanding every edge would look up 462 terms
+    and walk for 268 of them."""
     phase, searches, walks = ["basis"], [], []
     min_code_ties, trie_walk = mg._min_code_ties, hom._trie_walk
     relation_matrix = hom.relation_matrix
@@ -405,7 +438,7 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     assert len(reps) == 20
     assert basis_searches == []
     assert relation_searches == []
-    assert len(walks) == len(term_walks) == 268
+    assert len(walks) == len(term_walks) == 59
     assert not reps & set(term_walks)
 
 
@@ -424,9 +457,10 @@ def walks(monkeypatch):
 
 
 def test_term_walks_follow_a_third_of_the_shared_trie_frames(walks):
-    """Recursive walk frames in dimension(4, odd, exclude), without a clock:
-    its 268 term walks follow 2,556 frames from the bucketed tries, where
-    walks of one trie of every code followed 10,266."""
+    """Recursive walk frames in the full expansion of every edge at k=4,
+    odd, exclude, without a clock: its 268 term walks follow 2,556 frames
+    from the bucketed tries, where walks of one trie of every code followed
+    10,266."""
     walk = next(
         c for c in mg._trie_walk.__code__.co_consts if getattr(c, "co_name", None) == "walk"
     )
@@ -436,9 +470,10 @@ def test_term_walks_follow_a_third_of_the_shared_trie_frames(walks):
         if event == "call" and frame.f_code is walk:
             frames.append(1)
 
+    basis = hom.class_basis(4, Convention.ODD, TP.EXCLUDE)
     sys.setprofile(profile)
     try:
-        hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+        full_expansion.relation_matrix(basis)
     finally:
         sys.setprofile(None)
     assert len(walks) == 268
@@ -703,7 +738,7 @@ def test_rows_labelling_invariant_and_complete(walks, k, conv, rng):
                 for e in range(h.num_edges):
                     if h.is_loop(e):
                         continue
-                    acc, _notes = hom.expand_row(basis, h, lab, e)
+                    acc, _notes = full_expansion.expand_row(basis, h, lab, e)
                     if acc:
                         extra_rows.append(sorted(acc.items()))
     stacked = SparseIntMatrix(

@@ -125,9 +125,7 @@ def test_cli_oracle_failure_exit_code(monkeypatch, capsys):
     `error:` line and the oracle-mismatch exit code, not a traceback."""
     from trihom import oracle
 
-    # The wrong class lists built under this `_isos` must not outlive the test.
     monkeypatch.setattr(oracle, "_isos", lambda *args, **kwargs: [])
-    monkeypatch.setattr(oracle, "_rep_cache", {})
     assert main(["dim", "--k", "1", "--convention", "odd", "--oracle-check"]) == 5
     out, err = capsys.readouterr()
     assert out == ""

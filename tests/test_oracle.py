@@ -71,7 +71,6 @@ from trihom.errors import UnknownClass
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import Convention
 
-oracle._representatives(1)
 isos = oracle._isos
 # automorphisms are still found; no IHX term matches its representative
 oracle._isos = lambda p1, p2, all_of_them=False: (

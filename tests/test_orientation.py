@@ -167,6 +167,23 @@ def test_classify_presentation_invariance(k4, rng):
         assert c.rep == ref.rep and c.status is ref.status
 
 
+def test_odd_loop_classes_are_zero():
+    """Every class with a loop is zero in the odd convention, for k <= 5:
+    reversing a loop fixes every vertex and reverses one edge, an
+    automorphism of odd sign -1.  So the odd generators, and with them the
+    rows and the dimension, are the same under both tadpole policies."""
+    counts = []
+    for k in range(1, 6):
+        loop_classes = [
+            ori.classify(rep, ori.Convention.ODD, autos)
+            for rep, autos in mg.enumerate_classes(k, mg.TadpolePolicy.INCLUDE)
+            if rep.has_loop
+        ]
+        counts.append(len(loop_classes))
+        assert all(c.status is ori.ClassStatus.ZERO for c in loop_classes)
+    assert counts == [1, 3, 11, 51, 297]
+
+
 def test_sign_multiplicativity(rng):
     for conv in (ori.Convention.EVEN, ori.Convention.ODD):
         for g in mg.enumerate_trivalent(2, mg.TadpolePolicy.INCLUDE):

@@ -7,7 +7,9 @@ refactor of the relabelling walks can break them without any other test
 failing.  The counters pinned here are the figures the search has had
 since the tie-state test and the trie lookup; a change to the relabelling
 order or to the pruning changes them on purpose and must update them.
-`tools/bench_certify.py` counts the exact eliminations: one per report,
+The lookup counters of `relation_matrix` (trie walks, expansions, and the
+edges skipped by the orbit and term rules) are those of expanding each
+relation once.  `tools/bench_certify.py` counts the exact eliminations: one per report,
 of the relation matrix's transpose, and none per certificate.
 """
 
@@ -76,10 +78,13 @@ def test_bench_lookup_counters():
         r["k"]: (
             r["trie_walks_in_relation_matrix"],
             r["min_code_ties_calls_in_relation_matrix"],
+            r["expansions"],
+            r["orbit_skips"],
+            r["term_skips"],
         )
         for r in out["relations"]
     }
-    assert relations == {4: (268, 0), 5: (1311, 0)}
+    assert relations == {4: (59, 0, 36, 111, 21), 5: (367, 0, 224, 439, 147)}
 
 
 def test_bench_certify_counters():

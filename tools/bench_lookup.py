@@ -1,6 +1,6 @@
 """Counters and timings of IHX-term and query lookups, as JSON on stdout.
 
-    PYTHONPATH=src python tools/bench_lookup.py [--repeats N] [--k6]
+    PYTHONPATH=src python tools/bench_lookup.py [--repeats N] [--cases 4o,5o,6e]
 
 Everything is counted from outside the program, by replacing module
 attributes with counting wrappers or by a profile hook on nested function
@@ -8,10 +8,13 @@ frames, so the same script measures any checkout put on PYTHONPATH.  Figures
 that a checkout's code does not have (a tree without the trie walk) read
 null.
 
-- `relations`: for k=4, 5 (and 6 with --k6) odd without loops, the
-  `_min_code_ties` calls and trie walks made inside `relation_matrix`, the
-  matrix shape, rank and dimension, and `relation_matrix` wall times over
-  `--repeats` further runs on the same basis, uncounted.
+- `relations`: for each case of `--cases` (k and o/e for the odd or even
+  convention, without loops; k=4 and 5 odd by default), the
+  `_min_code_ties` calls and trie walks made inside `relation_matrix`, its
+  IHX expansions (rows, zero rows and duplicates), the non-loop generator
+  edges it skipped by the orbit rule and by the term rule, the matrix
+  shape, content hash, rank and dimension, and `relation_matrix` wall
+  times over `--repeats` further runs on the same basis, uncounted.
 - `frames`: 2,000 random relabellings of the k=4 classes without loops (100
   per class): recursive frames of the tie walk that the min-code search
   behind `canonical_form` runs (`_prefix_ties.extend`) and of the trie walk
@@ -97,8 +100,21 @@ def _frames(fn, code, call):
     return count, len(seeds)
 
 
-def relations(k, repeats):
-    basis = hom.class_basis(k, Convention.ODD, TadpolePolicy.EXCLUDE)
+def _orbit_skips(basis):
+    """The non-loop generator edges that are not the least of their orbit,
+    or None for a basis without orbit maps."""
+    orbit_min = getattr(basis, "orbit_min", None)
+    if orbit_min is None:
+        return None
+    return sum(
+        least != e and not c.rep.is_loop(e)
+        for c in basis.generators
+        for e, least in enumerate(orbit_min[c.class_id])
+    )
+
+
+def relations(k, convention, repeats):
+    basis = hom.class_basis(k, convention, TadpolePolicy.EXCLUDE)
     with _Counted(mg, "_min_code_ties") as searches, _Counted(hom, "_trie_walk") as walks:
         rel = hom.relation_matrix(basis)
     walls = []
@@ -107,11 +123,18 @@ def relations(k, repeats):
         hom.relation_matrix(basis)
         walls.append(round(time.perf_counter() - start, 3))
     rank = exactla.rank(rel.matrix)
+    skipped = getattr(rel, "skipped", None)
+    orbit_skips = _orbit_skips(basis)
     return {
         "k": k,
+        "convention": convention.value,
         "classes": len(basis.classes),
         "generators": basis.num_generators,
+        "expansions": len(rel.rows) + len(rel.zero_rows) + rel.duplicates,
+        "orbit_skips": orbit_skips,
+        "term_skips": None if orbit_skips is None else skipped - orbit_skips,
         "rows": rel.matrix.num_rows,
+        "content_hash": rel.matrix.content_hash(),
         "rank": rank,
         "dimension": basis.num_generators - rank,
         "min_code_ties_calls_in_relation_matrix": searches.count,
@@ -155,11 +178,14 @@ def frames(n_per_class=100):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--k6", action="store_true", help="also measure k=6")
+    parser.add_argument(
+        "--cases", default="4o,5o", help="comma-separated k and o/e, e.g. 5o,5e"
+    )
     args = parser.parse_args(argv)
-    sizes = (4, 5, 6) if args.k6 else (4, 5)
+    conventions = {"o": Convention.ODD, "e": Convention.EVEN}
+    cases = [(int(c[:-1]), conventions[c[-1]]) for c in args.cases.split(",")]
     result = {
-        "relations": [relations(k, args.repeats) for k in sizes],
+        "relations": [relations(k, conv, args.repeats) for k, conv in cases],
         "frames": frames(),
     }
     json.dump(result, sys.stdout, indent=2)
