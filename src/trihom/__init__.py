@@ -27,7 +27,6 @@ from .homology import (
 )
 from .multigraph import (
     DartGraph,
-    Isomorphism,
     TadpolePolicy,
     automorphisms,
     canonical_form,
@@ -40,8 +39,6 @@ from .orientation import (
     GraphClass,
     OrientedLabelling,
     classify,
-    label_change_sign,
-    total_sign,
 )
 from .surgery import SurgeryPlan, VertexType, assign_vertex_types, plan, y_link_report
 
@@ -57,7 +54,6 @@ __all__ = [
     "DimensionTooSmall",
     "GraphClass",
     "Infeasible",
-    "Isomorphism",
     "LoopEdge",
     "MalformedPairing",
     "NoSolution",
@@ -83,13 +79,11 @@ __all__ = [
     "express",
     "from_pairing",
     "ihx_expand",
-    "label_change_sign",
     "left_nullspace",
     "modular_rank",
     "plan",
     "rank",
     "relation_matrix",
     "solve_combination",
-    "total_sign",
     "y_link_report",
 ]

@@ -11,7 +11,7 @@ in a Zero class are dropped as 0 and recorded in the row provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -28,7 +28,6 @@ from .exactla import (
 )
 from .multigraph import (
     DartGraph,
-    Isomorphism,
     TadpolePolicy,
     _connected,
     _trie_walk,
@@ -42,8 +41,7 @@ from .orientation import (
     OrientedLabelling,
     classify,
     reference_labelling,
-    relabelling_sign,
-    total_sign,
+    transported_sign,
 )
 
 
@@ -67,8 +65,9 @@ class ClassTable:
                 node = node.setdefault(x, {})
             node[last] = c
 
-    def find(self, g: DartGraph) -> tuple[GraphClass, Isomorphism]:
-        """The class of g and an isomorphism from g onto its representative.
+    def find(self, g: DartGraph) -> tuple[GraphClass, tuple[int, ...]]:
+        """The class of g and the dart map of an isomorphism from g onto its
+        representative.
 
         A representative is its own witness under the identity; any other
         graph is matched by walking the representatives' codes in its
@@ -82,7 +81,7 @@ class ClassTable:
         """
         cls = self._classes.get(g.partner)
         if cls is not None:
-            return cls, Isomorphism.identity(g.num_vertices)
+            return cls, tuple(range(g.num_darts))
         invariants = vertex_invariants(g.partner)
         roots = self._buckets.get(tuple(sorted(invariants)))
         found = (
@@ -92,48 +91,22 @@ class ClassTable:
         )
         if found is None:
             raise UnknownClass(f"no class in the table for pairing {g.code_str()}")
-        cls, dart_map = found
-        return cls, Isomorphism.from_dart_map(dart_map)
+        return found
 
 
 @dataclass(frozen=True)
 class Expressed:
     """Image of a labelled graph in the class space: 0 or ±(generator),
-    with the isomorphism onto the generator's representative."""
+    with the dart map of an isomorphism onto the generator's representative."""
 
     coefficient: int
     cls: GraphClass | None
     zero_reason: str | None = None
-    iso: Isomorphism | None = None
+    dart_map: tuple[int, ...] | None = None
 
     @property
     def is_zero(self) -> bool:
         return self.coefficient == 0
-
-
-def transported_sign(
-    canon: DartGraph,
-    iso: Isomorphism,
-    labelling: OrientedLabelling,
-    source: DartGraph,
-    convention: Convention,
-) -> int:
-    """Sign relating (source, labelling) pushed through iso to the canonical
-    reference labelling of canon."""
-    dp = iso.dart_perm
-    nv = canon.num_vertices
-    sigma_v = [0] * nv
-    for v in range(nv):
-        sigma_v[iso.vertex_perm[v]] = labelling.vertex_labels[v] - 1
-    sigma_e = [0] * canon.num_edges
-    reversals = 0
-    for i, (a, b) in enumerate(source.edges):
-        j = canon.edge_of_dart(dp[a])
-        sigma_e[j] = labelling.edge_labels[i] - 1
-        t, h = labelling.directions[i]
-        if (dp[t], dp[h]) != canon.edges[j]:
-            reversals += 1
-    return relabelling_sign(convention, sigma_e, sigma_v, reversals)
 
 
 def signed_class(
@@ -150,11 +123,11 @@ def signed_class(
         return Expressed(0, None, "tadpole")
     # Any two witnesses onto a generator's representative differ by an
     # automorphism, whose sign is +1, so every witness gives one coefficient.
-    cls, iso = table.find(g)
+    cls, dart_map = table.find(g)
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
-    sign = transported_sign(cls.rep, iso, labelling, g, convention)
-    return Expressed(sign, cls, iso=iso)
+    sign = transported_sign(convention, g, labelling, dart_map, cls.rep)
+    return Expressed(sign, cls, dart_map=dart_map)
 
 
 def _conjugate_term(
@@ -251,17 +224,12 @@ class ClassBasis:
 
 
 def class_basis(
-    k: int,
-    convention: Convention,
-    policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-    max_classes: int | None = None,
+    k: int, convention: Convention, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
 ) -> ClassBasis:
     classes = []
     orbit_min = []
-    for i, (rep, autos) in enumerate(
-        enumerate_classes(k, policy, max_classes=max_classes)
-    ):
-        cls = classify(rep, convention, autos).with_id(i)
+    for i, (rep, autos) in enumerate(enumerate_classes(k, policy)):
+        cls = replace(classify(rep, convention, autos), class_id=i)
         classes.append(cls)
         orbit_min.append(
             _orbit_min(rep, autos) if cls.status is ClassStatus.GENERATOR else None
@@ -371,7 +339,7 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
         if cls.status is not ClassStatus.GENERATOR:
             continue
         rep = cls.rep
-        labelling = cls.labelling
+        labelling = reference_labelling(rep)
         for e, least in enumerate(basis.orbit_min[cls.class_id]):
             if rep.is_loop(e):
                 continue
@@ -382,7 +350,7 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
             a = rep.edges[e][0]
             for _, res in terms[1:]:
                 if not res.is_zero:
-                    image = res.cls.rep.edge_of_dart(res.iso.dart_perm[a])
+                    image = res.cls.rep.edge_of_dart(res.dart_map[a])
                     term_id = res.cls.class_id
                     done.add((term_id, basis.orbit_min[term_id][image]))
             acc, notes = _row(basis, terms)
@@ -421,7 +389,6 @@ class DimensionReport:
     dimension: int
     basis: ClassBasis
     relations: RelationData
-    oracle_checked: bool = False
 
     def to_json(self) -> dict:
         classes = []
@@ -448,15 +415,12 @@ class DimensionReport:
 
 
 def dimension(
-    k: int,
-    convention: Convention,
-    policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-    max_classes: int | None = None,
+    k: int, convention: Convention, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
 ) -> DimensionReport:
     """Exact dimension of the quotient at (k, convention, policy): the number
     of functionals that vanish on every relation row, which certify
     nonzero classes; the rank is the generators less that number."""
-    basis = class_basis(k, convention, policy, max_classes=max_classes)
+    basis = class_basis(k, convention, policy)
     rel = relation_matrix(basis)
     n = basis.num_generators
     d = len(rel.functionals)
@@ -507,7 +471,6 @@ class ZeroCertificate:
     kind: str  # "sign-witness" | "excluded" | "relation-combination"
     class_id: int | None = None
     witness_dart_perm: tuple[int, ...] | None = None
-    witness_sign: int | None = None
     combination: list[tuple[int, Fraction]] = field(default_factory=list)
     reason: str | None = None
 
@@ -549,10 +512,10 @@ def _replay_zero(
     if cert.kind == "excluded":
         return True
     if cert.kind == "sign-witness":
-        cls = report.basis.classes[cert.class_id]
-        iso = Isomorphism.from_dart_map(cert.witness_dart_perm)
-        sign = total_sign(report.convention, cls.rep, cls.labelling.directions, iso)
-        return sign == -1
+        rep = report.basis.classes[cert.class_id].rep
+        labelling = reference_labelling(rep)
+        witness = cert.witness_dart_perm
+        return transported_sign(report.convention, rep, labelling, witness, rep) == -1
     if cert.kind == "relation-combination":
         basis = report.basis
         target_col = basis.column_of(basis.classes[cert.class_id])
@@ -616,50 +579,39 @@ def certify(
     elif isinstance(target, DartGraph):
         g, labelling = target, reference_labelling(target)
     else:
-        cls = basis.classes[target]
-        if cls.status is ClassStatus.ZERO:
-            cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
-                kind="sign-witness",
-                class_id=cls.class_id,
-                witness_dart_perm=cls.witness.dart_perm,
-                witness_sign=-1,
-            )
-            return _replayed(cert, report)
-        return _certify_generator(cls, report)
+        return _certify_class(basis.classes[target], report)
     if g.num_vertices != 2 * basis.k:
         raise WrongSize("target graph size does not match the basis")
     res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)
-    if res.is_zero:
-        if res.zero_reason == "zero-class":
-            cert = ZeroCertificate(
-                kind="sign-witness",
-                class_id=res.cls.class_id,
-                witness_dart_perm=res.cls.witness.dart_perm,
-                witness_sign=-1,
-            )
-        else:
-            cert = ZeroCertificate(kind="excluded", reason=res.zero_reason)
+    if res.cls is None:  # disconnected, or a tadpole under Exclude
+        cert = ZeroCertificate(kind="excluded", reason=res.zero_reason)
         return _replayed(cert, report)
-    return _certify_generator(res.cls, report)
+    return _certify_class(res.cls, report)
 
 
-def _certify_generator(
+def _certify_class(
     cls: GraphClass, report: DimensionReport
 ) -> ZeroCertificate | NonzeroCertificate:
-    """A nonzero functional when one exists, else a relation combination.
+    """The sign witness of a zero class; for a generator, a nonzero
+    functional when one exists, else a relation combination.
 
     The functionals are a basis of ker M, `report.dimension` vectors, so the
     class is a combination of rows exactly when every functional vanishes at
     its column.  Only then is the combination solved, by back-substitution
     over the pivots of the report's one elimination, of Mᵀ.
     """
+    if cls.status is ClassStatus.ZERO:
+        cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
+            kind="sign-witness", class_id=cls.class_id, witness_dart_perm=cls.witness
+        )
+        return _replayed(cert, report)
     basis = report.basis
     rel = report.relations
     col = basis.column_of(cls)
     vec = next((v for v in rel.functionals if col in v), None)
     if vec is not None:
         gen_ids = [c.class_id for c in basis.generators]
-        cert: ZeroCertificate | NonzeroCertificate = NonzeroCertificate(
+        cert = NonzeroCertificate(
             class_id=cls.class_id,
             functional=[(gen_ids[i], v) for i, v in sorted(vec.items())],
         )

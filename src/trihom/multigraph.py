@@ -3,7 +3,9 @@
 A graph on 2k vertices is stored as a fixed-point-free involution on the
 6k darts, with darts 3v, 3v+1, 3v+2 belonging to vertex v.  This module
 provides validation, isomorphism machinery, isomorph-free enumeration,
-and the lookup of a graph among known codes.  Two functions walk the same
+and the lookup of a graph among known codes.  A relabelling, and so an
+isomorphism, is its dart map: a tuple whose entry d is the new dart of old
+dart d, which moves vertex v to dmap[3v] // 3.  Two functions walk the same
 relabellings: `_prefix_ties` (enumeration's tie-state test and, with a
 running bound, the canonical code, witness and automorphism group in one
 pass) and `_trie_walk` (lookup, which prunes by a trie of codes).
@@ -12,7 +14,6 @@ pass) and `_trie_walk` (lookup, which prunes by a trie of codes).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
@@ -33,10 +34,6 @@ class TadpolePolicy(Enum):
 
     EXCLUDE = "exclude"
     INCLUDE = "include"
-
-
-def max_classes_limit() -> int:
-    return env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
 
 
 class DartGraph:
@@ -112,42 +109,6 @@ class DartGraph:
         return f"DartGraph(2k={self.num_vertices}, edges={list(self._edges)})"
 
 
-@dataclass(frozen=True)
-class Isomorphism:
-    """Dart-level map between two dart graphs (vertex map is determined)."""
-
-    vertex_perm: tuple[int, ...]
-    dart_perm: tuple[int, ...]
-
-    @staticmethod
-    def identity(num_vertices: int) -> "Isomorphism":
-        return Isomorphism(
-            tuple(range(num_vertices)), tuple(range(3 * num_vertices))
-        )
-
-    @staticmethod
-    def from_dart_map(dart_perm: Sequence[int]) -> "Isomorphism":
-        nv = len(dart_perm) // 3
-        vp = tuple(dart_perm[3 * v] // 3 for v in range(nv))
-        return Isomorphism(vp, tuple(dart_perm))
-
-    def compose(self, other: "Isomorphism") -> "Isomorphism":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        return Isomorphism(
-            tuple(self.vertex_perm[v] for v in other.vertex_perm),
-            tuple(self.dart_perm[d] for d in other.dart_perm),
-        )
-
-    def inverse(self) -> "Isomorphism":
-        vp = [0] * len(self.vertex_perm)
-        dp = [0] * len(self.dart_perm)
-        for i, v in enumerate(self.vertex_perm):
-            vp[v] = i
-        for i, d in enumerate(self.dart_perm):
-            dp[d] = i
-        return Isomorphism(tuple(vp), tuple(dp))
-
-
 def _connected(num_vertices: int, partner: Sequence[int]) -> bool:
     seen = [False] * num_vertices
     stack = [0]
@@ -192,27 +153,27 @@ def from_pairing(
     return DartGraph(num_vertices, partner, conn)
 
 
-def relabel(g: DartGraph, iso: Isomorphism) -> DartGraph:
-    """Apply a dart-level relabelling, producing the image graph."""
+def relabel(g: DartGraph, dart_map: Sequence[int]) -> DartGraph:
+    """The image graph of a relabelling, given as its dart map (old dart ->
+    new dart); vertex v goes to dart_map[3v] // 3."""
     partner = [0] * g.num_darts
-    dp = iso.dart_perm
     for d in range(g.num_darts):
-        partner[dp[d]] = dp[g.partner[d]]
+        partner[dart_map[d]] = dart_map[g.partner[d]]
     return DartGraph(g.num_vertices, partner, g.connected)
 
 
-def random_relabelling(g: DartGraph, rng: random.Random) -> Isomorphism:
-    """Random vertex permutation plus random slot permutations."""
+def random_relabelling(g: DartGraph, rng: random.Random) -> tuple[int, ...]:
+    """Dart map of a random vertex permutation plus random slot permutations."""
     nv = g.num_vertices
     vp = list(range(nv))
     rng.shuffle(vp)
-    dp = [0] * g.num_darts
+    dmap = [0] * g.num_darts
     for v in range(nv):
         slots = [0, 1, 2]
         rng.shuffle(slots)
         for i, s in enumerate(slots):
-            dp[3 * v + i] = 3 * vp[v] + s
-    return Isomorphism(tuple(vp), tuple(dp))
+            dmap[3 * v + i] = 3 * vp[v] + s
+    return tuple(dmap)
 
 
 def _seeds(partner: Sequence[int], nv: int) -> Sequence[int]:
@@ -396,7 +357,7 @@ def vertex_invariants(partner: Sequence[int]) -> list[tuple[int, int, int, int]]
 
 def _trie_walk(
     partner: Sequence[int], roots: Sequence[dict | None]
-) -> tuple[object, list[int]] | None:
+) -> tuple[object, tuple[int, ...]] | None:
     """A relabelling of the complete pairing `partner` whose code is one of
     the codes stored in the tries `roots`, or None if there is none.
 
@@ -423,7 +384,7 @@ def _trie_walk(
     vmap = [-1] * nv  # old vertex -> new vertex
     vinv = [-1] * nv  # new vertex -> old vertex
 
-    def walk(pos: int, vnext: int, node) -> tuple[object, list[int]] | None:
+    def walk(pos: int, vnext: int, node) -> tuple[object, tuple[int, ...]] | None:
         """Extend the relabelling from slot `pos`, whose code prefix led to
         `node` of the trie."""
         assigned: list[int] = []  # darts given a slot at this node
@@ -431,7 +392,7 @@ def _trie_walk(
         found = None
         while True:
             if pos == nd:
-                found = node, dmap.copy()
+                found = node, tuple(dmap)
                 break
             x = dinv[pos]
             if x == -1:
@@ -517,23 +478,12 @@ def _canonical_graph(
     return canon
 
 
-def canonical_form(g: DartGraph) -> tuple[DartGraph, Isomorphism]:
-    """Canonical representative plus one witnessing isomorphism g -> canonical."""
+def canonical_form(g: DartGraph) -> tuple[DartGraph, tuple[int, ...]]:
+    """Canonical representative plus the dart map of one witnessing
+    relabelling g -> canonical."""
     code, maps = _min_code_ties(g.partner)
     canon = _canonical_graph(g.num_vertices, code, g.connected)
-    return canon, Isomorphism.from_dart_map(maps[0])
-
-
-def canonize(g: DartGraph) -> tuple[DartGraph, Isomorphism, list[Isomorphism]]:
-    """Canonical representative, a witness w: g -> canonical, and the
-    automorphism group of the canonical graph sorted by dart map: each map
-    t reaching the minimal code gives t o w^-1."""
-    code, maps = _min_code_ties(g.partner)
-    witness = Isomorphism.from_dart_map(maps[0])
-    w_inv = witness.inverse().dart_perm
-    group = sorted([t[d] for d in w_inv] for t in maps)
-    canon = _canonical_graph(g.num_vertices, code, g.connected)
-    return canon, witness, [Isomorphism.from_dart_map(a) for a in group]
+    return canon, tuple(maps[0])
 
 
 def canonical_code(g: DartGraph) -> tuple[int, ...]:
@@ -542,21 +492,20 @@ def canonical_code(g: DartGraph) -> tuple[int, ...]:
     return _min_code_ties(g.partner)[0]
 
 
-def automorphisms(g: DartGraph) -> list[Isomorphism]:
-    """The full automorphism group as dart-level maps (identity included),
-    sorted by dart map: each map t reaching the minimal code, after the
-    inverse of the witness w, gives w^-1 o t."""
+def automorphisms(g: DartGraph) -> list[tuple[int, ...]]:
+    """The full automorphism group as dart maps (identity included), sorted:
+    each map t reaching the minimal code, after the inverse of the witness
+    w, gives w^-1 o t."""
     _, maps = _min_code_ties(g.partner)
-    w_inv = Isomorphism.from_dart_map(maps[0]).inverse().dart_perm
-    group = sorted([w_inv[c] for c in t] for t in maps)
-    return [Isomorphism.from_dart_map(a) for a in group]
+    w_inv = [0] * g.num_darts
+    for d, c in enumerate(maps[0]):
+        w_inv[c] = d
+    return sorted(tuple(w_inv[c] for c in t) for t in maps)
 
 
 def enumerate_classes(
-    k: int,
-    policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-    max_classes: int | None = None,
-) -> Iterator[tuple[DartGraph, list[list[int]]]]:
+    k: int, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
+) -> Iterator[tuple[DartGraph, list[tuple[int, ...]]]]:
     """One canonical representative per isomorphism class, in canonical-code
     order, each with its automorphism group as dart maps, in no set order.
 
@@ -581,17 +530,22 @@ def enumerate_classes(
     Pairings that would leave a component closed before all 2k vertices
     are revealed are not tried, so such single-child nodes are common near
     the leaves.
+
+    Classes are yielded as the DFS reaches them, which is code order: the
+    smallest free dart x is the first slot where sibling pairings differ,
+    and its candidate partners are tried in ascending order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    limit = max_classes if max_classes is not None else max_classes_limit()
+    limit = env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
     include_loops = policy is TadpolePolicy.INCLUDE
     nv = 2 * k
     nd = 3 * nv
     partner = [-1] * nd
-    kept: list[tuple[tuple[int, ...], list[list[int]]]] = []
 
-    def rec(x: int, touched: int, ties: list[tuple], seeded: Sequence[int]) -> None:
+    def rec(
+        x: int, touched: int, ties: list[tuple], seeded: Sequence[int]
+    ) -> Iterator[tuple[DartGraph, list[tuple[int, ...]]]]:
         while x < 3 * touched and partner[x] != -1:
             x += 1
         cands = []
@@ -619,31 +573,27 @@ def enumerate_classes(
                 return
             seeded = seeds
         if x == nd:
-            # tuples of ints drop out of the cyclic collector's tracking,
-            # so the kept groups cost its full collections nothing
-            kept.append((tuple(partner), [tuple(t[2]) for t in ties]))
-            if len(kept) > limit:
-                raise ResourceLimit(
-                    f"class count exceeded AK_MAX_CLASSES={limit} at k={k}"
-                )
+            group = [tuple(t[2]) for t in ties]
+            yield _canonical_graph(nv, tuple(partner), True), group
             return
         for y in cands:
             partner[x] = y
             partner[y] = x
-            rec(x + 1, touched + 1 if y == 3 * touched else touched, ties, seeded)
+            yield from rec(
+                x + 1, touched + 1 if y == 3 * touched else touched, ties, seeded
+            )
             partner[x] = -1
             partner[y] = -1
 
-    rec(0, 1, [], ())
-    for code, group in sorted(kept):
-        yield _canonical_graph(nv, code, True), group
+    for count, found in enumerate(rec(0, 1, [], ()), 1):
+        if count > limit:
+            raise ResourceLimit(f"class count exceeded AK_MAX_CLASSES={limit} at k={k}")
+        yield found
 
 
 def enumerate_trivalent(
-    k: int,
-    policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-    max_classes: int | None = None,
+    k: int, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
 ) -> Iterator[DartGraph]:
     """One canonical representative per isomorphism class, in canonical-code order."""
-    for rep, _ in enumerate_classes(k, policy, max_classes):
+    for rep, _ in enumerate_classes(k, policy):
         yield rep

@@ -1,8 +1,9 @@
 """Sign conventions for labelled trivalent graphs.
 
 A relabelling (an isomorphism, a change of labels, or both) moves one
-orientation of a graph to another, and `relabelling_sign` is the rule that
-gives its sign:
+orientation of a graph to another.  `transported_sign` reads the
+permutations and reversals of one off its dart map and labelling, and
+`relabelling_sign` is the rule that gives its sign:
 
 - even convention: sgn(edge perm), the parity of the edge permutation;
 - odd convention: (-1)^(reversed edges) * sgn(vertex perm).
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .multigraph import DartGraph, Isomorphism, canonize
+from .multigraph import DartGraph
 
 
 class Convention(Enum):
@@ -95,81 +96,55 @@ def relabelling_sign(
     return (-1) ** reversals * perm_sign(vertex_perm)
 
 
-def label_change_sign(
+def transported_sign(
     convention: Convention,
-    edge_label_perm: Sequence[int],
-    vertex_label_perm: Sequence[int],
+    source: DartGraph,
+    labelling: OrientedLabelling,
+    dart_map: Sequence[int],
+    target: DartGraph,
 ) -> int:
-    """Sign of a pure label change: a relabelling that reverses no edge."""
-    return relabelling_sign(convention, edge_label_perm, vertex_label_perm, 0)
+    """Sign relating (source, labelling), carried along the dart map of an
+    isomorphism source -> target, to the reference labelling of target.
 
-
-def iso_signature(
-    g: DartGraph,
-    directions: Sequence[tuple[int, int]],
-    iso: Isomorphism,
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(induced edge permutation, vertex permutation, #reversed edges) of an
-    automorphism, reversals measured against the given directions."""
-    dp = iso.dart_perm
-    edge_perm = []
+    This is the sign of every relabelling: of an automorphism a of g it is
+    transported_sign(convention, g, reference_labelling(g), a, g), and of a
+    pure change of labels the identity map carries the new labels."""
+    nv = target.num_vertices
+    sigma_v = [0] * nv
+    for v in range(nv):
+        sigma_v[dart_map[3 * v] // 3] = labelling.vertex_labels[v] - 1
+    sigma_e = [0] * target.num_edges
     reversals = 0
-    for i, (t, h) in enumerate(directions):
-        it, ih = dp[t], dp[h]
-        j = g.edge_of_dart(it)
-        edge_perm.append(j)
-        if (it, ih) != directions[j]:
+    for i, (a, _) in enumerate(source.edges):
+        j = target.edge_of_dart(dart_map[a])
+        sigma_e[j] = labelling.edge_labels[i] - 1
+        t, h = labelling.directions[i]
+        if (dart_map[t], dart_map[h]) != target.edges[j]:
             reversals += 1
-    return tuple(edge_perm), iso.vertex_perm, reversals
-
-
-def total_sign(
-    convention: Convention,
-    g: DartGraph,
-    directions: Sequence[tuple[int, int]] | None,
-    iso: Isomorphism,
-) -> int:
-    """Sign of an automorphism of g, its reversals measured against
-    `directions` (the reference directions when None)."""
-    if directions is None:
-        directions = reference_labelling(g).directions
-    return relabelling_sign(convention, *iso_signature(g, directions, iso))
+    return relabelling_sign(convention, sigma_e, sigma_v, reversals)
 
 
 @dataclass(frozen=True)
 class GraphClass:
-    """Canonical representative with its survival status under a convention."""
+    """Canonical representative with its survival status under its basis's
+    convention, oriented by `reference_labelling(rep)`; a zero class's
+    witness is its first automorphism of sign -1, as a dart map."""
 
     rep: DartGraph
-    labelling: OrientedLabelling
-    convention: Convention
     status: ClassStatus
-    witness: Isomorphism | None
+    witness: tuple[int, ...] | None
     class_id: int | None = None
-
-    def with_id(self, class_id: int) -> "GraphClass":
-        return GraphClass(
-            self.rep, self.labelling, self.convention, self.status,
-            self.witness, class_id,
-        )
 
 
 def classify(
-    g: DartGraph,
-    convention: Convention,
-    autos: Iterable[Sequence[int]] | None = None,
+    rep: DartGraph, convention: Convention, autos: Iterable[Sequence[int]]
 ) -> GraphClass:
-    """Zero with a -1 witness, or Generator.  The witness is the first
-    automorphism of sign -1 by dart map.  Canonicalizes its input, unless
-    `autos` is given: then g is a canonical representative and `autos` its
-    automorphism group as dart maps in any order, as `enumerate_classes`
-    yields it."""
-    if autos is None:
-        canon, _, group = canonize(g)
-    else:
-        canon, group = g, map(Isomorphism.from_dart_map, sorted(autos))
-    labelling = reference_labelling(canon)
-    for auto in group:
-        if total_sign(convention, canon, labelling.directions, auto) == -1:
-            return GraphClass(canon, labelling, convention, ClassStatus.ZERO, auto)
-    return GraphClass(canon, labelling, convention, ClassStatus.GENERATOR, None)
+    """Zero with a -1 witness, or Generator, for a canonical representative
+    and its automorphism group `autos` as dart maps in any order, as
+    `enumerate_classes` yields it.  The witness is the first automorphism
+    of sign -1 by dart map."""
+    labelling = reference_labelling(rep)
+    for auto in sorted(autos):
+        if transported_sign(convention, rep, labelling, auto, rep) == -1:
+            return GraphClass(rep, ClassStatus.ZERO, auto)
+    return GraphClass(rep, ClassStatus.GENERATOR, None)

@@ -31,6 +31,19 @@ def rng():
     return random.Random(20250811)
 
 
+def compose(a, b):
+    """The dart map of a after b: dart d goes to a[b[d]]."""
+    return tuple(a[d] for d in b)
+
+
+def inverse(a):
+    """The inverse of the dart map a."""
+    inv = [0] * len(a)
+    for d, c in enumerate(a):
+        inv[c] = d
+    return tuple(inv)
+
+
 def random_pairing(k, rng, include_loops):
     """Uniform-ish random fixed-point-free involution, filtered to valid graphs."""
     while True:

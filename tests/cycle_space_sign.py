@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from trihom.multigraph import DartGraph, Isomorphism
+from trihom.multigraph import DartGraph
 from trihom.orientation import Convention
 
 
@@ -97,12 +97,12 @@ def int_det(m: list[list[int]]) -> int:
 
 
 def h1_action_sign(
-    g: DartGraph, directions: Sequence[tuple[int, int]], iso: Isomorphism
+    g: DartGraph, directions: Sequence[tuple[int, int]], dp: Sequence[int]
 ) -> int:
-    """Determinant sign of the action of an automorphism on the cycle space."""
+    """Determinant sign of the action of an automorphism, given as its dart
+    map `dp`, on the cycle space."""
     non_tree, cycles = cycle_basis(g, directions)
     col_of = {f: j for j, f in enumerate(non_tree)}
-    dp = iso.dart_perm
     mat = []
     for vec in cycles:
         image = [0] * len(non_tree)
@@ -124,15 +124,16 @@ def reference_sign(
     convention: Convention,
     g: DartGraph,
     directions: Sequence[tuple[int, int]],
-    iso: Isomorphism,
+    dp: Sequence[int],
 ) -> int:
-    """The sign of an automorphism: the determinant of its permutation of
-    the edges, times its cycle-space determinant in the odd convention."""
+    """The sign of an automorphism, given as its dart map `dp`: the
+    determinant of its permutation of the edges, times its cycle-space
+    determinant in the odd convention."""
     n = g.num_edges
     edge_matrix = [[0] * n for _ in range(n)]
     for i, (a, _) in enumerate(g.edges):
-        edge_matrix[i][g.edge_of_dart(iso.dart_perm[a])] = 1
+        edge_matrix[i][g.edge_of_dart(dp[a])] = 1
     sign = int_det(edge_matrix)
     if convention is Convention.ODD:
-        sign *= h1_action_sign(g, directions, iso)
+        sign *= h1_action_sign(g, directions, dp)
     return sign

@@ -10,7 +10,7 @@ from __future__ import annotations
 from trihom.exactla import SparseIntMatrix
 from trihom.homology import ClassBasis, RelationData, RelationRow, _row, _terms
 from trihom.multigraph import DartGraph
-from trihom.orientation import ClassStatus, OrientedLabelling
+from trihom.orientation import ClassStatus, OrientedLabelling, reference_labelling
 
 
 def expand_row(
@@ -30,10 +30,11 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
         if cls.status is not ClassStatus.GENERATOR:
             continue
         rep = cls.rep
+        labelling = reference_labelling(rep)
         for e in range(rep.num_edges):
             if rep.is_loop(e):
                 continue
-            acc, notes = expand_row(basis, rep, cls.labelling, e)
+            acc, notes = expand_row(basis, rep, labelling, e)
             row = RelationRow(tuple(sorted(acc.items())), cls.class_id, e, notes)
             if not acc:
                 zero_rows.append(row)

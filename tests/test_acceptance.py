@@ -22,7 +22,7 @@ from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import Convention
 
 import cycle_space_sign as ref
-from conftest import random_pairing
+from conftest import compose, random_pairing
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "census.json"
 
@@ -60,6 +60,12 @@ def test_criterion_2_anchored_values():
     _report("2 anchored-small-values", vals == (0, 1, 1), f"(got {vals})")
 
 
+def _auto_sign(conv, g, a):
+    """The sign of the automorphism a of g, as `classify` and the
+    sign-witness replay take it."""
+    return ori.transported_sign(conv, g, ori.reference_labelling(g), a, g)
+
+
 def _sign_identity_failures(ks):
     """Compare, for every automorphism of every graph with k in `ks` (both
     tadpole policies) and both conventions, the sign that `classify` and the
@@ -77,14 +83,12 @@ def _sign_identity_failures(ks):
                     signs = [ref.reference_sign(conv, g, dirs, a) for a in autos]
                     for a, sign in zip(autos, signs):
                         checked += 1
-                        failures += ori.total_sign(conv, g, dirs, a) != sign
-                    c = ori.classify(g, conv)
+                        failures += _auto_sign(conv, g, a) != sign
+                    c = ori.classify(g, conv, autos)
                     zero = c.status is ori.ClassStatus.ZERO
                     failures += zero != (-1 in signs)
                     if zero:
-                        wit = ref.reference_sign(
-                            conv, c.rep, c.labelling.directions, c.witness
-                        )
+                        wit = ref.reference_sign(conv, c.rep, dirs, c.witness)
                         failures += wit != -1
     return checked, failures
 
@@ -136,11 +140,10 @@ def test_criterion_4_randomized_properties():
     for _ in range(1000):
         g = rng.choice(graphs)
         conv = rng.choice((Convention.EVEN, Convention.ODD))
-        dirs = ori.reference_labelling(g).directions
         autos = autos_by_graph[g.partner]
         a, b = rng.choice(autos), rng.choice(autos)
-        lhs = ori.total_sign(conv, g, dirs, a.compose(b))
-        rhs = ori.total_sign(conv, g, dirs, a) * ori.total_sign(conv, g, dirs, b)
+        lhs = _auto_sign(conv, g, compose(a, b))
+        rhs = _auto_sign(conv, g, a) * _auto_sign(conv, g, b)
         mult += lhs == rhs
 
     ok = idem == invar == mult == 1000

@@ -71,7 +71,8 @@ def test_k4_even_row_vanishes():
     basis = hom.class_basis(2, Convention.EVEN)
     k4cls = basis.generators[0]
     for e in range(6):
-        row, notes = full_expansion.expand_row(basis, k4cls.rep, k4cls.labelling, e)
+        lab = reference_labelling(k4cls.rep)
+        row, notes = full_expansion.expand_row(basis, k4cls.rep, lab, e)
         assert row == {}
         # one term dies in the zero class B1, the two cubic terms cancel
         assert any("zero-class" in n for n in notes)
@@ -136,14 +137,14 @@ def test_express_relabelling_sign(theta, rng):
         lab = reference_labelling(theta)
         tv = [0] * 2
         for v in range(2):
-            tv[iso.vertex_perm[v]] = lab.vertex_labels[v]
+            tv[iso[3 * v] // 3] = lab.vertex_labels[v]
         te = [0] * 3
         td = [(0, 0)] * 3
         for i, (a, b) in enumerate(theta.edges):
-            j = h.edge_of_dart(iso.dart_perm[a])
+            j = h.edge_of_dart(iso[a])
             te[j] = lab.edge_labels[i]
             t, hh = lab.directions[i]
-            td[j] = (iso.dart_perm[t], iso.dart_perm[hh])
+            td[j] = (iso[t], iso[hh])
         pushed = ori.OrientedLabelling(tuple(tv), tuple(te), tuple(td))
         assert hom.express(h, basis, pushed) == ref
 
@@ -186,9 +187,9 @@ def test_certificate_b1_even(b1):
     rep = hom.dimension(2, Convention.EVEN)
     cert = hom.certify(b1, rep)
     assert isinstance(cert, hom.ZeroCertificate) and cert.kind == "sign-witness"
-    iso = mg.Isomorphism.from_dart_map(list(cert.witness_dart_perm))
+    witness = cert.witness_dart_perm
     cls = rep.basis.classes[cert.class_id]
-    em, _, _ = ori.iso_signature(cls.rep, cls.labelling.directions, iso)
+    em = [cls.rep.edge_of_dart(witness[a]) for a, _ in cls.rep.edges]
     assert ori.perm_sign(em) == -1
 
 
@@ -239,8 +240,7 @@ def _solve_first_reference(report, cls, echelon, functionals):
         return hom.ZeroCertificate(
             kind="sign-witness",
             class_id=cls.class_id,
-            witness_dart_perm=cls.witness.dart_perm,
-            witness_sign=-1,
+            witness_dart_perm=cls.witness,
         )
     m = report.relations.matrix
     col = report.basis.column_of(cls)
@@ -516,14 +516,14 @@ def test_find_matches_canonical_form_reference():
         trie = ref.shared_trie(basis.classes)
         for cls in sample:
             rep_invariants = mg.vertex_invariants(cls.rep.partner)
-            isos = [mg.Isomorphism.identity(cls.rep.num_vertices)] + [
+            isos = [tuple(range(cls.rep.num_darts))] + [
                 mg.random_relabelling(cls.rep, rng) for _ in range(3)
             ]
             for iso in isos:
                 g = mg.relabel(cls.rep, iso)
                 invariants = mg.vertex_invariants(g.partner)
-                for v, w in enumerate(iso.vertex_perm):
-                    assert invariants[w] == rep_invariants[v]
+                for v in range(g.num_vertices):
+                    assert invariants[iso[3 * v] // 3] == rep_invariants[v]
                 found, witness = basis.table.find(g)
                 canon, _ = mg.canonical_form(g)
                 assert found is by_code[canon.partner] is cls
@@ -534,7 +534,7 @@ def test_find_matches_canonical_form_reference():
                     ref_cls, expected = ref.trie_walk(g.partner, trie)
                     assert ref_cls is cls
                     walked += 1
-                assert list(witness.dart_perm) == expected
+                assert list(witness) == expected
     assert walked > 300
 
 
@@ -582,8 +582,8 @@ def test_signed_class_matches_canonical_form_reference(conv, policy):
                 if ref_cls.status is ClassStatus.ZERO:
                     assert res.coefficient == 0 and res.zero_reason == "zero-class"
                 else:
-                    assert res.coefficient == hom.transported_sign(
-                        canon, witness, lab, g, conv
+                    assert res.coefficient == ori.transported_sign(
+                        conv, g, lab, witness, canon
                     )
 
 
@@ -654,7 +654,7 @@ for target, report in cases:
 _SIGN_REPLAY = """
 import random
 from trihom import homology as hom, multigraph as mg
-from trihom.multigraph import Isomorphism, TadpolePolicy as TP
+from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import ClassStatus, Convention
 
 replays = []
@@ -670,8 +670,8 @@ for _ in range(3):
         kinds.add(hom.certify(g, report).kind)
         kinds.add(hom.certify(c.class_id, report).kind)
 print(len(zeros), len(replays), *kinds)
-identity = Isomorphism.identity(zeros[0].rep.num_vertices).dart_perm
-cert = hom.ZeroCertificate("sign-witness", zeros[0].class_id, identity, -1)
+identity = tuple(range(zeros[0].rep.num_darts))
+cert = hom.ZeroCertificate("sign-witness", zeros[0].class_id, identity)
 try:
     hom._replayed(cert, report)
 except AssertionError as exc:

@@ -233,13 +233,18 @@ def test_cli_unwritable_output_exit_code(tmp_path, theta, argv):
 
 
 def test_cli_resource_limit_exit_code(monkeypatch):
+    """Enumeration streams its classes, and a ceiling that the second class
+    of k=2 passes still exits 4 with nothing on stdout."""
     monkeypatch.setenv("AK_MAX_CLASSES", "1")
-    out = subprocess.run(
-        [sys.executable, "-m", "trihom.cli", "enumerate", "--k", "2"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 4
+    dim = ("dim", "--k", "2", "--convention", "odd")
+    for argv in (("enumerate", "--k", "2"), dim):
+        out = subprocess.run(
+            [sys.executable, "-m", "trihom.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 4
+        assert out.stdout == "" and "AK_MAX_CLASSES=1" in out.stderr
 
 
 def test_cli_matrix_limit_exit_code(monkeypatch):

@@ -14,7 +14,7 @@ from trihom.errors import (
     ResourceLimit,
 )
 
-from conftest import random_pairing
+from conftest import compose, inverse, random_pairing
 
 
 def test_theta_construction(theta):
@@ -226,8 +226,7 @@ def test_enumerated_maps_give_the_automorphism_group(k, policy):
     """The dart maps enumeration yields with a representative are the
     automorphism group the exhaustive search finds, each once."""
     for rep, autos in mg.enumerate_classes(k, policy):
-        want = [a.dart_perm for a in _reference_automorphisms(rep)]
-        assert sorted(map(tuple, autos)) == want
+        assert sorted(autos) == _reference_automorphisms(rep)
 
 
 @pytest.mark.parametrize(
@@ -276,9 +275,8 @@ def test_enumeration_search_counts(monkeypatch, k, policy, counts):
 
 def _reference_automorphisms(g):
     _, maps = exhaustive_search.min_code_maps(g, collect_all=True)
-    base_inv = mg.Isomorphism.from_dart_map(maps[0]).inverse()
-    autos = [base_inv.compose(mg.Isomorphism.from_dart_map(m)) for m in maps]
-    return sorted(autos, key=lambda a: a.dart_perm)
+    base_inv = inverse(maps[0])
+    return sorted(compose(base_inv, m) for m in maps)
 
 
 def _reference_cases():
@@ -299,24 +297,23 @@ def test_pruned_search_matches_exhaustive_reference():
     """On random relabellings (k <= 4 both policies, a k=5 sample) the
     minimal-code search gives the exhaustive search's minimal code and every
     map reaching it, in search order (the first is the witness), and
-    `automorphisms` its sorted automorphism group; `canonize` gives the
-    code, the witness and the canonical graph's group."""
+    `automorphisms` its sorted automorphism group; `canonical_form` gives
+    the code and the witness, and the canonical graph has its own group."""
     for g in _reference_cases():
         code, maps = exhaustive_search.min_code_maps(g, collect_all=True)
         autos = _reference_automorphisms(g)
         assert mg._min_code_ties(g.partner) == (code, maps)
         assert mg.automorphisms(g) == autos
-        canon, wit, canon_autos = mg.canonize(g)
-        assert (canon, wit) == mg.canonical_form(g)
-        assert canon.partner == code
-        assert canon_autos == _reference_automorphisms(canon)
+        canon, wit = mg.canonical_form(g)
+        assert (canon.partner, wit) == (code, tuple(maps[0]))
+        assert mg.automorphisms(canon) == _reference_automorphisms(canon)
 
 
-def test_canonize_and_automorphisms_search_once(monkeypatch, rng, k4, dumbbell):
-    """`canonize`, `automorphisms` and `canonical_form` each read the code,
-    the witness and the group off one minimal-code search, which is one
-    tie walk of the whole pairing; a graph that `canonize` or
-    `canonical_form` returns gives its code unsearched."""
+def test_canonical_form_and_automorphisms_search_once(monkeypatch, rng, k4, dumbbell):
+    """`automorphisms` and `canonical_form` each read the code, the witness
+    and the group off one minimal-code search, which is one tie walk of the
+    whole pairing; a graph that `canonical_form` returns gives its code
+    unsearched."""
     searches, walks = [], []
     search, walk = mg._min_code_ties, mg._prefix_ties
 
@@ -332,9 +329,9 @@ def test_canonize_and_automorphisms_search_once(monkeypatch, rng, k4, dumbbell):
     monkeypatch.setattr(mg, "_prefix_ties", counted_walk)
     graphs = [mg.relabel(g, mg.random_relabelling(g, rng)) for g in (k4, dumbbell)]
     for g, order in zip(graphs, (24, 8)):
-        canon, _, group = mg.canonize(g)
-        assert len(group) == len(mg.automorphisms(g)) == order
-        assert mg.canonical_code(canon) == mg.canonical_code(mg.canonical_form(g)[0])
+        assert len(mg.automorphisms(g)) == order
+        canon, _ = mg.canonical_form(g)
+        assert mg.canonical_code(canon) == mg.canonical_code(g)
     assert searches == [g.partner for g in graphs for _ in range(3)]
     assert walks == [(g.partner, g.num_darts) for g in graphs for _ in range(3)]
 
@@ -417,17 +414,29 @@ def test_enumeration_deterministic():
     assert a == b
 
 
-def test_enumeration_resource_limit():
-    with pytest.raises(ResourceLimit):
-        list(mg.enumerate_trivalent(2, max_classes=1))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_enumeration_streams_in_code_order(k, policy):
+    """Classes come out of the DFS as it reaches them, and that order is
+    strictly increasing canonical code, with no sort."""
+    codes = [g.partner for g in mg.enumerate_trivalent(k, policy)]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+def test_enumeration_resource_limit(monkeypatch):
+    """The class count is checked as classes stream out: the first class
+    of k=2 is yielded under a ceiling of 1, the second raises."""
+    monkeypatch.setenv("AK_MAX_CLASSES", "1")
+    classes = mg.enumerate_trivalent(2)
+    assert next(classes).partner == (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8)
+    with pytest.raises(ResourceLimit, match="AK_MAX_CLASSES=1 at k=2"):
+        next(classes)
 
 
 def test_enumeration_malformed_limit(monkeypatch):
     monkeypatch.setenv("AK_MAX_CLASSES", "1e6")
     with pytest.raises(BadEnvironment, match="AK_MAX_CLASSES"):
         list(mg.enumerate_trivalent(1))
-    # an explicit ceiling does not read the variable
-    assert len(list(mg.enumerate_trivalent(1, max_classes=1))) == 1
 
 
 def test_automorphism_orders(theta, dumbbell, k4):
@@ -439,13 +448,13 @@ def test_automorphism_orders(theta, dumbbell, k4):
 def test_automorphism_group_axioms(theta, k4, dumbbell):
     for g in (theta, k4, dumbbell):
         autos = mg.automorphisms(g)
-        keyset = {a.dart_perm for a in autos}
-        assert mg.Isomorphism.identity(g.num_vertices).dart_perm in keyset
+        keyset = set(autos)
+        assert tuple(range(g.num_darts)) in keyset
         for a in autos:
-            assert a.inverse().dart_perm in keyset
+            assert inverse(a) in keyset
         for a in autos[:6]:
             for b in autos[:6]:
-                assert a.compose(b).dart_perm in keyset
+                assert compose(a, b) in keyset
         order = len(autos)
         import math
 

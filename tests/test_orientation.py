@@ -1,45 +1,71 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycle_space_sign as ref
-from trihom import homology as hom
+from conftest import compose, inverse
 from trihom import multigraph as mg
 from trihom import orientation as ori
 
 
-def _iso(dart_perm):
-    return mg.Isomorphism.from_dart_map(list(dart_perm))
+def _sign(conv, g, dart_map, labelling=None):
+    """Sign of carrying g with `labelling` (its reference labelling when
+    None) along `dart_map` onto its reference labelling."""
+    if labelling is None:
+        labelling = ori.reference_labelling(g)
+    return ori.transported_sign(conv, g, labelling, dart_map, g)
 
 
-def test_label_change_sign_examples():
-    transposition = [1, 0, 2]
-    identity3 = [0, 1, 2]
-    assert ori.label_change_sign(ori.Convention.EVEN, transposition, identity3) == -1
-    assert ori.label_change_sign(ori.Convention.EVEN, identity3, transposition) == 1
-    three_cycle = [1, 2, 0]
-    assert ori.label_change_sign(ori.Convention.ODD, three_cycle, transposition) == -1
-    assert ori.label_change_sign(ori.Convention.ODD, transposition, identity3) == 1
+def _identity(g):
+    return tuple(range(g.num_darts))
+
+
+def _label_change(g, edge_perm, vertex_perm):
+    """g's reference labelling with the label of edge i and vertex v moved
+    to edge_perm[i] + 1 and vertex_perm[v] + 1."""
+    return ori.OrientedLabelling(
+        tuple(v + 1 for v in vertex_perm),
+        tuple(e + 1 for e in edge_perm),
+        ori.reference_labelling(g).directions,
+    )
+
+
+def _vertex_perm(dart_map):
+    return [dart_map[3 * v] // 3 for v in range(len(dart_map) // 3)]
+
+
+def _classify(g, conv):
+    """The class of g: its canonical form, classified with its group."""
+    canon, _ = mg.canonical_form(g)
+    return ori.classify(canon, conv, mg.automorphisms(canon))
+
+
+def test_label_change_sign_examples(k4):
+    """A pure label change is the identity dart map carrying new labels."""
+
+    def sign(conv, edge_perm, vertex_perm):
+        labelling = _label_change(k4, edge_perm, vertex_perm)
+        return _sign(conv, k4, _identity(k4), labelling)
+
+    transposition = [1, 0, 2, 3, 4, 5]
+    identity6 = [0, 1, 2, 3, 4, 5]
+    assert sign(ori.Convention.EVEN, transposition, [0, 1, 2, 3]) == -1
+    assert sign(ori.Convention.EVEN, identity6, [1, 0, 2, 3]) == 1
+    three_cycle = [1, 2, 0, 3, 4, 5]
+    assert sign(ori.Convention.ODD, three_cycle, [1, 0, 2, 3]) == -1
+    assert sign(ori.Convention.ODD, transposition, [0, 1, 2, 3]) == 1
 
 
 @pytest.mark.parametrize("conv", [ori.Convention.EVEN, ori.Convention.ODD])
 def test_label_change_sign_matches_transport(theta, conv):
-    """A pure label change has the sign that `transported_sign`, the sign of
-    every IHX term, gives the relabelled graph."""
-    ident = mg.Isomorphism.identity(theta.num_vertices)
-    directions = ori.reference_labelling(theta).directions
+    """A pure label change, carried along the identity map, has the sign
+    the rule gives its permutations with no edge reversed."""
     for edge_perm in ([0, 1, 2], [1, 0, 2], [1, 2, 0]):
         for vertex_perm in ([0, 1], [1, 0]):
-            labelling = ori.OrientedLabelling(
-                tuple(v + 1 for v in vertex_perm),
-                tuple(e + 1 for e in edge_perm),
-                directions,
+            labelling = _label_change(theta, edge_perm, vertex_perm)
+            assert _sign(conv, theta, _identity(theta), labelling) == (
+                ori.relabelling_sign(conv, edge_perm, vertex_perm, 0)
             )
-            assert hom.transported_sign(
-                theta, ident, labelling, theta, conv
-            ) == ori.label_change_sign(conv, edge_perm, vertex_perm)
 
 
 def test_perm_sign_basics():
@@ -57,35 +83,31 @@ def test_perm_sign_homomorphism(p, q):
 
 def test_h1_sign_theta_examples(theta):
     dirs = ori.reference_labelling(theta).directions
-    edge_swap = _iso([1, 0, 2, 4, 3, 5])  # swaps parallel edges, fixes vertices
+    edge_swap = (1, 0, 2, 4, 3, 5)  # swaps parallel edges, fixes vertices
     assert ref.h1_action_sign(theta, dirs, edge_swap) == -1
-    vertex_swap = _iso([3, 4, 5, 0, 1, 2])  # reverses all three edges
+    vertex_swap = (3, 4, 5, 0, 1, 2)  # reverses all three edges
     assert ref.h1_action_sign(theta, dirs, vertex_swap) == 1
-    ident = mg.Isomorphism.identity(2)
-    assert ref.h1_action_sign(theta, dirs, ident) == 1
+    assert ref.h1_action_sign(theta, dirs, _identity(theta)) == 1
 
 
-def test_total_sign_examples(theta, dumbbell, k4):
+def test_automorphism_sign_examples(theta, dumbbell, k4):
     dirs = ori.reference_labelling(theta).directions
-    vertex_swap = _iso([3, 4, 5, 0, 1, 2])
+    vertex_swap = (3, 4, 5, 0, 1, 2)
     # odd: 3 reversals, vertex transposition -> (-1)^3 * (-1) = +1
-    assert ori.total_sign(ori.Convention.ODD, theta, dirs, vertex_swap) == 1
+    assert _sign(ori.Convention.ODD, theta, vertex_swap) == 1
     assert ref.reference_sign(ori.Convention.ODD, theta, dirs, vertex_swap) == 1
 
-    ddirs = ori.reference_labelling(dumbbell).directions
-    loop_swap = _iso([1, 0, 2, 3, 4, 5])  # reverse one loop
-    assert ori.total_sign(ori.Convention.ODD, dumbbell, ddirs, loop_swap) == -1
+    loop_swap = (1, 0, 2, 3, 4, 5)  # reverse one loop
+    assert _sign(ori.Convention.ODD, dumbbell, loop_swap) == -1
 
-    kdirs = ori.reference_labelling(k4).directions
     transpositions = [
         a
         for a in mg.automorphisms(k4)
-        if sorted(a.vertex_perm) == [0, 1, 2, 3]
-        and sum(1 for i, v in enumerate(a.vertex_perm) if i != v) == 2
+        if sum(1 for i, v in enumerate(_vertex_perm(a)) if i != v) == 2
     ]
     assert transpositions
     for a in transpositions:
-        assert ori.total_sign(ori.Convention.EVEN, k4, kdirs, a) == 1
+        assert _sign(ori.Convention.EVEN, k4, a) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -93,31 +115,30 @@ def test_closed_form_identity(k):
     for g in mg.enumerate_trivalent(k, mg.TadpolePolicy.INCLUDE):
         dirs = ori.reference_labelling(g).directions
         for a in mg.automorphisms(g):
-            assert ori.total_sign(
+            assert _sign(ori.Convention.ODD, g, a) == ref.reference_sign(
                 ori.Convention.ODD, g, dirs, a
-            ) == ref.reference_sign(ori.Convention.ODD, g, dirs, a)
+            )
 
 
 def test_h1_sign_direction_independence(k4, rng):
-    """The cycle-space determinant and the closed-form signs of both
-    conventions do not depend on the edge directions they are measured
-    against."""
+    """The cycle-space determinant does not depend on the edge directions
+    it is measured against; the sign of carrying other directions along
+    an automorphism is the sign of the change of directions times the
+    automorphism's own sign, in both conventions."""
     autos = mg.automorphisms(k4)
-
-    def signs(dirs):
-        return [
-            (ref.h1_action_sign(k4, dirs, a),
-             ori.total_sign(ori.Convention.EVEN, k4, dirs, a),
-             ori.total_sign(ori.Convention.ODD, k4, dirs, a))
-            for a in autos
-        ]
-
-    base = signs(ori.reference_labelling(k4).directions)
+    reference = ori.reference_labelling(k4)
+    base = [ref.h1_action_sign(k4, reference.directions, a) for a in autos]
+    ident = _identity(k4)
     for _ in range(10):
         dirs = tuple(
             (a, b) if rng.random() < 0.5 else (b, a) for a, b in k4.edges
         )
-        assert signs(dirs) == base
+        assert [ref.h1_action_sign(k4, dirs, a) for a in autos] == base
+        lab = ori.OrientedLabelling(reference.vertex_labels, reference.edge_labels, dirs)
+        for conv in (ori.Convention.EVEN, ori.Convention.ODD):
+            change = _sign(conv, k4, ident, lab)
+            for a in autos:
+                assert _sign(conv, k4, a, lab) == change * _sign(conv, k4, a)
 
 
 def test_h1_sign_presentation_independence(k4, rng):
@@ -130,40 +151,36 @@ def test_h1_sign_presentation_independence(k4, rng):
         h = mg.relabel(k4, rl)
         hdirs = ori.reference_labelling(h).directions
         for a in autos[:8]:
-            conj = rl.compose(a).compose(rl.inverse())
+            conj = compose(compose(rl, a), inverse(rl))
             assert ref.h1_action_sign(h, hdirs, conj) == ref.h1_action_sign(
                 k4, ref_dirs, a
             )
             for conv in (ori.Convention.EVEN, ori.Convention.ODD):
-                assert ori.total_sign(conv, h, hdirs, conj) == ori.total_sign(
-                    conv, k4, ref_dirs, a
-                )
+                assert _sign(conv, h, conj) == _sign(conv, k4, a)
 
 
 def test_classify_examples(theta, b1):
-    c = ori.classify(theta, ori.Convention.EVEN)
+    c = _classify(theta, ori.Convention.EVEN)
     assert c.status is ori.ClassStatus.ZERO
-    wit = c.witness
-    assert wit.vertex_perm == (0, 1)  # pure parallel-edge swap
-    dirs = c.labelling.directions
-    assert ori.total_sign(ori.Convention.EVEN, c.rep, dirs, wit) == -1
+    assert _vertex_perm(c.witness) == [0, 1]  # pure parallel-edge swap
+    assert _sign(ori.Convention.EVEN, c.rep, c.witness) == -1
 
-    c = ori.classify(theta, ori.Convention.ODD)
+    c = _classify(theta, ori.Convention.ODD)
     assert c.status is ori.ClassStatus.GENERATOR
     for a in mg.automorphisms(c.rep):
-        assert ori.total_sign(ori.Convention.ODD, c.rep, dirs, a) == 1
+        assert _sign(ori.Convention.ODD, c.rep, a) == 1
 
-    c = ori.classify(b1, ori.Convention.EVEN)
+    c = _classify(b1, ori.Convention.EVEN)
     assert c.status is ori.ClassStatus.ZERO
-    em, _, _ = ori.iso_signature(c.rep, c.labelling.directions, c.witness)
+    em = [c.rep.edge_of_dart(c.witness[a]) for a, _ in c.rep.edges]
     assert ori.perm_sign(em) == -1  # a single doubled-edge transposition
 
 
 def test_classify_presentation_invariance(k4, rng):
-    ref = ori.classify(k4, ori.Convention.ODD)
+    ref = _classify(k4, ori.Convention.ODD)
     for _ in range(100):
         h = mg.relabel(k4, mg.random_relabelling(k4, rng))
-        c = ori.classify(h, ori.Convention.ODD)
+        c = _classify(h, ori.Convention.ODD)
         assert c.rep == ref.rep and c.status is ref.status
 
 
@@ -187,10 +204,9 @@ def test_odd_loop_classes_are_zero():
 def test_sign_multiplicativity(rng):
     for conv in (ori.Convention.EVEN, ori.Convention.ODD):
         for g in mg.enumerate_trivalent(2, mg.TadpolePolicy.INCLUDE):
-            dirs = ori.reference_labelling(g).directions
             autos = mg.automorphisms(g)
             for _ in range(100):
                 a, b = rng.choice(autos), rng.choice(autos)
-                assert ori.total_sign(conv, g, dirs, a.compose(b)) == ori.total_sign(
-                    conv, g, dirs, a
-                ) * ori.total_sign(conv, g, dirs, b)
+                assert _sign(conv, g, compose(a, b)) == _sign(conv, g, a) * _sign(
+                    conv, g, b
+                )
