@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
 from . import exactla
-from .errors import LoopEdge, NoSolution, UnknownClass, WrongSize
+from .errors import LoopEdge, NoSolution, UnknownClass, WrongSize, env_int
 from .exactla import (
     Echelon,
     SparseIntMatrix,
@@ -27,6 +27,7 @@ from .exactla import (
     solve_combination,
 )
 from .multigraph import (
+    DEFAULT_MAX_CLASSES,
     DartGraph,
     TadpolePolicy,
     _connected,
@@ -226,15 +227,50 @@ class ClassBasis:
 def class_basis(
     k: int, convention: Convention, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
 ) -> ClassBasis:
-    classes = []
-    orbit_min = []
-    for i, (rep, autos) in enumerate(enumerate_classes(k, policy)):
-        cls = replace(classify(rep, convention, autos), class_id=i)
-        classes.append(cls)
-        orbit_min.append(
-            _orbit_min(rep, autos) if cls.status is ClassStatus.GENERATOR else None
-        )
+    """All classes at (k, convention, policy), in enumeration order; read
+    from the memo of `_classified`, so the two conventions of one
+    (k, policy) share one enumeration."""
+    limit = env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
+    by_convention, least = _classified(k, policy, limit)
+    classes = list(by_convention[convention])
+    orbit_min = [
+        m if c.status is ClassStatus.GENERATOR else None
+        for c, m in zip(classes, least)
+    ]
     return ClassBasis(k, convention, policy, classes, ClassTable(classes), orbit_min)
+
+
+@lru_cache(maxsize=1)
+def _classified(
+    k: int, policy: TadpolePolicy, limit: int
+) -> tuple[
+    dict[Convention, tuple[GraphClass, ...]], tuple[tuple[int, ...] | None, ...]
+]:
+    """The classes of `enumerate_classes(k, policy)` with their ids, under
+    each convention, and each class's `_orbit_min` (None for a class that
+    is zero under both).
+
+    Only the status and witness depend on the convention, so both
+    conventions are classified while the class's group is in hand, and the
+    group is then dropped.  Equal witnesses are stored once, which keeps
+    the memo within the memory of one convention's classes: at k=7 the
+    3,394 even and 1,478 odd zero classes have 307 and 239 distinct ones.
+    The memo keeps the last key only: the census and the report grid ask
+    for both conventions of one (k, policy) in turn.  `limit` is the
+    `AK_MAX_CLASSES` that `enumerate_classes` reads; it is in the key so
+    that a lower limit set later is still enforced."""
+    classes: dict[Convention, list[GraphClass]] = {c: [] for c in Convention}
+    orbit_min = []
+    witnesses: dict[tuple[int, ...] | None, tuple[int, ...] | None] = {}
+    for i, (rep, autos) in enumerate(enumerate_classes(k, policy)):
+        generator = False
+        for c in Convention:
+            cls = classify(rep, c, autos)
+            witness = witnesses.setdefault(cls.witness, cls.witness)
+            classes[c].append(replace(cls, witness=witness, class_id=i))
+            generator |= cls.status is ClassStatus.GENERATOR
+        orbit_min.append(_orbit_min(rep, autos) if generator else None)
+    return {c: tuple(v) for c, v in classes.items()}, tuple(orbit_min)
 
 
 def _orbit_min(rep: DartGraph, autos: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -269,6 +305,11 @@ class RelationData:
     zero_rows: list[RelationRow]
     duplicates: int
     skipped: int
+    # a nonzero certificate's scaled integer functional, by column -> whether
+    # it annihilates every row of `matrix`; see `_replay_nonzero`
+    annihilates: dict[tuple[tuple[int, int], ...], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def elimination(self) -> Echelon:
@@ -512,10 +553,14 @@ def _replay_zero(
     if cert.kind == "excluded":
         return True
     if cert.kind == "sign-witness":
-        rep = report.basis.classes[cert.class_id].rep
+        cls = report.basis.classes[cert.class_id]
+        rep, witness = cls.rep, cert.witness_dart_perm
         labelling = reference_labelling(rep)
-        witness = cert.witness_dart_perm
-        return transported_sign(report.convention, rep, labelling, witness, rep) == -1
+        return (
+            cls.status is ClassStatus.ZERO
+            and _is_automorphism(rep, witness)
+            and transported_sign(report.convention, rep, labelling, witness, rep) == -1
+        )
     if cert.kind == "relation-combination":
         basis = report.basis
         target_col = basis.column_of(basis.classes[cert.class_id])
@@ -529,6 +574,20 @@ def _replay_zero(
     return False
 
 
+def _is_automorphism(g: DartGraph, dart_map: Sequence[int] | None) -> bool:
+    """Whether `dart_map` is an automorphism of g: a bijection of its darts
+    that keeps the three darts of each vertex together and commutes with
+    the pairing."""
+    n = g.num_darts
+    if dart_map is None or sorted(dart_map) != list(range(n)):
+        return False
+    return all(
+        dart_map[d] // 3 == dart_map[d - d % 3] // 3
+        and dart_map[g.partner[d]] == g.partner[dart_map[d]]
+        for d in range(n)
+    )
+
+
 def _scaled(vec: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
     """`vec` times the lcm of its denominators, as that lcm and integers.
 
@@ -540,14 +599,24 @@ def _scaled(vec: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]
 
 
 def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
+    """Whether the functional is nonzero at the certificate's class, checked
+    per certificate, and annihilates every relation row, checked once per
+    distinct functional of the report: the verdict of that deterministic
+    check is kept on `RelationData.annihilates`, keyed by the scaled integer
+    functional itself, so many classes certified by one functional replay
+    it against the rows once."""
     basis = report.basis
     _, scaled = _scaled(cert.functional)
     func = {basis.column_of(basis.classes[cid]): v for cid, v in scaled}
     if not func.get(basis.column_of(basis.classes[cert.class_id])):
         return False
-    return not any(
-        sum(func.get(c, 0) * v for c, v in row) for row in report.relations.matrix.rows
-    )
+    rel = report.relations
+    key = tuple(func.items())
+    if key not in rel.annihilates:
+        rel.annihilates[key] = not any(
+            sum(func.get(c, 0) * v for c, v in row) for row in rel.matrix.rows
+        )
+    return rel.annihilates[key]
 
 
 def _replayed(

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import random
 import subprocess
 import sys
@@ -13,7 +15,14 @@ from trihom import exactla as la
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
-from trihom.errors import LoopEdge, NoSolution, ResourceLimit, UnknownClass, WrongSize
+from trihom.errors import (
+    LoopEdge,
+    NoSolution,
+    ResourceLimit,
+    UnknownClass,
+    WrongSize,
+    env_int,
+)
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import ClassStatus, Convention, reference_labelling
 
@@ -115,6 +124,98 @@ def test_skipped_edges_keep_the_full_expansion_rows(k, conv, policy):
         expansions
     )
     assert rel.skipped or not expansions
+
+
+def _report_bytes(report):
+    """The report's JSON with every class's certificate, as `dim --certify`
+    writes it."""
+    doc = report.to_json()
+    doc["certificates"] = [
+        hom.certify(c.class_id, report).to_json() for c in report.basis.classes
+    ]
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_class_memo_gives_the_same_report_bytes(k, policy):
+    """A report and its certificates are the same bytes whether its classes
+    were enumerated afresh or read from the memo the other convention
+    filled."""
+    for conv in Convention:
+        other = Convention.ODD if conv is Convention.EVEN else Convention.EVEN
+        hom._classified.cache_clear()
+        cold = _report_bytes(hom.dimension(k, conv, policy))
+        hom._classified.cache_clear()
+        hom.class_basis(k, other, policy)
+        warm = _report_bytes(hom.dimension(k, conv, policy))
+        assert hom._classified.cache_info().hits == 1
+        assert warm == cold
+
+
+@pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
+def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
+    """class_basis enumerates once per (k, policy): at k=4 the first
+    convention runs the 186 (no loops) or 457 (loops) prefix tests of one
+    enumeration, and the other convention runs none."""
+    tests = []
+    prefix_ties = mg._prefix_ties
+
+    def counted(*args):
+        tests.append(1)
+        return prefix_ties(*args)
+
+    monkeypatch.setattr(mg, "_prefix_ties", counted)
+    hom._classified.cache_clear()
+    first = hom.class_basis(4, Convention.ODD, policy)
+    assert len(tests) == {TP.EXCLUDE: 186, TP.INCLUDE: 457}[policy]
+    tests.clear()
+    second = hom.class_basis(4, Convention.EVEN, policy)
+    assert tests == []
+    assert [c.rep for c in first.classes] == [c.rep for c in second.classes]
+
+
+def test_class_memo_enforces_a_lower_class_limit(monkeypatch):
+    """The class limit in force is part of the memo's key: a limit set after
+    a report still raises for the other convention of its (k, policy)."""
+    assert hom.dimension(2, Convention.ODD).num_classes == 2
+    monkeypatch.setenv("AK_MAX_CLASSES", "1")
+    with pytest.raises(ResourceLimit, match="AK_MAX_CLASSES=1 at k=2"):
+        hom.dimension(2, Convention.EVEN)
+
+
+def test_class_memo_holds_no_automorphism_group():
+    """The memo keeps the classes of each convention, with their ids and a
+    zero class's one witness map (equal witnesses stored once), and each
+    class's orbit-least edges: nothing in it is a list, so no group."""
+    hom._classified.cache_clear()
+    hom.class_basis(4, Convention.ODD, TP.INCLUDE)
+    limit = env_int("AK_MAX_CLASSES", mg.DEFAULT_MAX_CLASSES)
+    stored = hom._classified(4, TP.INCLUDE, limit)
+    assert hom._classified.cache_info().hits == 1
+
+    def values(v):
+        yield v
+        if isinstance(v, dict):
+            children = v.values()
+        elif isinstance(v, tuple):
+            children = v
+        elif isinstance(v, ori.GraphClass):
+            children = (v.status, v.witness, v.class_id)
+        else:
+            children = ()
+        for child in children:
+            yield from values(child)
+
+    assert not any(isinstance(v, list) for v in values(stored))
+    by_convention, least = stored
+    assert len(least) == 71 and all(m is None or len(m) == 12 for m in least)
+    witnesses = []
+    for conv, classes in by_convention.items():
+        assert [c.class_id for c in classes] == list(range(71))
+        witnesses += [c.witness for c in classes if c.witness is not None]
+    assert all(len(w) == 24 for w in witnesses)
+    assert len({id(w) for w in witnesses}) == len(set(witnesses)) < len(witnesses)
 
 
 def test_anchored_dimensions():
@@ -354,8 +455,11 @@ def test_certificates_match_solve_first_reference(rng, k, conv, policy):
 @pytest.mark.parametrize(
     "k, conv, policy, changes",
     [
-        (2, Convention.EVEN, TP.INCLUDE, {"target", "coefficient", "doubled"}),
-        (4, Convention.ODD, TP.EXCLUDE, {"entry", "target"}),
+        (
+            2, Convention.EVEN, TP.INCLUDE,
+            {"target", "coefficient", "doubled", "reused"},
+        ),
+        (4, Convention.ODD, TP.EXCLUDE, {"entry", "target", "reused"}),
     ],
     ids=["k2-even-include", "k4-odd-exclude"],
 )
@@ -363,17 +467,26 @@ def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
     """Replay accepts each generator's certificate, and its functional with
     every value divided by 6, but refuses it, naming its class, after any
     one change: a functional entry on a column some row uses moved by 1/3
-    ("entry"), the target entry dropped ("target"), a combination
-    coefficient moved by 1/3 ("coefficient"), the combination doubled."""
+    ("entry"), the target entry dropped ("target"), the functional given
+    to a generator it vanishes at ("reused"), a combination coefficient
+    moved by 1/3 ("coefficient"), the combination doubled.  The tampered
+    certificates are replayed after the report has kept the verdict of
+    every genuine functional on its rows, and again after their own."""
     report = hom.dimension(k, conv, policy)
     basis = report.basis
     used = {c for row in report.relations.matrix.rows for c, _ in row}
-    tampered = []
+    genuine, tampered = [], []
     for cls in basis.generators:
         cert = hom.certify(cls.class_id, report)
+        genuine.append(cert)
         if isinstance(cert, hom.NonzeroCertificate):
             sixth = [(cid, v / 6) for cid, v in cert.functional]
             hom._replayed(hom.NonzeroCertificate(cls.class_id, sixth), report)
+            ids = {cid for cid, _ in cert.functional}
+            for other in basis.generators:
+                if other.class_id not in ids:
+                    reused = dataclasses.replace(cert, class_id=other.class_id)
+                    tampered.append(("reused", reused))
             for i, (cid, v) in enumerate(cert.functional):
                 func = list(cert.functional)
                 if cid == cls.class_id:
@@ -396,11 +509,55 @@ def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
             doubled = [(rid, 2 * c) for rid, c in cert.combination]
             tampered.append(("doubled", dataclasses.replace(cert, combination=doubled)))
     assert {change for change, _ in tampered} == changes
-    for _, cert in tampered:
-        with pytest.raises(
-            AssertionError, match=rf"certificate for class {cert.class_id} failed"
-        ):
-            hom._replayed(cert, report)
+    assert all(report.relations.annihilates.values())
+    for _ in range(2):
+        for _, cert in tampered:
+            with pytest.raises(
+                AssertionError, match=rf"certificate for class {cert.class_id} failed"
+            ):
+                hom._replayed(cert, report)
+    for cert in genuine:
+        hom._replayed(cert, report)
+
+
+def _vertex_preserving_maps(g):
+    """Every dart map of g that permutes its vertices, each vertex's three
+    darts going to one vertex in any order."""
+    nv = g.num_vertices
+    for vertex_perm in itertools.permutations(range(nv)):
+        for slots in itertools.product(itertools.permutations(range(3)), repeat=nv):
+            yield tuple(
+                3 * vertex_perm[d // 3] + slots[d // 3][d % 3] for d in range(3 * nv)
+            )
+
+
+def test_sign_witness_replay_checks_the_map_the_status_and_the_sign():
+    """A sign witness is replayed only as a dart bijection that keeps
+    vertices together and commutes with the pairing, for a zero class, of
+    sign -1.  Of theta's 72 vertex-preserving dart maps, replay accepts for
+    the even convention (theta a zero class) exactly the 6 automorphisms of
+    sign -1, and for the odd one (theta a generator) none; maps that are
+    not bijections or split a vertex are refused as well."""
+    for conv, want in ((Convention.EVEN, 6), (Convention.ODD, 0)):
+        report = hom.dimension(1, conv)
+        theta = report.basis.classes[0].rep
+        autos = set(mg.automorphisms(theta))
+        labelling = reference_labelling(theta)
+        accepted = []
+        maps = list(_vertex_preserving_maps(theta))
+        maps += [(0, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 4), None]
+        for dmap in maps:
+            cert = hom.ZeroCertificate("sign-witness", 0, dmap)
+            try:
+                hom._replayed(cert, report)
+            except AssertionError as exc:
+                assert str(exc) == "sign-witness certificate for class 0 failed replay"
+            else:
+                accepted.append(dmap)
+        assert len(maps) == 76 and len(accepted) == want
+        for dmap in accepted:
+            assert dmap in autos
+            assert ori.transported_sign(conv, theta, labelling, dmap, theta) == -1
 
 
 def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):

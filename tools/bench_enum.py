@@ -27,7 +27,9 @@ Per case, from one enumeration:
 
 With `--time N` each case also gets the wall times of N further runs of
 `list(enumerate_trivalent(k, policy))` and of `class_basis(k, odd,
-policy)`, uncounted, and their medians.
+policy)`, uncounted, and their medians.  Each `class_basis` run starts
+from a cleared class memo (`homology._classified`), so every run
+enumerates and classifies.
 """
 
 from __future__ import annotations
@@ -127,11 +129,14 @@ def counters(k, policy):
 
 
 def wall_times(k, policy, runs):
+    # a checkout without the class memo has nothing to clear
+    clear = getattr(getattr(hom, "_classified", None), "cache_clear", lambda: None)
     walls, bases = [], []
     for _ in range(runs):
         start = time.perf_counter()
         list(mg.enumerate_trivalent(k, policy))
         walls.append(round(time.perf_counter() - start, 4))
+        clear()
         start = time.perf_counter()
         hom.class_basis(k, Convention.ODD, policy)
         bases.append(round(time.perf_counter() - start, 4))

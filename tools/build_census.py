@@ -38,11 +38,13 @@ def main(argv=None):
             n = sum(1 for _ in mg.enumerate_trivalent(k, pol))
             census["class_counts"][f"k{k}_{pol.value}"] = n
             print(f"count k={k} {pol.value}: {n}  [{time.time() - t0:.1f}s]")
+    # conventions innermost: the two conventions of one (k, policy) share
+    # one enumeration (homology._classified keeps the last (k, policy))
     grid = [
         (k, conv, pol)
         for k in range(1, 8)
-        for conv in (Convention.EVEN, Convention.ODD)
         for pol in (TadpolePolicy.EXCLUDE, TadpolePolicy.INCLUDE)
+        for conv in (Convention.EVEN, Convention.ODD)
         if k <= 4 or pol is TadpolePolicy.EXCLUDE
     ]
     for k, conv, pol in grid:
