@@ -3,7 +3,6 @@
 from .errors import (
     BadEnvironment,
     DimensionTooSmall,
-    Infeasible,
     LoopEdge,
     MalformedPairing,
     NoSolution,
@@ -53,7 +52,6 @@ __all__ = [
     "DimensionReport",
     "DimensionTooSmall",
     "GraphClass",
-    "Infeasible",
     "LoopEdge",
     "MalformedPairing",
     "NoSolution",

@@ -1,8 +1,9 @@
 """Command-line front end: enumerate, dim, plan.
 
-Exit codes: 0 ok, 2 bad input, 3 infeasible vertex typing, 4 resource
-limit exceeded, 5 oracle mismatch (also an oracle that cannot place an IHX
-term in its own class list).  A malformed `AK_MAX_CLASSES` or
+Exit codes: 0 ok, 2 bad input, 4 resource limit exceeded, 5 oracle
+mismatch (also an oracle that cannot place an IHX term in its own class
+list).  Code 3 (infeasible vertex typing) is retired: every trivalent
+multigraph has a Type I/II typing.  A malformed `AK_MAX_CLASSES` or
 `AK_MAX_MATRIX` value and an output path that cannot be written are bad
 input.  Output is byte-deterministic for fixed arguments.
 """
@@ -17,7 +18,6 @@ from . import homology, io as gio, surgery
 from .errors import (
     BadEnvironment,
     DimensionTooSmall,
-    Infeasible,
     MalformedPairing,
     NotConnected,
     NotTrivalent,
@@ -29,7 +29,6 @@ from .orientation import ClassStatus, Convention
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
-EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 EXIT_ORACLE_MISMATCH = 5
 
@@ -84,9 +83,19 @@ def cmd_dim(args) -> int:
     if args.k < 1:
         print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.oracle_check and args.k > 2:
-        print("error: --oracle-check supports k <= 2 only", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.oracle_check:
+        if args.k > 2:
+            print("error: --oracle-check supports k <= 2 only", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        try:
+            from . import oracle  # numpy and scipy load only for the check
+        except ImportError:
+            print(
+                "error: --oracle-check needs numpy and scipy "
+                "(pip install 'trihom[oracle]')",
+                file=sys.stderr,
+            )
+            return EXIT_BAD_INPUT
     convention = Convention(args.convention)
     policy = _policy(args.tadpoles)
     try:
@@ -102,8 +111,6 @@ def cmd_dim(args) -> int:
             certs.append(cert.to_json())
         doc["certificates"] = certs
     if args.oracle_check:
-        from . import oracle  # numpy and scipy load only for the check
-
         try:
             orc = oracle.brute_dimension(args.k, convention, policy)
         except UnknownClass as exc:
@@ -145,9 +152,6 @@ def cmd_plan(args) -> int:
     except DimensionTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except Infeasible as exc:
-        print(f"error: {exc} [{exc.token}]", file=sys.stderr)
-        return EXIT_INFEASIBLE
     if args.format == "json":
         doc = p.to_json()
         doc["report"] = surgery.y_link_report(p)

@@ -47,14 +47,6 @@ def env_int(name: str, default: int) -> int:
         raise BadEnvironment(f"{name}={raw!r} is not an integer") from None
 
 
-class Infeasible(TrihomError):
-    """No Type I/II polarity assignment exists; carries an exhaustive-search token."""
-
-    def __init__(self, message, token=""):
-        super().__init__(message)
-        self.token = token
-
-
 class DimensionTooSmall(TrihomError):
     """Ambient dimension below 4 is outside the construction's range."""
 

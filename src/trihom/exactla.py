@@ -19,6 +19,10 @@ DEFAULT_MAX_MATRIX_CELLS = 100_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# `default_primes` draws this many primes of this many bits
+MODULAR_PRIMES = 3
+MODULAR_PRIME_BITS = 62
+
 
 def _max_cells() -> int:
     return env_int("AK_MAX_MATRIX", DEFAULT_MAX_MATRIX_CELLS)
@@ -131,11 +135,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def default_primes(m: SparseIntMatrix, count: int = 3, bits: int = 62) -> list[int]:
-    """Deterministic primes seeded from the matrix content hash."""
+def default_primes(m: SparseIntMatrix) -> list[int]:
+    """`MODULAR_PRIMES` deterministic primes of `MODULAR_PRIME_BITS` bits,
+    seeded from the matrix content hash."""
     rng = random.Random(int(m.content_hash(), 16))
     primes: list[int] = []
-    while len(primes) < count:
+    bits = MODULAR_PRIME_BITS
+    while len(primes) < MODULAR_PRIMES:
         n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         while not is_probable_prime(n):
             n += 2

@@ -205,10 +205,6 @@ class ClassBasis:
     orbit_min: list[tuple[int, ...] | None]
 
     @property
-    def generators(self) -> list[GraphClass]:
-        return [c for c in self.classes if c.status is ClassStatus.GENERATOR]
-
-    @property
     def num_generators(self) -> int:
         return len(self.generators)
 
@@ -216,12 +212,12 @@ class ClassBasis:
         return self._columns[cls.rep.partner]
 
     def __post_init__(self):
-        self._columns = {}
-        col = 0
-        for c in self.classes:
-            if c.status is ClassStatus.GENERATOR:
-                self._columns[c.rep.partner] = col
-                col += 1
+        # built once: certificates name generator columns by class id
+        self.generators = [
+            c for c in self.classes if c.status is ClassStatus.GENERATOR
+        ]
+        self.generator_ids = [c.class_id for c in self.generators]
+        self._columns = {c.rep.partner: i for i, c in enumerate(self.generators)}
 
 
 def class_basis(
@@ -679,10 +675,9 @@ def _certify_class(
     col = basis.column_of(cls)
     vec = next((v for v in rel.functionals if col in v), None)
     if vec is not None:
-        gen_ids = [c.class_id for c in basis.generators]
         cert = NonzeroCertificate(
             class_id=cls.class_id,
-            functional=[(gen_ids[i], v) for i, v in sorted(vec.items())],
+            functional=[(basis.generator_ids[i], v) for i, v in sorted(vec.items())],
         )
         return _replayed(cert, report)
     unit = [0] * basis.num_generators

@@ -1,21 +1,23 @@
 """Independent brute-force dimension of the quotient over the full labelled basis.
 
 This deliberately avoids the canonical-form pipeline: representatives come
-from grouping all pairings by brute-force isomorphism search, sign
-bookkeeping is limited to the literal relation rows (edge-label transposition
--1, vertex-label transposition +1, direction normalization (-1) per reversed
-edge against the fixed min->max reference, identification rows carrying only
-structural permutation parities), and the two-term relations are processed as
-signed components via a double-cover graph.  IHX rows are then ranked with
-the exact linear algebra module.
+from marking the orbit of each new pairing under every vertex-block
+preserving dart map, sign bookkeeping is limited to the literal relation
+rows (edge-label transposition -1, vertex-label transposition +1, direction
+normalization (-1) per reversed edge against the fixed min->max reference,
+identification rows carrying only structural permutation parities), and
+the two-term relations are processed as signed components via a
+double-cover graph.  IHX rows are then ranked with the exact linear
+algebra module.
 
 Ships in the library so certificates and CLI reports can cite it; hard-capped
-at k <= 2.
+at k <= 2.  The test suite's directed variant, with explicit direction
+coordinates, shares its classes, transports and component solve.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -68,20 +70,6 @@ def _has_loop(partner) -> bool:
     return any(partner[d] // 3 == d // 3 for d in range(len(partner)))
 
 
-def _graph_invariant(partner) -> tuple:
-    nv = len(partner) // 3
-    loops = sorted(
-        sum(1 for d in (3 * v, 3 * v + 1, 3 * v + 2) if partner[d] // 3 == v)
-        for v in range(nv)
-    )
-    mult: dict[tuple[int, int], int] = {}
-    for d, p in enumerate(partner):
-        if d < p:
-            key = (min(d // 3, p // 3), max(d // 3, p // 3))
-            mult[key] = mult.get(key, 0) + 1
-    return tuple(loops), tuple(sorted(mult.values()))
-
-
 def _isos(p1, p2, all_of_them: bool = False) -> list[list[int]]:
     """Dart bijections p1 -> p2 by vertex-by-vertex backtracking."""
     nv = len(p1) // 3
@@ -125,21 +113,33 @@ def _isos(p1, p2, all_of_them: bool = False) -> list[list[int]]:
     return results
 
 
+def _inverse(perm) -> list[int]:
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return inv
+
+
 def _representatives(k: int) -> list[tuple[int, ...]]:
-    """One pairing per isomorphism class of connected graphs (loops included)."""
+    """One pairing per isomorphism class of connected graphs (loops included):
+    the first of its class in `_all_pairings` order.  Every image of a new
+    representative under the (2k)! * 6^(2k) dart maps that keep vertex
+    blocks whole is marked as seen."""
     if k > 2:
         raise ResourceLimit("oracle is capped at k <= 2")
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    maps = []
+    for vperm in permutations(range(2 * k)):
+        for slots in product(permutations(range(3)), repeat=2 * k):
+            f = [3 * vperm[d // 3] + slots[d // 3][d % 3] for d in range(6 * k)]
+            maps.append((f, _inverse(f)))
+    seen: set[tuple[int, ...]] = set()
+    reps = []
     for p in _all_pairings(k):
-        if not _connected(p):
+        if p in seen or not _connected(p):
             continue
-        inv = _graph_invariant(p)
-        for rep in buckets.get(inv, []):
-            if _isos(list(p), list(rep)):
-                break
-        else:
-            buckets.setdefault(inv, []).append(p)
-    return sorted(r for v in buckets.values() for r in v)
+        reps.append(p)
+        seen.update(tuple([f[p[x]] for x in finv]) for f, finv in maps)
+    return sorted(reps)
 
 
 def _perm_parity(perm) -> int:
@@ -163,74 +163,29 @@ def _edges_of(partner) -> list[tuple[int, int]]:
     return sorted((d, p) for d, p in enumerate(partner) if d < p)
 
 
-def _map_signature(src, dst, dmap) -> tuple[list[int], list[int], int, int, int]:
-    """Edge map, vertex map, and struct parities / reversal count of a dart
-    bijection src -> dst, directions referenced min->max on both sides."""
+def _transport(src, dst, psi, tau=None) -> tuple[list[int], list[int], int, list[int]]:
+    """Edge map, vertex map, structural sign (product of the two maps'
+    parities) and per-edge reversal flags of the dart bijection psi o tau
+    from src to dst, directions referenced min->max on both sides.
+
+    tau (default the identity) may move darts across vertex blocks, so the
+    vertex map comes from psi alone; edges and reversals are dart-level."""
+    dmap = psi if tau is None else [psi[t] for t in tau]
     dst_index = {e: i for i, e in enumerate(_edges_of(dst))}
-    edge_map = []
-    reversals = 0
+    edge_map, reversed_ = [], []
     for a, b in _edges_of(src):
         ia, ib = dmap[a], dmap[b]
         edge_map.append(dst_index[(min(ia, ib), max(ia, ib))])
-        if ia > ib:
-            reversals += 1
-    nv = len(src) // 3
-    vmap = [dmap[3 * v] // 3 for v in range(nv)]
-    return edge_map, vmap, _perm_parity(edge_map), _perm_parity(vmap), reversals
+        reversed_.append(int(ia > ib))
+    vmap = [psi[3 * v] // 3 for v in range(len(src) // 3)]
+    return edge_map, vmap, _perm_parity(edge_map) * _perm_parity(vmap), reversed_
 
 
-class _LabelSpace:
-    """Permutation tables for the labellings of 2k vertices and 3k edges."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.vperms = list(permutations(range(2 * k)))
-        self.eperms = list(permutations(range(3 * k)))
-        self.vindex = {p: i for i, p in enumerate(self.vperms)}
-        self.eindex = {p: i for i, p in enumerate(self.eperms)}
-        self.nv, self.ne = len(self.vperms), len(self.eperms)
-        self.size = self.nv * self.ne
-
-    def value_table_e(self, tau) -> np.ndarray:
-        """Index map for relabelling by value substitution: lab -> tau o lab."""
-        return np.array(
-            [self.eindex[tuple(tau[x] for x in p)] for p in self.eperms],
-            dtype=np.int64,
-        )
-
-    def value_table_v(self, tau) -> np.ndarray:
-        return np.array(
-            [self.vindex[tuple(tau[x] for x in p)] for p in self.vperms],
-            dtype=np.int64,
-        )
-
-    def position_table_e(self, m) -> np.ndarray:
-        """Index map for transport along an edge bijection: lab' = lab o m^-1."""
-        n = len(m)
-        minv = [0] * n
-        for i, v in enumerate(m):
-            minv[v] = i
-        return np.array(
-            [self.eindex[tuple(p[minv[j]] for j in range(n))] for p in self.eperms],
-            dtype=np.int64,
-        )
-
-    def position_table_v(self, m) -> np.ndarray:
-        n = len(m)
-        minv = [0] * n
-        for i, v in enumerate(m):
-            minv[v] = i
-        return np.array(
-            [self.vindex[tuple(p[minv[j]] for j in range(n))] for p in self.vperms],
-            dtype=np.int64,
-        )
-
-
-def _ihx_term_transports(rep, e_idx, reps, policy):
-    """For one expanded edge: per term, (target class, edge map, vertex map,
-    coefficient sign) or None when the term drops (tadpole under Exclude)."""
-    edges = _edges_of(rep)
-    a, b = edges[e_idx]
+def _ihx_terms(rep, e_idx, reps, policy):
+    """For one expanded edge: per term, (target class, *transport) or None
+    when the term drops (disconnected, or a tadpole under Exclude); None
+    for a loop edge."""
+    a, b = _edges_of(rep)[e_idx]
     u, v = a // 3, b // 3
     if u == v:
         return None
@@ -239,49 +194,27 @@ def _ihx_term_transports(rep, e_idx, reps, policy):
     q, r, s = du[1], dv[0], dv[1]
     terms = []
     for swap in (None, (q, r), (q, s)):
-        if swap is None:
-            term = list(rep)
-            tau = list(range(len(rep)))
-        else:
+        tau = list(range(len(rep)))
+        if swap is not None:
             x, y = swap
-            tau = list(range(len(rep)))
             tau[x], tau[y] = y, x
-            term = [0] * len(rep)
-            for d in range(len(rep)):
-                term[tau[d]] = tau[rep[d]]
-        if not _connected(term):
+        term = [0] * len(rep)
+        for d in range(len(rep)):
+            term[tau[d]] = tau[rep[d]]
+        if not _connected(term) or (
+            policy is TadpolePolicy.EXCLUDE and _has_loop(term)
+        ):
             terms.append(None)
             continue
-        if policy is TadpolePolicy.EXCLUDE and _has_loop(term):
-            terms.append(None)
-            continue
-        target = None
         for ci, cand in enumerate(reps):
-            if _graph_invariant(term) == _graph_invariant(list(cand)):
-                found = _isos(term, list(cand))
-                if found:
-                    target = (ci, found[0])
-                    break
-        if target is None:
+            found = _isos(term, list(cand))
+            if found:
+                terms.append((ci, *_transport(rep, cand, found[0], tau)))
+                break
+        else:
             raise UnknownClass(
                 f"IHX term {' '.join(map(str, term))} matches no representative"
             )
-        ci, psi = target
-        # tau permutes darts across vertex blocks, so the vertex map of the
-        # transport comes from psi alone; edges and reversals are dart-level
-        composite = [psi[tau[d]] for d in range(len(rep))]
-        dst_index = {e: i for i, e in enumerate(_edges_of(reps[ci]))}
-        em = []
-        revflags = []
-        for a, b in _edges_of(rep):
-            ia, ib = composite[a], composite[b]
-            em.append(dst_index[(min(ia, ib), max(ia, ib))])
-            revflags.append(1 if ia > ib else 0)
-        nv = len(rep) // 6 * 2
-        vm = [psi[3 * v] // 3 for v in range(nv)]
-        terms.append(
-            (ci, em, vm, _perm_parity(em) * _perm_parity(vm), sum(revflags), revflags)
-        )
     return terms
 
 
@@ -290,6 +223,143 @@ def _grid_classes(k: int, policy: TadpolePolicy) -> list[tuple[int, ...]]:
     if policy is TadpolePolicy.EXCLUDE:
         return [r for r in reps if not _has_loop(r)]
     return reps
+
+
+def _transpositions(n: int, paranoid: bool) -> list[list[int]]:
+    """The adjacent transpositions of range(n), or all of them if paranoid."""
+    adjacent = ((j, j + 1) for j in range(n - 1))
+    pairs = combinations(range(n), 2) if paranoid else adjacent
+    taus = []
+    for i, j in pairs:
+        tau = list(range(n))
+        tau[i], tau[j] = j, i
+        taus.append(tau)
+    return taus
+
+
+class _Labels:
+    """The labellings of n items, as permutations, and their indices."""
+
+    def __init__(self, n: int):
+        self.perms = list(permutations(range(n)))
+        self.index = {p: i for i, p in enumerate(self.perms)}
+
+    def value_table(self, tau) -> np.ndarray:
+        """Index map for relabelling by value substitution: lab -> tau o lab."""
+        return np.array(
+            [self.index[tuple(tau[x] for x in p)] for p in self.perms], dtype=np.int64
+        )
+
+    def position_table(self, m) -> np.ndarray:
+        """Index map for transport along a bijection m: lab' = lab o m^-1."""
+        minv = _inverse(m)
+        return np.array(
+            [self.index[tuple(p[j] for j in minv)] for p in self.perms], dtype=np.int64
+        )
+
+
+class _LabelSpace:
+    """Labellings of 2k vertices and 3k edges; (vertex i, edge j) is column
+    i * (3k)! + j of a class."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.v, self.e = _Labels(2 * k), _Labels(3 * k)
+        nv, self.ne = len(self.v.perms), len(self.e.perms)
+        self.size = nv * self.ne
+        self._vi = np.repeat(np.arange(nv, dtype=np.int64), self.ne)
+        self._ei = np.tile(np.arange(self.ne, dtype=np.int64), nv)
+
+    def columns(self, tv=None, te=None) -> np.ndarray:
+        """Column of each labelling after the vertex and edge index maps
+        tv and te (each the identity when None)."""
+        vi = self._vi if tv is None else tv[self._vi]
+        ei = self._ei if te is None else te[self._ei]
+        return vi * self.ne + ei
+
+    def relabellings(self, paranoid: bool) -> list[tuple[np.ndarray, int]]:
+        """(columns, sign) of each label-transposition row: edge labels -1,
+        vertex labels +1."""
+        k = self.k
+        return [
+            (self.columns(te=self.e.value_table(t)), -1)
+            for t in _transpositions(3 * k, paranoid)
+        ] + [
+            (self.columns(tv=self.v.value_table(t)), 1)
+            for t in _transpositions(2 * k, paranoid)
+        ]
+
+    def carried(self, edge_map, vmap) -> np.ndarray:
+        """Column of each labelling carried along an edge and a vertex map."""
+        return self.columns(
+            self.v.position_table(vmap), self.e.position_table(edge_map)
+        )
+
+
+def _quotient(reps, policy, per_class, moves, carry) -> dict:
+    """Basis size, rank and dimension over `per_class` columns per class.
+
+    Two-term rows tie each column of a class to its image, with a sign,
+    under every move (class-relative columns) and every automorphism;
+    `carry(ci, *transport)` gives the columns of class ci a transport lands
+    on, and its sign.  They are solved as signed components of a double
+    cover: a column tied to its own negative dies, and each other component
+    is one live coordinate up to sign.  The IHX rows of every non-loop edge,
+    one per source column, are then projected onto live coordinates and
+    ranked exactly."""
+    total = len(reps) * per_class
+    own = np.arange(per_class, dtype=np.int64)
+    ties, expansions = [], []
+    for ci, rep in enumerate(reps):
+        off = ci * per_class
+        ties += [(off + own, off + dst, sign) for dst, sign in moves]
+        for auto in _isos(list(rep), list(rep), all_of_them=True):
+            ties.append((off + own, *carry(ci, *_transport(rep, rep, auto))))
+        for e_idx in range(len(rep) // 2):
+            terms = _ihx_terms(rep, e_idx, reps, policy)
+            if terms is not None:
+                expansions.append([carry(*t) for t in terms if t is not None])
+
+    a = np.concatenate([t[0] for t in ties])
+    b = np.concatenate([t[1] for t in ties])
+    neg = np.concatenate([np.full(len(t[0]), t[2] < 0) for t in ties])
+    u = np.concatenate([2 * a, 2 * a + 1])
+    w = np.concatenate([2 * b + neg, 2 * b + (~neg)])
+    g = coo_matrix(
+        (np.ones(len(u), dtype=np.int8), (u, w)), shape=(2 * total, 2 * total)
+    )
+    _, comp = connected_components(g, directed=False)
+    comp_plus, comp_minus = comp[0::2], comp[1::2]
+    alive = comp_plus != comp_minus
+    pair_id = np.minimum(comp_plus, comp_minus)
+    live_ids = np.unique(pair_id[alive])
+    nlive = len(live_ids)
+    live = np.searchsorted(live_ids, pair_id)  # meaningful where alive
+    col_sign = np.where(comp_plus < comp_minus, 1, -1)
+
+    blocks = [np.zeros((0, nlive), dtype=np.int64)]
+    for terms in expansions:
+        block = np.zeros((per_class, nlive), dtype=np.int64)
+        for cols, sign in terms:
+            ok = alive[cols]
+            block[np.nonzero(ok)[0], live[cols[ok]]] += sign * col_sign[cols[ok]]
+        blocks.append(block)
+    rows = np.concatenate(blocks)
+    rows = rows[np.any(rows != 0, axis=1)]
+    if len(rows):
+        lead = np.argmax(rows != 0, axis=1)
+        flip = rows[np.arange(len(rows)), lead] < 0
+        rows[flip] = -rows[flip]
+        rows = np.unique(rows, axis=0)
+    m = SparseIntMatrix.from_dense(rows.tolist()) if len(rows) else SparseIntMatrix(
+        0, nlive, []
+    )
+    ihx_rank = rank(m) if nlive else 0
+    return {
+        "basis_size": total,
+        "rank": total - nlive + ihx_rank,
+        "dim": nlive - ihx_rank,
+    }
 
 
 def brute_dimension(
@@ -301,305 +371,24 @@ def brute_dimension(
     """Exact dimension by literal relation rows over every labelling.
 
     Returns {"basis_size", "rank", "dim", "num_classes", "oracle": True}.
+    `paranoid` writes a row for every label transposition, not only the
+    adjacent ones.
     """
     if k > 2:
         raise ResourceLimit("oracle is capped at k <= 2")
     reps = _grid_classes(k, policy)
     space = _LabelSpace(k)
-    ncls = len(reps)
-    total = ncls * space.size
     odd = convention is Convention.ODD
 
-    rel_a: list[np.ndarray] = []
-    rel_b: list[np.ndarray] = []
-    rel_s: list[np.ndarray] = []
-    all_v = np.arange(space.nv, dtype=np.int64)
-    all_e = np.arange(space.ne, dtype=np.int64)
-    base_cols = (
-        np.repeat(all_v, space.ne) * space.ne + np.tile(all_e, space.nv)
-    )
+    def carry(ci, edge_map, vmap, struct, reversed_):
+        sign = struct * (-1) ** sum(reversed_) if odd else 1
+        return ci * space.size + space.carried(edge_map, vmap), sign
 
-    ne_labels = 3 * k
-    nv_labels = 2 * k
-    e_taus = [
-        tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(ne_labels))
-        for j in range(ne_labels - 1)
-    ]
-    v_taus = [
-        tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(nv_labels))
-        for j in range(nv_labels - 1)
-    ]
-    if paranoid:
-        e_taus = [
-            tuple(jb if x == ja else ja if x == jb else x for x in range(ne_labels))
-            for ja in range(ne_labels)
-            for jb in range(ja + 1, ne_labels)
-        ]
-        v_taus = [
-            tuple(jb if x == ja else ja if x == jb else x for x in range(nv_labels))
-            for ja in range(nv_labels)
-            for jb in range(ja + 1, nv_labels)
-        ]
-
-    for ci, rep in enumerate(reps):
-        off = ci * space.size
-        for tau in e_taus:
-            tab = space.value_table_e(tau)
-            src = off + base_cols
-            dst = off + np.repeat(all_v, space.ne) * space.ne + tab[
-                np.tile(all_e, space.nv)
-            ]
-            rel_a.append(src)
-            rel_b.append(dst)
-            rel_s.append(np.full(space.size, -1, dtype=np.int8))
-        for tau in v_taus:
-            tab = space.value_table_v(tau)
-            src = off + base_cols
-            dst = off + tab[np.repeat(all_v, space.ne)] * space.ne + np.tile(
-                all_e, space.nv
-            )
-            rel_a.append(src)
-            rel_b.append(dst)
-            rel_s.append(np.full(space.size, 1, dtype=np.int8))
-        for auto in _isos(list(rep), list(rep), all_of_them=True):
-            em, vm, se, sv, rev = _map_signature(list(rep), list(rep), auto)
-            sign = (se * sv * (-1) ** rev) if odd else 1
-            te = space.position_table_e(em)
-            tv = space.position_table_v(vm)
-            src = off + base_cols
-            dst = off + tv[np.repeat(all_v, space.ne)] * space.ne + te[
-                np.tile(all_e, space.nv)
-            ]
-            rel_a.append(src)
-            rel_b.append(dst)
-            rel_s.append(np.full(space.size, sign, dtype=np.int8))
-
-    # signed components via the double cover
-    a = np.concatenate(rel_a) if rel_a else np.zeros(0, dtype=np.int64)
-    b = np.concatenate(rel_b) if rel_b else np.zeros(0, dtype=np.int64)
-    s = np.concatenate(rel_s) if rel_s else np.zeros(0, dtype=np.int8)
-    neg = s < 0
-    u = np.concatenate([2 * a, 2 * a + 1])
-    w = np.concatenate([2 * b + neg, 2 * b + (~neg)])
-    n_nodes = 2 * total
-    g = coo_matrix(
-        (np.ones(len(u), dtype=np.int8), (u, w)), shape=(n_nodes, n_nodes)
-    )
-    _, comp = connected_components(g, directed=False)
-    comp_plus = comp[0::2]
-    comp_minus = comp[1::2]
-    alive = comp_plus != comp_minus
-    pair_id = np.minimum(comp_plus, comp_minus)
-    live_ids = np.unique(pair_id[alive])
-    live_index = {int(pid): i for i, pid in enumerate(live_ids)}
-    nlive = len(live_ids)
-    col_sign = np.where(comp_plus < comp_minus, 1, -1)
-
-    # IHX rows, projected onto live coordinates
-    row_blocks = []
-    for ci, rep in enumerate(reps):
-        edges = _edges_of(rep)
-        for e_idx in range(len(edges)):
-            terms = _ihx_term_transports(rep, e_idx, reps, policy)
-            if terms is None:
-                continue
-            block = np.zeros((space.size, nlive), dtype=np.int64)
-            for term in terms:
-                if term is None:
-                    continue
-                ti, em, vm, ssign, rev, _flags = term
-                sign = (ssign * (-1) ** rev) if odd else 1
-                te = space.position_table_e(em)
-                tv = space.position_table_v(vm)
-                cols = (
-                    ti * space.size
-                    + tv[np.repeat(all_v, space.ne)] * space.ne
-                    + te[np.tile(all_e, space.nv)]
-                )
-                ok = alive[cols]
-                idx = np.array(
-                    [live_index[int(p)] for p in pair_id[cols[ok]]], dtype=np.int64
-                )
-                contrib = sign * col_sign[cols[ok]]
-                block[np.nonzero(ok)[0], idx] += contrib
-            row_blocks.append(block)
-    if row_blocks:
-        rows = np.concatenate(row_blocks, axis=0)
-        rows = rows[np.any(rows != 0, axis=1)]
-        if len(rows):
-            lead = np.argmax(rows != 0, axis=1)
-            flip = rows[np.arange(len(rows)), lead] < 0
-            rows[flip] = -rows[flip]
-            rows = np.unique(rows, axis=0)
-    else:
-        rows = np.zeros((0, nlive), dtype=np.int64)
-
-    m = SparseIntMatrix.from_dense(rows.tolist()) if len(rows) else SparseIntMatrix(
-        0, nlive, []
-    )
-    ihx_rank = rank(m) if nlive else 0
-    dim = nlive - ihx_rank
     return {
         "oracle": True,
-        "k": k,
-        "convention": convention.value,
-        "tadpoles": policy.value,
-        "num_classes": ncls,
-        "basis_size": total,
-        "rank": total - nlive + ihx_rank,
-        "dim": dim,
-    }
-
-
-def brute_dimension_directed(
-    k: int,
-    convention: Convention,
-    policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-) -> dict:
-    """Fully literal variant with explicit direction coordinates (k = 1 only).
-
-    Columns are (labelling, direction bits); single-edge reversal is its own
-    relation row with sign -1 (odd) or +1 (even); identification rows carry
-    only the structural permutation parities.  Used as a paranoid cross-check
-    of the direction-normalized formulation.
-    """
-    if k != 1:
-        raise ResourceLimit("directed oracle variant is exercised at k = 1 only")
-    reps = _grid_classes(k, policy)
-    space = _LabelSpace(k)
-    nel = 3 * k
-    ndir = 1 << nel
-    size = space.size * ndir
-    total = len(reps) * size
-    odd = convention is Convention.ODD
-
-    def col(ci, vi, ei, dbits):
-        return ((ci * space.nv + vi) * space.ne + ei) * ndir + dbits
-
-    rels: list[tuple[int, int, int]] = []
-    e_taus = [
-        tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(nel))
-        for j in range(nel - 1)
-    ]
-    v_taus = [
-        tuple(j + 1 if x == j else j if x == j + 1 else x for x in range(2 * k))
-        for j in range(2 * k - 1)
-    ]
-    for ci, rep in enumerate(reps):
-        autos = []
-        for dmap in _isos(list(rep), list(rep), all_of_them=True):
-            em, vm, se, sv, _ = _map_signature(list(rep), list(rep), dmap)
-            revflags = [1 if dmap[a] > dmap[b] else 0 for a, b in _edges_of(rep)]
-            autos.append((em, vm, se * sv, revflags))
-        for vi, vperm in enumerate(space.vperms):
-            for ei, eperm in enumerate(space.eperms):
-                for dbits in range(ndir):
-                    c = col(ci, vi, ei, dbits)
-                    for tau in e_taus:
-                        ei2 = space.eindex[tuple(tau[x] for x in eperm)]
-                        rels.append((c, col(ci, vi, ei2, dbits), -1))
-                    for tau in v_taus:
-                        vi2 = space.vindex[tuple(tau[x] for x in vperm)]
-                        rels.append((c, col(ci, vi2, ei, dbits), 1))
-                    for x in range(nel):
-                        rels.append(
-                            (c, col(ci, vi, ei, dbits ^ (1 << x)), -1 if odd else 1)
-                        )
-                    for em, vm, ssign, revflags in autos:
-                        vminv = [0] * len(vm)
-                        for i2, v2 in enumerate(vm):
-                            vminv[v2] = i2
-                        eminv = [0] * len(em)
-                        for i2, v2 in enumerate(em):
-                            eminv[v2] = i2
-                        vi2 = space.vindex[
-                            tuple(vperm[vminv[j]] for j in range(len(vm)))
-                        ]
-                        ei2 = space.eindex[
-                            tuple(eperm[eminv[j]] for j in range(len(em)))
-                        ]
-                        d2 = 0
-                        for x in range(nel):
-                            bit = (dbits >> x) & 1
-                            d2 |= (bit ^ revflags[x]) << em[x]
-                        rels.append(
-                            (c, col(ci, vi2, ei2, d2), ssign if odd else 1)
-                        )
-
-    a = np.array([r[0] for r in rels], dtype=np.int64)
-    b = np.array([r[1] for r in rels], dtype=np.int64)
-    s = np.array([r[2] for r in rels], dtype=np.int8)
-    neg = s < 0
-    u = np.concatenate([2 * a, 2 * a + 1])
-    w = np.concatenate([2 * b + neg, 2 * b + (~neg)])
-    n_nodes = 2 * total
-    g = coo_matrix(
-        (np.ones(len(u), dtype=np.int8), (u, w)), shape=(n_nodes, n_nodes)
-    )
-    _, comp = connected_components(g, directed=False)
-    comp_plus, comp_minus = comp[0::2], comp[1::2]
-    alive = comp_plus != comp_minus
-    pair_id = np.minimum(comp_plus, comp_minus)
-    live_ids = np.unique(pair_id[alive])
-    live_index = {int(p): i for i, p in enumerate(live_ids)}
-    nlive = len(live_ids)
-    col_sign = np.where(comp_plus < comp_minus, 1, -1)
-
-    rows = []
-    for ci, rep in enumerate(reps):
-        edges = _edges_of(rep)
-        for e_idx in range(len(edges)):
-            terms = _ihx_term_transports(rep, e_idx, reps, policy)
-            if terms is None:
-                continue
-            for vi, vperm in enumerate(space.vperms):
-                for ei, eperm in enumerate(space.eperms):
-                    for dbits in range(ndir):
-                        vec = [0] * nlive
-                        for term in terms:
-                            if term is None:
-                                continue
-                            ti, em, vm, ssign, _rev, revflags = term
-                            vminv = [0] * len(vm)
-                            for i2, v2 in enumerate(vm):
-                                vminv[v2] = i2
-                            eminv = [0] * len(em)
-                            for i2, v2 in enumerate(em):
-                                eminv[v2] = i2
-                            vi2 = space.vindex[
-                                tuple(vperm[vminv[j]] for j in range(len(vm)))
-                            ]
-                            ei2 = space.eindex[
-                                tuple(eperm[eminv[j]] for j in range(len(em)))
-                            ]
-                            d2 = 0
-                            for x in range(nel):
-                                bit = (dbits >> x) & 1
-                                d2 |= (bit ^ revflags[x]) << em[x]
-                            cc = col(ti, vi2, ei2, d2)
-                            if alive[cc]:
-                                coeff = (ssign if odd else 1) * int(col_sign[cc])
-                                vec[live_index[int(pair_id[cc])]] += coeff
-                        if any(vec):
-                            lead = next(x for x in vec if x)
-                            if lead < 0:
-                                vec = [-x for x in vec]
-                            rows.append(tuple(vec))
-    rows = sorted(set(rows))
-    m = (
-        SparseIntMatrix.from_dense([list(r) for r in rows])
-        if rows
-        else SparseIntMatrix(0, nlive, [])
-    )
-    ihx_rank = rank(m) if nlive else 0
-    return {
-        "oracle": True,
-        "directed": True,
         "k": k,
         "convention": convention.value,
         "tadpoles": policy.value,
         "num_classes": len(reps),
-        "basis_size": total,
-        "rank": total - nlive + ihx_rank,
-        "dim": nlive - ihx_rank,
+        **_quotient(reps, policy, space.size, space.relabellings(paranoid), carry),
     }

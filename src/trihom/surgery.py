@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionTooSmall, Infeasible
+from .errors import DimensionTooSmall
 from .multigraph import DartGraph
 
 
@@ -102,7 +102,10 @@ def assign_vertex_types(
 
     Exhaustive backtracking over edge polarities, smaller dart tried first,
     so the returned assignment is the lexicographically least feasible one.
-    Raises Infeasible with a search token when no assignment exists.
+    One always exists, loops and disconnected graphs included: by the
+    orientation theorem (Hakimi 1965; Frank & Gyárfás 1976) it needs, for
+    every vertex set X, at most 2|X| edges inside X and at least |X|
+    touching it, and trivalence gives at most and at least 3|X|/2.
     """
     nv = g.num_vertices
     counts = [0] * nv
@@ -123,14 +126,11 @@ def assign_vertex_types(
     polarity = [-1] * g.num_edges
     for i in loop_edges:
         polarity[i] = g.edges[i][0]
-    nodes = 0
 
     def feasible(v: int) -> bool:
         return counts[v] <= 2 and counts[v] + remaining[v] >= 1
 
     def rec(pos: int) -> bool:
-        nonlocal nodes
-        nodes += 1
         if pos == len(free_edges):
             return all(1 <= counts[v] <= 2 for v in range(nv))
         i = free_edges[pos]
@@ -151,11 +151,8 @@ def assign_vertex_types(
         remaining[vb] += 1
         return False
 
-    if not rec(0):
-        raise Infeasible(
-            f"no Type I/II polarity assignment exists for {g.code_str()}",
-            token=f"exhaustive-search:nodes={nodes}",
-        )
+    found = rec(0)
+    assert found, "every trivalent multigraph has a Type I/II typing"
     types = tuple(
         VertexType.TYPE_I if counts[v] == 1 else VertexType.TYPE_II
         for v in range(nv)

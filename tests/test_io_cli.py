@@ -132,6 +132,30 @@ def test_cli_oracle_failure_exit_code(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+from trihom import homology
+from trihom.cli import main
+homology.dimension = None  # the oracle import is checked before any work
+sys.exit(main(["dim", "--k", "1", "--convention", "odd", "--oracle-check"]))
+"""
+
+
+def test_cli_oracle_check_without_numpy():
+    """Without numpy, `--oracle-check` stops with one `error:` line naming
+    the `oracle` extra and the bad-input exit code, before any report."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: --oracle-check needs numpy and scipy "
+        "(pip install 'trihom[oracle]')\n"
+    )
+
+
 @pytest.mark.parametrize("module", ["trihom", "trihom.cli"])
 def test_import_loads_no_numpy_or_scipy(module):
     """Only the k <= 2 oracle needs numpy and scipy, and it is imported
@@ -192,22 +216,6 @@ def test_cli_plan_k4_json(tmp_path, k4):
     )
     doc = json.loads(out.stdout)
     assert doc["family_dim"] == 4
-
-
-def test_cli_infeasible_exit_code(monkeypatch, tmp_path, theta):
-    """No cubic graph is known to be infeasible; force the path."""
-    from trihom import surgery
-    from trihom.errors import Infeasible
-
-    gfile = tmp_path / "theta.g"
-    gfile.write_text(gio.to_graph_text(theta))
-
-    def boom(g, d):
-        raise Infeasible("forced", token="exhaustive-search:nodes=1")
-
-    monkeypatch.setattr(surgery, "plan", boom)
-    rc = main(["plan", "--graph", str(gfile), "--ambient-dim", "4"])
-    assert rc == 3
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import directed_oracle
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import oracle
@@ -11,18 +12,62 @@ from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import Convention
 
 
+# (k, convention, policy) -> (num_classes, basis_size, rank, dim) of the
+# oracle, and of its directed variant at k = 1
+_RESULTS = {
+    (1, Convention.EVEN, TP.EXCLUDE): (1, 12, 12, 0),
+    (1, Convention.EVEN, TP.INCLUDE): (2, 24, 24, 0),
+    (1, Convention.ODD, TP.EXCLUDE): (1, 12, 11, 1),
+    (1, Convention.ODD, TP.INCLUDE): (2, 24, 23, 1),
+    (2, Convention.EVEN, TP.EXCLUDE): (2, 34560, 34559, 1),
+    (2, Convention.EVEN, TP.INCLUDE): (5, 86400, 86399, 1),
+    (2, Convention.ODD, TP.EXCLUDE): (2, 34560, 34559, 1),
+    (2, Convention.ODD, TP.INCLUDE): (5, 86400, 86399, 1),
+}
+_DIRECTED = {
+    (Convention.EVEN, TP.EXCLUDE): (1, 96, 96, 0),
+    (Convention.EVEN, TP.INCLUDE): (2, 192, 192, 0),
+    (Convention.ODD, TP.EXCLUDE): (1, 96, 95, 1),
+    (Convention.ODD, TP.INCLUDE): (2, 192, 191, 1),
+}
+
+
+def _expected(k, conv, pol, counts, directed=False):
+    num_classes, basis_size, rank, dim = counts
+    return {
+        "oracle": True,
+        **({"directed": True} if directed else {}),
+        "k": k,
+        "convention": conv.value,
+        "tadpoles": pol.value,
+        "num_classes": num_classes,
+        "basis_size": basis_size,
+        "rank": rank,
+        "dim": dim,
+    }
+
+
 def test_oracle_k1_values():
     assert oracle.brute_dimension(1, Convention.ODD, TP.EXCLUDE)["dim"] == 1
     assert oracle.brute_dimension(1, Convention.EVEN, TP.EXCLUDE)["dim"] == 0
     inc = oracle.brute_dimension(1, Convention.EVEN, TP.INCLUDE)
     assert inc["dim"] == hom.dimension(1, Convention.EVEN, TP.INCLUDE).dimension
+    for (k, conv, pol), counts in _RESULTS.items():
+        if k == 1:
+            assert oracle.brute_dimension(k, conv, pol) == _expected(
+                k, conv, pol, counts
+            )
 
 
 def test_oracle_basis_sizes():
+    """2 vertex labellings x 6 edge labellings per class at k = 1, and
+    24 x 720 at k = 2 (the two classes with loops included too)."""
     r = oracle.brute_dimension(1, Convention.ODD, TP.EXCLUDE)
-    assert r["basis_size"] == 12  # 2 vertex labels x 6 edge labels
-    r = oracle.brute_dimension(2, Convention.EVEN, TP.EXCLUDE)
-    assert r["basis_size"] == 2 * 17280
+    assert r["basis_size"] == 12
+    for conv in (Convention.EVEN, Convention.ODD):
+        r = oracle.brute_dimension(2, conv, TP.INCLUDE)
+        assert r["basis_size"] == 5 * 17280
+        assert r == _expected(2, conv, TP.INCLUDE, _RESULTS[2, conv, TP.INCLUDE])
 
 
 def test_oracle_representatives_match_enumeration():
@@ -30,6 +75,15 @@ def test_oracle_representatives_match_enumeration():
         for pol in (TP.EXCLUDE, TP.INCLUDE):
             reps = oracle._grid_classes(k, pol)
             assert len(reps) == len(list(mg.enumerate_trivalent(k, pol)))
+    # the first pairing of each class in generation order, sorted
+    assert oracle._representatives(1) == [(1, 0, 3, 2, 5, 4), (3, 4, 5, 0, 1, 2)]
+    assert oracle._representatives(2) == [
+        (1, 0, 3, 2, 6, 7, 4, 5, 9, 8, 11, 10),
+        (1, 0, 3, 2, 6, 9, 4, 8, 7, 5, 11, 10),
+        (1, 0, 3, 2, 6, 9, 4, 10, 11, 5, 7, 8),
+        (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8),
+        (3, 6, 9, 0, 7, 10, 1, 4, 11, 2, 5, 8),
+    ]
 
 
 def test_oracle_capped():
@@ -48,10 +102,9 @@ def test_oracle_agrees_k1(conv, pol):
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
 def test_oracle_agrees_k2_exclude(conv):
-    assert (
-        oracle.brute_dimension(2, conv, TP.EXCLUDE)["dim"]
-        == hom.dimension(2, conv, TP.EXCLUDE).dimension
-    )
+    r = oracle.brute_dimension(2, conv, TP.EXCLUDE)
+    assert r["dim"] == hom.dimension(2, conv, TP.EXCLUDE).dimension
+    assert r == _expected(2, conv, TP.EXCLUDE, _RESULTS[2, conv, TP.EXCLUDE])
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
@@ -60,9 +113,11 @@ def test_oracle_paranoid_mode_k1(conv, pol):
     plain = oracle.brute_dimension(1, conv, pol)
     par = oracle.brute_dimension(1, conv, pol, paranoid=True)
     assert plain["dim"] == par["dim"]
-    direct = oracle.brute_dimension_directed(1, conv, pol)
+    assert par == plain == _expected(1, conv, pol, _RESULTS[1, conv, pol])
+    direct = directed_oracle.brute_dimension_directed(1, conv, pol)
     assert direct["dim"] == plain["dim"]
     assert direct["basis_size"] == plain["basis_size"] * 8  # 2^(3k) directions
+    assert direct == _expected(1, conv, pol, _DIRECTED[conv, pol], directed=True)
 
 
 _TERM_MISS = """

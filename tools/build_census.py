@@ -15,7 +15,6 @@ import sys
 import time
 
 from trihom import homology, multigraph as mg, surgery
-from trihom.errors import Infeasible
 from trihom.multigraph import TadpolePolicy
 from trihom.orientation import Convention
 
@@ -63,9 +62,11 @@ def main(argv=None):
     for k in range(1, 5):
         for g in mg.enumerate_trivalent(k, TadpolePolicy.EXCLUDE):
             total += 1
-            try:
-                surgery.assign_vertex_types(g)
-            except Infeasible:
+            # a typing gives every vertex one or two big-sphere ends
+            big = [0] * g.num_vertices
+            for dart in surgery.assign_vertex_types(g)[0]:
+                big[dart // 3] += 1
+            if not all(n in (1, 2) for n in big):
                 infeasible.append(g.code_str())
     census["typing"] = {
         "graphs_checked_k_le_4_exclude": total,
