@@ -218,6 +218,22 @@ def test_cli_plan_k4_json(tmp_path, k4):
     assert doc["family_dim"] == 4
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_cli_plan_every_graph_k_le_2(tmp_path, capsys, d):
+    """`plan` succeeds on every graph with k <= 2, loops included, in an
+    even and an odd ambient dimension: no graph lacks a vertex typing."""
+    graphs = [
+        g for k in (1, 2) for g in mg.enumerate_trivalent(k, mg.TadpolePolicy.INCLUDE)
+    ]
+    assert len(graphs) == 7
+    for i, g in enumerate(graphs):
+        gfile = tmp_path / f"g{i}.g"
+        gfile.write_text(gio.to_graph_text(g))
+        rc = main(["plan", "--graph", str(gfile), "--ambient-dim", str(d)])
+        assert rc == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

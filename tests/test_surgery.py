@@ -129,3 +129,18 @@ def test_no_infeasible_typings_k_le_3():
                 big[dart // 3] += 1
             assert all(n in (1, 2) for n in big)
             assert [t.value for t in types] == ["I" if n == 1 else "II" for n in big]
+
+
+def test_disconnected_typing():
+    """A theta beside a dumbbell is typed component by component: each
+    component gets its own least typing, and each has one vertex of each
+    kind, so the union has k of each."""
+    union = mg.DartGraph(4, [3, 4, 5, 0, 1, 2, 7, 6, 11, 10, 9, 8], False)
+    polarity, types = sg.assign_vertex_types(union)
+    theta = mg.DartGraph(2, [3, 4, 5, 0, 1, 2], True)
+    dumbbell = mg.DartGraph(2, [1, 0, 5, 4, 3, 2], True)
+    theta_pol, theta_types = sg.assign_vertex_types(theta)
+    bell_pol, bell_types = sg.assign_vertex_types(dumbbell)
+    assert polarity == theta_pol + tuple(d + 6 for d in bell_pol)
+    assert types == theta_types + bell_types
+    assert sum(t is sg.VertexType.TYPE_I for t in types) == 2
