@@ -40,7 +40,7 @@ from .orientation import (
     Convention,
     GraphClass,
     OrientedLabelling,
-    classify,
+    classify_conventions,
     reference_labelling,
     transported_sign,
 )
@@ -189,12 +189,19 @@ def ihx_expand(
     return out
 
 
+def _in_range(i: object, n: int) -> bool:
+    """Whether `i` is an int id among 0..n-1; a negative one would index
+    from the end."""
+    return isinstance(i, int) and 0 <= i < n
+
+
 @dataclass
 class ClassBasis:
     """All classes at (k, convention, policy); generators carry column ids.
 
     `orbit_min[class_id]` maps each edge of a generator's representative to
     the least edge of its orbit under the automorphism group; it is None
+    for a zero class.  `columns[class_id]` is a generator's column and -1
     for a zero class."""
 
     k: int
@@ -208,8 +215,12 @@ class ClassBasis:
     def num_generators(self) -> int:
         return len(self.generators)
 
-    def column_of(self, cls: GraphClass) -> int:
-        return self._columns[cls.rep.partner]
+    def column_at(self, class_id: int | None) -> int:
+        """The column of the generator with id `class_id`, or -1 if the id
+        names no generator: a zero class, or no class at all."""
+        if _in_range(class_id, len(self.columns)):
+            return self.columns[class_id]
+        return -1
 
     def __post_init__(self):
         # built once: certificates name generator columns by class id
@@ -217,7 +228,9 @@ class ClassBasis:
             c for c in self.classes if c.status is ClassStatus.GENERATOR
         ]
         self.generator_ids = [c.class_id for c in self.generators]
-        self._columns = {c.rep.partner: i for i, c in enumerate(self.generators)}
+        self.columns = [-1] * len(self.classes)
+        for i, c in enumerate(self.generators):
+            self.columns[c.class_id] = i
 
 
 def class_basis(
@@ -247,21 +260,20 @@ def _classified(
     is zero under both).
 
     Only the status and witness depend on the convention, so both
-    conventions are classified while the class's group is in hand, and the
-    group is then dropped.  Equal witnesses are stored once, which keeps
-    the memo within the memory of one convention's classes: at k=7 the
-    3,394 even and 1,478 odd zero classes have 307 and 239 distinct ones.
-    The memo keeps the last key only: the census and the report grid ask
-    for both conventions of one (k, policy) in turn.  `limit` is the
-    `AK_MAX_CLASSES` that `enumerate_classes` reads; it is in the key so
-    that a lower limit set later is still enforced."""
+    conventions are classified in one pass over the class's group while it
+    is in hand, and the group is then dropped.  Equal witnesses are stored
+    once, which keeps the memo within the memory of one convention's
+    classes: at k=7 the 3,394 even and 1,478 odd zero classes have 307
+    and 239 distinct ones.  The memo keeps the last key only: the census
+    and the report grid ask for both conventions of one (k, policy) in
+    turn.  `limit` is the `AK_MAX_CLASSES` that `enumerate_classes` reads;
+    it is in the key so that a lower limit set later is still enforced."""
     classes: dict[Convention, list[GraphClass]] = {c: [] for c in Convention}
     orbit_min = []
     witnesses: dict[tuple[int, ...] | None, tuple[int, ...] | None] = {}
     for i, (rep, autos) in enumerate(enumerate_classes(k, policy)):
         generator = False
-        for c in Convention:
-            cls = classify(rep, c, autos)
+        for c, cls in classify_conventions(rep, autos).items():
             witness = witnesses.setdefault(cls.witness, cls.witness)
             classes[c].append(replace(cls, witness=witness, class_id=i))
             generator |= cls.status is ClassStatus.GENERATOR
@@ -340,7 +352,7 @@ def _row(
         if res.is_zero:
             notes.append(f"{tag}:0({res.zero_reason})")
             continue
-        col = basis.column_of(res.cls)
+        col = basis.column_at(res.cls.class_id)
         notes.append(f"{tag}:{'+' if res.coefficient > 0 else '-'}g{col}")
         acc[col] = acc.get(col, 0) + res.coefficient
     return {c: v for c, v in acc.items() if v != 0}, tuple(notes)
@@ -498,7 +510,7 @@ def express(
     res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)
     if res.is_zero:
         return {}
-    return {basis.column_of(res.cls): Fraction(res.coefficient)}
+    return {basis.column_at(res.cls.class_id): Fraction(res.coefficient)}
 
 
 @dataclass
@@ -548,8 +560,11 @@ def _replay_zero(
 ) -> bool:
     if cert.kind == "excluded":
         return True
+    basis = report.basis
     if cert.kind == "sign-witness":
-        cls = report.basis.classes[cert.class_id]
+        if not _in_range(cert.class_id, len(basis.classes)):
+            return False
+        cls = basis.classes[cert.class_id]
         rep, witness = cls.rep, cert.witness_dart_perm
         labelling = reference_labelling(rep)
         return (
@@ -558,10 +573,12 @@ def _replay_zero(
             and transported_sign(report.convention, rep, labelling, witness, rep) == -1
         )
     if cert.kind == "relation-combination":
-        basis = report.basis
-        target_col = basis.column_of(basis.classes[cert.class_id])
+        target_col = basis.column_at(cert.class_id)
         scale, coeffs = _scaled(cert.combination)
         rows = report.relations.matrix.rows
+        in_range = all(_in_range(rid, len(rows)) for rid, _ in coeffs)
+        if target_col == -1 or not in_range:
+            return False
         acc: dict[int, int] = {}
         for rid, w in coeffs:
             for col, v in rows[rid]:
@@ -603,8 +620,10 @@ def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
     it against the rows once."""
     basis = report.basis
     _, scaled = _scaled(cert.functional)
-    func = {basis.column_of(basis.classes[cid]): v for cid, v in scaled}
-    if not func.get(basis.column_of(basis.classes[cert.class_id])):
+    func = {basis.column_at(cid): v for cid, v in scaled}
+    if -1 in func or len(func) < len(scaled):  # a zero class, no class, a repeat
+        return False
+    if not func.get(basis.column_at(cert.class_id)):
         return False
     rel = report.relations
     key = tuple(func.items())
@@ -672,7 +691,7 @@ def _certify_class(
         return _replayed(cert, report)
     basis = report.basis
     rel = report.relations
-    col = basis.column_of(cls)
+    col = basis.column_at(cls.class_id)
     vec = next((v for v in rel.functionals if col in v), None)
     if vec is not None:
         cert = NonzeroCertificate(

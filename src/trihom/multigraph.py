@@ -219,6 +219,14 @@ def _prefix_ties(
     is its seed.  So None means every completion of `partner` has a code
     below its own.
 
+    A vertex takes its slots in order, the first when it is revealed, so a
+    slot not yet filled belongs to a partially revealed vertex, and its
+    place in the vertex says how many of the vertex's darts are free: two
+    at the second slot, the branch point, and one at the third.  They are
+    found by testing the vertex's darts in `dmap`, with no list built; at
+    a branch point the state is copied for the first free dart and goes on
+    in place with the second.
+
     The search starts each order of each seed's darts in `fresh_seeds` and
     resumes each state in `ties`.  The tie states of a shorter bound that
     `partner` extends are enough: a code that went above or below it
@@ -249,19 +257,22 @@ def _prefix_ties(
         while pos < end:
             x = dinv[pos]
             if x == -1:
-                # slot of a partially revealed vertex: a branch point when
-                # two of its darts are free
-                w = vinv[pos // 3]
-                free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
-                if len(free) > 1:
-                    y, z = free
+                # slot of a partially revealed vertex; its first free dart
+                x = 3 * vinv[pos // 3]
+                if dmap[x] != -1:
+                    x += 1
+                    if dmap[x] != -1:
+                        x += 1
+                if pos % 3 == 1:
+                    # a branch point: the vertex's second slot, with the
+                    # dart after x that is free as the other branch
+                    z = x + 1 if dmap[x + 1] == -1 else x + 2
                     d, i = dmap.copy(), dinv.copy()
-                    d[y], i[pos] = pos, y
+                    d[x], i[pos] = pos, x
                     if not extend(pos, vnext, d, i, vmap.copy(), vinv.copy()):
                         return False
                     dmap[z], dinv[pos] = pos, z
                     return extend(pos, vnext, dmap, dinv, vmap, vinv)
-                x = free[0]
                 dmap[x] = pos
                 dinv[pos] = x
             y = partner[x]
@@ -334,24 +345,26 @@ def vertex_invariants(partner: Sequence[int]) -> list[tuple[int, int, int, int]]
     its number of distinct neighbours, the triangles through it (pairs of
     distinct neighbours that are adjacent) and the size of its radius-2
     ball.  Seeds the trie walk (McKay & Piperno, J. Symbolic Comput. 2014:
-    cheap invariants first)."""
-    nv = len(partner) // 3
+    cheap invariants first).  Neighbourhoods are bit masks, one bit per
+    vertex, so each count is the `bit_count` of a union or intersection."""
     nbrs = [
-        {partner[3 * v] // 3, partner[3 * v + 1] // 3, partner[3 * v + 2] // 3}
-        for v in range(nv)
+        (1 << partner[d] // 3) | (1 << partner[d + 1] // 3) | (1 << partner[d + 2] // 3)
+        for d in range(0, len(partner), 3)
     ]
     out = []
     for v, ns in enumerate(nbrs):
-        ball = set(ns)
-        ball.add(v)
-        others = [w for w in ns if w != v]
+        bit = 1 << v
+        rest = others = ns & ~bit
+        ball = ns | bit
         triangles = 0
-        for i, w in enumerate(others):
-            ball |= nbrs[w]
-            for x in others[i + 1 :]:
-                if x in nbrs[w]:
-                    triangles += 1
-        out.append((int(v in ns), len(others), triangles, len(ball)))
+        while rest:
+            # each pair of distinct neighbours once: w with those above it
+            low = rest & -rest
+            rest ^= low
+            nw = nbrs[low.bit_length() - 1]
+            ball |= nw
+            triangles += (nw & rest).bit_count()
+        out.append((ns >> v & 1, others.bit_count(), triangles, ball.bit_count()))
     return out
 
 
@@ -367,9 +380,11 @@ def _trie_walk(
     from v, and v is not tried.  Returns the payload and the dart map (old
     dart -> new dart) at the first code found.
 
-    The walk follows the relabellings of `_prefix_ties` in the same order
-    but goes down a branch only while its code so far is a path of its
-    seed's trie (why it is a walk of its own is said there).  The minimal
+    The walk follows the relabellings of `_prefix_ties` in the same order,
+    with the same branch points found the same way, but goes down a branch
+    only while its code so far is a path of its seed's trie (why it is a
+    walk of its own is said there).  At a branch point it recurses once
+    per free dart and undoes each in place.  The minimal
     code is reached on one of these relabellings, so a code in the trie of
     that relabelling's seed is always matched.  The search seeds only loop
     vertices when there are loops; the walk leaves that to `roots`, since
@@ -396,10 +411,13 @@ def _trie_walk(
                 break
             x = dinv[pos]
             if x == -1:
-                w = vinv[pos // 3]
-                free = [y for y in (3 * w, 3 * w + 1, 3 * w + 2) if dmap[y] == -1]
-                if len(free) > 1:
-                    for y in free:
+                x = 3 * vinv[pos // 3]
+                if dmap[x] != -1:
+                    x += 1
+                    if dmap[x] != -1:
+                        x += 1
+                if pos % 3 == 1:
+                    for y in (x, x + 1 if dmap[x + 1] == -1 else x + 2):
                         dmap[y] = pos
                         dinv[pos] = y
                         found = walk(pos, vnext, node)
@@ -408,7 +426,6 @@ def _trie_walk(
                         if found is not None:
                             break
                     break
-                x = free[0]
                 dmap[x] = pos
                 dinv[pos] = x
                 assigned.append(x)
@@ -478,10 +495,19 @@ def _canonical_graph(
     return canon
 
 
+def _search(g: DartGraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """`_min_code_ties` of a graph, which must be connected: a relabelling
+    reveals only its seed's component, so the walks assume every vertex is
+    reached before its slots."""
+    if not g.connected:
+        raise NotConnected("canonical search needs a connected graph")
+    return _min_code_ties(g.partner)
+
+
 def canonical_form(g: DartGraph) -> tuple[DartGraph, tuple[int, ...]]:
     """Canonical representative plus the dart map of one witnessing
     relabelling g -> canonical."""
-    code, maps = _min_code_ties(g.partner)
+    code, maps = _search(g)
     canon = _canonical_graph(g.num_vertices, code, g.connected)
     return canon, tuple(maps[0])
 
@@ -489,14 +515,14 @@ def canonical_form(g: DartGraph) -> tuple[DartGraph, tuple[int, ...]]:
 def canonical_code(g: DartGraph) -> tuple[int, ...]:
     if g._canonical:
         return g.partner
-    return _min_code_ties(g.partner)[0]
+    return _search(g)[0]
 
 
 def automorphisms(g: DartGraph) -> list[tuple[int, ...]]:
     """The full automorphism group as dart maps (identity included), sorted:
     each map t reaching the minimal code, after the inverse of the witness
     w, gives w^-1 o t."""
-    _, maps = _min_code_ties(g.partner)
+    _, maps = _search(g)
     w_inv = [0] * g.num_darts
     for d, c in enumerate(maps[0]):
         w_inv[c] = d

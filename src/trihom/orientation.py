@@ -96,6 +96,30 @@ def relabelling_sign(
     return (-1) ** reversals * perm_sign(vertex_perm)
 
 
+def _transport(
+    source: DartGraph,
+    labelling: OrientedLabelling,
+    dart_map: Sequence[int],
+    target: DartGraph,
+) -> tuple[list[int], list[int], int]:
+    """The edge permutation, vertex permutation and reversal count that
+    carry (source, labelling) along the dart map of an isomorphism
+    source -> target onto the reference labelling of target."""
+    nv = target.num_vertices
+    sigma_v = [0] * nv
+    for v in range(nv):
+        sigma_v[dart_map[3 * v] // 3] = labelling.vertex_labels[v] - 1
+    sigma_e = [0] * target.num_edges
+    reversals = 0
+    for i, (a, _) in enumerate(source.edges):
+        j = target.edge_of_dart(dart_map[a])
+        sigma_e[j] = labelling.edge_labels[i] - 1
+        t, h = labelling.directions[i]
+        if (dart_map[t], dart_map[h]) != target.edges[j]:
+            reversals += 1
+    return sigma_e, sigma_v, reversals
+
+
 def transported_sign(
     convention: Convention,
     source: DartGraph,
@@ -109,19 +133,9 @@ def transported_sign(
     This is the sign of every relabelling: of an automorphism a of g it is
     transported_sign(convention, g, reference_labelling(g), a, g), and of a
     pure change of labels the identity map carries the new labels."""
-    nv = target.num_vertices
-    sigma_v = [0] * nv
-    for v in range(nv):
-        sigma_v[dart_map[3 * v] // 3] = labelling.vertex_labels[v] - 1
-    sigma_e = [0] * target.num_edges
-    reversals = 0
-    for i, (a, _) in enumerate(source.edges):
-        j = target.edge_of_dart(dart_map[a])
-        sigma_e[j] = labelling.edge_labels[i] - 1
-        t, h = labelling.directions[i]
-        if (dart_map[t], dart_map[h]) != target.edges[j]:
-            reversals += 1
-    return relabelling_sign(convention, sigma_e, sigma_v, reversals)
+    return relabelling_sign(
+        convention, *_transport(source, labelling, dart_map, target)
+    )
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,28 @@ def classify(
     and its automorphism group `autos` as dart maps in any order, as
     `enumerate_classes` yields it.  The witness is the first automorphism
     of sign -1 by dart map."""
+    return classify_conventions(rep, autos, (convention,))[convention]
+
+
+def classify_conventions(
+    rep: DartGraph,
+    autos: Iterable[Sequence[int]],
+    conventions: Iterable[Convention] = tuple(Convention),
+) -> dict[Convention, GraphClass]:
+    """`classify` under each of `conventions` in one pass over the group:
+    it is sorted once, and each automorphism's permutations and reversals
+    are read off once, up to the last convention's first -1 sign."""
     labelling = reference_labelling(rep)
+    out: dict[Convention, GraphClass] = {}
+    open_ = list(conventions)
     for auto in sorted(autos):
-        if transported_sign(convention, rep, labelling, auto, rep) == -1:
-            return GraphClass(rep, ClassStatus.ZERO, auto)
-    return GraphClass(rep, ClassStatus.GENERATOR, None)
+        moved = _transport(rep, labelling, auto, rep)
+        for c in list(open_):
+            if relabelling_sign(c, *moved) == -1:
+                out[c] = GraphClass(rep, ClassStatus.ZERO, auto)
+                open_.remove(c)
+        if not open_:
+            break
+    for c in open_:
+        out[c] = GraphClass(rep, ClassStatus.GENERATOR, None)
+    return out

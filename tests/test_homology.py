@@ -309,7 +309,7 @@ def test_certificates_replay_all_classes(k, conv):
         if isinstance(cert, hom.NonzeroCertificate):
             func = {cid: v for cid, v in cert.functional}
             cols = {
-                rep.basis.column_of(rep.basis.classes[cid]): v
+                rep.basis.column_at(cid): v
                 for cid, v in func.items()
             }
             for row in rep.relations.matrix.rows:
@@ -344,7 +344,7 @@ def _solve_first_reference(report, cls, echelon, functionals):
             witness_dart_perm=cls.witness,
         )
     m = report.relations.matrix
-    col = report.basis.column_of(cls)
+    col = report.basis.column_at(cls.class_id)
     unit = [int(c == col) for c in range(m.num_cols)]
     try:
         coeffs = forward_solve.solve_combination(m, unit, echelon)
@@ -452,33 +452,82 @@ def test_certificates_match_solve_first_reference(rng, k, conv, policy):
         assert hom.certify(target, report).to_json() == want.to_json()
 
 
+_MALFORMED = {"negative-ids", "ids-out-of-range", "zero-class", "repeated-id"}
+
+
+def _malformed(cert, basis, num_rows):
+    """(change, certificate) pairs naming ids that replay must refuse rather
+    than index: ids shifted below 0, which Python would read from the end,
+    or past the end; a zero class where a generator belongs; and an id
+    repeated in a functional."""
+    n = len(basis.classes)
+    zero = next(c.class_id for c in basis.classes if c.status is ClassStatus.ZERO)
+    if isinstance(cert, hom.NonzeroCertificate):
+        func = cert.functional
+        return [
+            ("negative-ids", hom.NonzeroCertificate(
+                cert.class_id - n, [(cid - n, v) for cid, v in func]
+            )),
+            ("ids-out-of-range", hom.NonzeroCertificate(
+                cert.class_id, [(cid + n, v) for cid, v in func]
+            )),
+            ("zero-class", hom.NonzeroCertificate(zero, func)),
+            ("zero-class", hom.NonzeroCertificate(cert.class_id, [*func, (zero, 1)])),
+            ("repeated-id", hom.NonzeroCertificate(cert.class_id, [*func, func[0]])),
+        ]
+    if cert.kind == "sign-witness":
+        return [
+            ("negative-ids", dataclasses.replace(cert, class_id=cert.class_id - n)),
+            ("ids-out-of-range", dataclasses.replace(cert, class_id=cert.class_id + n)),
+        ]
+    combo = cert.combination
+    return [
+        ("negative-ids", dataclasses.replace(
+            cert, combination=[(rid - num_rows, c) for rid, c in combo]
+        )),
+        ("ids-out-of-range", dataclasses.replace(
+            cert, combination=[(rid + num_rows, c) for rid, c in combo]
+        )),
+        ("negative-ids", dataclasses.replace(cert, class_id=cert.class_id - n)),
+        ("ids-out-of-range", dataclasses.replace(cert, class_id=cert.class_id + n)),
+        ("zero-class", dataclasses.replace(cert, class_id=zero)),
+    ]
+
+
 @pytest.mark.parametrize(
     "k, conv, policy, changes",
     [
         (
             2, Convention.EVEN, TP.INCLUDE,
-            {"target", "coefficient", "doubled", "reused"},
+            {"target", "coefficient", "doubled", "reused", *_MALFORMED},
         ),
-        (4, Convention.ODD, TP.EXCLUDE, {"entry", "target", "reused"}),
+        (
+            4, Convention.ODD, TP.EXCLUDE,
+            {"entry", "target", "reused", *_MALFORMED},
+        ),
     ],
     ids=["k2-even-include", "k4-odd-exclude"],
 )
 def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
-    """Replay accepts each generator's certificate, and its functional with
-    every value divided by 6, but refuses it, naming its class, after any
-    one change: a functional entry on a column some row uses moved by 1/3
+    """Replay accepts each class's certificate, and a functional with every
+    value divided by 6, but refuses it, naming its class, after any one
+    change: a functional entry on a column some row uses moved by 1/3
     ("entry"), the target entry dropped ("target"), the functional given
     to a generator it vanishes at ("reused"), a combination coefficient
-    moved by 1/3 ("coefficient"), the combination doubled.  The tampered
-    certificates are replayed after the report has kept the verdict of
-    every genuine functional on its rows, and again after their own."""
+    moved by 1/3 ("coefficient"), the combination doubled, or an id that
+    is malformed (see `_malformed`).  The tampered certificates are
+    replayed after the report has kept the verdict of every genuine
+    functional on its rows, and again after their own.  The refusals
+    raise AssertionError explicitly, so they hold under `python -O`."""
     report = hom.dimension(k, conv, policy)
     basis = report.basis
+    num_rows = report.relations.matrix.num_rows
     used = {c for row in report.relations.matrix.rows for c, _ in row}
     genuine, tampered = [], []
-    for cls in basis.generators:
+    for cls in basis.classes:
         cert = hom.certify(cls.class_id, report)
         genuine.append(cert)
+        tampered.extend(_malformed(cert, basis, num_rows))
         if isinstance(cert, hom.NonzeroCertificate):
             sixth = [(cid, v / 6) for cid, v in cert.functional]
             hom._replayed(hom.NonzeroCertificate(cls.class_id, sixth), report)
@@ -494,12 +543,12 @@ def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
                     tampered.append(
                         ("target", dataclasses.replace(cert, functional=dropped))
                     )
-                if basis.column_of(basis.classes[cid]) in used:
+                if basis.column_at(cid) in used:
                     func[i] = (cid, v + Fraction(1, 3))
                     tampered.append(
                         ("entry", dataclasses.replace(cert, functional=func))
                     )
-        else:
+        elif cert.kind == "relation-combination":
             for i, (rid, c) in enumerate(cert.combination):
                 combo = list(cert.combination)
                 combo[i] = (rid, c + Fraction(1, 3))

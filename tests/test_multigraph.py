@@ -5,6 +5,7 @@ import pytest
 
 import exhaustive_search
 import leaf_only_generation as ref
+import set_invariants
 from trihom import multigraph as mg
 from trihom.errors import (
     BadEnvironment,
@@ -49,6 +50,9 @@ def test_disconnected_detected():
         mg.from_pairing(4, pairs)
     g = mg.from_pairing(4, pairs, allow_disconnected=True)
     assert not g.connected
+    for search in (mg.canonical_form, mg.canonical_code, mg.automorphisms):
+        with pytest.raises(NotConnected):
+            search(g)
 
 
 def test_fifteen_pairings_two_codes():
@@ -490,3 +494,24 @@ def test_random_pairings_land_in_enumeration(k, rng):
     for _ in range(1000 // k):
         g = random_pairing(k, rng, include_loops=True)
         assert mg.canonical_code(g) in stream
+
+
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_vertex_invariants_match_set_reference(policy):
+    """The bit-mask invariants equal the set-based reference on every class
+    with k <= 5 and on three random relabellings of each, where each
+    vertex's tuple is carried to its image vertex."""
+    rng = random.Random(21)
+    checked = 0
+    for k in range(1, 6):
+        for rep in mg.enumerate_trivalent(k, policy):
+            want = set_invariants.vertex_invariants(rep.partner)
+            assert mg.vertex_invariants(rep.partner) == want
+            for _ in range(3):
+                dmap = mg.random_relabelling(rep, rng)
+                partner = mg.relabel(rep, dmap).partner
+                got = mg.vertex_invariants(partner)
+                assert got == set_invariants.vertex_invariants(partner)
+                assert all(got[dmap[3 * v] // 3] == want[v] for v in range(len(want)))
+            checked += 1
+    assert checked == (483 if policy is mg.TadpolePolicy.INCLUDE else 120)

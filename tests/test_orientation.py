@@ -210,3 +210,20 @@ def test_sign_multiplicativity(rng):
                 assert _sign(conv, g, compose(a, b)) == _sign(conv, g, a) * _sign(
                     conv, g, b
                 )
+
+
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_one_pass_classify_matches_each_convention_alone(policy):
+    """Classifying both conventions in one pass over the group gives, for
+    every class with k <= 4, each convention's status and witness as a
+    scan of its own for the first automorphism of sign -1, by dart map."""
+    for k in range(1, 5):
+        for rep, autos in mg.enumerate_classes(k, policy):
+            both = ori.classify_conventions(rep, autos)
+            assert set(both) == set(ori.Convention)
+            for conv, cls in both.items():
+                witness = next(
+                    (a for a in sorted(autos) if _sign(conv, rep, a) == -1), None
+                )
+                status = ori.ClassStatus.ZERO if witness else ori.ClassStatus.GENERATOR
+                assert (cls.rep, cls.status, cls.witness) == (rep, status, witness)

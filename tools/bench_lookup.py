@@ -21,6 +21,9 @@ null.
   behind `ClassTable.find`, per lookup, and the seeds each starts per
   lookup (the distinct values of the outer function's `seed` loop
   variable at its calls of the recursive one).
+- `lookup_walls`: on the same 2,000 graphs, `--repeats` uncounted wall
+  times of all their `ClassTable.find` calls and of all their
+  `vertex_invariants` calls, with the medians per call in microseconds.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 
@@ -143,7 +147,9 @@ def relations(k, convention, repeats):
     }
 
 
-def frames(n_per_class=100):
+def lookup_graphs(n_per_class=100):
+    """The k=4 odd basis without loops and `n_per_class` random relabellings
+    of each of its classes."""
     basis = hom.class_basis(4, Convention.ODD, TadpolePolicy.EXCLUDE)
     rng = random.Random(2000)
     graphs = [
@@ -151,6 +157,10 @@ def frames(n_per_class=100):
         for c in basis.classes
         for _ in range(n_per_class)
     ]
+    return basis, graphs
+
+
+def frames(basis, graphs):
     search = _nested_code(mg._prefix_ties, "extend")
     search_frames, search_seeds = _frames(
         mg._prefix_ties, search, lambda: [mg.canonical_form(g) for g in graphs]
@@ -175,6 +185,26 @@ def frames(n_per_class=100):
     }
 
 
+def lookup_walls(basis, graphs, repeats):
+    """Wall times of `find` and of `vertex_invariants` over all `graphs`."""
+    calls = {
+        "find": lambda: [basis.table.find(g) for g in graphs],
+        "vertex_invariants": lambda: [mg.vertex_invariants(g.partner) for g in graphs],
+    }
+    out = {}
+    for name, call in calls.items():
+        walls = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            call()
+            walls.append(round(time.perf_counter() - start, 4))
+        out[f"{name}_wall_s"] = walls
+        out[f"{name}_median_us_per_call"] = (
+            round(statistics.median(walls) / len(graphs) * 1e6, 2) if walls else None
+        )
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -184,9 +214,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     conventions = {"o": Convention.ODD, "e": Convention.EVEN}
     cases = [(int(c[:-1]), conventions[c[-1]]) for c in args.cases.split(",")]
+    basis, graphs = lookup_graphs()
     result = {
         "relations": [relations(k, conv, args.repeats) for k, conv in cases],
-        "frames": frames(),
+        "frames": frames(basis, graphs),
+        "lookup_walls": lookup_walls(basis, graphs, args.repeats),
     }
     json.dump(result, sys.stdout, indent=2)
     print()
