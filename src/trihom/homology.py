@@ -195,6 +195,14 @@ def _in_range(i: object, n: int) -> bool:
     return isinstance(i, int) and 0 <= i < n
 
 
+def _replay_column(basis: ClassBasis, class_id: object) -> int:
+    """The column of the generator a certificate names by `class_id`, or -1
+    if the id names no generator: a zero class, or no class at all."""
+    if _in_range(class_id, len(basis.columns)):
+        return basis.columns[class_id]
+    return -1
+
+
 @dataclass
 class ClassBasis:
     """All classes at (k, convention, policy); generators carry column ids.
@@ -214,13 +222,6 @@ class ClassBasis:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
-
-    def column_at(self, class_id: int | None) -> int:
-        """The column of the generator with id `class_id`, or -1 if the id
-        names no generator: a zero class, or no class at all."""
-        if _in_range(class_id, len(self.columns)):
-            return self.columns[class_id]
-        return -1
 
     def __post_init__(self):
         # built once: certificates name generator columns by class id
@@ -352,7 +353,7 @@ def _row(
         if res.is_zero:
             notes.append(f"{tag}:0({res.zero_reason})")
             continue
-        col = basis.column_at(res.cls.class_id)
+        col = basis.columns[res.cls.class_id]
         notes.append(f"{tag}:{'+' if res.coefficient > 0 else '-'}g{col}")
         acc[col] = acc.get(col, 0) + res.coefficient
     return {c: v for c, v in acc.items() if v != 0}, tuple(notes)
@@ -510,7 +511,7 @@ def express(
     res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)
     if res.is_zero:
         return {}
-    return {basis.column_at(res.cls.class_id): Fraction(res.coefficient)}
+    return {basis.columns[res.cls.class_id]: Fraction(res.coefficient)}
 
 
 @dataclass
@@ -573,7 +574,7 @@ def _replay_zero(
             and transported_sign(report.convention, rep, labelling, witness, rep) == -1
         )
     if cert.kind == "relation-combination":
-        target_col = basis.column_at(cert.class_id)
+        target_col = _replay_column(basis, cert.class_id)
         scale, coeffs = _scaled(cert.combination)
         rows = report.relations.matrix.rows
         in_range = all(_in_range(rid, len(rows)) for rid, _ in coeffs)
@@ -620,10 +621,10 @@ def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
     it against the rows once."""
     basis = report.basis
     _, scaled = _scaled(cert.functional)
-    func = {basis.column_at(cid): v for cid, v in scaled}
+    func = {_replay_column(basis, cid): v for cid, v in scaled}
     if -1 in func or len(func) < len(scaled):  # a zero class, no class, a repeat
         return False
-    if not func.get(basis.column_at(cert.class_id)):
+    if not func.get(_replay_column(basis, cert.class_id)):
         return False
     rel = report.relations
     key = tuple(func.items())
@@ -691,7 +692,7 @@ def _certify_class(
         return _replayed(cert, report)
     basis = report.basis
     rel = report.relations
-    col = basis.column_at(cls.class_id)
+    col = basis.columns[cls.class_id]
     vec = next((v for v in rel.functionals if col in v), None)
     if vec is not None:
         cert = NonzeroCertificate(

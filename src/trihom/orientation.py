@@ -157,28 +157,27 @@ def classify(
     and its automorphism group `autos` as dart maps in any order, as
     `enumerate_classes` yields it.  The witness is the first automorphism
     of sign -1 by dart map."""
-    return classify_conventions(rep, autos, (convention,))[convention]
+    return classify_conventions(rep, autos)[convention]
 
 
 def classify_conventions(
-    rep: DartGraph,
-    autos: Iterable[Sequence[int]],
-    conventions: Iterable[Convention] = tuple(Convention),
+    rep: DartGraph, autos: Iterable[Sequence[int]]
 ) -> dict[Convention, GraphClass]:
-    """`classify` under each of `conventions` in one pass over the group:
-    it is sorted once, and each automorphism's permutations and reversals
-    are read off once, up to the last convention's first -1 sign."""
+    """`classify` under every convention in one pass over the group: it is
+    sorted once, and each automorphism's permutations and reversals are
+    read off once, up to the last convention's first -1 sign."""
     labelling = reference_labelling(rep)
-    out: dict[Convention, GraphClass] = {}
-    open_ = list(conventions)
+    witnesses: dict[Convention, tuple[int, ...]] = {}
     for auto in sorted(autos):
         moved = _transport(rep, labelling, auto, rep)
-        for c in list(open_):
-            if relabelling_sign(c, *moved) == -1:
-                out[c] = GraphClass(rep, ClassStatus.ZERO, auto)
-                open_.remove(c)
-        if not open_:
+        for c in Convention:
+            if c not in witnesses and relabelling_sign(c, *moved) == -1:
+                witnesses[c] = auto
+        if len(witnesses) == len(Convention):
             break
-    for c in open_:
-        out[c] = GraphClass(rep, ClassStatus.GENERATOR, None)
+    out = {}
+    for c in Convention:
+        w = witnesses.get(c)
+        status = ClassStatus.GENERATOR if w is None else ClassStatus.ZERO
+        out[c] = GraphClass(rep, status, w)
     return out

@@ -309,7 +309,7 @@ def test_certificates_replay_all_classes(k, conv):
         if isinstance(cert, hom.NonzeroCertificate):
             func = {cid: v for cid, v in cert.functional}
             cols = {
-                rep.basis.column_at(cid): v
+                rep.basis.columns[cid]: v
                 for cid, v in func.items()
             }
             for row in rep.relations.matrix.rows:
@@ -344,7 +344,7 @@ def _solve_first_reference(report, cls, echelon, functionals):
             witness_dart_perm=cls.witness,
         )
     m = report.relations.matrix
-    col = report.basis.column_at(cls.class_id)
+    col = report.basis.columns[cls.class_id]
     unit = [int(c == col) for c in range(m.num_cols)]
     try:
         coeffs = forward_solve.solve_combination(m, unit, echelon)
@@ -543,7 +543,7 @@ def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
                     tampered.append(
                         ("target", dataclasses.replace(cert, functional=dropped))
                     )
-                if basis.column_at(cid) in used:
+                if basis.columns[cid] in used:
                     func[i] = (cid, v + Fraction(1, 3))
                     tampered.append(
                         ("entry", dataclasses.replace(cert, functional=func))
