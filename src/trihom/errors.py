@@ -56,4 +56,4 @@ class NoSolution(TrihomError):
 
 
 class UnknownClass(TrihomError):
-    """A graph is not isomorphic to any representative of a class table."""
+    """A graph is in no class of a table, or an id names no class of a report."""

@@ -30,7 +30,6 @@ from .multigraph import (
     DEFAULT_MAX_CLASSES,
     DartGraph,
     TadpolePolicy,
-    _connected,
     _trie_walk,
     enumerate_classes,
     vertex_invariants,
@@ -66,32 +65,33 @@ class ClassTable:
                 node = node.setdefault(x, {})
             node[last] = c
 
-    def find(self, g: DartGraph) -> tuple[GraphClass, tuple[int, ...]]:
-        """The class of g and the dart map of an isomorphism from g onto its
-        representative.
+    def find(self, partner: tuple[int, ...]) -> tuple[GraphClass, tuple[int, ...]]:
+        """The class of the graph with pairing `partner` and the dart map of an
+        isomorphism from it onto its representative.
 
         A representative is its own witness under the identity; any other
         graph is matched by walking the representatives' codes in its
         invariants' bucket, from each vertex whose invariant some
-        representative's vertex 0 has.  g's own representative is in that
-        bucket, and a relabelling onto it sends to vertex 0 a vertex with
+        representative's vertex 0 has.  The graph's own representative is in
+        that bucket, and a relabelling onto it sends to vertex 0 a vertex with
         the invariant of the representative's vertex 0; so the walk skips
         only seeds and codes that match nothing, and its first match is the
         one a walk of every code from every seed would find.
         Representatives are pairwise non-isomorphic, so the class is unique.
         """
-        cls = self._classes.get(g.partner)
+        cls = self._classes.get(partner)
         if cls is not None:
-            return cls, tuple(range(g.num_darts))
-        invariants = vertex_invariants(g.partner)
+            return cls, tuple(range(len(partner)))
+        invariants = vertex_invariants(partner)
         roots = self._buckets.get(tuple(sorted(invariants)))
         found = (
             None
             if roots is None
-            else _trie_walk(g.partner, [roots.get(x) for x in invariants])
+            else _trie_walk(partner, [roots.get(x) for x in invariants])
         )
         if found is None:
-            raise UnknownClass(f"no class in the table for pairing {g.code_str()}")
+            code = " ".join(map(str, partner))
+            raise UnknownClass(f"no class in the table for pairing {code}")
         return found
 
 
@@ -116,77 +116,70 @@ def signed_class(
     convention: Convention,
     policy: TadpolePolicy,
     table: ClassTable,
+    swap: tuple[int, int] | None = None,
 ) -> Expressed:
-    """Express a labelled graph as 0 or ±1 times a canonical generator."""
+    """Express a labelled graph, or its regrouping by the dart swap `swap`
+    of `ihx_expand`, as 0 or ±1 times a canonical generator.
+
+    A regrouping keeps the edge it is made around and hangs each of the
+    four other darts at that edge's ends on one of those ends, so it is
+    connected exactly when g is.
+    Its loop flag, class and lookup map are read off its pairing, and
+    `transported_sign` carries g's labelling across the swap."""
     if not g.connected:
         return Expressed(0, None, "disconnected")
-    if policy is TadpolePolicy.EXCLUDE and g.has_loop:
+    partner = _regrouped(g.partner, swap)
+    if policy is TadpolePolicy.EXCLUDE and any(
+        p // 3 == d // 3 for d, p in enumerate(partner)
+    ):
         return Expressed(0, None, "tadpole")
     # Any two witnesses onto a generator's representative differ by an
     # automorphism, whose sign is +1, so every witness gives one coefficient.
-    cls, dart_map = table.find(g)
+    cls, dart_map = table.find(partner)
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
-    sign = transported_sign(convention, g, labelling, dart_map, cls.rep)
+    sign = transported_sign(convention, g, labelling, dart_map, cls.rep, swap)
     return Expressed(sign, cls, dart_map=dart_map)
 
 
-def _conjugate_term(
-    g: DartGraph, labelling: OrientedLabelling, swap: tuple[int, int]
-) -> tuple[DartGraph, OrientedLabelling]:
-    """Regroup by the dart transposition `swap`, transporting labels and
-    directions along the induced edge correspondence."""
+def _regrouped(
+    partner: tuple[int, ...], swap: tuple[int, int] | None
+) -> tuple[int, ...]:
+    """The pairing `partner` conjugated by the dart transposition `swap`,
+    P[τd] = τ(partner[d]): the two swapped darts exchange partners, and a
+    pair of them stays paired.  `partner` itself when `swap` is None."""
+    if swap is None:
+        return partner
     a, b = swap
-
-    def tau(d: int) -> int:
-        if d == a:
-            return b
-        if d == b:
-            return a
-        return d
-
-    partner = [0] * g.num_darts
-    for d in range(g.num_darts):
-        partner[tau(d)] = tau(g.partner[d])
-    # a regrouping is a valid pairing, so only connectivity is checked
-    term = DartGraph(g.num_vertices, partner, _connected(g.num_vertices, partner))
-    edge_labels = [0] * term.num_edges
-    directions: list[tuple[int, int]] = [(0, 0)] * term.num_edges
-    for i, (x, y) in enumerate(g.edges):
-        j = term.edge_of_dart(tau(x))
-        edge_labels[j] = labelling.edge_labels[i]
-        t, h = labelling.directions[i]
-        directions[j] = (tau(t), tau(h))
-    lab = OrientedLabelling(
-        labelling.vertex_labels, tuple(edge_labels), tuple(directions)
-    )
-    return term, lab
+    pa, pb = partner[a], partner[b]
+    ta = a if pa == b else pa  # τ(partner[a])
+    tb = b if pb == a else pb  # τ(partner[b])
+    out = list(partner)
+    out[b], out[ta] = ta, b
+    out[a], out[tb] = tb, a
+    return tuple(out)
 
 
 def ihx_expand(
-    g: DartGraph, labelling: OrientedLabelling, edge_index: int
-) -> list[tuple[DartGraph, OrientedLabelling, str]]:
-    """The three regroupings around a non-loop edge, tagged I/H/X.
+    g: DartGraph, edge_index: int
+) -> list[tuple[str, tuple[int, int] | None]]:
+    """The three regroupings around a non-loop edge, tagged I/H/X, each as
+    the dart swap that makes it from g: None for I, (q, r) for H and (q, s)
+    for X, where q is the greater of the edge's other two darts at its first
+    vertex and r < s those at its second.
 
-    With labels and directions transported identically, each term enters
-    the relation row with coefficient +1.
+    A term keeps g's vertex blocks, and each edge of g, with its label and
+    direction, moves along the swap; so each term enters the relation row
+    with coefficient +1.
     """
-    a, b = g.edges[edge_index]
-    u, v = a // 3, b // 3
-    if u == v:
+    if not _in_range(edge_index, g.num_edges):
+        raise ValueError(f"edge index must be in 0..{g.num_edges - 1}: {edge_index!r}")
+    if g.is_loop(edge_index):
         raise LoopEdge(f"edge {edge_index} is a self-loop")
-    du = sorted(d for d in g.darts_of(u) if d != a)
-    dv = sorted(d for d in g.darts_of(v) if d != b)
-    (_, q), (r, s) = (du[0], du[1]), (dv[0], dv[1])
-    ident = (0, 0)  # no-op swap
-    out = []
-    for tag, swap in (("I", ident), ("H", (q, r)), ("X", (q, s))):
-        if swap == ident:
-            out.append((g, labelling, tag))
-        else:
-            term, lab = _conjugate_term(g, labelling, swap)
-            out.append((term, lab, tag))
-    return out
+    a, b = g.edges[edge_index]
+    q = max(d for d in g.darts_of(a // 3) if d != a)
+    r, s = (d for d in g.darts_of(b // 3) if d != b)
+    return [("I", None), ("H", (q, r)), ("X", (q, s))]
 
 
 def _in_range(i: object, n: int) -> bool:
@@ -337,9 +330,10 @@ def _terms(
     basis: ClassBasis, g: DartGraph, labelling: OrientedLabelling, edge_index: int
 ) -> list[tuple[str, Expressed]]:
     """The I, H and X terms around a non-loop edge, in the class space."""
+    conv, policy, table = basis.convention, basis.policy, basis.table
     return [
-        (tag, signed_class(term, lab, basis.convention, basis.policy, basis.table))
-        for term, lab, tag in ihx_expand(g, labelling, edge_index)
+        (tag, signed_class(g, labelling, conv, policy, table, swap))
+        for tag, swap in ihx_expand(g, edge_index)
     ]
 
 
@@ -404,23 +398,17 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
                     term_id = res.cls.class_id
                     done.add((term_id, basis.orbit_min[term_id][image]))
             acc, notes = _row(basis, terms)
-            row = RelationRow(
-                tuple(sorted(acc.items())), cls.class_id, e, notes
-            )
+            entries = tuple(sorted(acc.items()))
             if not acc:
-                zero_rows.append(row)
+                zero_rows.append(RelationRow(entries, cls.class_id, e, notes))
                 continue
-            first = row.entries[0][1]
-            if first < 0:
-                row = RelationRow(
-                    tuple((c, -v) for c, v in row.entries),
-                    cls.class_id, e, notes,
-                )
-            if row.entries in seen:
+            if entries[0][1] < 0:
+                entries = tuple((c, -v) for c, v in entries)
+            if entries in seen:
                 duplicates += 1
                 continue
-            seen.add(row.entries)
-            rows.append(row)
+            seen.add(entries)
+            rows.append(RelationRow(entries, cls.class_id, e, notes))
     matrix = SparseIntMatrix(
         len(rows), basis.num_generators, [list(r.entries) for r in rows]
     )
@@ -441,15 +429,10 @@ class DimensionReport:
     relations: RelationData
 
     def to_json(self) -> dict:
-        classes = []
-        for c in self.basis.classes:
-            classes.append(
-                {
-                    "id": c.class_id,
-                    "code": " ".join(str(x) for x in c.rep.partner),
-                    "status": c.status.value,
-                }
-            )
+        classes = [
+            {"id": c.class_id, "code": c.rep.code_str(), "status": c.status.value}
+            for c in self.basis.classes
+        ]
         return {
             "k": self.k,
             "convention": self.convention.value,
@@ -657,14 +640,17 @@ def certify(
     report: DimensionReport,
 ) -> ZeroCertificate | NonzeroCertificate:
     """Zero or nonzero certificate for a class id or labelled graph,
-    replay-checked before return."""
+    replay-checked before return.  A class id that names no class of the
+    report, a negative one included, raises `UnknownClass`."""
     basis = report.basis
     if isinstance(target, tuple):
         g, labelling = target
     elif isinstance(target, DartGraph):
         g, labelling = target, reference_labelling(target)
-    else:
+    elif _in_range(target, len(basis.classes)):
         return _certify_class(basis.classes[target], report)
+    else:
+        raise UnknownClass(f"no class {target!r} in the report")
     if g.num_vertices != 2 * basis.k:
         raise WrongSize("target graph size does not match the basis")
     res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)

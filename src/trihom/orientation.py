@@ -101,14 +101,22 @@ def _transport(
     labelling: OrientedLabelling,
     dart_map: Sequence[int],
     target: DartGraph,
+    swap: tuple[int, int] | None = None,
 ) -> tuple[list[int], list[int], int]:
     """The edge permutation, vertex permutation and reversal count that
     carry (source, labelling) along the dart map of an isomorphism
-    source -> target onto the reference labelling of target."""
+    source -> target onto the reference labelling of target.  With a dart
+    `swap` (`homology.ihx_expand`), source is first regrouped by it: its
+    vertices keep their darts and read `dart_map`, and its edges, moved by
+    the swap with their labels and directions, read `dart_map` after it."""
     nv = target.num_vertices
     sigma_v = [0] * nv
     for v in range(nv):
         sigma_v[dart_map[3 * v] // 3] = labelling.vertex_labels[v] - 1
+    if swap is not None:
+        x, y = swap
+        dart_map = list(dart_map)
+        dart_map[x], dart_map[y] = dart_map[y], dart_map[x]
     sigma_e = [0] * target.num_edges
     reversals = 0
     for i, (a, _) in enumerate(source.edges):
@@ -126,15 +134,17 @@ def transported_sign(
     labelling: OrientedLabelling,
     dart_map: Sequence[int],
     target: DartGraph,
+    swap: tuple[int, int] | None = None,
 ) -> int:
     """Sign relating (source, labelling), carried along the dart map of an
-    isomorphism source -> target, to the reference labelling of target.
+    isomorphism source -> target, to the reference labelling of target;
+    with `swap`, of source's regrouping by that dart swap (see `_transport`).
 
     This is the sign of every relabelling: of an automorphism a of g it is
     transported_sign(convention, g, reference_labelling(g), a, g), and of a
     pure change of labels the identity map carries the new labels."""
     return relabelling_sign(
-        convention, *_transport(source, labelling, dart_map, target)
+        convention, *_transport(source, labelling, dart_map, target, swap)
     )
 
 

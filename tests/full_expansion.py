@@ -3,21 +3,108 @@
 whose row an earlier expansion had already given.  It is kept as the
 reference the skipping expansion is compared against; `expand_row` gives
 the row of any labelled graph at any non-loop edge.
+
+Its terms are built as they were before `ihx_expand` returned dart swaps:
+each regrouping is a graph of its own, made by moving every dart through
+the transposition, with the generator's labelling transported onto it,
+and signed by `transported_sign` from that graph and labelling.  So the
+swap-built terms of `trihom.homology` are compared against code they do
+not share; only the class lookup and the row sum are common.
 """
 
 from __future__ import annotations
 
+from trihom.errors import LoopEdge
 from trihom.exactla import SparseIntMatrix
-from trihom.homology import ClassBasis, RelationData, RelationRow, _row, _terms
-from trihom.multigraph import DartGraph
-from trihom.orientation import ClassStatus, OrientedLabelling, reference_labelling
+from trihom.homology import ClassBasis, Expressed, RelationData, RelationRow, _row
+from trihom.multigraph import DartGraph, TadpolePolicy, _connected
+from trihom.orientation import (
+    ClassStatus,
+    OrientedLabelling,
+    reference_labelling,
+    transported_sign,
+)
+
+
+def conjugate_term(
+    g: DartGraph, labelling: OrientedLabelling, swap: tuple[int, int]
+) -> tuple[DartGraph, OrientedLabelling]:
+    """Regroup by the dart transposition `swap`, transporting labels and
+    directions along the induced edge correspondence."""
+    a, b = swap
+
+    def tau(d: int) -> int:
+        if d == a:
+            return b
+        if d == b:
+            return a
+        return d
+
+    partner = [0] * g.num_darts
+    for d in range(g.num_darts):
+        partner[tau(d)] = tau(g.partner[d])
+    term = DartGraph(g.num_vertices, partner, _connected(g.num_vertices, partner))
+    edge_labels = [0] * term.num_edges
+    directions: list[tuple[int, int]] = [(0, 0)] * term.num_edges
+    for i, (x, y) in enumerate(g.edges):
+        j = term.edge_of_dart(tau(x))
+        edge_labels[j] = labelling.edge_labels[i]
+        t, h = labelling.directions[i]
+        directions[j] = (tau(t), tau(h))
+    lab = OrientedLabelling(
+        labelling.vertex_labels, tuple(edge_labels), tuple(directions)
+    )
+    return term, lab
+
+
+def ihx_terms(
+    g: DartGraph, labelling: OrientedLabelling, edge_index: int
+) -> list[tuple[DartGraph, OrientedLabelling, str]]:
+    """The three regroupings around a non-loop edge, tagged I/H/X, each a
+    graph with its transported labelling."""
+    a, b = g.edges[edge_index]
+    u, v = a // 3, b // 3
+    if u == v:
+        raise LoopEdge(f"edge {edge_index} is a self-loop")
+    du = sorted(d for d in g.darts_of(u) if d != a)
+    dv = sorted(d for d in g.darts_of(v) if d != b)
+    (_, q), (r, s) = (du[0], du[1]), (dv[0], dv[1])
+    out = [(g, labelling, "I")]
+    for tag, swap in (("H", (q, r)), ("X", (q, s))):
+        out.append((*conjugate_term(g, labelling, swap), tag))
+    return out
+
+
+def expressed(
+    basis: ClassBasis, term: DartGraph, labelling: OrientedLabelling
+) -> Expressed:
+    """A term graph with its own labelling as 0 or ±1 times a generator."""
+    if not term.connected:
+        return Expressed(0, None, "disconnected")
+    if basis.policy is TadpolePolicy.EXCLUDE and term.has_loop:
+        return Expressed(0, None, "tadpole")
+    cls, dart_map = basis.table.find(term.partner)
+    if cls.status is ClassStatus.ZERO:
+        return Expressed(0, cls, "zero-class")
+    sign = transported_sign(basis.convention, term, labelling, dart_map, cls.rep)
+    return Expressed(sign, cls, dart_map=dart_map)
+
+
+def expand_terms(
+    basis: ClassBasis, g: DartGraph, labelling: OrientedLabelling, edge_index: int
+) -> list[tuple[str, Expressed]]:
+    """The I, H and X terms around a non-loop edge, in the class space."""
+    return [
+        (tag, expressed(basis, term, lab))
+        for term, lab, tag in ihx_terms(g, labelling, edge_index)
+    ]
 
 
 def expand_row(
     basis: ClassBasis, g: DartGraph, labelling: OrientedLabelling, edge_index: int
 ) -> tuple[dict[int, int], tuple[str, ...]]:
     """One IHX row over generator columns, plus per-term notes."""
-    return _row(basis, _terms(basis, g, labelling, edge_index))
+    return _row(basis, expand_terms(basis, g, labelling, edge_index))
 
 
 def relation_matrix(basis: ClassBasis) -> RelationData:

@@ -42,30 +42,58 @@ def test_class_basis_examples():
 
 
 def test_ihx_expand_deterministic(theta):
-    lab = reference_labelling(theta)
-    t1 = hom.ihx_expand(theta, lab, 0)
-    t2 = hom.ihx_expand(theta, lab, 0)
-    assert [(g.partner, l, tag) for g, l, tag in t1] == [
-        (g.partner, l, tag) for g, l, tag in t2
-    ]
-    tags = [tag for _, _, tag in t1]
-    assert tags == ["I", "H", "X"]
+    t1 = hom.ihx_expand(theta, 0)
+    t2 = hom.ihx_expand(theta, 0)
+    assert t1 == t2
+    (i_tag, i_swap), (h_tag, h_swap), (x_tag, x_swap) = t1
+    assert (i_tag, h_tag, x_tag) == ("I", "H", "X")
+    assert i_swap is None and h_swap[0] == x_swap[0] and h_swap[1] < x_swap[1]
 
 
 def test_ihx_loop_edge_rejected(dumbbell):
-    lab = reference_labelling(dumbbell)
     loop_idx = next(i for i in range(3) if dumbbell.is_loop(i))
     with pytest.raises(LoopEdge):
-        hom.ihx_expand(dumbbell, lab, loop_idx)
+        hom.ihx_expand(dumbbell, loop_idx)
 
 
-def test_ihx_terms_preserve_labels(theta):
-    lab = reference_labelling(theta)
-    for term, tlab, _tag in hom.ihx_expand(theta, lab, 0):
-        assert sorted(tlab.edge_labels) == [1, 2, 3]
-        assert tlab.vertex_labels == lab.vertex_labels
-        for i, (t, h) in enumerate(tlab.directions):
-            assert {t, h} == set(term.edges[i])
+@pytest.mark.parametrize("edge_index", [-1, -3, 3, 4, 1.0, None])
+def test_ihx_edge_index_checked(theta, edge_index):
+    """An edge index outside 0..num_edges-1, a negative one included, is
+    refused, not read from the end or left to raise IndexError."""
+    with pytest.raises(ValueError, match=r"edge index must be in 0\.\.2"):
+        hom.ihx_expand(theta, edge_index)
+
+
+@pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
+def test_ihx_swaps_give_the_per_dart_terms(policy):
+    """For every non-loop edge of every class with k <= 4, each regrouping
+    that `ihx_expand` gives as a dart swap has the pairing of the
+    reference's term, built by moving every dart through the transposition
+    (the I term is the graph itself), and `signed_class` expresses it as
+    the reference expresses that term with its transported labelling.  The
+    reference walks each term for connectivity, and no term of a connected
+    graph is disconnected."""
+    reasons = set()
+    for k in range(1, 5):
+        basis = hom.class_basis(k, Convention.ODD, policy)
+        for cls in basis.classes:
+            g = cls.rep
+            lab = reference_labelling(g)
+            for e in range(g.num_edges):
+                if g.is_loop(e):
+                    continue
+                swaps = hom.ihx_expand(g, e)
+                terms = full_expansion.ihx_terms(g, lab, e)
+                assert [t for t, _ in swaps] == [t for _, _, t in terms]
+                for (_, swap), (term, term_lab, _) in zip(swaps, terms):
+                    assert hom._regrouped(g.partner, swap) == term.partner
+                    res = hom.signed_class(
+                        g, lab, basis.convention, policy, basis.table, swap
+                    )
+                    assert res == full_expansion.expressed(basis, term, term_lab)
+                    reasons.add(res.zero_reason)
+    expected = {None, "zero-class"}
+    assert reasons == expected | ({"tadpole"} if policy is TP.EXCLUDE else set())
 
 
 def test_theta_odd_rows_vanish(theta):
@@ -298,6 +326,17 @@ def test_certificate_excluded(dumbbell):
     rep = hom.dimension(1, Convention.ODD, TP.EXCLUDE)
     cert = hom.certify(dumbbell, rep)
     assert isinstance(cert, hom.ZeroCertificate) and cert.kind == "excluded"
+
+
+def test_certify_refuses_a_class_id_out_of_range():
+    """A class id that names no class raises UnknownClass: a negative one is
+    not read from the end, and one past the last does not raise IndexError."""
+    report = hom.dimension(3, Convention.ODD, TP.EXCLUDE)
+    n = len(report.basis.classes)
+    assert hom.certify(n - 1, report).class_id == n - 1
+    for target in (-1, -n, n, 99):
+        with pytest.raises(UnknownClass, match=f"no class {target} in the report"):
+            hom.certify(target, report)
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
@@ -730,7 +769,7 @@ def test_find_matches_canonical_form_reference():
                 invariants = mg.vertex_invariants(g.partner)
                 for v in range(g.num_vertices):
                     assert invariants[iso[3 * v] // 3] == rep_invariants[v]
-                found, witness = basis.table.find(g)
+                found, witness = basis.table.find(g.partner)
                 canon, _ = mg.canonical_form(g)
                 assert found is by_code[canon.partner] is cls
                 assert mg.relabel(g, witness) == found.rep
@@ -760,11 +799,12 @@ def test_lookup_miss_with_and_without_its_bucket(walks, bucket):
     ]
     for g in graphs:
         with pytest.raises(UnknownClass, match=g.code_str()):
-            table.find(g)
+            table.find(g.partner)
     assert len(walks) == (len(graphs) if shared else 0)
     for c in basis.classes[::10]:
         if c is not missing:
-            assert table.find(mg.relabel(c.rep, mg.random_relabelling(c.rep, rng)))[0] is c
+            h = mg.relabel(c.rep, mg.random_relabelling(c.rep, rng))
+            assert table.find(h.partner)[0] is c
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
@@ -809,14 +849,14 @@ graphs = [missing.rep] + [
 ]
 for g in graphs:
     try:
-        table.find(g)
+        table.find(g.partner)
     except UnknownClass as exc:
         assert not isinstance(exc, KeyError)
         print(str(exc) == f"no class in the table for pairing {g.code_str()}")
     else:
         print("found")
 for c in basis.classes[:2] + basis.classes[3:]:
-    print(table.find(c.rep)[0] is c)
+    print(table.find(c.rep.partner)[0] is c)
 """
 
 
@@ -929,8 +969,10 @@ def test_rows_labelling_invariant_and_complete(walks, k, conv, rng):
     """Rows from random relabellings of every class (zero classes
     included), with their reference labelling and with a random one, stay
     inside the span of the reference rows: stacked on the relation matrix
-    they leave its exact rank unchanged.  Their terms that are not
-    representatives are found by trie walks."""
+    they leave its exact rank unchanged.  Each of their swap-built terms is
+    the reference's per-dart term (`tests/full_expansion.py`) in the class
+    space: coefficient, class, zero reason and lookup map.  Their terms
+    that are not representatives are found by trie walks."""
     from trihom.exactla import SparseIntMatrix, rank
 
     basis = hom.class_basis(k, conv, TP.INCLUDE)
@@ -944,7 +986,10 @@ def test_rows_labelling_invariant_and_complete(walks, k, conv, rng):
                 for e in range(h.num_edges):
                     if h.is_loop(e):
                         continue
-                    acc, _notes = full_expansion.expand_row(basis, h, lab, e)
+                    terms = hom._terms(basis, h, lab, e)
+                    reference = full_expansion.expand_terms(basis, h, lab, e)
+                    assert terms == reference
+                    acc, _notes = hom._row(basis, terms)
                     if acc:
                         extra_rows.append(sorted(acc.items()))
     stacked = SparseIntMatrix(

@@ -29,6 +29,7 @@ null.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import statistics
@@ -160,6 +161,14 @@ def lookup_graphs(n_per_class=100):
     return basis, graphs
 
 
+def _find_args(table, graphs):
+    """What `table.find` takes for each graph: its pairing, or the graph
+    itself in a checkout from before `find` took pairings."""
+    if "g" in inspect.signature(table.find).parameters:
+        return graphs
+    return [g.partner for g in graphs]
+
+
 def frames(basis, graphs):
     search = _nested_code(mg._prefix_ties, "extend")
     search_frames, search_seeds = _frames(
@@ -167,8 +176,9 @@ def frames(basis, graphs):
     )
     trie_walk = getattr(mg, "_trie_walk", None)
     walk = _nested_code(trie_walk, "walk")
+    keys = _find_args(basis.table, graphs)
     walk_frames, walk_seeds = (
-        _frames(trie_walk, walk, lambda: [basis.table.find(g) for g in graphs])
+        _frames(trie_walk, walk, lambda: [basis.table.find(x) for x in keys])
         if walk is not None
         else (None, None)
     )
@@ -187,8 +197,9 @@ def frames(basis, graphs):
 
 def lookup_walls(basis, graphs, repeats):
     """Wall times of `find` and of `vertex_invariants` over all `graphs`."""
+    keys = _find_args(basis.table, graphs)
     calls = {
-        "find": lambda: [basis.table.find(g) for g in graphs],
+        "find": lambda: [basis.table.find(x) for x in keys],
         "vertex_invariants": lambda: [mg.vertex_invariants(g.partner) for g in graphs],
     }
     out = {}
