@@ -129,8 +129,9 @@ def signed_class(
     if not g.connected:
         return Expressed(0, None, "disconnected")
     partner = _regrouped(g.partner, swap)
-    if policy is TadpolePolicy.EXCLUDE and any(
-        p // 3 == d // 3 for d, p in enumerate(partner)
+    # A swap can make or break a loop, so only an unswapped graph's flag is read.
+    if policy is TadpolePolicy.EXCLUDE and (
+        any(p // 3 == d // 3 for d, p in enumerate(partner)) if swap else g.has_loop
     ):
         return Expressed(0, None, "tadpole")
     # Any two witnesses onto a generator's representative differ by an
@@ -186,6 +187,23 @@ def _in_range(i: object, n: int) -> bool:
     """Whether `i` is an int id among 0..n-1; a negative one would index
     from the end."""
     return isinstance(i, int) and 0 <= i < n
+
+
+def _check_labelling(g: DartGraph, labelling: OrientedLabelling) -> None:
+    """Raise `ValueError` unless the vertex labels and the edge labels of
+    `labelling` are each a permutation of 1..n, and each edge's direction
+    is that edge's two darts."""
+    for what, labels, n in (
+        ("vertex", labelling.vertex_labels, g.num_vertices),
+        ("edge", labelling.edge_labels, g.num_edges),
+    ):
+        if sorted(labels) != list(range(1, n + 1)):
+            raise ValueError(f"{what} labels are not a permutation of 1..{n}")
+    directions = labelling.directions
+    if len(directions) != g.num_edges or any(
+        sorted(ends) != list(edge) for ends, edge in zip(directions, g.edges)
+    ):
+        raise ValueError("directions are not their edges' darts")
 
 
 def _replay_column(basis: ClassBasis, class_id: object) -> int:
@@ -484,13 +502,16 @@ def express(
     basis: ClassBasis,
     labelling: OrientedLabelling | None = None,
 ) -> dict[int, Fraction]:
-    """Sparse vector over generator columns: ±1 on one column, or empty."""
+    """Sparse vector over generator columns: ±1 on one column, or empty.
+    A labelling that is not one of g raises `ValueError`."""
     if g.num_vertices != 2 * basis.k:
         raise WrongSize(
             f"graph has {g.num_vertices} vertices, basis expects {2 * basis.k}"
         )
     if labelling is None:
         labelling = reference_labelling(g)
+    else:
+        _check_labelling(g, labelling)
     res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)
     if res.is_zero:
         return {}
@@ -641,10 +662,12 @@ def certify(
 ) -> ZeroCertificate | NonzeroCertificate:
     """Zero or nonzero certificate for a class id or labelled graph,
     replay-checked before return.  A class id that names no class of the
-    report, a negative one included, raises `UnknownClass`."""
+    report, a negative one included, raises `UnknownClass`; a labelling
+    that is not one of its graph raises `ValueError`."""
     basis = report.basis
     if isinstance(target, tuple):
         g, labelling = target
+        _check_labelling(g, labelling)
     elif isinstance(target, DartGraph):
         g, labelling = target, reference_labelling(target)
     elif _in_range(target, len(basis.classes)):

@@ -1,54 +1,113 @@
 """Surgery plans for a trivalent graph in ambient dimension d >= 4.
 
-A plan assigns each vertex its Y-piece species, splits each edge's Hopf
-pair of spheres S^(d-2) and S^1 between its two ends (for even d), and
-tabulates the family parameter space, the Hopf-link and handle ledgers,
-and the Morse-admissibility verdict.  Everything here is symbolic
-bookkeeping; no embeddings or framings are represented.
+A plan is a typing: each vertex's Y-piece species and, per edge, the end
+that takes the big member of its Hopf pair (S^(d-2) and S^1, for even d).
+The family parameter space, the Hopf-link and handle ledgers and the
+Morse-admissibility verdict are derived from it.  Everything here is
+symbolic bookkeeping; no embeddings or framings are represented.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionTooSmall
-from .multigraph import DartGraph
+from .errors import DimensionTooSmall, TrihomError
+from .multigraph import DartGraph, from_pairing
 
 
 class VertexType(Enum):
-    TYPE_I = "I"       # one big-sphere end: handles 1, 1, d-2
-    TYPE_II = "II"     # two big-sphere ends: handles 1, d-2, d-2
-    UNIFORM = "uniform"  # odd d: three middle-dimensional handles
+    TYPE_I = "I"       # one big-sphere end
+    TYPE_II = "II"     # two big-sphere ends
+    UNIFORM = "uniform"  # odd d: a Hopf pair's members are same-dimensional
+
+
+def _hopf_pair(d: int) -> tuple[int, int]:
+    """Dimensions (small, big) of an edge's Hopf pair in S^d; they sum to d - 1."""
+    small = 1 if d % 2 == 0 else (d - 1) // 2
+    return small, d - 1 - small
+
+
+_Triple = tuple[int, int, int]
+
+
+def _vertex_figures(t: VertexType, d: int) -> tuple[_Triple, _Triple, int]:
+    """A Y-piece's handle indices, which are the dimensions of the Hopf
+    members at its three ends and also the K dimensions of its six-component
+    link; the L dimensions; and the dimension of its family-factor sphere."""
+    s, b = _hopf_pair(d)
+    return {
+        VertexType.TYPE_I: ((s, s, b), (b, b, s), 0),
+        VertexType.TYPE_II: ((s, b, b), (b, s, s), d - 3),
+        VertexType.UNIFORM: ((s, s, s), (s, s, s), (d - 3) // 2),
+    }[t]
 
 
 @dataclass(frozen=True)
 class SurgeryPlan:
+    """A graph's typing in ambient dimension d; every other figure of the
+    plan is derived from it."""
+
     d: int
-    k: int
     graph_pairing: tuple[tuple[int, int], ...]
     vertex_types: tuple[VertexType, ...]
     edge_polarity: tuple[int, ...]  # dart receiving the big / first Hopf member
-    handlebody_summaries: tuple[tuple[int, ...], ...]
-    framed_link_dims: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    b_gamma: tuple[str, ...]
-    family_dim: int
-    hopf_base: int
-    hopf_chained: int
-    w_copies: int
-    hopf_family_dims: tuple[int, int]
-    final_handles: tuple[int, int]
-    admissible: bool
-    nonstandard_loops: bool
+
+    @property
+    def k(self) -> int:
+        return len(self.graph_pairing) // 3
+
+    @property
+    def handlebody_summaries(self) -> tuple[_Triple, ...]:
+        return tuple(_vertex_figures(t, self.d)[0] for t in self.vertex_types)
+
+    @property
+    def framed_link_dims(self) -> tuple[tuple[_Triple, _Triple], ...]:
+        return tuple(_vertex_figures(t, self.d)[:2] for t in self.vertex_types)
+
+    @property
+    def b_gamma(self) -> tuple[str, ...]:
+        return tuple(f"S^{_vertex_figures(t, self.d)[2]}" for t in self.vertex_types)
+
+    @property
+    def family_dim(self) -> int:
+        return sum(_vertex_figures(t, self.d)[2] for t in self.vertex_types)
+
+    @property
+    def hopf_base(self) -> int:
+        return 6 * self.k
+
+    @property
+    def hopf_chained(self) -> int:
+        return 6 * self.k + 1
+
+    @property
+    def w_copies(self) -> int:
+        return 6 * self.k
+
+    @property
+    def hopf_family_dims(self) -> tuple[int, int]:
+        return _hopf_pair(self.d)
+
+    @property
+    def final_handles(self) -> tuple[int, int]:
+        small, _ = self.hopf_family_dims
+        return small, small + 1
+
+    @property
+    def admissible(self) -> bool:
+        return self.final_handles[1] <= self.d - 2
+
+    @property
+    def nonstandard_loops(self) -> bool:
+        return any(a // 3 == b // 3 for a, b in self.graph_pairing)
 
     def to_json(self) -> dict:
         return {
             "d": self.d,
             "k": self.k,
-            "graph": {
-                "k": self.k,
-                "pairing": [list(e) for e in self.graph_pairing],
-            },
+            "graph": {"k": self.k, "pairing": [list(e) for e in self.graph_pairing]},
             "vertex_types": [t.value for t in self.vertex_types],
             "edge_polarity": list(self.edge_polarity),
             "handlebody_summaries": [list(h) for h in self.handlebody_summaries],
@@ -70,28 +129,23 @@ class SurgeryPlan:
 
     @staticmethod
     def from_json(data: dict) -> "SurgeryPlan":
-        return SurgeryPlan(
-            d=data["d"],
-            k=data["k"],
-            graph_pairing=tuple(tuple(e) for e in data["graph"]["pairing"]),
-            vertex_types=tuple(VertexType(t) for t in data["vertex_types"]),
-            edge_polarity=tuple(data["edge_polarity"]),
-            handlebody_summaries=tuple(
-                tuple(h) for h in data["handlebody_summaries"]
-            ),
-            framed_link_dims=tuple(
-                (tuple(x["K"]), tuple(x["L"])) for x in data["framed_link_dims"]
-            ),
-            b_gamma=tuple(data["b_gamma"]),
-            family_dim=data["family_dim"],
-            hopf_base=data["hopf_ledger"]["base"],
-            hopf_chained=data["hopf_ledger"]["chained"],
-            w_copies=data["hopf_ledger"]["w_copies"],
-            hopf_family_dims=tuple(data["hopf_family_dims"]),
-            final_handles=tuple(data["final_handles"]),
-            admissible=data["admissible"],
-            nonstandard_loops=data["nonstandard"],
-        )
+        """The plan of the document's graph in its dimension d, when the
+        document is exactly that plan's `to_json()`, with its
+        `y_link_report` under "report" if it has that key.  Any other
+        document raises `ValueError`."""
+        try:
+            graph = data["graph"]
+            g = from_pairing(2 * graph["k"], graph["pairing"], allow_disconnected=True)
+            p = plan(g, data["d"])
+            given = json.dumps(data, sort_keys=True)
+        except (KeyError, TypeError, TrihomError) as exc:
+            raise ValueError(f"not a surgery plan document: {exc!r}") from None
+        doc = p.to_json()
+        if "report" in data:
+            doc["report"] = y_link_report(p)
+        if json.dumps(doc, sort_keys=True) != given:
+            raise ValueError("document is not the plan of its graph in dimension d")
+        return p
 
 
 def assign_vertex_types(
@@ -109,23 +163,17 @@ def assign_vertex_types(
     """
     nv = g.num_vertices
     counts = [0] * nv
-    loop_edges = []
+    remaining = [0] * nv  # undecided big-end opportunities per vertex
+    polarity = [-1] * g.num_edges
     free_edges = []
     for i, (a, b) in enumerate(g.edges):
         if a // 3 == b // 3:
-            loop_edges.append(i)
             counts[a // 3] += 1  # a loop deposits exactly one big end
+            polarity[i] = a
         else:
             free_edges.append(i)
-    remaining = [0] * nv  # undecided big-end opportunities per vertex
-    for i in free_edges:
-        a, b = g.edges[i]
-        remaining[a // 3] += 1
-        remaining[b // 3] += 1
-
-    polarity = [-1] * g.num_edges
-    for i in loop_edges:
-        polarity[i] = g.edges[i][0]
+            remaining[a // 3] += 1
+            remaining[b // 3] += 1
 
     def feasible(v: int) -> bool:
         return counts[v] <= 2 and counts[v] + remaining[v] >= 1
@@ -142,9 +190,7 @@ def assign_vertex_types(
             counts[v] += 1
             polarity[i] = dart
             if feasible(va) and feasible(vb) and rec(pos + 1):
-                remaining[va] += 1
-                remaining[vb] += 1
-                return True
+                return True  # the search stops: `remaining` is not read again
             counts[v] -= 1
             polarity[i] = -1
         remaining[va] += 1
@@ -153,66 +199,22 @@ def assign_vertex_types(
 
     found = rec(0)
     assert found, "every trivalent multigraph has a Type I/II typing"
-    types = tuple(
-        VertexType.TYPE_I if counts[v] == 1 else VertexType.TYPE_II
-        for v in range(nv)
-    )
+    types = tuple(VertexType.TYPE_I if n == 1 else VertexType.TYPE_II for n in counts)
     return tuple(polarity), types
 
 
 def plan(g: DartGraph, d: int) -> SurgeryPlan:
-    """Full surgery plan for an embedded copy of g in ambient dimension d."""
+    """Full surgery plan for an embedded copy of g in ambient dimension d.
+    For odd d a Hopf pair's members are same-dimensional, so every vertex
+    is uniform and each edge's first dart takes the first member."""
     if d < 4:
         raise DimensionTooSmall(f"construction requires d >= 4, got d={d}")
-    k = g.k
-    even = d % 2 == 0
-    if even:
+    if d % 2 == 0:
         polarity, types = assign_vertex_types(g)
-        handle_sets = {
-            VertexType.TYPE_I: (1, 1, d - 2),
-            VertexType.TYPE_II: (1, d - 2, d - 2),
-        }
-        summaries = tuple(handle_sets[t] for t in types)
-        framed = tuple(
-            ((1, 1, d - 2), (d - 2, d - 2, 1))
-            if t is VertexType.TYPE_I
-            else ((1, d - 2, d - 2), (d - 2, 1, 1))
-            for t in types
-        )
-        b_gamma = tuple(
-            "S^0" if t is VertexType.TYPE_I else f"S^{d - 3}" for t in types
-        )
-        family_dim = sum(0 if t is VertexType.TYPE_I else d - 3 for t in types)
-        hopf_family = (1, d - 2)
-        final = (1, 2)
     else:
-        m = (d - 1) // 2
-        types = tuple(VertexType.UNIFORM for _ in range(g.num_vertices))
-        polarity = tuple(e[0] for e in g.edges)  # members same-dimensional
-        summaries = tuple((m, m, m) for _ in types)
-        framed = tuple(((m, m, m), (m, m, m)) for _ in types)
-        b_gamma = tuple(f"S^{(d - 3) // 2}" for _ in types)
-        family_dim = g.num_vertices * (d - 3) // 2
-        hopf_family = (m, m)
-        final = (m, m + 1)
-    return SurgeryPlan(
-        d=d,
-        k=k,
-        graph_pairing=g.edges,
-        vertex_types=types,
-        edge_polarity=polarity,
-        handlebody_summaries=summaries,
-        framed_link_dims=framed,
-        b_gamma=b_gamma,
-        family_dim=family_dim,
-        hopf_base=6 * k,
-        hopf_chained=6 * k + 1,
-        w_copies=6 * k,
-        hopf_family_dims=hopf_family,
-        final_handles=final,
-        admissible=final[1] <= d - 2,
-        nonstandard_loops=g.has_loop,
-    )
+        polarity = tuple(a for a, _ in g.edges)
+        types = (VertexType.UNIFORM,) * g.num_vertices
+    return SurgeryPlan(d, g.edges, types, polarity)
 
 
 _NOTES = (
@@ -228,34 +230,31 @@ _NOTES = (
 
 def y_link_report(p: SurgeryPlan) -> dict:
     """Per-vertex and per-edge breakdown of a plan, JSON round-trippable."""
-    vertices = []
-    for v, t in enumerate(p.vertex_types):
-        kdims, ldims = p.framed_link_dims[v]
-        vertices.append(
-            {
-                "vertex": v,
-                "type": t.value,
-                "handles": list(p.handlebody_summaries[v]),
-                "link_K_dims": list(kdims),
-                "link_L_dims": list(ldims),
-                "family_factor": p.b_gamma[v],
-            }
+    vertices = [
+        {
+            "vertex": v,
+            "type": t.value,
+            "handles": list(h),
+            "link_K_dims": list(kdims),
+            "link_L_dims": list(ldims),
+            "family_factor": f,
+        }
+        for v, (t, h, (kdims, ldims), f) in enumerate(
+            zip(p.vertex_types, p.handlebody_summaries, p.framed_link_dims, p.b_gamma)
         )
-    big = p.d - 2 if p.d % 2 == 0 else (p.d - 1) // 2
-    small = 1 if p.d % 2 == 0 else (p.d - 1) // 2
-    edges = []
-    for i, (a, b) in enumerate(p.graph_pairing):
-        pol = p.edge_polarity[i]
-        edges.append(
-            {
-                "edge": i,
-                "darts": [a, b],
-                "big_member_dim": big,
-                "small_member_dim": small,
-                "big_member_at_dart": pol,
-                "loop": a // 3 == b // 3,
-            }
-        )
+    ]
+    small, big = p.hopf_family_dims
+    edges = [
+        {
+            "edge": i,
+            "darts": [a, b],
+            "big_member_dim": big,
+            "small_member_dim": small,
+            "big_member_at_dart": pol,
+            "loop": a // 3 == b // 3,
+        }
+        for i, ((a, b), pol) in enumerate(zip(p.graph_pairing, p.edge_polarity))
+    ]
     return {
         "d": p.d,
         "k": p.k,

@@ -299,6 +299,54 @@ def test_express_label_swap_sign(k4):
     }
 
 
+# Labellings that are not labellings, built from a graph's reference
+# labelling `lab` with n vertices and e edges: a label list that is not a
+# permutation of 1..n, or a direction that is not its edge's two darts.
+_NOT_LABELLINGS = {
+    "vertex-zeros": lambda lab, n, e: dataclasses.replace(lab, vertex_labels=(0,) * n),
+    "vertex-repeated": lambda lab, n, e: dataclasses.replace(
+        lab, vertex_labels=(1,) * n
+    ),
+    "vertex-long": lambda lab, n, e: dataclasses.replace(
+        lab, vertex_labels=lab.vertex_labels + (n + 1,)
+    ),
+    "edge-repeated": lambda lab, n, e: dataclasses.replace(lab, edge_labels=(1,) * e),
+    "edge-short": lambda lab, n, e: dataclasses.replace(
+        lab, edge_labels=lab.edge_labels[:-1]
+    ),
+    "edge-out-of-range": lambda lab, n, e: dataclasses.replace(
+        lab, edge_labels=lab.edge_labels[:-1] + (e + 1,)
+    ),
+    "direction-foreign": lambda lab, n, e: dataclasses.replace(
+        lab, directions=((0, lab.directions[1][1]),) + lab.directions[1:]
+    ),
+    "direction-short": lambda lab, n, e: dataclasses.replace(
+        lab, directions=lab.directions[:-1]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_LABELLINGS))
+def test_malformed_labellings_raise_value_error(k4, case):
+    """`express` and `certify` on a labelled graph refuse a malformed
+    labelling with ValueError, instead of expressing it with some sign or
+    failing with IndexError; a reversed edge is still a labelling."""
+    basis = hom.class_basis(2, Convention.ODD)
+    report = hom.dimension(2, Convention.ODD)
+    ref = reference_labelling(k4)
+    lab = _NOT_LABELLINGS[case](ref, k4.num_vertices, k4.num_edges)
+    with pytest.raises(ValueError):
+        hom.express(k4, basis, lab)
+    with pytest.raises(ValueError):
+        hom.certify((k4, lab), report)
+    (a, b), *rest = ref.directions
+    flipped = dataclasses.replace(ref, directions=((b, a), *rest))
+    vec = hom.express(k4, basis)
+    assert vec and hom.express(k4, basis, flipped) == {c: -v for c, v in vec.items()}
+    cert = hom.certify((k4, flipped), report)
+    assert cert.class_id == hom.certify(k4, report).class_id
+
+
 def test_certificates_theta():
     rep_odd = hom.dimension(1, Convention.ODD)
     theta_cls = rep_odd.basis.classes[0]

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -90,11 +94,116 @@ def test_loop_edges_flagged(dumbbell):
     assert len(loops) == 2
 
 
-def test_plan_json_roundtrip(theta, dumbbell, k4):
-    for g in (theta, dumbbell, k4):
-        for d in (4, 5, 6, 7):
-            p = sg.plan(g, d)
-            assert sg.SurgeryPlan.from_json(json.loads(json.dumps(p.to_json()))) == p
+def test_plan_stores_its_typing_only():
+    fields = [f.name for f in dataclasses.fields(sg.SurgeryPlan)]
+    assert fields == ["d", "graph_pairing", "vertex_types", "edge_polarity"]
+
+
+def _small_plans():
+    """The plan of every graph with k <= 3, both tadpole policies, d = 4..7."""
+    for k in (1, 2, 3):
+        for pol in (mg.TadpolePolicy.EXCLUDE, mg.TadpolePolicy.INCLUDE):
+            for g in mg.enumerate_trivalent(k, pol):
+                for d in (4, 5, 6, 7):
+                    yield sg.plan(g, d)
+
+
+def _document(p):
+    """A plan's JSON document with its report, as `trihom plan` writes it."""
+    doc = p.to_json()
+    doc["report"] = sg.y_link_report(p)
+    return doc
+
+
+# sha256 over the small plans in order: each one's document (sort_keys)
+# followed by its text rendering.
+PLAN_SHA256 = "31f2a3ddebc0c18053593189ecb7a457d45754ca69d2100c8cbb7e6423ae2f70"
+
+
+def test_plan_bytes_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for p in _small_plans():
+        digest.update(json.dumps(_document(p), sort_keys=True).encode())
+        digest.update(sg.render_plan_text(p).encode())
+        count += 1
+    assert count == 132
+    assert digest.hexdigest() == PLAN_SHA256
+
+
+def test_plan_json_roundtrip():
+    for p in _small_plans():
+        for doc in (p.to_json(), _document(p)):
+            assert sg.SurgeryPlan.from_json(json.loads(json.dumps(doc))) == p
+
+
+# Changes that make a plan document contradict its own graph or break its
+# format, each applied to theta's d=4 document with or without its report:
+# path -> new value.
+_TAMPERINGS = {
+    # two Type I vertices, every big end at vertex 0, and a wrong dimension
+    "forged-typing": (False, {
+        ("family_dim",): 99,
+        ("vertex_types",): ["I", "I"],
+        ("edge_polarity",): [0, 1, 2],
+    }),
+    "hopf-ledger": (False, {("hopf_ledger", "chained"): 8}),
+    "b-gamma": (True, {("b_gamma", 0): "S^5"}),
+    "report": (True, {("report", "family_dim"): 2}),
+    "report-note": (True, {("report", "notes", 0): "a note"}),
+    "admissible-as-int": (False, {("admissible",): 1}),
+    "pairing-order": (False, {("graph", "pairing"): [[2, 5], [1, 4], [0, 3]]}),
+    "pairing-repeated-dart": (False, {("graph", "pairing"): [[0, 3], [0, 4], [2, 5]]}),
+    "d-too-small": (False, {("d",): 3}),
+    "graph-null": (False, {("graph",): None}),
+    "k-not-an-int": (False, {("graph", "k"): "1"}),
+}
+
+
+def _tampered(theta):
+    p = sg.plan(theta, 4)
+    out = {}
+    for name, (with_report, changes) in _TAMPERINGS.items():
+        doc = _document(p) if with_report else p.to_json()
+        for path, value in changes.items():
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        out[name] = doc
+    return out
+
+
+@pytest.mark.parametrize("name", list(_TAMPERINGS))
+def test_from_json_rejects_tampered_documents(theta, name):
+    with pytest.raises(ValueError):
+        sg.SurgeryPlan.from_json(_tampered(theta)[name])
+
+
+_FROM_JSON = """
+import json, sys
+from trihom.surgery import SurgeryPlan
+for doc in json.load(sys.stdin):
+    try:
+        SurgeryPlan.from_json(doc)
+    except ValueError:
+        print("rejected")
+    else:
+        print("accepted")
+"""
+
+
+def test_from_json_rejects_under_optimize(theta):
+    """The check is no assertion: `python -O` rejects the same documents."""
+    docs = list(_tampered(theta).values())
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FROM_JSON],
+        input=json.dumps(docs),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"] * len(docs)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
@@ -134,7 +243,7 @@ def test_no_infeasible_typings_k_le_3():
 def test_disconnected_typing():
     """A theta beside a dumbbell is typed component by component: each
     component gets its own least typing, and each has one vertex of each
-    kind, so the union has k of each."""
+    kind, so the union has k of each.  Its plans round-trip too."""
     union = mg.DartGraph(4, [3, 4, 5, 0, 1, 2, 7, 6, 11, 10, 9, 8], False)
     polarity, types = sg.assign_vertex_types(union)
     theta = mg.DartGraph(2, [3, 4, 5, 0, 1, 2], True)
@@ -144,3 +253,6 @@ def test_disconnected_typing():
     assert polarity == theta_pol + tuple(d + 6 for d in bell_pol)
     assert types == theta_types + bell_types
     assert sum(t is sg.VertexType.TYPE_I for t in types) == 2
+    for d in (4, 5):
+        p = sg.plan(union, d)
+        assert sg.SurgeryPlan.from_json(_document(p)) == p
