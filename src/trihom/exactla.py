@@ -2,26 +2,24 @@
 
 Everything here is exact: one tracked Fraction elimination of Mᵀ, gated by
 `AK_MAX_MATRIX`, gives M's rank and left nullspace of Mᵀ and solves
-x M = target, and modular ranks serve as an independent cross-check.  No
-floating point.
+x M = target, and ranks mod the fixed primes `PRIMES` serve as an
+independent cross-check: a rank mod p never exceeds the rank over Q, so a
+disagreement with the exact rank is always an error.  No floating point.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import MalformedPairing, NoSolution, ResourceLimit, env_int
 
 DEFAULT_MAX_MATRIX_CELLS = 100_000_000
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# `default_primes` draws this many primes of this many bits
-MODULAR_PRIMES = 3
-MODULAR_PRIME_BITS = 62
+# the three largest primes below 2**62: the modular rank cross-check's primes
+PRIMES = (2**62 - 57, 2**62 - 87, 2**62 - 117)
 
 
 def _max_cells() -> int:
@@ -110,72 +108,44 @@ class SparseIntMatrix:
         return SparseIntMatrix(nr, nc, rows)
 
 
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 2**64."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def default_primes(m: SparseIntMatrix) -> list[int]:
-    """`MODULAR_PRIMES` deterministic primes of `MODULAR_PRIME_BITS` bits,
-    seeded from the matrix content hash."""
-    rng = random.Random(int(m.content_hash(), 16))
-    primes: list[int] = []
-    bits = MODULAR_PRIME_BITS
-    while len(primes) < MODULAR_PRIMES:
-        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        while not is_probable_prime(n):
-            n += 2
-        if n not in primes:
-            primes.append(n)
-    return primes
-
-
 def _rank_mod_p_exact(m: SparseIntMatrix, p: int) -> int:
-    """Python-int elimination mod p."""
-    work = []
-    for row in m.rows:
-        d = {c: v % p for c, v in row if v % p}
-        if d:
-            work.append(d)
-    r = 0
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for row in work:
-        for pc, prow in pivots:
-            f = row.get(pc)
-            if f:
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % p
+    """Python-int elimination mod p.
+
+    Each row is reduced only by the pivots at its own columns, taken in
+    pivot order from a heap.  A pivot row is zero at every earlier pivot's
+    column, so subtracting pivot t fills only later pivots' columns, which
+    join the heap as they appear: these are the subtractions, in the same
+    order, of reducing the row by every pivot in turn."""
+    pivot_at: dict[int, int] = {}  # pivot column -> its index in `pivots`
+    # (pivot column, the normalised pivot row less its leading 1)
+    pivots: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    for source in m.rows:
+        row = {c: v % p for c, v in source if v % p}
+        heap = [pivot_at[c] for c in row if c in pivot_at]
+        heapify(heap)
+        while heap:
+            pc, rest = pivots[heappop(heap)]
+            f = row.pop(pc, 0)  # absent once another subtraction cancelled it
+            if not f:
+                continue
+            f = p - f
+            for c, v in rest:
+                if c in row:
+                    nv = (row[c] + f * v) % p
                     if nv:
                         row[c] = nv
-                    elif c in row:
+                    else:
                         del row[c]
+                else:
+                    row[c] = f * v % p
+                    if c in pivot_at:
+                        heappush(heap, pivot_at[c])
         if row:
             pc = min(row)
-            inv = pow(row[pc], p - 2, p)
-            row = {c: (v * inv) % p for c, v in row.items()}
-            pivots.append((pc, row))
-            r += 1
-    return r
+            inv = pow(row.pop(pc), p - 2, p)
+            pivot_at[pc] = len(pivots)
+            pivots.append((pc, tuple((c, v * inv % p) for c, v in row.items())))
+    return len(pivots)
 
 
 def modular_rank(m: SparseIntMatrix, primes: Sequence[int]) -> int:

@@ -21,8 +21,8 @@ from . import exactla
 from .errors import LoopEdge, NoSolution, UnknownClass, WrongSize, env_int
 from .exactla import (
     Echelon,
+    PRIMES,
     SparseIntMatrix,
-    default_primes,
     modular_rank,
     solve_combination,
 )
@@ -129,10 +129,7 @@ def signed_class(
     if not g.connected:
         return Expressed(0, None, "disconnected")
     partner = _regrouped(g.partner, swap)
-    # A swap can make or break a loop, so only an unswapped graph's flag is read.
-    if policy is TadpolePolicy.EXCLUDE and (
-        any(p // 3 == d // 3 for d, p in enumerate(partner)) if swap else g.has_loop
-    ):
+    if policy is TadpolePolicy.EXCLUDE and _has_loop(g, partner, swap):
         return Expressed(0, None, "tadpole")
     # Any two witnesses onto a generator's representative differ by an
     # automorphism, whose sign is +1, so every witness gives one coefficient.
@@ -141,6 +138,21 @@ def signed_class(
         return Expressed(0, cls, "zero-class")
     sign = transported_sign(convention, g, labelling, dart_map, cls.rep, swap)
     return Expressed(sign, cls, dart_map=dart_map)
+
+
+def _has_loop(
+    g: DartGraph, partner: tuple[int, ...], swap: tuple[int, int] | None
+) -> bool:
+    """Whether g's regrouping by `swap`, with pairing `partner`, has a loop.
+
+    A swap rewrites only the pairs of its two darts, so a regrouping of a
+    graph with no loop has one exactly when a swapped dart is paired within
+    its own vertex."""
+    if swap is None:
+        return g.has_loop
+    if g.has_loop:
+        return any(p // 3 == d // 3 for d, p in enumerate(partner))
+    return any(partner[d] // 3 == d // 3 for d in swap)
 
 
 def _regrouped(
@@ -477,7 +489,7 @@ def dimension(
     d = len(rel.functionals)
     r = n - d
     if rel.matrix.num_rows:
-        rm = modular_rank(rel.matrix, default_primes(rel.matrix))
+        rm = modular_rank(rel.matrix, PRIMES)
         if rm != r:
             raise AssertionError(
                 "modular rank disagrees with exact rank: "

@@ -37,11 +37,11 @@ def _vertex_figures(t: VertexType, d: int) -> tuple[_Triple, _Triple, int]:
     members at its three ends and also the K dimensions of its six-component
     link; the L dimensions; and the dimension of its family-factor sphere."""
     s, b = _hopf_pair(d)
-    return {
-        VertexType.TYPE_I: ((s, s, b), (b, b, s), 0),
-        VertexType.TYPE_II: ((s, b, b), (b, s, s), d - 3),
-        VertexType.UNIFORM: ((s, s, s), (s, s, s), (d - 3) // 2),
-    }[t]
+    if t is VertexType.TYPE_I:
+        return (s, s, b), (b, b, s), 0
+    if t is VertexType.TYPE_II:
+        return (s, b, b), (b, s, s), d - 3
+    return (s, s, s), (s, s, s), (d - 3) // 2
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def test_criterion_5_rank_cross_check():
                 if m.num_rows == 0:
                     continue
                 count += 1
-                if la.rank(m) != la.modular_rank(m, la.default_primes(m)):
+                if la.rank(m) != la.modular_rank(m, la.PRIMES):
                     mismatches += 1
     rng = random.Random(5150)
     for _ in range(50):
@@ -177,7 +177,7 @@ def test_criterion_5_rank_cross_check():
             ]
         )
         count += 1
-        if la.rank(m) != la.modular_rank(m, la.default_primes(m)):
+        if la.rank(m) != la.modular_rank(m, la.PRIMES):
             mismatches += 1
     _report(
         "5 rank-cross-check",

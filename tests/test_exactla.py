@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import forward_solve
 import pytest
+from miller_rabin import is_probable_prime
 
 from trihom import exactla as la
 from trihom.errors import NoSolution, ResourceLimit
@@ -39,6 +40,16 @@ def test_modular_rank_examples():
     assert la.modular_rank(degenerate, [p, 7]) == 2
     with pytest.raises(ValueError):
         la.modular_rank(ident, [7])
+    # the last row holds only pivot 0's column; reducing by it fills pivot
+    # 1's column, whose subtraction then clears the row
+    filled = dense([[1, 1, 0], [0, 1, 1], [1, 0, -1]])
+    for q in (3, *la.PRIMES):
+        assert la._rank_mod_p_exact(filled, q) == 2
+    # an entry equal to the first prime drops the rank mod that prime only
+    q0 = la.PRIMES[0]
+    vanishing = dense([[q0, 1], [0, 1]])
+    assert [la._rank_mod_p_exact(vanishing, q) for q in la.PRIMES] == [1, 2, 2]
+    assert la.modular_rank(vanishing, la.PRIMES) == la.rank(vanishing) == 2
 
 
 def test_random_rank_cross_check():
@@ -47,24 +58,24 @@ def test_random_rank_cross_check():
         m = [[rng.randint(-5, 5) if rng.random() < 0.15 else 0 for _ in range(60)]
              for _ in range(40)]
         sm = dense(m)
-        assert la.rank(sm) == la.modular_rank(sm, la.default_primes(sm))
+        assert la.rank(sm) == la.modular_rank(sm, la.PRIMES)
 
 
-def test_default_primes_deterministic_and_62bit():
-    m = dense([[1, 2], [3, 4]])
-    p1 = la.default_primes(m)
-    p2 = la.default_primes(m)
-    assert p1 == p2 and len(p1) == 3
-    for p in p1:
+def test_primes_are_three_distinct_62bit_primes():
+    assert len(set(la.PRIMES)) == len(la.PRIMES) == 3
+    for p in la.PRIMES:
         assert p.bit_length() == 62
-        assert la.is_probable_prime(p)
+        assert is_probable_prime(p)
+    # the three largest primes below 2**62
+    top = range(min(la.PRIMES), 2**62)
+    assert [n for n in top if is_probable_prime(n)] == sorted(la.PRIMES)
 
 
 def test_is_probable_prime():
-    assert la.is_probable_prime(2)
-    assert la.is_probable_prime(2**61 - 1)
-    assert not la.is_probable_prime(2**61)
-    assert not la.is_probable_prime(3215031751)  # strong pseudoprime to few bases
+    assert is_probable_prime(2)
+    assert is_probable_prime(2**61 - 1)
+    assert not is_probable_prime(2**61)
+    assert not is_probable_prime(3215031751)  # strong pseudoprime to few bases
 
 
 def test_solve_combination_examples():

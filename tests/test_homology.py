@@ -66,17 +66,18 @@ def test_ihx_edge_index_checked(theta, edge_index):
 
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
 def test_ihx_swaps_give_the_per_dart_terms(policy):
-    """For every non-loop edge of every class with k <= 4, each regrouping
-    that `ihx_expand` gives as a dart swap has the pairing of the
-    reference's term, built by moving every dart through the transposition
-    (the I term is the graph itself), and `signed_class` expresses it as
-    the reference expresses that term with its transported labelling.  The
-    reference walks each term for connectivity, and no term of a connected
-    graph is disconnected."""
+    """For every non-loop edge of every class with k <= 4, loops allowed,
+    each regrouping that `ihx_expand` gives as a dart swap has the pairing
+    of the reference's term, built by moving every dart through the
+    transposition (the I term is the graph itself), and `signed_class`
+    expresses it as the reference expresses that term with its transported
+    labelling.  Under Exclude a graph with a loop can have a regrouping
+    without one.  The reference walks each term for connectivity, and no
+    term of a connected graph is disconnected."""
     reasons = set()
     for k in range(1, 5):
         basis = hom.class_basis(k, Convention.ODD, policy)
-        for cls in basis.classes:
+        for cls in hom.class_basis(k, Convention.ODD, TP.INCLUDE).classes:
             g = cls.rep
             lab = reference_labelling(g)
             for e in range(g.num_edges):

@@ -4,11 +4,14 @@
 
 For each k and both conventions without loops, builds the class basis and
 the relation matrix once, then times `exactla.rank` on that matrix
-`--repeats` times and `modular_rank` at the default primes once.  Only
-public names are used, so the same script measures any checkout put on
-PYTHONPATH: whatever elimination that checkout's `exactla.rank` runs is
-what its `dimension` runs for the rank.  The matrix `content_hash`, shape,
-nnz, rank and dimension let two checkouts' outputs be compared.
+`--repeats` times and the rank mod each prime of the modular cross-check
+once.  The primes are `exactla.PRIMES`, or `exactla.default_primes(m)` in
+a checkout older than that constant, so the same script measures any
+checkout put on PYTHONPATH: whatever elimination that checkout's
+`exactla.rank` runs is what its `dimension` runs for the rank.  A matrix
+over the `AK_MAX_MATRIX` gate has no exact rank, and `rank` and
+`dimension` read null.  The matrix `content_hash`, shape, nnz, ranks and
+dimension let two checkouts' outputs be compared.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 import time
 
 from trihom import exactla
+from trihom.errors import ResourceLimit
 from trihom import homology as hom
 from trihom.multigraph import TadpolePolicy
 from trihom.orientation import Convention
@@ -30,14 +34,21 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
     rel = hom.relation_matrix(basis)
     build_s = time.perf_counter() - start
     m = rel.matrix
-    walls = []
-    for _ in range(repeats):
+    r, walls = None, []
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            r = exactla.rank(m)
+            walls.append(round(time.perf_counter() - start, 4))
+    except ResourceLimit:
+        pass  # over the AK_MAX_MATRIX gate: no exact rank
+    primes = getattr(exactla, "PRIMES", None) or exactla.default_primes(m)
+    modular = []
+    for p in primes:
         start = time.perf_counter()
-        r = exactla.rank(m)
-        walls.append(round(time.perf_counter() - start, 4))
-    start = time.perf_counter()
-    rm = exactla.modular_rank(m, exactla.default_primes(m)) if m.num_rows else 0
-    modular_s = time.perf_counter() - start
+        rp = exactla._rank_mod_p_exact(m, p)
+        modular_s = round(time.perf_counter() - start, 3)
+        modular.append({"prime": p, "rank": rp, "s": modular_s})
     return {
         "k": k,
         "convention": convention.value,
@@ -48,11 +59,11 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
         "nnz": m.nnz,
         "content_hash": m.content_hash(),
         "rank": r,
-        "modular_rank": rm,
-        "dimension": basis.num_generators - r,
+        "modular_rank": max((x["rank"] for x in modular), default=0),
+        "dimension": None if r is None else basis.num_generators - r,
         "basis_and_relations_s": round(build_s, 2),
         "rank_s": walls,
-        "modular_rank_s": round(modular_s, 3),
+        "modular": modular,
     }
 
 
