@@ -7,6 +7,8 @@ edge direction, and enter the relation with coefficient +1 (see the
 module test suite for the invariance properties pinning this down).
 Terms that are disconnected, carry a tadpole under policy Exclude, or lie
 in a Zero class are dropped as 0 and recorded in the row provenance.
+Both conventions of one (k, policy) read their classes and the one
+`multigraph.ClassTable` that resolves every term from a single memo.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from .exactla import (
 )
 from .multigraph import (
     DEFAULT_MAX_CLASSES,
+    ClassTable,
     DartGraph,
     TadpolePolicy,
-    _trie_walk,
     enumerate_classes,
-    vertex_invariants,
 )
 from .orientation import (
     ClassStatus,
@@ -43,56 +44,6 @@ from .orientation import (
     reference_labelling,
     transported_sign,
 )
-
-
-class ClassTable:
-    """The classes of one basis, carrying their ids, keyed by canonical code
-    and held in tries of those codes for `find`.
-
-    The tries are bucketed by `vertex_invariants`: first by the sorted
-    invariants of the whole graph, then by the invariant of the
-    representative's vertex 0."""
-
-    def __init__(self, classes: Sequence[GraphClass]):
-        self._classes = {c.rep.partner: c for c in classes}
-        self._buckets: dict[tuple, dict[tuple, dict]] = {}
-        for c in classes:
-            invariants = vertex_invariants(c.rep.partner)
-            roots = self._buckets.setdefault(tuple(sorted(invariants)), {})
-            *head, last = c.rep.partner
-            node = roots.setdefault(invariants[0], {})
-            for x in head:
-                node = node.setdefault(x, {})
-            node[last] = c
-
-    def find(self, partner: tuple[int, ...]) -> tuple[GraphClass, tuple[int, ...]]:
-        """The class of the graph with pairing `partner` and the dart map of an
-        isomorphism from it onto its representative.
-
-        A representative is its own witness under the identity; any other
-        graph is matched by walking the representatives' codes in its
-        invariants' bucket, from each vertex whose invariant some
-        representative's vertex 0 has.  The graph's own representative is in
-        that bucket, and a relabelling onto it sends to vertex 0 a vertex with
-        the invariant of the representative's vertex 0; so the walk skips
-        only seeds and codes that match nothing, and its first match is the
-        one a walk of every code from every seed would find.
-        Representatives are pairwise non-isomorphic, so the class is unique.
-        """
-        cls = self._classes.get(partner)
-        if cls is not None:
-            return cls, tuple(range(len(partner)))
-        invariants = vertex_invariants(partner)
-        roots = self._buckets.get(tuple(sorted(invariants)))
-        found = (
-            None
-            if roots is None
-            else _trie_walk(partner, [roots.get(x) for x in invariants])
-        )
-        if found is None:
-            code = " ".join(map(str, partner))
-            raise UnknownClass(f"no class in the table for pairing {code}")
-        return found
 
 
 @dataclass(frozen=True)
@@ -113,13 +64,11 @@ class Expressed:
 def signed_class(
     g: DartGraph,
     labelling: OrientedLabelling,
-    convention: Convention,
-    policy: TadpolePolicy,
-    table: ClassTable,
+    basis: ClassBasis,
     swap: tuple[int, int] | None = None,
 ) -> Expressed:
     """Express a labelled graph, or its regrouping by the dart swap `swap`
-    of `ihx_expand`, as 0 or ±1 times a canonical generator.
+    of `ihx_expand`, as 0 or ±1 times a canonical generator of `basis`.
 
     A regrouping keeps the edge it is made around and hangs each of the
     four other darts at that edge's ends on one of those ends, so it is
@@ -129,14 +78,15 @@ def signed_class(
     if not g.connected:
         return Expressed(0, None, "disconnected")
     partner = _regrouped(g.partner, swap)
-    if policy is TadpolePolicy.EXCLUDE and _has_loop(g, partner, swap):
+    if basis.policy is TadpolePolicy.EXCLUDE and _has_loop(g, partner, swap):
         return Expressed(0, None, "tadpole")
     # Any two witnesses onto a generator's representative differ by an
     # automorphism, whose sign is +1, so every witness gives one coefficient.
-    cls, dart_map = table.find(partner)
+    class_id, dart_map = basis.table.find(partner)
+    cls = basis.classes[class_id]
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
-    sign = transported_sign(convention, g, labelling, dart_map, cls.rep, swap)
+    sign = transported_sign(basis.convention, g, labelling, dart_map, cls.rep, swap)
     return Expressed(sign, cls, dart_map=dart_map)
 
 
@@ -197,8 +147,8 @@ def ihx_expand(
 
 def _in_range(i: object, n: int) -> bool:
     """Whether `i` is an int id among 0..n-1; a negative one would index
-    from the end."""
-    return isinstance(i, int) and 0 <= i < n
+    from the end, and a bool is no id."""
+    return type(i) is int and 0 <= i < n
 
 
 def _check_labelling(g: DartGraph, labelling: OrientedLabelling) -> None:
@@ -231,16 +181,16 @@ class ClassBasis:
     """All classes at (k, convention, policy); generators carry column ids.
 
     `orbit_min[class_id]` maps each edge of a generator's representative to
-    the least edge of its orbit under the automorphism group; it is None
-    for a zero class.  `columns[class_id]` is a generator's column and -1
-    for a zero class."""
+    the least edge of its orbit under the automorphism group; it is read
+    only at generators.  `columns[class_id]` is a generator's column and -1
+    for a zero class.  Both conventions share `table` and `orbit_min`."""
 
     k: int
     convention: Convention
     policy: TadpolePolicy
     classes: list[GraphClass]
     table: ClassTable
-    orbit_min: list[tuple[int, ...] | None]
+    orbit_min: tuple[tuple[int, ...] | None, ...]
 
     @property
     def num_generators(self) -> int:
@@ -262,26 +212,24 @@ def class_basis(
 ) -> ClassBasis:
     """All classes at (k, convention, policy), in enumeration order; read
     from the memo of `_classified`, so the two conventions of one
-    (k, policy) share one enumeration."""
+    (k, policy) share one enumeration and one class table."""
     limit = env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
-    by_convention, least = _classified(k, policy, limit)
+    by_convention, orbit_min, table = _classified(k, policy, limit)
     classes = list(by_convention[convention])
-    orbit_min = [
-        m if c.status is ClassStatus.GENERATOR else None
-        for c, m in zip(classes, least)
-    ]
-    return ClassBasis(k, convention, policy, classes, ClassTable(classes), orbit_min)
+    return ClassBasis(k, convention, policy, classes, table, orbit_min)
 
 
 @lru_cache(maxsize=1)
 def _classified(
     k: int, policy: TadpolePolicy, limit: int
 ) -> tuple[
-    dict[Convention, tuple[GraphClass, ...]], tuple[tuple[int, ...] | None, ...]
+    dict[Convention, tuple[GraphClass, ...]],
+    tuple[tuple[int, ...] | None, ...],
+    ClassTable,
 ]:
     """The classes of `enumerate_classes(k, policy)` with their ids, under
-    each convention, and each class's `_orbit_min` (None for a class that
-    is zero under both).
+    each convention, each class's `_orbit_min` (None for a class that is
+    zero under both) and the `ClassTable` of their representatives.
 
     Only the status and witness depend on the convention, so both
     conventions are classified in one pass over the class's group while it
@@ -302,7 +250,8 @@ def _classified(
             classes[c].append(replace(cls, witness=witness, class_id=i))
             generator |= cls.status is ClassStatus.GENERATOR
         orbit_min.append(_orbit_min(rep, autos) if generator else None)
-    return {c: tuple(v) for c, v in classes.items()}, tuple(orbit_min)
+    table = ClassTable([c.rep for c in classes[Convention.ODD]])
+    return {c: tuple(v) for c, v in classes.items()}, tuple(orbit_min), table
 
 
 def _orbit_min(rep: DartGraph, autos: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -360,9 +309,8 @@ def _terms(
     basis: ClassBasis, g: DartGraph, labelling: OrientedLabelling, edge_index: int
 ) -> list[tuple[str, Expressed]]:
     """The I, H and X terms around a non-loop edge, in the class space."""
-    conv, policy, table = basis.convention, basis.policy, basis.table
     return [
-        (tag, signed_class(g, labelling, conv, policy, table, swap))
+        (tag, signed_class(g, labelling, basis, swap))
         for tag, swap in ihx_expand(g, edge_index)
     ]
 
@@ -447,16 +395,42 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
 
 @dataclass
 class DimensionReport:
-    k: int
-    convention: Convention
-    policy: TadpolePolicy
-    num_classes: int
-    num_generators: int
-    num_rows: int
-    rank: int
-    dimension: int
+    """A basis and its relations, off which every figure is read."""
+
     basis: ClassBasis
     relations: RelationData
+
+    @property
+    def k(self) -> int:
+        return self.basis.k
+
+    @property
+    def convention(self) -> Convention:
+        return self.basis.convention
+
+    @property
+    def policy(self) -> TadpolePolicy:
+        return self.basis.policy
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.basis.classes)
+
+    @property
+    def num_generators(self) -> int:
+        return self.basis.num_generators
+
+    @property
+    def num_rows(self) -> int:
+        return self.relations.matrix.num_rows
+
+    @property
+    def rank(self) -> int:
+        return self.num_generators - self.dimension
+
+    @property
+    def dimension(self) -> int:
+        return len(self.relations.functionals)
 
     def to_json(self) -> dict:
         classes = [
@@ -484,10 +458,8 @@ def dimension(
     of functionals that vanish on every relation row, which certify
     nonzero classes; the rank is the generators less that number."""
     basis = class_basis(k, convention, policy)
-    rel = relation_matrix(basis)
-    n = basis.num_generators
-    d = len(rel.functionals)
-    r = n - d
+    report = DimensionReport(basis, relation_matrix(basis))
+    rel, r = report.relations, report.rank
     if rel.matrix.num_rows:
         rm = modular_rank(rel.matrix, PRIMES)
         if rm != r:
@@ -495,18 +467,7 @@ def dimension(
                 "modular rank disagrees with exact rank: "
                 f"{rm} != {r}; matrix dump:\n{rel.matrix.to_matrixmarket()}"
             )
-    return DimensionReport(
-        k,
-        convention,
-        policy,
-        len(basis.classes),
-        n,
-        rel.matrix.num_rows,
-        r,
-        d,
-        basis,
-        rel,
-    )
+    return report
 
 
 def express(
@@ -524,7 +485,7 @@ def express(
         labelling = reference_labelling(g)
     else:
         _check_labelling(g, labelling)
-    res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)
+    res = signed_class(g, labelling, basis)
     if res.is_zero:
         return {}
     return {basis.columns[res.cls.class_id]: Fraction(res.coefficient)}
@@ -688,7 +649,7 @@ def certify(
         raise UnknownClass(f"no class {target!r} in the report")
     if g.num_vertices != 2 * basis.k:
         raise WrongSize("target graph size does not match the basis")
-    res = signed_class(g, labelling, basis.convention, basis.policy, basis.table)
+    res = signed_class(g, labelling, basis)
     if res.cls is None:  # disconnected, or a tadpole under Exclude
         cert = ZeroCertificate(kind="excluded", reason=res.zero_reason)
         return _replayed(cert, report)

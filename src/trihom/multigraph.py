@@ -3,9 +3,10 @@
 A graph on 2k vertices is stored as a fixed-point-free involution on the
 6k darts, with darts 3v, 3v+1, 3v+2 belonging to vertex v.  This module
 provides validation, isomorphism machinery, isomorph-free enumeration,
-and the lookup of a graph among known codes.  A relabelling, and so an
-isomorphism, is its dart map: a tuple whose entry d is the new dart of old
-dart d, which moves vertex v to dmap[3v] // 3.  Two functions walk the same
+and `ClassTable`, the one lookup of a graph among known representatives,
+which builds and walks the tries.  A relabelling, and so an isomorphism, is
+its dart map: a tuple whose entry d is the new dart of old dart d, which
+moves vertex v to dmap[3v] // 3.  Two functions walk the same
 relabellings: `_prefix_ties` (enumeration's tie-state test and, with a
 running bound, the canonical code, witness and automorphism group in one
 pass) and `_trie_walk` (lookup, which prunes by a trie of codes).
@@ -23,6 +24,7 @@ from .errors import (
     NotConnected,
     NotTrivalent,
     ResourceLimit,
+    UnknownClass,
     env_int,
 )
 
@@ -134,6 +136,9 @@ def from_pairing(
     if num_vertices <= 0 or num_vertices % 2 != 0:
         raise NotTrivalent(f"num_vertices must be positive even, got {num_vertices}")
     nd = 3 * num_vertices
+    pairs = list(pairs)  # counted before any dart array is built
+    if len(pairs) != nd // 2:
+        raise MalformedPairing(f"{nd} darts need {nd // 2} pairs, got {len(pairs)}")
     partner = [-1] * nd
     for a, b in pairs:
         if not (0 <= a < nd and 0 <= b < nd):
@@ -144,9 +149,6 @@ def from_pairing(
             raise MalformedPairing(f"dart repeated in pair ({a}, {b})")
         partner[a] = b
         partner[b] = a
-    missing = [d for d in range(nd) if partner[d] == -1]
-    if missing:
-        raise MalformedPairing(f"unmatched darts: {missing}")
     conn = _connected(num_vertices, partner)
     if not conn and not allow_disconnected:
         raise NotConnected("graph is not connected")
@@ -483,6 +485,57 @@ def _trie_walk(
         vmap[seed] = -1
         vinv[0] = -1
     return None
+
+
+class ClassTable:
+    """The representatives' positions in the sequence given, which are their
+    class ids, keyed by canonical code and held in tries of those codes for
+    `find`, with the id in place of the last level's dict.
+
+    The tries are bucketed by `vertex_invariants`: first by the sorted
+    invariants of the whole graph, then by the invariant of the
+    representative's vertex 0."""
+
+    def __init__(self, reps: Sequence[DartGraph]):
+        self._ids = {rep.partner: i for i, rep in enumerate(reps)}
+        self._buckets: dict[tuple, dict[tuple, dict]] = {}
+        for i, rep in enumerate(reps):
+            invariants = vertex_invariants(rep.partner)
+            roots = self._buckets.setdefault(tuple(sorted(invariants)), {})
+            *head, last = rep.partner
+            node = roots.setdefault(invariants[0], {})
+            for x in head:
+                node = node.setdefault(x, {})
+            node[last] = i
+
+    def find(self, partner: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """The class id of the graph with pairing `partner` and the dart map of
+        an isomorphism from it onto its representative.
+
+        A representative is its own witness under the identity; any other
+        graph is matched by walking the representatives' codes in its
+        invariants' bucket, from each vertex whose invariant some
+        representative's vertex 0 has.  The graph's own representative is in
+        that bucket, and a relabelling onto it sends to vertex 0 a vertex with
+        the invariant of the representative's vertex 0; so the walk skips
+        only seeds and codes that match nothing, and its first match is the
+        one a walk of every code from every seed would find.
+        Representatives are pairwise non-isomorphic, so the class is unique.
+        """
+        class_id = self._ids.get(partner)
+        if class_id is not None:
+            return class_id, tuple(range(len(partner)))
+        invariants = vertex_invariants(partner)
+        roots = self._buckets.get(tuple(sorted(invariants)))
+        found = (
+            None
+            if roots is None
+            else _trie_walk(partner, [roots.get(x) for x in invariants])
+        )
+        if found is None:
+            code = " ".join(map(str, partner))
+            raise UnknownClass(f"no class in the table for pairing {code}")
+        return found
 
 
 def _canonical_graph(

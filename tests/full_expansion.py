@@ -83,7 +83,8 @@ def expressed(
         return Expressed(0, None, "disconnected")
     if basis.policy is TadpolePolicy.EXCLUDE and term.has_loop:
         return Expressed(0, None, "tadpole")
-    cls, dart_map = basis.table.find(term.partner)
+    class_id, dart_map = basis.table.find(term.partner)
+    cls = basis.classes[class_id]
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
     sign = transported_sign(basis.convention, term, labelling, dart_map, cls.rep)

@@ -1,4 +1,4 @@
-"""The trie lookup that `trihom.homology.ClassTable` used before its tries
+"""The trie lookup that `trihom.multigraph.ClassTable` used before its tries
 were bucketed by vertex invariants, kept as the reference the bucketed
 lookup is compared against: one trie holds every representative's code,
 and the walk starts from every seed of the min-code search.

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -56,10 +57,11 @@ def test_ihx_loop_edge_rejected(dumbbell):
         hom.ihx_expand(dumbbell, loop_idx)
 
 
-@pytest.mark.parametrize("edge_index", [-1, -3, 3, 4, 1.0, None])
+@pytest.mark.parametrize("edge_index", [-1, -3, 3, 4, 1.0, None, True])
 def test_ihx_edge_index_checked(theta, edge_index):
     """An edge index outside 0..num_edges-1, a negative one included, is
-    refused, not read from the end or left to raise IndexError."""
+    refused, not read from the end or left to raise IndexError; a bool is
+    no index."""
     with pytest.raises(ValueError, match=r"edge index must be in 0\.\.2"):
         hom.ihx_expand(theta, edge_index)
 
@@ -88,9 +90,7 @@ def test_ihx_swaps_give_the_per_dart_terms(policy):
                 assert [t for t, _ in swaps] == [t for _, _, t in terms]
                 for (_, swap), (term, term_lab, _) in zip(swaps, terms):
                     assert hom._regrouped(g.partner, swap) == term.partner
-                    res = hom.signed_class(
-                        g, lab, basis.convention, policy, basis.table, swap
-                    )
+                    res = hom.signed_class(g, lab, basis, swap)
                     assert res == full_expansion.expressed(basis, term, term_lab)
                     reasons.add(res.zero_reason)
     expected = {None, "zero-class"}
@@ -184,17 +184,24 @@ def test_class_memo_gives_the_same_report_bytes(k, policy):
 
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
 def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
-    """class_basis enumerates once per (k, policy): at k=4 the first
-    convention runs the 186 (no loops) or 457 (loops) prefix tests of one
-    enumeration, and the other convention runs none."""
-    tests = []
+    """class_basis enumerates once per (k, policy) and builds one class
+    table: at k=4 the first convention runs the 186 (no loops) or 457
+    (loops) prefix tests of one enumeration and builds the table, and the
+    other convention runs none and holds the same table object."""
+    tests, tables = [], []
     prefix_ties = mg._prefix_ties
+    table_init = mg.ClassTable.__init__
 
     def counted(*args):
         tests.append(1)
         return prefix_ties(*args)
 
+    def counted_table(self, reps):
+        tables.append(1)
+        table_init(self, reps)
+
     monkeypatch.setattr(mg, "_prefix_ties", counted)
+    monkeypatch.setattr(mg.ClassTable, "__init__", counted_table)
     hom._classified.cache_clear()
     first = hom.class_basis(4, Convention.ODD, policy)
     assert len(tests) == {TP.EXCLUDE: 186, TP.INCLUDE: 457}[policy]
@@ -202,6 +209,7 @@ def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
     second = hom.class_basis(4, Convention.EVEN, policy)
     assert tests == []
     assert [c.rep for c in first.classes] == [c.rep for c in second.classes]
+    assert second.table is first.table and len(tables) == 1
 
 
 def test_class_memo_enforces_a_lower_class_limit(monkeypatch):
@@ -215,8 +223,9 @@ def test_class_memo_enforces_a_lower_class_limit(monkeypatch):
 
 def test_class_memo_holds_no_automorphism_group():
     """The memo keeps the classes of each convention, with their ids and a
-    zero class's one witness map (equal witnesses stored once), and each
-    class's orbit-least edges: nothing in it is a list, so no group."""
+    zero class's one witness map (equal witnesses stored once), each
+    class's orbit-least edges and the class table of ids: nothing in it is
+    a list, so no group."""
     hom._classified.cache_clear()
     hom.class_basis(4, Convention.ODD, TP.INCLUDE)
     limit = env_int("AK_MAX_CLASSES", mg.DEFAULT_MAX_CLASSES)
@@ -231,13 +240,15 @@ def test_class_memo_holds_no_automorphism_group():
             children = v
         elif isinstance(v, ori.GraphClass):
             children = (v.status, v.witness, v.class_id)
+        elif isinstance(v, mg.ClassTable):
+            children = (v._ids, v._buckets)
         else:
             children = ()
         for child in children:
             yield from values(child)
 
     assert not any(isinstance(v, list) for v in values(stored))
-    by_convention, least = stored
+    by_convention, least, _ = stored
     assert len(least) == 71 and all(m is None or len(m) == 12 for m in least)
     witnesses = []
     for conv, classes in by_convention.items():
@@ -379,11 +390,12 @@ def test_certificate_excluded(dumbbell):
 
 def test_certify_refuses_a_class_id_out_of_range():
     """A class id that names no class raises UnknownClass: a negative one is
-    not read from the end, and one past the last does not raise IndexError."""
+    not read from the end, one past the last does not raise IndexError, and
+    `True` is not class 1."""
     report = hom.dimension(3, Convention.ODD, TP.EXCLUDE)
     n = len(report.basis.classes)
     assert hom.certify(n - 1, report).class_id == n - 1
-    for target in (-1, -n, n, 99):
+    for target in (-1, -n, n, 99, True):
         with pytest.raises(UnknownClass, match=f"no class {target} in the report"):
             hom.certify(target, report)
 
@@ -540,19 +552,23 @@ def test_certificates_match_solve_first_reference(rng, k, conv, policy):
         assert hom.certify(target, report).to_json() == want.to_json()
 
 
-_MALFORMED = {"negative-ids", "ids-out-of-range", "zero-class", "repeated-id"}
+_MALFORMED = {
+    "negative-ids", "ids-out-of-range", "zero-class", "repeated-id", "bool-id"
+}
 
 
 def _malformed(cert, basis, num_rows):
     """(change, certificate) pairs naming ids that replay must refuse rather
     than index: ids shifted below 0, which Python would read from the end,
-    or past the end; a zero class where a generator belongs; and an id
-    repeated in a functional."""
+    or past the end; a zero class where a generator belongs; an id
+    repeated in a functional; and class 1's id given as `True`."""
     n = len(basis.classes)
     zero = next(c.class_id for c in basis.classes if c.status is ClassStatus.ZERO)
+    as_bool = dataclasses.replace(cert, class_id=True)
+    bool_id = [("bool-id", as_bool)] if cert.class_id == 1 else []
     if isinstance(cert, hom.NonzeroCertificate):
         func = cert.functional
-        return [
+        return bool_id + [
             ("negative-ids", hom.NonzeroCertificate(
                 cert.class_id - n, [(cid - n, v) for cid, v in func]
             )),
@@ -564,12 +580,12 @@ def _malformed(cert, basis, num_rows):
             ("repeated-id", hom.NonzeroCertificate(cert.class_id, [*func, func[0]])),
         ]
     if cert.kind == "sign-witness":
-        return [
+        return bool_id + [
             ("negative-ids", dataclasses.replace(cert, class_id=cert.class_id - n)),
             ("ids-out-of-range", dataclasses.replace(cert, class_id=cert.class_id + n)),
         ]
     combo = cert.combination
-    return [
+    return bool_id + [
         ("negative-ids", dataclasses.replace(
             cert, combination=[(rid - num_rows, c) for rid, c in combo]
         )),
@@ -706,7 +722,7 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
     found by their code).  Expanding every edge would look up 462 terms
     and walk for 268 of them."""
     phase, searches, walks = ["basis"], [], []
-    min_code_ties, trie_walk = mg._min_code_ties, hom._trie_walk
+    min_code_ties, trie_walk = mg._min_code_ties, mg._trie_walk
     relation_matrix = hom.relation_matrix
 
     def counted_search(partner):
@@ -722,7 +738,7 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
         return relation_matrix(basis)
 
     monkeypatch.setattr(mg, "_min_code_ties", counted_search)
-    monkeypatch.setattr(hom, "_trie_walk", counted_walk)
+    monkeypatch.setattr(mg, "_trie_walk", counted_walk)
     monkeypatch.setattr(hom, "relation_matrix", relations_phase)
     report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
     reps = {c.rep.partner for c in report.basis.classes}
@@ -740,13 +756,14 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
 def walks(monkeypatch):
     """The pairings that `ClassTable.find` walks, in call order."""
     walked = []
-    trie_walk = hom._trie_walk
+    trie_walk = mg._trie_walk
 
+    @functools.wraps(trie_walk)
     def counted_walk(partner, roots):
         walked.append(partner)
         return trie_walk(partner, roots)
 
-    monkeypatch.setattr(hom, "_trie_walk", counted_walk)
+    monkeypatch.setattr(mg, "_trie_walk", counted_walk)
     return walked
 
 
@@ -755,8 +772,9 @@ def test_term_walks_follow_a_third_of_the_shared_trie_frames(walks):
     odd, exclude, without a clock: its 268 term walks follow 2,556 frames
     from the bucketed tries, where walks of one trie of every code followed
     10,266."""
+    trie_walk = mg._trie_walk.__wrapped__  # the fixture counts the walks
     walk = next(
-        c for c in mg._trie_walk.__code__.co_consts if getattr(c, "co_name", None) == "walk"
+        c for c in trie_walk.__code__.co_consts if getattr(c, "co_name", None) == "walk"
     )
     frames = []
 
@@ -818,7 +836,8 @@ def test_find_matches_canonical_form_reference():
                 invariants = mg.vertex_invariants(g.partner)
                 for v in range(g.num_vertices):
                     assert invariants[iso[3 * v] // 3] == rep_invariants[v]
-                found, witness = basis.table.find(g.partner)
+                found_id, witness = basis.table.find(g.partner)
+                found = basis.classes[found_id]
                 canon, _ = mg.canonical_form(g)
                 assert found is by_code[canon.partner] is cls
                 assert mg.relabel(g, witness) == found.rep
@@ -841,7 +860,8 @@ def test_lookup_miss_with_and_without_its_bucket(walks, bucket):
     keys = [tuple(sorted(mg.vertex_invariants(c.rep.partner))) for c in basis.classes]
     shared = bucket == "present"
     missing = next(c for c, key in zip(basis.classes, keys) if (keys.count(key) > 1) == shared)
-    table = hom.ClassTable([c for c in basis.classes if c is not missing])
+    kept = [c for c in basis.classes if c is not missing]
+    table = mg.ClassTable([c.rep for c in kept])
     rng = random.Random(5)
     graphs = [missing.rep] + [
         mg.relabel(missing.rep, mg.random_relabelling(missing.rep, rng)) for _ in range(5)
@@ -853,7 +873,7 @@ def test_lookup_miss_with_and_without_its_bucket(walks, bucket):
     for c in basis.classes[::10]:
         if c is not missing:
             h = mg.relabel(c.rep, mg.random_relabelling(c.rep, rng))
-            assert table.find(h.partner)[0] is c
+            assert kept[table.find(h.partner)[0]] is c
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
@@ -870,7 +890,7 @@ def test_signed_class_matches_canonical_form_reference(conv, policy):
             for _ in range(4):
                 g = mg.relabel(cls.rep, mg.random_relabelling(cls.rep, rng))
                 lab = _random_labelling(g, rng)
-                res = hom.signed_class(g, lab, conv, policy, basis.table)
+                res = hom.signed_class(g, lab, basis)
                 canon, witness = mg.canonical_form(g)
                 ref_cls = by_code[canon.partner]
                 assert res.cls is ref_cls
@@ -891,7 +911,8 @@ from trihom.orientation import Convention
 
 basis = hom.class_basis(3, Convention.ODD, TP.EXCLUDE)
 missing = basis.classes[2]
-table = hom.ClassTable(basis.classes[:2] + basis.classes[3:])
+kept = basis.classes[:2] + basis.classes[3:]
+table = mg.ClassTable([c.rep for c in kept])
 rng = random.Random(3)
 graphs = [missing.rep] + [
     mg.relabel(missing.rep, mg.random_relabelling(missing.rep, rng)) for _ in range(5)
@@ -904,8 +925,8 @@ for g in graphs:
         print(str(exc) == f"no class in the table for pairing {g.code_str()}")
     else:
         print("found")
-for c in basis.classes[:2] + basis.classes[3:]:
-    print(table.find(c.rep.partner)[0] is c)
+for c in kept:
+    print(kept[table.find(c.rep.partner)[0]] is c)
 """
 
 

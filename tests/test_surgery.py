@@ -157,6 +157,8 @@ _TAMPERINGS = {
     "d-too-small": (False, {("d",): 3}),
     "graph-null": (False, {("graph",): None}),
     "k-not-an-int": (False, {("graph", "k"): "1"}),
+    # the pairs are counted before any dart array is built
+    "k-huge": (False, {("graph",): {"k": 10**12, "pairing": []}}),
 }
 
 

@@ -120,7 +120,11 @@ def _orbit_skips(basis):
 
 def relations(k, convention, repeats):
     basis = hom.class_basis(k, convention, TadpolePolicy.EXCLUDE)
-    with _Counted(mg, "_min_code_ties") as searches, _Counted(hom, "_trie_walk") as walks:
+    # lookups call the walk in `multigraph`; in an older checkout,
+    # `homology` imported it by name
+    walker = hom if hasattr(hom, "_trie_walk") else mg
+    searches, walks = _Counted(mg, "_min_code_ties"), _Counted(walker, "_trie_walk")
+    with searches, walks:
         rel = hom.relation_matrix(basis)
     walls = []
     for _ in range(repeats):
