@@ -6,7 +6,7 @@ three regroupings keep every vertex label, every edge label, and every
 edge direction, and enter the relation with coefficient +1 (see the
 module test suite for the invariance properties pinning this down).
 Terms that are disconnected, carry a tadpole under policy Exclude, or lie
-in a Zero class are dropped as 0 and recorded in the row provenance.
+in a Zero class are dropped as 0, with the reason in the row's notes.
 Both conventions of one (k, policy) read their classes and the one
 `multigraph.ClassTable` that resolves every term from a single memo.
 """
@@ -212,7 +212,10 @@ def class_basis(
 ) -> ClassBasis:
     """All classes at (k, convention, policy), in enumeration order; read
     from the memo of `_classified`, so the two conventions of one
-    (k, policy) share one enumeration and one class table."""
+    (k, policy) share one enumeration and one class table.  k is checked
+    first, since the memo's key would take True for 1."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     limit = env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
     by_convention, orbit_min, table = _classified(k, policy, limit)
     classes = list(by_convention[convention])
@@ -261,16 +264,6 @@ def _orbit_min(rep: DartGraph, autos: Sequence[Sequence[int]]) -> tuple[int, ...
 
 
 @dataclass
-class RelationRow:
-    """Sparse integer row over generator columns, with provenance."""
-
-    entries: tuple[tuple[int, int], ...]
-    source_class: int
-    edge: int
-    term_notes: tuple[str, ...]
-
-
-@dataclass
 class RelationData:
     """The relation matrix with its provenance and its one exact
     elimination, of Mᵀ, made by `dimension` and shared by every
@@ -278,12 +271,15 @@ class RelationData:
     rank and the nonzero certificates, and its pivots solve the relation
     combination of a generator that every functional misses.
 
-    Every non-loop edge of a generator is counted once: as a row, a zero
-    row, a duplicate, or `skipped` unexpanded (see `relation_matrix`)."""
+    `rows[i]` is the (generator class id, edge) pair whose expansion gave
+    `matrix.rows[i]`; `zero_rows` holds the pairs of zero rows.  No notes
+    are kept: `_row` writes them again from the pair's `_terms`.  Every
+    non-loop edge of a generator is counted once: as a row, a zero row, a
+    duplicate, or `skipped` unexpanded (see `relation_matrix`)."""
 
     matrix: SparseIntMatrix
-    rows: list[RelationRow]
-    zero_rows: list[RelationRow]
+    rows: list[tuple[int, int]]
+    zero_rows: list[tuple[int, int]]
     duplicates: int
     skipped: int
     # a nonzero certificate's scaled integer functional, by column -> whether
@@ -348,13 +344,12 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
       done.
 
     A skipped pair would give a zero row or a duplicate, so the rows, their
-    order and their provenance are those of expanding every pair; only
+    order and their pairs are those of expanding every pair; only
     `zero_rows` and `duplicates` are short of the pairs counted `skipped`.
     """
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    seen: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}  # row -> pair
     done: set[tuple[int, int]] = set()
-    rows: list[RelationRow] = []
-    zero_rows: list[RelationRow] = []
+    zero_rows: list[tuple[int, int]] = []
     duplicates = 0
     skipped = 0
     for cls in basis.classes:
@@ -375,22 +370,19 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
                     image = res.cls.rep.edge_of_dart(res.dart_map[a])
                     term_id = res.cls.class_id
                     done.add((term_id, basis.orbit_min[term_id][image]))
-            acc, notes = _row(basis, terms)
-            entries = tuple(sorted(acc.items()))
+            acc = _row(basis, terms)[0]
             if not acc:
-                zero_rows.append(RelationRow(entries, cls.class_id, e, notes))
+                zero_rows.append((cls.class_id, e))
                 continue
+            entries = tuple(sorted(acc.items()))
             if entries[0][1] < 0:
                 entries = tuple((c, -v) for c, v in entries)
             if entries in seen:
                 duplicates += 1
                 continue
-            seen.add(entries)
-            rows.append(RelationRow(entries, cls.class_id, e, notes))
-    matrix = SparseIntMatrix(
-        len(rows), basis.num_generators, [list(r.entries) for r in rows]
-    )
-    return RelationData(matrix, rows, zero_rows, duplicates, skipped)
+            seen[entries] = (cls.class_id, e)
+    matrix = SparseIntMatrix(len(seen), basis.num_generators, seen)
+    return RelationData(matrix, list(seen.values()), zero_rows, duplicates, skipped)
 
 
 @dataclass

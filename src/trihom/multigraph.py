@@ -614,8 +614,8 @@ def enumerate_classes(
     smallest free dart x is the first slot where sibling pairings differ,
     and its candidate partners are tried in ascending order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     limit = env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
     include_loops = policy is TadpolePolicy.INCLUDE
     nv = 2 * k

@@ -372,8 +372,10 @@ def brute_dimension(
 
     Returns {"basis_size", "rank", "dim", "num_classes", "oracle": True}.
     `paranoid` writes a row for every label transposition, not only the
-    adjacent ones.
+    adjacent ones.  A k that is no int of at least 1 raises `ValueError`.
     """
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     if k > 2:
         raise ResourceLimit("oracle is capped at k <= 2")
     reps = _grid_classes(k, policy)

@@ -206,7 +206,10 @@ def assign_vertex_types(
 def plan(g: DartGraph, d: int) -> SurgeryPlan:
     """Full surgery plan for an embedded copy of g in ambient dimension d.
     For odd d a Hopf pair's members are same-dimensional, so every vertex
-    is uniform and each edge's first dart takes the first member."""
+    is uniform and each edge's first dart takes the first member.  A d
+    that is no int raises `TypeError`."""
+    if type(d) is not int:
+        raise TypeError(f"d must be an int, got {d!r}")
     if d < 4:
         raise DimensionTooSmall(f"construction requires d >= 4, got d={d}")
     if d % 2 == 0:

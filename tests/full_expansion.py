@@ -2,7 +2,10 @@
 `trihom.homology.relation_matrix` built them before it skipped the edges
 whose row an earlier expansion had already given.  It is kept as the
 reference the skipping expansion is compared against; `expand_row` gives
-the row of any labelled graph at any non-loop edge.
+the row of any labelled graph at any non-loop edge.  Its `relation_matrix`
+returns the `RelationData` of `trihom.homology`, whose rows are
+(generator class id, edge) pairs, with the notes of every pair it
+expanded.
 
 Its terms are built as they were before `ihx_expand` returned dart swaps:
 each regrouping is a graph of its own, made by moving every dart through
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from trihom.errors import LoopEdge
 from trihom.exactla import SparseIntMatrix
-from trihom.homology import ClassBasis, Expressed, RelationData, RelationRow, _row
+from trihom.homology import ClassBasis, Expressed, RelationData, _row
 from trihom.multigraph import DartGraph, TadpolePolicy, _connected
 from trihom.orientation import (
     ClassStatus,
@@ -108,11 +111,14 @@ def expand_row(
     return _row(basis, expand_terms(basis, g, labelling, edge_index))
 
 
-def relation_matrix(basis: ClassBasis) -> RelationData:
-    """Deduplicated IHX rows from every non-loop edge of every generator."""
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    rows: list[RelationRow] = []
-    zero_rows: list[RelationRow] = []
+def relation_matrix(
+    basis: ClassBasis,
+) -> tuple[RelationData, dict[tuple[int, int], tuple[str, ...]]]:
+    """Deduplicated IHX rows from every non-loop edge of every generator,
+    with each (class id, edge) pair's notes."""
+    seen: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}  # row -> pair
+    zero_rows: list[tuple[int, int]] = []
+    notes_of: dict[tuple[int, int], tuple[str, ...]] = {}
     duplicates = 0
     for cls in basis.classes:
         if cls.status is not ClassStatus.GENERATOR:
@@ -123,20 +129,17 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
             if rep.is_loop(e):
                 continue
             acc, notes = expand_row(basis, rep, labelling, e)
-            row = RelationRow(tuple(sorted(acc.items())), cls.class_id, e, notes)
+            notes_of[cls.class_id, e] = notes
             if not acc:
-                zero_rows.append(row)
+                zero_rows.append((cls.class_id, e))
                 continue
-            if row.entries[0][1] < 0:
-                row = RelationRow(
-                    tuple((c, -v) for c, v in row.entries), cls.class_id, e, notes
-                )
-            if row.entries in seen:
+            entries = tuple(sorted(acc.items()))
+            if entries[0][1] < 0:
+                entries = tuple((c, -v) for c, v in entries)
+            if entries in seen:
                 duplicates += 1
                 continue
-            seen.add(row.entries)
-            rows.append(row)
-    matrix = SparseIntMatrix(
-        len(rows), basis.num_generators, [list(r.entries) for r in rows]
-    )
-    return RelationData(matrix, rows, zero_rows, duplicates, 0)
+            seen[entries] = (cls.class_id, e)
+    matrix = SparseIntMatrix(len(seen), basis.num_generators, seen)
+    rel = RelationData(matrix, list(seen.values()), zero_rows, duplicates, 0)
+    return rel, notes_of

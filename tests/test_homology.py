@@ -136,18 +136,31 @@ def test_skipped_edges_keep_the_full_expansion_rows(k, conv, policy):
     """relation_matrix skips the edges whose row an earlier expansion gave
     already (another edge of its orbit, or the edge an H or X term reached)
     and builds the rows that expanding every edge builds: the same matrix,
-    the same rows in the same order with the same provenance.  Every
-    non-loop generator edge is a row, a zero row, a duplicate or skipped."""
+    the same rows in the same order from the same (class, edge) pairs.
+    Expanding a row's pair again gives that row up to sign and the notes
+    the reference wrote for the pair; a zero row's pair gives no entries.
+    Every non-loop generator edge is a row, a zero row, a duplicate or
+    skipped."""
     basis = hom.class_basis(k, conv, policy)
     rel = hom.relation_matrix(basis)
-    ref = full_expansion.relation_matrix(basis)
+    ref, ref_notes = full_expansion.relation_matrix(basis)
 
-    def provenance(rows):
-        return [(r.source_class, r.edge, r.term_notes, r.entries) for r in rows]
+    def expanded(pair):
+        class_id, e = pair
+        rep = basis.classes[class_id].rep
+        terms = hom._terms(basis, rep, reference_labelling(rep), e)
+        acc, notes = hom._row(basis, terms)
+        return tuple(sorted(acc.items())), notes
 
     assert rel.matrix.content_hash() == ref.matrix.content_hash()
-    assert provenance(rel.rows) == provenance(ref.rows)
-    assert set(provenance(rel.zero_rows)) <= set(provenance(ref.zero_rows))
+    assert rel.rows == ref.rows
+    assert set(rel.zero_rows) <= set(ref.zero_rows)
+    for pair, row in zip(rel.rows, rel.matrix.rows):
+        entries, notes = expanded(pair)
+        assert entries in (row, tuple((c, -v) for c, v in row))
+        assert notes == ref_notes[pair]
+    for pair in rel.zero_rows:
+        assert expanded(pair) == ((), ref_notes[pair])
     expansions = len(ref.rows) + len(ref.zero_rows) + ref.duplicates
     assert len(rel.rows) + len(rel.zero_rows) + rel.duplicates + rel.skipped == (
         expansions
@@ -1048,7 +1061,7 @@ def test_rows_labelling_invariant_and_complete(walks, k, conv, rng):
     basis = hom.class_basis(k, conv, TP.INCLUDE)
     rel = hom.relation_matrix(basis)
     base_rank = rank(rel.matrix)
-    extra_rows = [list(r.entries) for r in rel.rows]
+    extra_rows = [list(r) for r in rel.matrix.rows]
     for cls in basis.classes:
         for _ in range(3):
             h, random_lab = _random_labelled(cls.rep, rng)

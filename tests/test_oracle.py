@@ -91,6 +91,26 @@ def test_oracle_capped():
         oracle.brute_dimension(3, Convention.EVEN, TP.EXCLUDE)
 
 
+@pytest.mark.parametrize("k", [0, -1, True, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: list(mg.enumerate_trivalent(k)),
+        lambda k: hom.class_basis(k, Convention.ODD),
+        lambda k: hom.dimension(k, Convention.EVEN),
+        lambda k: oracle.brute_dimension(k, Convention.ODD),
+    ],
+    ids=["enumerate_trivalent", "class_basis", "dimension", "brute_dimension"],
+)
+def test_k_must_be_an_int_of_at_least_one(call, k):
+    """Every entry point rejects such a k with `ValueError`.  A bool is no
+    k, even with k=1 in the memo of `class_basis`, whose key takes True
+    for 1."""
+    hom.class_basis(1, Convention.ODD)
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        call(k)
+
+
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
 @pytest.mark.parametrize("pol", [TP.EXCLUDE, TP.INCLUDE])
 def test_oracle_agrees_k1(conv, pol):

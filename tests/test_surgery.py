@@ -72,6 +72,12 @@ def test_plan_dimension_too_small(theta):
         sg.plan(theta, 3)
 
 
+@pytest.mark.parametrize("d", [5.5, True])
+def test_plan_dimension_not_an_int(theta, d):
+    with pytest.raises(TypeError):
+        sg.plan(theta, d)
+
+
 def test_y_link_report_dims(theta):
     rep = sg.y_link_report(sg.plan(theta, 4))
     by_type = {v["type"]: v for v in rep["vertices"]}
@@ -155,6 +161,18 @@ _TAMPERINGS = {
     "pairing-order": (False, {("graph", "pairing"): [[2, 5], [1, 4], [0, 3]]}),
     "pairing-repeated-dart": (False, {("graph", "pairing"): [[0, 3], [0, 4], [2, 5]]}),
     "d-too-small": (False, {("d",): 3}),
+    # the document a plan in d=4.0 would write: d and each figure made from it
+    "d-a-float": (False, {
+        ("d",): 4.0,
+        ("handlebody_summaries",): [[1, 2.0, 2.0], [1, 1, 2.0]],
+        ("framed_link_dims",): [
+            {"K": [1, 2.0, 2.0], "L": [2.0, 1, 1]},
+            {"K": [1, 1, 2.0], "L": [2.0, 2.0, 1]},
+        ],
+        ("b_gamma", 0): "S^1.0",
+        ("family_dim",): 1.0,
+        ("hopf_family_dims", 1): 2.0,
+    }),
     "graph-null": (False, {("graph",): None}),
     "k-not-an-int": (False, {("graph", "k"): "1"}),
     # the pairs are counted before any dart array is built
