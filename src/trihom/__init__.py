@@ -13,7 +13,7 @@ from .errors import (
     UnknownClass,
     WrongSize,
 )
-from .exactla import SparseIntMatrix, left_nullspace, modular_rank, rank, solve_combination
+from .exactla import SparseIntMatrix, kernel, modular_rank, rank, solve_combinations
 from .homology import (
     ClassBasis,
     DimensionReport,
@@ -77,11 +77,11 @@ __all__ = [
     "express",
     "from_pairing",
     "ihx_expand",
-    "left_nullspace",
+    "kernel",
     "modular_rank",
     "plan",
     "rank",
     "relation_matrix",
-    "solve_combination",
+    "solve_combinations",
     "y_link_report",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end: enumerate, dim, plan.
 
-Exit codes: 0 ok, 2 bad input, 4 resource limit exceeded, 5 oracle
-mismatch (also an oracle that cannot place an IHX term in its own class
-list).  Code 3 (infeasible vertex typing) is retired: every trivalent
-multigraph has a Type I/II typing.  A malformed `AK_MAX_CLASSES` or
+Exit codes: 0 ok, 2 bad input, 4 resource limit exceeded or out of
+memory, 5 oracle mismatch (also an oracle that cannot place an IHX term in
+its own class list).  Code 3 (infeasible vertex typing) is retired: every
+trivalent multigraph has a Type I/II typing.  A malformed `AK_MAX_CLASSES` or
 `AK_MAX_MATRIX` value and an output path that cannot be written are bad
 input.  Output is byte-deterministic for fixed arguments.
 """
@@ -62,19 +62,15 @@ def cmd_enumerate(args) -> int:
         return EXIT_BAD_INPUT
     policy = _policy(args.tadpoles)
     chunks = []
-    try:
-        for i, g in enumerate(enumerate_trivalent(args.k, policy)):
-            if args.format == "jsonl":
-                chunks.append(gio.to_jsonl_record(g) + "\n")
-            elif args.format == "graph-text":
-                if i:
-                    chunks.append("\n")
-                chunks.append(gio.to_graph_text(g))
-            else:
-                chunks.append(gio.to_dot(g, name=f"G{i}"))
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    for i, g in enumerate(enumerate_trivalent(args.k, policy)):
+        if args.format == "jsonl":
+            chunks.append(gio.to_jsonl_record(g) + "\n")
+        elif args.format == "graph-text":
+            if i:
+                chunks.append("\n")
+            chunks.append(gio.to_graph_text(g))
+        else:
+            chunks.append(gio.to_dot(g, name=f"G{i}"))
     _write(args.output, "".join(chunks))
     return EXIT_OK
 
@@ -98,11 +94,7 @@ def cmd_dim(args) -> int:
             return EXIT_BAD_INPUT
     convention = Convention(args.convention)
     policy = _policy(args.tadpoles)
-    try:
-        report = homology.dimension(args.k, convention, policy)
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    report = homology.dimension(args.k, convention, policy)
     doc = report.to_json()
     if args.certify:
         certs = []
@@ -207,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BadEnvironment, _CannotWrite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (ResourceLimit, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

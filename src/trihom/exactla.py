@@ -1,10 +1,12 @@
 """Exact sparse integer/rational linear algebra.
 
-Everything here is exact: one tracked Fraction elimination of Mᵀ, gated by
-`AK_MAX_MATRIX`, gives M's rank and left nullspace of Mᵀ and solves
-x M = target, and ranks mod the fixed primes `PRIMES` serve as an
-independent cross-check: a rank mod p never exceeds the rank over Q, so a
-disagreement with the exact rank is always an error.  No floating point.
+Everything here is exact.  One untracked `Fraction` echelon, gated by
+`AK_MAX_MATRIX` on the entries it stores, plus back-substitution gives
+`kernel`, and so `rank`; the same over Mᵀ with the targets as extra
+columns gives `solve_combinations`, x M = t.  Ranks mod the fixed primes
+`PRIMES` serve as an independent cross-check: a rank mod p never exceeds
+the rank over Q, so a disagreement with the exact rank is always an
+error.  No floating point.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedPairing, NoSolution, ResourceLimit, env_int
 
-DEFAULT_MAX_MATRIX_CELLS = 100_000_000
+# entries an echelon may store: about 160 bytes each in the echelon of the
+# k=7 odd relation matrix, so near 1.6 GB, well below an 8 GB host's memory
+DEFAULT_MAX_MATRIX_ENTRIES = 10_000_000
 
 # the three largest primes below 2**62: the modular rank cross-check's primes
 PRIMES = (2**62 - 57, 2**62 - 87, 2**62 - 117)
-
-
-def _max_cells() -> int:
-    return env_int("AK_MAX_MATRIX", DEFAULT_MAX_MATRIX_CELLS)
 
 
 class SparseIntMatrix:
@@ -155,94 +155,84 @@ def modular_rank(m: SparseIntMatrix, primes: Sequence[int]) -> int:
     return max(_rank_mod_p_exact(m, p) for p in primes)
 
 
-# (pivot column, reduced row, that row as a combination of the original rows)
-Pivot = tuple[int, dict[int, Fraction], dict[int, Fraction]]
-# (echelon pivots, combinations of the original rows that reduce to zero)
-Echelon = tuple[list[Pivot], list[dict[int, Fraction]]]
+def _echelon(m: SparseIntMatrix) -> dict[int, dict[int, Fraction]]:
+    """Row echelon form of m over Q, by pivot column.
 
-
-def _reduce_rows_tracked(m: SparseIntMatrix) -> Echelon:
-    """Echelonize rows over Q, tracking each reduced row as a combination of
-    the original rows."""
-    if m.num_rows * m.num_cols > _max_cells():
-        raise ResourceLimit(
-            f"matrix {m.num_rows}x{m.num_cols} exceeds AK_MAX_MATRIX cell limit"
-        )
-    echelon: list[Pivot] = []
-    zero_combos: list[dict[int, Fraction]] = []
-    for i, source in enumerate(m.rows):
+    While a row has an entry at a pivot's column, the pivot at the least
+    such column is subtracted; what is left is stored, scaled to 1 at its
+    least column, as that column's pivot.  So a pivot row lies at and after
+    its pivot column.  `AK_MAX_MATRIX` bounds the entries stored."""
+    limit = env_int("AK_MAX_MATRIX", DEFAULT_MAX_MATRIX_ENTRIES)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    stored = 0
+    for source in m.rows:
         row = {c: Fraction(v) for c, v in source}
-        combo = {i: Fraction(1)}
-        for pc, prow, pcombo in echelon:
-            f = row.get(pc)
-            if f:
-                for c, v in prow.items():
-                    nv = row.get(c, Fraction(0)) - f * v
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-                for c, v in pcombo.items():
-                    nv = combo.get(c, Fraction(0)) - f * v
-                    if nv:
-                        combo[c] = nv
-                    elif c in combo:
-                        del combo[c]
+        while (pc := min((c for c in row if c in pivots), default=None)) is not None:
+            f = row[pc]
+            for c, v in pivots[pc].items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
         if row:
             pc = min(row)
             f = row[pc]
-            row = {c: v / f for c, v in row.items()}
-            combo = {c: v / f for c, v in combo.items()}
-            echelon.append((pc, row, combo))
-        else:
-            zero_combos.append(combo)
-    return echelon, zero_combos
+            pivots[pc] = {c: v / f for c, v in row.items()}
+            stored += len(row)
+            if stored > limit:
+                raise ResourceLimit(
+                    f"matrix {m.num_rows}x{m.num_cols} echelon stores over "
+                    f"{limit} entries, past AK_MAX_MATRIX"
+                )
+    return pivots
 
 
-def left_nullspace(m: SparseIntMatrix) -> list[list[Fraction]]:
-    """Basis of {y : y M = 0}, as dense Fraction vectors of length num_rows."""
-    _, zero_combos = _reduce_rows_tracked(m)
-    zero = Fraction(0)
-    return [[f.get(i, zero) for i in range(m.num_rows)] for f in zero_combos]
+def _back_substitute(
+    pivots: dict[int, dict[int, Fraction]], v: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """`v`, given at free columns, solved at the pivot columns so that every
+    pivot row annihilates it, in decreasing pivot column; no zero entries."""
+    for pc in sorted(pivots, reverse=True):
+        s = sum(w * v[c] for c, w in pivots[pc].items() if c in v)
+        if s:
+            v[pc] = -s
+    return v
+
+
+def kernel(m: SparseIntMatrix) -> list[dict[int, Fraction]]:
+    """Basis of {v : M v = 0}: for each free column of m's echelon, in
+    increasing order, the v that is 1 there and 0 at every other.  The free
+    columns are those that depend on the columns before them, so this basis
+    is the same for every echelon."""
+    pivots = _echelon(m)
+    free = (f for f in range(m.num_cols) if f not in pivots)
+    return [_back_substitute(pivots, {f: Fraction(1)}) for f in free]
 
 
 def rank(m: SparseIntMatrix) -> int:
-    """Exact rank over the rationals: the number of columns less the number
-    of independent functionals on them that vanish on every row."""
-    return m.num_cols - len(left_nullspace(m.transpose()))
+    """Exact rank over the rationals: the columns less the kernel's size."""
+    return m.num_cols - len(kernel(m))
 
 
-def solve_combination(
-    m: SparseIntMatrix,
-    target: Sequence[int | Fraction],
-    transposed: Echelon | None = None,
-) -> list[Fraction]:
-    """Coefficients x with x M = target, or raise NoSolution.
+def solve_combinations(
+    m: SparseIntMatrix, targets: SparseIntMatrix
+) -> list[dict[int, Fraction]]:
+    """For each row t of `targets`, the x with x M = t supported on the rows
+    of M independent of the rows before them; NoSolution if some t is not a
+    combination of M's rows.
 
-    `transposed`, when given, is `_reduce_rows_tracked(m.transpose())`, so
-    a caller holding it solves without eliminating again.  Its zero
-    combinations vanish on every row, so on the target when it is in the
-    row space.  Then pivot t gives x[pc_t] = pcombo_t . target less
-    prow_t[pc_s] x[pc_s] over the later pivots s, solved in reverse.  x is
-    the unique solution supported on the rows of M independent of the rows
-    before them, the leading positions of the row space of Mᵀ.
-    """
-    if len(target) != m.num_cols:
+    (x, -1) is the kernel vector of [Mᵀ | targetsᵀ] that is -1 at t's column
+    and 0 at the other free columns: the other targets, and the rows of M
+    that depend on earlier ones.  A t outside the row space takes a pivot."""
+    if targets.num_cols != m.num_cols:
         raise ValueError("target length mismatch")
-    pivots, zero_combos = (
-        transposed if transposed is not None else _reduce_rows_tracked(m.transpose())
-    )
-    t = {c: Fraction(v) for c, v in enumerate(target) if v}
-    if any(sum(f[c] * v for c, v in t.items() if c in f) for f in zero_combos):
-        raise NoSolution("target is independent of the rows")
-    # a combination uses few rows, so x's entries are walked rather than each
-    # pivot's row, and zero terms make no Fraction arithmetic
-    x: dict[int, Fraction] = {}
-    for pc, prow, pcombo in reversed(pivots):
-        v = sum(pcombo[c] * w for c, w in t.items() if c in pcombo) - sum(
-            prow[c] * y for c, y in x.items() if c in prow
-        )
-        if v:
-            x[pc] = v
-    zero = Fraction(0)
-    return [x.get(i, zero) for i in range(m.num_rows)]
+    n = m.num_rows
+    stacked = SparseIntMatrix(n + targets.num_rows, m.num_cols, m.rows + targets.rows)
+    pivots = _echelon(stacked.transpose())
+    if any(pc >= n for pc in pivots):
+        raise NoSolution("a target is independent of the rows")
+    return [
+        {c: v for c, v in _back_substitute(pivots, {t: Fraction(-1)}).items() if c != t}
+        for t in range(n, stacked.num_rows)
+    ]

@@ -20,14 +20,8 @@ from math import lcm
 from typing import Sequence
 
 from . import exactla
-from .errors import LoopEdge, NoSolution, UnknownClass, WrongSize, env_int
-from .exactla import (
-    Echelon,
-    PRIMES,
-    SparseIntMatrix,
-    modular_rank,
-    solve_combination,
-)
+from .errors import LoopEdge, UnknownClass, WrongSize, env_int
+from .exactla import PRIMES, SparseIntMatrix, modular_rank
 from .multigraph import (
     DEFAULT_MAX_CLASSES,
     ClassTable,
@@ -265,11 +259,11 @@ def _orbit_min(rep: DartGraph, autos: Sequence[Sequence[int]]) -> tuple[int, ...
 
 @dataclass
 class RelationData:
-    """The relation matrix with its provenance and its one exact
-    elimination, of Mᵀ, made by `dimension` and shared by every
-    certificate: its zero combinations are the functionals, which give the
-    rank and the nonzero certificates, and its pivots solve the relation
-    combination of a generator that every functional misses.
+    """The relation matrix M with its provenance, and what its exact
+    echelons give every certificate: the functionals, made by `dimension`,
+    which give the rank and the nonzero certificates, and the relation
+    combinations of the generators that every functional misses, solved
+    once, on the first certificate that needs one.
 
     `rows[i]` is the (generator class id, edge) pair whose expansion gave
     `matrix.rows[i]`; `zero_rows` holds the pairs of zero rows.  No notes
@@ -289,16 +283,21 @@ class RelationData:
     )
 
     @cached_property
-    def elimination(self) -> Echelon:
-        """`_reduce_rows_tracked` of the transpose of `matrix`."""
-        return exactla._reduce_rows_tracked(self.matrix.transpose())
-
-    @property
     def functionals(self) -> list[dict[int, Fraction]]:
         """Basis of the functionals on generator columns that vanish on
-        every row, as sparse vectors with no zero entries: the left
-        nullspace of the transpose.  There are (columns - rank) of them."""
-        return self.elimination[1]
+        every row, as sparse vectors with no zero entries: the kernel of M.
+        There are (columns - rank) of them."""
+        return exactla.kernel(self.matrix)
+
+    @cached_property
+    def combinations(self) -> dict[int, dict[int, Fraction]]:
+        """Each column that every functional misses, which is then a
+        combination of the rows, to that combination by row id."""
+        m = self.matrix
+        hit = set().union(*self.functionals)
+        missed = [c for c in range(m.num_cols) if c not in hit]
+        units = SparseIntMatrix(len(missed), m.num_cols, [[(c, 1)] for c in missed])
+        return dict(zip(missed, exactla.solve_combinations(m, units)))
 
 
 def _terms(
@@ -656,8 +655,8 @@ def _certify_class(
 
     The functionals are a basis of ker M, `report.dimension` vectors, so the
     class is a combination of rows exactly when every functional vanishes at
-    its column.  Only then is the combination solved, by back-substitution
-    over the pivots of the report's one elimination, of Mᵀ.
+    its column.  Only then is its combination read, from the report's
+    `combinations`, solved for every such column at once.
     """
     if cls.status is ClassStatus.ZERO:
         cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
@@ -674,17 +673,9 @@ def _certify_class(
             functional=[(basis.generator_ids[i], v) for i, v in sorted(vec.items())],
         )
         return _replayed(cert, report)
-    unit = [0] * basis.num_generators
-    unit[col] = 1
-    try:
-        coeffs = solve_combination(rel.matrix, unit, rel.elimination)
-    except NoSolution:
-        raise AssertionError(
-            "linear algebra inconsistency: neither certificate exists"
-        ) from None
     cert = ZeroCertificate(
         kind="relation-combination",
         class_id=cls.class_id,
-        combination=[(i, c) for i, c in enumerate(coeffs) if c],
+        combination=sorted(rel.combinations[col].items()),
     )
     return _replayed(cert, report)

@@ -22,6 +22,7 @@ from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import Convention
 
 import cycle_space_sign as ref
+import forward_solve
 from conftest import compose, random_pairing
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "census.json"
@@ -155,6 +156,15 @@ def test_criterion_4_randomized_properties():
     )
 
 
+def _ranks_agree(m):
+    """Whether the exact rank is the modular one and the exact kernel that
+    of the tracked reference elimination."""
+    return (
+        la.rank(m) == la.modular_rank(m, la.PRIMES)
+        and la.kernel(m) == forward_solve.kernel(m)
+    )
+
+
 def test_criterion_5_rank_cross_check():
     mismatches = 0
     count = 0
@@ -165,7 +175,7 @@ def test_criterion_5_rank_cross_check():
                 if m.num_rows == 0:
                     continue
                 count += 1
-                if la.rank(m) != la.modular_rank(m, la.PRIMES):
+                if not _ranks_agree(m):
                     mismatches += 1
     rng = random.Random(5150)
     for _ in range(50):
@@ -177,7 +187,7 @@ def test_criterion_5_rank_cross_check():
             ]
         )
         count += 1
-        if la.rank(m) != la.modular_rank(m, la.PRIMES):
+        if not _ranks_agree(m):
             mismatches += 1
     _report(
         "5 rank-cross-check",

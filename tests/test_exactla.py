@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import forward_solve
 import pytest
@@ -13,6 +14,13 @@ def dense(m):
     return la.SparseIntMatrix.from_dense(m)
 
 
+def sparse_rows(num_cols, rows):
+    """The integer rows `rows`, each of length `num_cols`, as a matrix."""
+    return la.SparseIntMatrix(
+        len(rows), num_cols, [[(j, v) for j, v in enumerate(r)] for r in rows]
+    )
+
+
 def test_rank_examples():
     assert la.rank(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
     assert la.rank(dense([[2, 4], [1, 2]])) == 1
@@ -20,8 +28,8 @@ def test_rank_examples():
 
 
 def test_rank_transpose_and_nullity():
-    # rank(m) eliminates m's transpose and rank(m^T) eliminates m itself, so
-    # the two agree only if both eliminations are right.
+    # rank(m) eliminates m and rank(m^T) eliminates its transpose, so the
+    # two agree only if both eliminations are right.
     rng = random.Random(5)
     for _ in range(20):
         nr, nc = rng.randint(1, 12), rng.randint(1, 12)
@@ -59,6 +67,7 @@ def test_random_rank_cross_check():
              for _ in range(40)]
         sm = dense(m)
         assert la.rank(sm) == la.modular_rank(sm, la.PRIMES)
+        assert la.kernel(sm) == forward_solve.kernel(sm)
 
 
 def test_primes_are_three_distinct_62bit_primes():
@@ -78,28 +87,40 @@ def test_is_probable_prime():
     assert not is_probable_prime(3215031751)  # strong pseudoprime to few bases
 
 
-def test_solve_combination_examples():
+def test_solve_combinations_examples():
     m = dense([[1, 1]])
-    assert la.solve_combination(m, [2, 2]) == [Fraction(2)]
+    assert la.solve_combinations(m, dense([[2, 2], [0, 0]])) == [{0: Fraction(2)}, {}]
     with pytest.raises(NoSolution):
-        la.solve_combination(dense([[1, 0]]), [0, 1])
+        la.solve_combinations(dense([[1, 0]]), dense([[0, 1]]))
+    # one target outside the row space fails the whole call
+    with pytest.raises(NoSolution):
+        la.solve_combinations(dense([[1, 0]]), dense([[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        la.solve_combinations(m, dense([[1, 1, 1]]))
     empty = la.SparseIntMatrix(0, 2, [])
     with pytest.raises(NoSolution):
-        la.solve_combination(empty, [1, 0])
-    funcs = la.left_nullspace(empty.transpose())
-    assert any(f[0] for f in funcs)
+        la.solve_combinations(empty, dense([[1, 0]]))
+    assert la.kernel(empty) == [{0: 1}, {1: 1}]
+    # the free column 1 depends on column 0; the basis is 1 there, 0 at the
+    # other free column 2, and solved at the pivot column 0
+    assert la.kernel(dense([[2, 4, 0], [1, 2, 0]])) == [
+        {1: 1, 0: -2},
+        {2: 1},
+    ]
 
 
-def test_solve_combination_replay():
+def test_solve_combinations_replay():
     rng = random.Random(7)
     m = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
     sm = dense(m)
-    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)]
-    target = [sum(coeffs[i] * m[i][j] for i in range(4)) for j in range(6)]
-    x = la.solve_combination(sm, target)
-    assert [
-        sum(x[i] * m[i][j] for i in range(4)) for j in range(6)
-    ] == list(target)
+    coeffs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
+    targets = [
+        [sum(c[i] * m[i][j] for i in range(4)) for j in range(6)] for c in coeffs
+    ]
+    for x, target in zip(la.solve_combinations(sm, dense(targets)), targets):
+        assert [
+            sum(x.get(i, 0) * m[i][j] for i in range(4)) for j in range(6)
+        ] == target
 
 
 def _deficient_matrix(rng, nr, nc):
@@ -120,10 +141,11 @@ def _deficient_matrix(rng, nr, nc):
 
 
 def test_solve_combination_matches_forward_reference():
-    """Back-substitution on the elimination of Mᵀ returns, for seeded random
-    rank-deficient matrices (0 x n and n x 0 among them) and targets inside
-    and outside the row space, the Fraction list that forward reduction over
-    M's own echelon returns, and raises NoSolution exactly when it does."""
+    """Back-substitution over the echelon of Mᵀ returns, for seeded random
+    rank-deficient matrices (0 x n and n x 0 among them) and integer targets
+    inside and outside the row space, the combination that forward
+    reduction over M's own tracked echelon returns, and raises NoSolution
+    exactly when it does; the kernel of M is the tracked elimination's."""
     rng = random.Random(16)
     shapes = [(0, 3), (3, 0), (0, 0)] + [
         (rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)
@@ -131,17 +153,20 @@ def test_solve_combination_matches_forward_reference():
     outcomes = {"solved": 0, "none": 0}
     for nr, nc in shapes:
         rows = _deficient_matrix(rng, nr, nc)
-        m = la.SparseIntMatrix(nr, nc, [[(j, v) for j, v in enumerate(r)] for r in rows])
-        transposed = la._reduce_rows_tracked(m.transpose())
+        m = sparse_rows(nc, rows)
+        assert la.kernel(m) == forward_solve.kernel(m), rows
         coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nr)]
-        inside = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)]
+        scale = lcm(*(c.denominator for c in coeffs))
+        inside = [
+            int(sum(c * scale * r[j] for c, r in zip(coeffs, rows))) for j in range(nc)
+        ]
         for target in (inside, [rng.randint(-2, 2) for _ in range(nc)]):
             try:
                 want = forward_solve.solve_combination(m, target)
             except NoSolution:
                 want = None
             try:
-                got = la.solve_combination(m, target, transposed)
+                got = la.solve_combinations(m, sparse_rows(nc, [target]))[0]
             except NoSolution:
                 got = None
             assert got == want, (rows, target)
@@ -149,14 +174,14 @@ def test_solve_combination_matches_forward_reference():
     assert min(outcomes.values()) > 50, outcomes
 
 
-def test_left_nullspace_replay():
+def test_kernel_replay():
     m = dense([[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 2, 2]])
-    basis = la.left_nullspace(m)
-    assert basis
+    basis = la.kernel(m)
+    assert basis == [{2: 1, 1: -1, 0: -1}]
     md = m.to_dense()
-    for y in basis:
-        for j in range(3):
-            assert sum(y[i] * md[i][j] for i in range(4)) == 0
+    for v in basis:
+        for row in md:
+            assert sum(v.get(j, 0) * row[j] for j in range(3)) == 0
 
 
 def test_matrixmarket_roundtrip():
@@ -168,19 +193,27 @@ def test_matrixmarket_roundtrip():
 
 
 def test_matrix_resource_limit(monkeypatch):
-    monkeypatch.setenv("AK_MAX_MATRIX", "10")
-    m = dense([[1] * 6 for _ in range(6)])
-    for call in (
+    """`AK_MAX_MATRIX` bounds the entries an echelon stores.  Both echelons
+    of this 6 x 6 Vandermonde matrix, of M and of Mᵀ, store 6 + 5 + ... + 1
+    = 21 entries, so a limit of 20 stops every elimination and 21 passes."""
+    m = dense([[(i + 2) ** j for j in range(6)] for i in range(6)])
+    calls = (
         lambda: la.rank(m),
-        lambda: la.left_nullspace(m),
-        lambda: la.solve_combination(m, [1] * 6),
-    ):
-        with pytest.raises(ResourceLimit):
+        lambda: la.kernel(m),
+        lambda: la.solve_combinations(m, dense([[1] * 6])),
+    )
+    monkeypatch.setenv("AK_MAX_MATRIX", "20")
+    for call in calls:
+        with pytest.raises(ResourceLimit, match="^matrix 6x.*AK_MAX_MATRIX"):
             call()
+    monkeypatch.setenv("AK_MAX_MATRIX", "21")
+    assert la.rank(m) == 6 and la.kernel(m) == []
 
 
 def test_no_floats_in_results():
-    m = dense([[2, 4], [6, 9]])
+    m = dense([[2, 4], [6, 12]])
     assert isinstance(la.rank(m), int)
-    for vec in la.left_nullspace(m):
-        assert all(isinstance(v, Fraction) for v in vec)
+    vecs = la.kernel(m) + la.solve_combinations(m, dense([[4, 8]]))
+    assert len(vecs) == 2
+    for vec in vecs:
+        assert all(isinstance(v, Fraction) for v in vec.values())

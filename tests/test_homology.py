@@ -448,8 +448,9 @@ def _random_labelled(rep, rng):
 def _solve_first_reference(report, cls, echelon, functionals):
     """The certificate of `cls` in the order that solves first: a relation
     combination when e_col is in the row space, solved forward over
-    `echelon`, the tracked echelon of M itself, else the first functional
-    that is nonzero at its column."""
+    `echelon`, the tracked echelon of M itself, else the first of
+    `functionals`, the tracked elimination's kernel of M, that is nonzero
+    at its column."""
     if cls.status is ClassStatus.ZERO:
         return hom.ZeroCertificate(
             kind="sign-witness",
@@ -463,14 +464,14 @@ def _solve_first_reference(report, cls, echelon, functionals):
         coeffs = forward_solve.solve_combination(m, unit, echelon)
     except NoSolution:
         gen_ids = [c.class_id for c in report.basis.generators]
-        vec = next(v for v in functionals if v[col])
+        vec = next(v for v in functionals if col in v)
         return hom.NonzeroCertificate(
-            cls.class_id, [(gen_ids[i], v) for i, v in enumerate(vec) if v]
+            cls.class_id, [(gen_ids[i], v) for i, v in sorted(vec.items())]
         )
     return hom.ZeroCertificate(
         kind="relation-combination",
         class_id=cls.class_id,
-        combination=[(i, c) for i, c in enumerate(coeffs) if c],
+        combination=sorted(coeffs.items()),
     )
 
 
@@ -484,19 +485,20 @@ def _solve_first_reference(report, cls, echelon, functionals):
 )
 def test_certificates_share_one_elimination(monkeypatch, rng, k, conv, policy, kinds):
     """A report and every class and 50 random labelled graphs certified
-    against it eliminate its relation matrix once in all, on its transpose:
-    the functionals that give the rank and the nonzero certificates, and
-    the pivots that every relation combination is solved over.  Each
-    certificate is the one that eliminating an unshared copy of M for that
-    query alone, and solving forward over M's own echelon, gives."""
+    against it make one exact echelon of M, for the functionals that give
+    the rank and the nonzero certificates, and one more, of Mᵀ with the
+    missed columns as targets, on the first relation combination, which
+    solves them all.  No query makes one of its own.  Each certificate is
+    the one that a tracked elimination of an unshared copy of M for that
+    query alone, solving forward over M's own echelon, gives."""
     calls = []
-    reduce_rows_tracked = la._reduce_rows_tracked
+    echelon = la._echelon
 
     def counted(m):
         calls.append(m)
-        return reduce_rows_tracked(m)
+        return echelon(m)
 
-    monkeypatch.setattr(la, "_reduce_rows_tracked", counted)
+    monkeypatch.setattr(la, "_echelon", counted)
     report = hom.dimension(k, conv, policy)
     classes = report.basis.classes
     targets = [c.class_id for c in classes]
@@ -505,44 +507,59 @@ def test_certificates_share_one_elimination(monkeypatch, rng, k, conv, policy, k
     monkeypatch.undo()
 
     m = report.relations.matrix
-    assert [c.rows for c in calls] == [m.transpose().rows]
+    combined = "relation-combination" in kinds
+    assert calls[0].rows == m.rows and len(calls) == 1 + combined
+    if combined:  # the rows of Mᵀ, each followed by its target entries
+        assert [r[: len(c)] for r, c in zip(calls[1].rows, m.transpose().rows)] == (
+            m.transpose().rows
+        )
     assert {c.to_json().get("kind", "nonzero") for c in certs} == kinds
     for cert in certs:
         unshared = la.SparseIntMatrix(m.num_rows, m.num_cols, m.rows)
         want = _solve_first_reference(
             report,
             classes[cert.class_id],
-            la._reduce_rows_tracked(unshared),
-            la.left_nullspace(unshared.transpose()),
+            forward_solve.reduce_rows_tracked(unshared),
+            forward_solve.kernel(unshared),
         )
         assert cert.to_json() == want.to_json()
 
 
 def test_matrix_limit_gates_every_elimination(monkeypatch):
-    """`AK_MAX_MATRIX` guards the one exact elimination, of Mᵀ, that
-    `dimension` and `certify` share.  Certificates whose elimination the
-    report already made need no further one, whether a functional or a
-    relation combination."""
+    """`AK_MAX_MATRIX` guards both exact echelons of a report: the
+    functionals' of M, made by `dimension`, and the relation
+    combinations' of Mᵀ, made on the first certificate that needs one and
+    solved for every generator at once.  So `combinations` is solved once
+    per report, and a certificate whose echelon the report already made
+    needs no further one, whether a functional or a relation combination."""
     odd = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
-    even = hom.dimension(4, Convention.EVEN, TP.INCLUDE)
-    rel = odd.relations
-    fresh = dataclasses.replace(
-        odd,
-        relations=hom.RelationData(
-            rel.matrix, rel.rows, rel.zero_rows, rel.duplicates, rel.skipped
-        ),
-    )
+    even = hom.dimension(4, Convention.EVEN, TP.INCLUDE)  # dim 0
+    gens = [c.class_id for c in even.basis.generators]
+    assert hom.certify(gens[0], even).to_json()["kind"] == "relation-combination"
+
+    def fresh(report):
+        rel = report.relations
+        return dataclasses.replace(
+            report,
+            relations=hom.RelationData(
+                rel.matrix, rel.rows, rel.zero_rows, rel.duplicates, rel.skipped
+            ),
+        )
+
+    fresh_odd, fresh_even = fresh(odd), fresh(even)
     gen = odd.basis.generators[0].class_id
+    assert fresh_even.dimension == 0  # its functionals, but no combination
     monkeypatch.setenv("AK_MAX_MATRIX", "10")
     for call in (
         lambda: hom.dimension(4, Convention.ODD, TP.EXCLUDE),
-        lambda: hom.certify(gen, fresh),
+        lambda: hom.certify(gen, fresh_odd),
+        lambda: hom.certify(gens[0], fresh_even),
     ):
         with pytest.raises(ResourceLimit, match="AK_MAX_MATRIX"):
             call()
     assert hom.certify(gen, odd).to_json()["type"] == "nonzero"
-    zero = hom.certify(even.basis.generators[0].class_id, even)  # dim 0
-    assert zero.to_json()["kind"] == "relation-combination"
+    for g in gens:
+        assert hom.certify(g, even).to_json()["kind"] == "relation-combination"
 
 
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
@@ -553,8 +570,8 @@ def test_certificates_match_solve_first_reference(rng, k, conv, policy):
     random labelled graphs, the certificate that solving first gives."""
     report = hom.dimension(k, conv, policy)
     m = report.relations.matrix
-    echelon = la._reduce_rows_tracked(m)
-    functionals = la.left_nullspace(m.transpose())
+    echelon = forward_solve.reduce_rows_tracked(m)
+    functionals = forward_solve.kernel(m)
     classes = report.basis.classes
     targets = [(c.class_id, c) for c in classes]
     for _ in range(20):

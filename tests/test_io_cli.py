@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -277,6 +278,30 @@ def test_cli_matrix_limit_exit_code(monkeypatch):
     assert out.returncode == 4
     assert out.stderr.startswith("error: matrix ") and "AK_MAX_MATRIX" in out.stderr
     assert "Traceback" not in out.stderr and out.stdout == ""
+
+
+def _cap_address_space():
+    """Cap the child's address space at 2 GiB, so that an allocation that
+    does go through fails at once instead of taking the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate",), ("dim", "--convention", "even")],
+    ids=["enumerate", "dim"],
+)
+def test_cli_huge_k_exit_code(argv):
+    """A k whose dart array cannot be allocated exits 4 with an error line,
+    not a traceback."""
+    out = subprocess.run(
+        [sys.executable, "-m", "trihom.cli", *argv, "--k", str(10**18)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+    )
+    assert out.returncode == 4
+    assert out.stderr == "error: out of memory\n" and out.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ since the tie-state test and the trie lookup; a change to the relabelling
 order or to the pruning changes them on purpose and must update them.
 The lookup counters of `relation_matrix` (trie walks, expansions, and the
 edges skipped by the orbit and term rules) are those of expanding each
-relation once.  `tools/bench_certify.py` counts the exact eliminations: one per report,
-of the relation matrix's transpose, and none per certificate.
+relation once.  `tools/bench_certify.py` counts the exact echelons: one per
+report, of the relation matrix, one more for a report with a relation
+combination, of its transpose, and none per certificate.
 """
 
 from __future__ import annotations
@@ -92,15 +93,15 @@ def test_bench_certify_counters():
     queries = out["queries"]
     assert (
         queries["queries"],
-        queries["reduce_rows_tracked_calls"],
-        queries["solve_combination_calls"],
+        queries["echelon_calls"],
+        queries["solve_combinations_calls"],
         queries["replays"],
         queries["kinds"],
     ) == (2000, 0, 0, 2000, {"nonzero": 1597, "sign-witness": 403})
     reports = {
         r["report"]: (
-            r["reduce_rows_tracked_calls"],
-            r["solve_combination_calls"],
+            r["echelon_calls"],
+            r["solve_combinations_calls"],
             r["replays"],
             r["kinds"],
         )
@@ -110,7 +111,7 @@ def test_bench_certify_counters():
         "k3_even_exclude": (1, 0, 6, {"sign-witness": 6}),
         "k3_odd_exclude": (1, 0, 6, {"nonzero": 4, "sign-witness": 2}),
         "k3_even_include": (
-            1, 2, 17, {"relation-combination": 2, "sign-witness": 15},
+            2, 1, 17, {"relation-combination": 2, "sign-witness": 15},
         ),
         "k3_odd_include": (1, 0, 17, {"nonzero": 4, "sign-witness": 13}),
         "k4_even_exclude": (1, 0, 20, {"sign-witness": 20}),

@@ -6,19 +6,20 @@ Everything is counted from outside the program, by replacing module
 attributes with counting wrappers, so the same script measures any checkout
 put on PYTHONPATH.
 
-A report makes one exact elimination, `_reduce_rows_tracked` of the
-transpose of its relation matrix, when `dimension` asks for its
-functionals.  Every certificate reads it: a nonzero one takes a functional,
-and a relation combination is back-substituted over its pivots by
-`solve_combination`.  So each report below counts one
-`_reduce_rows_tracked` call, and the queries, certified against a report
-that has already made it, count none.
+A report makes one exact echelon, `_echelon` of its relation matrix M,
+when `dimension` asks for its functionals, which the nonzero certificates
+take.  The first relation-combination certificate makes one more,
+`_echelon` of Mᵀ with the generators that every functional misses as
+extra columns, in the one `solve_combinations` call that solves all their
+combinations.  So each report below counts one `_echelon` call, two if
+it has a relation combination, and the queries, certified against a
+report that has already made its echelons, count none.
 
 - `queries`: the 2,000 random labelled k=4 graphs of perfbench's
   certify-queries workload (drawn from `--seed`), certified against one odd
-  report without loops: `solve_combination` calls made by `homology`,
-  `_reduce_rows_tracked` calls, replays run (`_replayed` calls) and the
-  certificate kinds; then the wall time of the 2,000 `certify` calls alone
+  report without loops: `solve_combinations` and `_echelon` calls made
+  through `exactla`, replays run (`_replayed` calls) and the certificate
+  kinds; then the wall time of the 2,000 `certify` calls alone
   over `--repeats` further runs on the same report, uncounted.
 - `reports`: for each report of perfbench's dim-report grid, `dimension`
   followed by `certify` of every class, as `trihom dim --certify` does: the
@@ -47,8 +48,8 @@ from trihom import orientation as ori  # noqa: E402
 from trihom import surgery  # noqa: E402
 
 COUNTED = (
-    (hom, "solve_combination"),
-    (la, "_reduce_rows_tracked"),
+    (la, "solve_combinations"),
+    (la, "_echelon"),
     (hom, "_replayed"),
 )
 
@@ -78,10 +79,7 @@ class _Counters:
             setattr(module, attr, fn)
 
     def counts(self) -> dict:
-        names = {
-            "_replayed": "replays",
-            "_reduce_rows_tracked": "reduce_rows_tracked_calls",
-        }
+        names = {"_replayed": "replays", "_echelon": "echelon_calls"}
         return {
             names.get(a, f"{a}_calls"): self.calls[a] if hasattr(m, a) else None
             for m, a in COUNTED

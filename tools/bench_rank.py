@@ -8,8 +8,12 @@ the relation matrix once, then times `exactla.rank` on that matrix
 once.  The primes are `exactla.PRIMES`, or `exactla.default_primes(m)` in
 a checkout older than that constant, so the same script measures any
 checkout put on PYTHONPATH: whatever elimination that checkout's
-`exactla.rank` runs is what its `dimension` runs for the rank.  A matrix
-over the `AK_MAX_MATRIX` gate has no exact rank, and `rank` and
+`exactla.rank` runs is what its `dimension` runs for the rank.  Here that
+is `exactla.kernel`, one untracked echelon of the matrix itself plus a
+back-substitution per free column; older checkouts ran a tracked
+elimination of the transpose.  A matrix past the `AK_MAX_MATRIX` gate
+(here, an echelon storing more entries than it allows; in older
+checkouts, more rows x columns) has no exact rank, and `rank` and
 `dimension` read null.  The matrix `content_hash`, shape, nnz, ranks and
 dimension let two checkouts' outputs be compared.
 """
@@ -41,7 +45,7 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
             r = exactla.rank(m)
             walls.append(round(time.perf_counter() - start, 4))
     except ResourceLimit:
-        pass  # over the AK_MAX_MATRIX gate: no exact rank
+        pass  # past the AK_MAX_MATRIX gate: no exact rank
     primes = getattr(exactla, "PRIMES", None) or exactla.default_primes(m)
     modular = []
     for p in primes:
