@@ -192,9 +192,12 @@ def _back_substitute(
     pivots: dict[int, dict[int, Fraction]], v: dict[int, Fraction]
 ) -> dict[int, Fraction]:
     """`v`, given at free columns, solved at the pivot columns so that every
-    pivot row annihilates it, in decreasing pivot column; no zero entries."""
+    pivot row annihilates it, in decreasing pivot column; no zero entries.
+    Each pivot row meets `v` by a walk over the shorter of the two."""
     for pc in sorted(pivots, reverse=True):
-        s = sum(w * v[c] for c, w in pivots[pc].items() if c in v)
+        row = pivots[pc]
+        short, long = (row, v) if len(row) <= len(v) else (v, row)
+        s = sum(w * long[c] for c, w in short.items() if c in long)
         if s:
             v[pc] = -s
     return v

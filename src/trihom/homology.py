@@ -8,7 +8,8 @@ module test suite for the invariance properties pinning this down).
 Terms that are disconnected, carry a tadpole under policy Exclude, or lie
 in a Zero class are dropped as 0, with the reason in the row's notes.
 Both conventions of one (k, policy) read their classes and the one
-`multigraph.ClassTable` that resolves every term from a single memo.
+`multigraph.ClassTable` that resolves every term from a single memo: its
+class is all a certificate reads (`_lookup`), and `signed_class` signs it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,24 @@ class Expressed:
         return self.coefficient == 0
 
 
+def _lookup(
+    g: DartGraph, basis: ClassBasis, swap: tuple[int, int] | None = None
+) -> str | tuple[int, tuple[int, ...]]:
+    """The class id of g, or of its regrouping by the dart swap `swap` of
+    `ihx_expand`, and the dart map of an isomorphism onto that class's
+    representative; or "disconnected", or "tadpole" under Exclude.
+
+    A regrouping keeps the edge it is made around and hangs each of the
+    four other darts at that edge's ends on one of those ends, so it is
+    connected exactly when g is; the rest is read off its pairing."""
+    if not g.connected:
+        return "disconnected"
+    partner = _regrouped(g.partner, swap)
+    if basis.policy is TadpolePolicy.EXCLUDE and _has_loop(g, partner, swap):
+        return "tadpole"
+    return basis.table.find(partner)
+
+
 def signed_class(
     g: DartGraph,
     labelling: OrientedLabelling,
@@ -62,21 +81,15 @@ def signed_class(
     swap: tuple[int, int] | None = None,
 ) -> Expressed:
     """Express a labelled graph, or its regrouping by the dart swap `swap`
-    of `ihx_expand`, as 0 or ±1 times a canonical generator of `basis`.
-
-    A regrouping keeps the edge it is made around and hangs each of the
-    four other darts at that edge's ends on one of those ends, so it is
-    connected exactly when g is.
-    Its loop flag, class and lookup map are read off its pairing, and
-    `transported_sign` carries g's labelling across the swap."""
-    if not g.connected:
-        return Expressed(0, None, "disconnected")
-    partner = _regrouped(g.partner, swap)
-    if basis.policy is TadpolePolicy.EXCLUDE and _has_loop(g, partner, swap):
-        return Expressed(0, None, "tadpole")
+    of `ihx_expand`, as 0 or ±1 times a canonical generator of `basis`:
+    the class of `_lookup`, signed by `transported_sign`, which carries g's
+    labelling across the swap and the lookup map."""
+    found = _lookup(g, basis, swap)
+    if isinstance(found, str):
+        return Expressed(0, None, found)
     # Any two witnesses onto a generator's representative differ by an
     # automorphism, whose sign is +1, so every witness gives one coefficient.
-    class_id, dart_map = basis.table.find(partner)
+    class_id, dart_map = found
     cls = basis.classes[class_id]
     if cls.status is ClassStatus.ZERO:
         return Expressed(0, cls, "zero-class")
@@ -157,7 +170,7 @@ def _check_labelling(g: DartGraph, labelling: OrientedLabelling) -> None:
             raise ValueError(f"{what} labels are not a permutation of 1..{n}")
     directions = labelling.directions
     if len(directions) != g.num_edges or any(
-        sorted(ends) != list(edge) for ends, edge in zip(directions, g.edges)
+        tuple(ends) not in (edge, edge[::-1]) for ends, edge in zip(directions, g.edges)
     ):
         raise ValueError("directions are not their edges' darts")
 
@@ -423,6 +436,16 @@ class DimensionReport:
     def dimension(self) -> int:
         return len(self.relations.functionals)
 
+    @cached_property
+    def _listings(self) -> dict[int, list[tuple[int, Fraction]]]:
+        """Each column that a functional is nonzero at, to the first such
+        functional as sorted (generator class id, value) pairs."""
+        ids, out = self.basis.generator_ids, {}
+        for vec in self.relations.functionals:
+            listing = [(ids[i], v) for i, v in sorted(vec.items())]
+            out.update((col, listing) for col in vec if col not in out)
+        return out
+
     def to_json(self) -> dict:
         classes = [
             {"id": c.class_id, "code": c.rep.code_str(), "status": c.status.value}
@@ -589,7 +612,8 @@ def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
     it against the rows once."""
     basis = report.basis
     _, scaled = _scaled(cert.functional)
-    func = {_replay_column(basis, cid): v for cid, v in scaled}
+    columns, n = basis.columns, len(basis.columns)  # `_replay_column`, inlined:
+    func = {columns[c] if type(c) is int and 0 <= c < n else -1: v for c, v in scaled}
     if -1 in func or len(func) < len(scaled):  # a zero class, no class, a repeat
         return False
     if not func.get(_replay_column(basis, cert.class_id)):
@@ -627,24 +651,24 @@ def certify(
     """Zero or nonzero certificate for a class id or labelled graph,
     replay-checked before return.  A class id that names no class of the
     report, a negative one included, raises `UnknownClass`; a labelling
-    that is not one of its graph raises `ValueError`."""
+    that is not one of its graph raises `ValueError`.  A graph is looked up,
+    not signed: its certificate is its class's."""
     basis = report.basis
     if isinstance(target, tuple):
         g, labelling = target
         _check_labelling(g, labelling)
     elif isinstance(target, DartGraph):
-        g, labelling = target, reference_labelling(target)
+        g = target
     elif _in_range(target, len(basis.classes)):
         return _certify_class(basis.classes[target], report)
     else:
         raise UnknownClass(f"no class {target!r} in the report")
     if g.num_vertices != 2 * basis.k:
         raise WrongSize("target graph size does not match the basis")
-    res = signed_class(g, labelling, basis)
-    if res.cls is None:  # disconnected, or a tadpole under Exclude
-        cert = ZeroCertificate(kind="excluded", reason=res.zero_reason)
-        return _replayed(cert, report)
-    return _certify_class(res.cls, report)
+    found = _lookup(g, basis)
+    if isinstance(found, str):  # disconnected, or a tadpole under Exclude
+        return _replayed(ZeroCertificate(kind="excluded", reason=found), report)
+    return _certify_class(basis.classes[found[0]], report)
 
 
 def _certify_class(
@@ -656,26 +680,22 @@ def _certify_class(
     The functionals are a basis of ker M, `report.dimension` vectors, so the
     class is a combination of rows exactly when every functional vanishes at
     its column.  Only then is its combination read, from the report's
-    `combinations`, solved for every such column at once.
+    `combinations`, solved for every such column at once.  A nonzero
+    certificate copies its functional's listing in `_listings`.
     """
     if cls.status is ClassStatus.ZERO:
         cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
             kind="sign-witness", class_id=cls.class_id, witness_dart_perm=cls.witness
         )
         return _replayed(cert, report)
-    basis = report.basis
-    rel = report.relations
-    col = basis.columns[cls.class_id]
-    vec = next((v for v in rel.functionals if col in v), None)
-    if vec is not None:
-        cert = NonzeroCertificate(
-            class_id=cls.class_id,
-            functional=[(basis.generator_ids[i], v) for i, v in sorted(vec.items())],
-        )
+    col = report.basis.columns[cls.class_id]
+    listing = report._listings.get(col)
+    if listing is not None:  # a copy, so that no caller's change reaches another
+        cert = NonzeroCertificate(class_id=cls.class_id, functional=list(listing))
         return _replayed(cert, report)
     cert = ZeroCertificate(
         kind="relation-combination",
         class_id=cls.class_id,
-        combination=sorted(rel.combinations[col].items()),
+        combination=sorted(report.relations.combinations[col].items()),
     )
     return _replayed(cert, report)

@@ -56,9 +56,8 @@ class DartGraph:
         self.num_vertices = num_vertices
         self.partner = tuple(partner)
         self.connected = connected
-        self._edges = tuple(
-            sorted((d, p) for d, p in enumerate(self.partner) if d < p)
-        )
+        # in increasing first dart, so sorted
+        self._edges = tuple((d, p) for d, p in enumerate(self.partner) if d < p)
         eod = [-1] * len(self.partner)
         has_loop = False
         for i, (a, b) in enumerate(self._edges):

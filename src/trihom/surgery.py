@@ -154,51 +154,49 @@ def assign_vertex_types(
     """Choose, per edge, which end receives the big-sphere member so that
     every vertex sees one or two big ends; exactly k vertices of each kind.
 
-    Exhaustive backtracking over edge polarities, smaller dart tried first,
-    so the returned assignment is the lexicographically least feasible one.
-    One always exists, loops and disconnected graphs included: by the
-    orientation theorem (Hakimi 1965; Frank & Gyárfás 1976) it needs, for
-    every vertex set X, at most 2|X| edges inside X and at least |X|
-    touching it, and trivalence gives at most and at least 3|X|/2.
+    Exhaustive backtracking over edge polarities in one loop, smaller dart
+    tried first, so the returned assignment is the lexicographically least
+    feasible one.  A choice stands while each end has at most two big ends,
+    and one already or a non-loop edge still to decide; so a finished loop
+    has a typing.  One always exists, loops and disconnected graphs
+    included: by the orientation theorem (Hakimi 1965; Frank & Gyárfás
+    1976) it needs, for every vertex set X, at most 2|X| edges inside X and
+    at least |X| touching it, and trivalence gives at most and at least
+    3|X|/2.
     """
-    nv = g.num_vertices
-    counts = [0] * nv
-    remaining = [0] * nv  # undecided big-end opportunities per vertex
-    polarity = [-1] * g.num_edges
-    free_edges = []
+    counts = [0] * g.num_vertices
+    last = [-1] * g.num_vertices  # the position of each vertex's last non-loop edge
+    polarity = [a for a, _ in g.edges]  # a loop deposits exactly one big end
+    free, ends = [], []  # each non-loop edge's index, and its ends' vertices
     for i, (a, b) in enumerate(g.edges):
-        if a // 3 == b // 3:
-            counts[a // 3] += 1  # a loop deposits exactly one big end
-            polarity[i] = a
-        else:
-            free_edges.append(i)
-            remaining[a // 3] += 1
-            remaining[b // 3] += 1
-
-    def feasible(v: int) -> bool:
-        return counts[v] <= 2 and counts[v] + remaining[v] >= 1
-
-    def rec(pos: int) -> bool:
-        if pos == len(free_edges):
-            return all(1 <= counts[v] <= 2 for v in range(nv))
-        i = free_edges[pos]
-        a, b = g.edges[i]
         va, vb = a // 3, b // 3
-        remaining[va] -= 1
-        remaining[vb] -= 1
-        for dart, v in ((a, va), (b, vb)):
-            counts[v] += 1
-            polarity[i] = dart
-            if feasible(va) and feasible(vb) and rec(pos + 1):
-                return True  # the search stops: `remaining` is not read again
-            counts[v] -= 1
-            polarity[i] = -1
-        remaining[va] += 1
-        remaining[vb] += 1
-        return False
-
-    found = rec(0)
-    assert found, "every trivalent multigraph has a Type I/II typing"
+        if va == vb:
+            counts[va] += 1
+        else:
+            last[va] = last[vb] = len(free)
+            free.append(i)
+            ends.append((va, vb))
+    taken: list[int] = []  # per decided edge, the end given its big member
+    side = 0  # the end to try next at edge len(taken); 2 when none is left
+    while (pos := len(taken)) < len(free):
+        va, vb = ends[pos]
+        if side < 2:
+            counts[(va, vb)[side]] += 1
+            if (counts[va] <= 2 and (counts[va] or last[va] > pos)
+                    and counts[vb] <= 2 and (counts[vb] or last[vb] > pos)):
+                taken.append(side)
+                side = 0
+            else:
+                counts[(va, vb)[side]] -= 1
+                side += 1
+            continue
+        if not taken:  # not reached: see the orientation theorem above
+            raise AssertionError("every trivalent multigraph has a Type I/II typing")
+        side = taken.pop()  # back to the edge before, and its next end
+        counts[ends[pos - 1][side]] -= 1
+        side += 1
+    for i, side in zip(free, taken):
+        polarity[i] = g.edges[i][side]
     types = tuple(VertexType.TYPE_I if n == 1 else VertexType.TYPE_II for n in counts)
     return tuple(polarity), types
 

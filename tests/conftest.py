@@ -62,3 +62,12 @@ def random_pairing(k, rng, include_loops):
             continue
         if mg._connected(2 * k, partner):
             return mg.DartGraph(2 * k, partner, True)
+
+
+def shuffled_pairing(k, rng):
+    """A uniformly random pairing of the 6k darts as a graph, loops and
+    disconnected graphs included."""
+    darts = list(range(6 * k))
+    rng.shuffle(darts)
+    pairs = zip(darts[::2], darts[1::2])
+    return mg.from_pairing(2 * k, pairs, allow_disconnected=True)

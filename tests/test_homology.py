@@ -11,6 +11,7 @@ import forward_solve
 import full_expansion
 import pytest
 import shared_trie_walk as ref
+from conftest import shuffled_pairing
 
 from trihom import exactla as la
 from trihom import homology as hom
@@ -348,6 +349,15 @@ _NOT_LABELLINGS = {
     "direction-short": lambda lab, n, e: dataclasses.replace(
         lab, directions=lab.directions[:-1]
     ),
+    "direction-repeated-dart": lambda lab, n, e: dataclasses.replace(
+        lab, directions=((lab.directions[0][0],) * 2,) + lab.directions[1:]
+    ),
+    "direction-three-darts": lambda lab, n, e: dataclasses.replace(
+        lab, directions=(lab.directions[0] + (0,),) + lab.directions[1:]
+    ),
+    "direction-none": lambda lab, n, e: dataclasses.replace(
+        lab, directions=((None, lab.directions[0][1]),) + lab.directions[1:]
+    ),
 }
 
 
@@ -580,6 +590,85 @@ def test_certificates_match_solve_first_reference(rng, k, conv, policy):
     for target, cls in targets:
         want = _solve_first_reference(report, cls, echelon, functionals)
         assert hom.certify(target, report).to_json() == want.to_json()
+
+
+def _signs_recorded(monkeypatch):
+    """The labellings that `transported_sign` is called with, through the
+    name `homology` calls it by and through `orientation`'s own."""
+    labellings = []
+    sign = ori.transported_sign
+
+    def recorded(convention, source, labelling, *args):
+        labellings.append(labelling)
+        return sign(convention, source, labelling, *args)
+
+    monkeypatch.setattr(hom, "transported_sign", recorded)
+    monkeypatch.setattr(ori, "transported_sign", recorded)
+    return labellings
+
+
+def _excluded_graphs(k, rng):
+    """Random graphs on 2k vertices: disconnected ones, and connected ones
+    with a loop."""
+    found = {"disconnected": [], "tadpole": []}
+    while min(map(len, found.values())) < 3:
+        g = shuffled_pairing(k, rng)
+        if not g.connected:
+            found["disconnected"].append(g)
+        elif g.has_loop:
+            found["tadpole"].append(g)
+    return found
+
+
+@pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
+@pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
+def test_certify_labelled_graphs_sign_nothing(monkeypatch, rng, conv, policy):
+    """A labelled graph's certificate is its class's, and certifying it
+    signs nothing: for random relabellings and labellings of every class
+    with k <= 4, `transported_sign` is called only by the replays of sign
+    witnesses, once each, and never with the query's labelling.  Graphs
+    that are disconnected, or have a loop under Exclude, keep their
+    reasons, and a malformed labelling is still refused."""
+    for k in (1, 2, 3, 4):
+        report = hom.dimension(k, conv, policy)
+        classes = report.basis.classes
+        want = [hom.certify(c.class_id, report).to_json() for c in classes]
+        queries = [(_random_labelled(c.rep, rng), c) for c in classes for _ in range(2)]
+        labellings = _signs_recorded(monkeypatch)
+        for (g, lab), cls in queries:
+            assert hom.certify((g, lab), report).to_json() == want[cls.class_id]
+        monkeypatch.undo()
+        zeros = sum(c.status is ClassStatus.ZERO for _, c in queries)
+        assert len(labellings) == zeros
+        assert not {id(x) for x in labellings} & {id(lab) for (_, lab), _ in queries}
+        if k == 1:  # every graph on two vertices is connected
+            continue
+        for reason, graphs in _excluded_graphs(k, rng).items():
+            for g in graphs:
+                cert = hom.certify((g, reference_labelling(g)), report)
+                if reason == "tadpole" and policy is TP.INCLUDE:
+                    assert cert.to_json()["class_id"] is not None
+                else:
+                    assert (cert.kind, cert.reason) == ("excluded", reason)
+        (g, lab), _ = queries[0]
+        for change in _NOT_LABELLINGS.values():
+            with pytest.raises(ValueError):
+                hom.certify((g, change(lab, g.num_vertices, g.num_edges)), report)
+
+
+def test_nonzero_certificates_share_no_list():
+    """Classes certified by one functional get equal lists that are not one
+    list: a caller who changes one certificate changes no other, nor a
+    later certificate of that functional."""
+    report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    certs = [hom.certify(c.class_id, report) for c in report.basis.generators]
+    first, second = [c for c in certs if isinstance(c, hom.NonzeroCertificate)][:2]
+    listing = list(second.functional)
+    assert first.functional == listing
+    first.functional.append(first.functional[0])
+    first.functional[0] = (first.functional[0][0], Fraction(99))
+    assert second.functional == listing
+    assert hom.certify(first.class_id, report).functional == listing
 
 
 _MALFORMED = {

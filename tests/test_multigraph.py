@@ -15,7 +15,7 @@ from trihom.errors import (
     ResourceLimit,
 )
 
-from conftest import compose, inverse, random_pairing
+from conftest import compose, inverse, random_pairing, shuffled_pairing
 
 
 def test_theta_construction(theta):
@@ -53,6 +53,20 @@ def test_disconnected_detected():
     for search in (mg.canonical_form, mg.canonical_code, mg.automorphisms):
         with pytest.raises(NotConnected):
             search(g)
+
+
+def test_edges_come_sorted(rng):
+    """A graph's edges, read off its pairing in increasing first dart, are
+    sorted, for random pairings connected or not, with loops or without."""
+    connected = set()
+    for k in (1, 2, 3, 4):
+        for _ in range(50):
+            g = shuffled_pairing(k, rng)
+            connected.add(g.connected)
+            assert g.edges == tuple(sorted(g.edges))
+            assert len(g.edges) == 3 * k
+            assert all(a < b and g.partner[a] == b for a, b in g.edges)
+    assert connected == {True, False}
 
 
 def test_fifteen_pairings_two_codes():

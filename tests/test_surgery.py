@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+import recursive_typing
+from conftest import shuffled_pairing
 
 from trihom import multigraph as mg
 from trihom import surgery as sg
@@ -36,6 +39,60 @@ def test_dumbbell_typing(dumbbell):
 
 def test_typing_deterministic(k4):
     assert sg.assign_vertex_types(k4) == sg.assign_vertex_types(k4)
+
+
+@pytest.mark.parametrize("policy", [mg.TadpolePolicy.EXCLUDE, mg.TadpolePolicy.INCLUDE])
+def test_typing_matches_recursive_reference(policy):
+    """The loop-driven typing is the recursive reference's, for every class
+    with k <= 5 and two random relabellings of each; some of them give a
+    non-loop edge's big member to its greater dart."""
+    rng = random.Random(28)
+    greater = 0
+    for k in (1, 2, 3, 4, 5):
+        for rep in mg.enumerate_trivalent(k, policy):
+            for _ in range(2):
+                g = mg.relabel(rep, mg.random_relabelling(rep, rng))
+                typing = sg.assign_vertex_types(g)
+                assert typing == recursive_typing.assign_vertex_types(g)
+                greater += any(
+                    p == b and a // 3 != b // 3 for (a, b), p in zip(g.edges, typing[0])
+                )
+    assert greater
+
+
+def test_typing_matches_recursive_reference_on_random_pairings():
+    """The same on random pairings, disconnected ones and ones with loops
+    among them."""
+    rng = random.Random(29)
+    kinds = set()
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(60):
+            g = shuffled_pairing(k, rng)
+            kinds.add((g.connected, g.has_loop))
+            assert sg.assign_vertex_types(g) == recursive_typing.assign_vertex_types(g)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+_NO_TYPING = """
+from types import SimpleNamespace
+from trihom import surgery as sg
+# two vertices and one edge: no typing gives both a big end
+try:
+    sg.assign_vertex_types(SimpleNamespace(num_vertices=2, edges=((0, 3),)))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_no_typing_raises_under_optimize():
+    """The typing that cannot fail on a trivalent graph raises explicitly
+    when it does, also under `python -O`, which strips assert statements."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _NO_TYPING], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "every trivalent multigraph has a Type I/II typing\n"
 
 
 def test_plan_theta_d4(theta):

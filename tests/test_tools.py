@@ -11,7 +11,9 @@ The lookup counters of `relation_matrix` (trie walks, expansions, and the
 edges skipped by the orbit and term rules) are those of expanding each
 relation once.  `tools/bench_certify.py` counts the exact echelons: one per
 report, of the relation matrix, one more for a report with a relation
-combination, of its transpose, and none per certificate.
+combination, of its transpose, and none per certificate; and the calls of
+`transported_sign`: a labelled query is certified by its class alone, so
+the only ones its certificate makes are the replays of sign witnesses.
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ def test_bench_certify_counters():
         queries["replays"],
         queries["kinds"],
     ) == (2000, 0, 0, 2000, {"nonzero": 1597, "sign-witness": 403})
+    # no query is signed: each sign is a sign witness's replay
+    signs = (queries["sign_calls_outside_replay"], queries["sign_calls"])
+    assert signs == (0, 403)
     reports = {
         r["report"]: (
             r["echelon_calls"],

@@ -15,12 +15,19 @@ combinations.  So each report below counts one `_echelon` call, two if
 it has a relation combination, and the queries, certified against a
 report that has already made its echelons, count none.
 
+A labelled graph's certificate is its class's, so certifying one needs the
+graph's class and not its sign.  `transported_sign` is counted through the
+name `homology` calls it by: `sign_calls` counts every call, and
+`sign_calls_outside_replay` those made outside a replay, which for a
+query sign the query itself, and for a report its relation rows.  The
+replay of a sign witness makes one call of its own.
+
 - `queries`: the 2,000 random labelled k=4 graphs of perfbench's
   certify-queries workload (drawn from `--seed`), certified against one odd
   report without loops: `solve_combinations` and `_echelon` calls made
-  through `exactla`, replays run (`_replayed` calls) and the certificate
-  kinds; then the wall time of the 2,000 `certify` calls alone
-  over `--repeats` further runs on the same report, uncounted.
+  through `exactla`, replays run (`_replayed` calls), the sign calls and
+  the certificate kinds; then the wall time of the 2,000 `certify` calls
+  alone over `--repeats` further runs on the same report, uncounted.
 - `reports`: for each report of perfbench's dim-report grid, `dimension`
   followed by `certify` of every class, as `trihom dim --certify` does: the
   same counters, per report.
@@ -51,6 +58,7 @@ COUNTED = (
     (la, "solve_combinations"),
     (la, "_echelon"),
     (hom, "_replayed"),
+    (hom, "transported_sign"),
 )
 
 
@@ -60,6 +68,7 @@ class _Counters:
 
     def __enter__(self):
         self.calls = collections.Counter()
+        self.replaying = 0  # the `_replayed` calls under way
         self.saved = []
         for module, attr in COUNTED:
             fn = getattr(module, attr, None)
@@ -69,7 +78,14 @@ class _Counters:
 
             def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
                 self.calls[_attr] += 1
-                return _fn(*args, **kwargs)
+                if not self.replaying:
+                    self.calls[_attr, "outside replay"] += 1
+                replay = _attr == "_replayed"
+                self.replaying += replay
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    self.replaying -= replay
 
             setattr(module, attr, wrapper)
         return self
@@ -79,11 +95,17 @@ class _Counters:
             setattr(module, attr, fn)
 
     def counts(self) -> dict:
-        names = {"_replayed": "replays", "_echelon": "echelon_calls"}
-        return {
+        names = {
+            "_replayed": "replays",
+            "_echelon": "echelon_calls",
+            "transported_sign": "sign_calls",
+        }
+        out = {
             names.get(a, f"{a}_calls"): self.calls[a] if hasattr(m, a) else None
             for m, a in COUNTED
         }
+        out["sign_calls_outside_replay"] = self.calls["transported_sign", "outside replay"]
+        return out
 
 
 def _kinds(certs) -> dict:
