@@ -1,12 +1,12 @@
 """Exact sparse integer/rational linear algebra.
 
-Everything here is exact.  One untracked `Fraction` echelon, gated by
-`AK_MAX_MATRIX` on the entries it stores, plus back-substitution gives
-`kernel`, and so `rank`; the same over Mᵀ with the targets as extra
-columns gives `solve_combinations`, x M = t.  Ranks mod the fixed primes
-`PRIMES` serve as an independent cross-check: a rank mod p never exceeds
-the rank over Q, so a disagreement with the exact rank is always an
-error.  No floating point.
+Everything here is exact.  One sparse echelon, `_echelon(m, p)`, over Q or
+over F_p and gated by `AK_MAX_MATRIX` on the entries it stores, serves
+every call.  Over Q, back-substitution gives `kernel`, and so `rank`; the
+same over Mᵀ with the targets as extra columns gives `solve_combinations`,
+x M = t.  Its pivots mod the fixed primes `PRIMES` give `modular_rank`,
+never above the rank over Q; as both ranks share the code,
+`homology.dimension` replays the functionals in integers.  No floats.
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ class SparseIntMatrix:
             nr, nc, [[(j, v) for j, v in enumerate(row) if v] for row in dense]
         )
 
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.num_cols for _ in range(self.num_rows)]
-        for i, row in enumerate(self.rows):
-            for c, v in row:
-                out[i][c] = v
-        return out
-
     def transpose(self) -> "SparseIntMatrix":
         cols: list[list[tuple[int, int]]] = [[] for _ in range(self.num_cols)]
         for i, row in enumerate(self.rows):
@@ -95,105 +88,95 @@ class SparseIntMatrix:
 
     @staticmethod
     def from_matrixmarket(text: str) -> "SparseIntMatrix":
-        lines = [
-            ln for ln in text.splitlines() if ln.strip() and not ln.startswith("%")
-        ]
+        """The matrix of a `to_matrixmarket` text.  MalformedPairing unless a
+        header of three counts is followed by exactly its number of entry
+        lines, each three integers with 1-based indices inside the shape."""
+        lines = [ln.split() for ln in text.splitlines() if ln.strip() and ln[0] != "%"]
         if not lines:
             raise MalformedPairing("empty MatrixMarket input")
-        nr, nc, nnz = (int(x) for x in lines[0].split())
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(nr)]
-        for ln in lines[1 : 1 + nnz]:
-            i, j, v = ln.split()
-            rows[int(i) - 1].append((int(j) - 1, int(v)))
-        return SparseIntMatrix(nr, nc, rows)
+        try:
+            (nr, nc, nnz), *entries = [[int(x) for x in ln] for ln in lines]
+            if len(entries) != nnz:
+                raise ValueError(f"{nnz} entries in the header, {len(entries)} given")
+            rows: list[list[tuple[int, int]]] = [[] for _ in range(nr)]
+            for i, j, v in entries:
+                if not 0 < i <= nr:
+                    raise ValueError(f"row index {i} outside 1..{nr}")
+                rows[i - 1].append((j - 1, v))
+            return SparseIntMatrix(nr, nc, rows)
+        except ValueError as exc:
+            raise MalformedPairing(f"bad MatrixMarket input: {exc}") from None
 
 
-def _rank_mod_p_exact(m: SparseIntMatrix, p: int) -> int:
-    """Python-int elimination mod p.
+def _echelon(
+    m: SparseIntMatrix, p: int | None = None
+) -> dict[int, dict[int, Fraction | int]]:
+    """Row echelon form of m over Q, or over F_p for a prime `p`: by pivot
+    column, each pivot row scaled to 1 there and stored less that 1.
 
-    Each row is reduced only by the pivots at its own columns, taken in
-    pivot order from a heap.  A pivot row is zero at every earlier pivot's
-    column, so subtracting pivot t fills only later pivots' columns, which
-    join the heap as they appear: these are the subtractions, in the same
-    order, of reducing the row by every pivot in turn."""
-    pivot_at: dict[int, int] = {}  # pivot column -> its index in `pivots`
-    # (pivot column, the normalised pivot row less its leading 1)
-    pivots: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    A row is reduced only by the pivots at its own columns, least first,
+    from a heap: a pivot row lies after its column, so subtracting it fills
+    only later columns, and the pivots among them join the heap.  Given the
+    pivots so far, only one remainder is zero at every pivot column, so any
+    reduction order stores the same pivots; the remainder becomes the pivot
+    at its least column.  `AK_MAX_MATRIX` bounds the entries stored,
+    leading 1s included."""
+    limit = env_int("AK_MAX_MATRIX", DEFAULT_MAX_MATRIX_ENTRIES)
+    pivots: dict[int, dict] = {}
+    stored = 0
     for source in m.rows:
-        row = {c: v % p for c, v in source if v % p}
-        heap = [pivot_at[c] for c in row if c in pivot_at]
+        if p is None:
+            row = {c: Fraction(v) for c, v in source}
+        else:
+            row = {c: v % p for c, v in source if v % p}
+        heap = [c for c in row if c in pivots]
         heapify(heap)
         while heap:
-            pc, rest = pivots[heappop(heap)]
+            pc = heappop(heap)
             f = row.pop(pc, 0)  # absent once another subtraction cancelled it
             if not f:
                 continue
-            f = p - f
-            for c, v in rest:
+            f = -f if p is None else p - f
+            for c, v in pivots[pc].items():
                 if c in row:
-                    nv = (row[c] + f * v) % p
+                    nv = row[c] + f * v if p is None else (row[c] + f * v) % p
                     if nv:
                         row[c] = nv
                     else:
                         del row[c]
                 else:
-                    row[c] = f * v % p
-                    if c in pivot_at:
-                        heappush(heap, pivot_at[c])
+                    row[c] = f * v if p is None else f * v % p
+                    if c in pivots:
+                        heappush(heap, c)
         if row:
             pc = min(row)
-            inv = pow(row.pop(pc), p - 2, p)
-            pivot_at[pc] = len(pivots)
-            pivots.append((pc, tuple((c, v * inv % p) for c, v in row.items())))
-    return len(pivots)
-
-
-def modular_rank(m: SparseIntMatrix, primes: Sequence[int]) -> int:
-    """max over primes of rank mod p; a certified lower bound for rank()."""
-    if len(primes) < 2:
-        raise ValueError("need at least 2 primes")
-    return max(_rank_mod_p_exact(m, p) for p in primes)
-
-
-def _echelon(m: SparseIntMatrix) -> dict[int, dict[int, Fraction]]:
-    """Row echelon form of m over Q, by pivot column.
-
-    While a row has an entry at a pivot's column, the pivot at the least
-    such column is subtracted; what is left is stored, scaled to 1 at its
-    least column, as that column's pivot.  So a pivot row lies at and after
-    its pivot column.  `AK_MAX_MATRIX` bounds the entries stored."""
-    limit = env_int("AK_MAX_MATRIX", DEFAULT_MAX_MATRIX_ENTRIES)
-    pivots: dict[int, dict[int, Fraction]] = {}
-    stored = 0
-    for source in m.rows:
-        row = {c: Fraction(v) for c, v in source}
-        while (pc := min((c for c in row if c in pivots), default=None)) is not None:
-            f = row[pc]
-            for c, v in pivots[pc].items():
-                nv = row.get(c, 0) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
-        if row:
-            pc = min(row)
-            f = row[pc]
-            pivots[pc] = {c: v / f for c, v in row.items()}
             stored += len(row)
             if stored > limit:
                 raise ResourceLimit(
                     f"matrix {m.num_rows}x{m.num_cols} echelon stores over "
                     f"{limit} entries, past AK_MAX_MATRIX"
                 )
+            inv = 1 / row.pop(pc) if p is None else pow(row.pop(pc), -1, p)
+            pivots[pc] = {
+                c: v * inv if p is None else v * inv % p for c, v in row.items()
+            }
     return pivots
+
+
+def modular_rank(m: SparseIntMatrix, primes: Sequence[int]) -> int:
+    """max over primes of rank mod p; a certified lower bound for rank()."""
+    if len(primes) < 2:
+        raise ValueError("need at least 2 primes")
+    return max(len(_echelon(m, p)) for p in primes)
 
 
 def _back_substitute(
     pivots: dict[int, dict[int, Fraction]], v: dict[int, Fraction]
 ) -> dict[int, Fraction]:
     """`v`, given at free columns, solved at the pivot columns so that every
-    pivot row annihilates it, in decreasing pivot column; no zero entries.
-    Each pivot row meets `v` by a walk over the shorter of the two."""
+    pivot row with its leading 1 annihilates it, in decreasing pivot column;
+    no zero entries.  Each pivot row meets `v` by a walk over the shorter of
+    the two, and `v` is still 0 at the pivot's own column."""
     for pc in sorted(pivots, reverse=True):
         row = pivots[pc]
         short, long = (row, v) if len(row) <= len(v) else (v, row)

@@ -470,10 +470,19 @@ def dimension(
 ) -> DimensionReport:
     """Exact dimension of the quotient at (k, convention, policy): the number
     of functionals that vanish on every relation row, which certify
-    nonzero classes; the rank is the generators less that number."""
+    nonzero classes; the rank is the generators less that number.  No two
+    functionals end at one column, so they are independent, and each
+    replays in integers (`_annihilates`): a lower bound that the rank mod
+    `PRIMES` meets from above.  A failed check raises."""
     basis = class_basis(k, convention, policy)
     report = DimensionReport(basis, relation_matrix(basis))
     rel, r = report.relations, report.rank
+    last = {max(vec, default=-1) for vec in rel.functionals} - {-1}
+    if len(last) < len(rel.functionals):
+        raise AssertionError("the functionals are not independent")
+    for i, vec in enumerate(rel.functionals):
+        if not _annihilates(rel, dict(_scaled(sorted(vec.items()))[1])):
+            raise AssertionError(f"functional {i} failed replay")
     if rel.matrix.num_rows:
         rm = modular_rank(rel.matrix, PRIMES)
         if rm != r:
@@ -618,7 +627,13 @@ def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
         return False
     if not func.get(_replay_column(basis, cert.class_id)):
         return False
-    rel = report.relations
+    return _annihilates(report.relations, func)
+
+
+def _annihilates(rel: RelationData, func: dict[int, int]) -> bool:
+    """Whether the integer functional `func`, by column, annihilates every
+    row of `rel.matrix`: checked once per functional, the verdict kept on
+    `rel.annihilates`, keyed by `func`'s items."""
     key = tuple(func.items())
     if key not in rel.annihilates:
         rel.annihilates[key] = not any(

@@ -7,7 +7,7 @@ import pytest
 from miller_rabin import is_probable_prime
 
 from trihom import exactla as la
-from trihom.errors import NoSolution, ResourceLimit
+from trihom.errors import MalformedPairing, NoSolution, ResourceLimit
 
 
 def dense(m):
@@ -44,19 +44,25 @@ def test_modular_rank_examples():
     assert la.modular_rank(ident, [3, 5]) == 2
     p = 2147483647
     degenerate = dense([[p, 0], [0, 1]])
-    assert la._rank_mod_p_exact(degenerate, p) == 1
+    assert len(la._echelon(degenerate, p)) == 1
     assert la.modular_rank(degenerate, [p, 7]) == 2
     with pytest.raises(ValueError):
         la.modular_rank(ident, [7])
     # the last row holds only pivot 0's column; reducing by it fills pivot
-    # 1's column, whose subtraction then clears the row
+    # 1's column, whose subtraction then clears the row of `filled` and
+    # leaves that of `kept` at column 2, over Q and mod p
     filled = dense([[1, 1, 0], [0, 1, 1], [1, 0, -1]])
+    kept = dense([[1, 1, 0], [0, 1, 1], [1, 0, 0]])
+    assert la.rank(filled) == 2 and la.kernel(filled) == [{2: 1, 1: -1, 0: 1}]
+    assert la._echelon(kept) == {0: {1: 1}, 1: {2: 1}, 2: {}}
+    assert la.rank(kept) == 3 and la.kernel(kept) == []
     for q in (3, *la.PRIMES):
-        assert la._rank_mod_p_exact(filled, q) == 2
+        assert len(la._echelon(filled, q)) == 2
+        assert len(la._echelon(kept, q)) == 3
     # an entry equal to the first prime drops the rank mod that prime only
     q0 = la.PRIMES[0]
     vanishing = dense([[q0, 1], [0, 1]])
-    assert [la._rank_mod_p_exact(vanishing, q) for q in la.PRIMES] == [1, 2, 2]
+    assert [len(la._echelon(vanishing, q)) for q in la.PRIMES] == [1, 2, 2]
     assert la.modular_rank(vanishing, la.PRIMES) == la.rank(vanishing) == 2
 
 
@@ -175,13 +181,28 @@ def test_solve_combination_matches_forward_reference():
 
 
 def test_kernel_replay():
-    m = dense([[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 2, 2]])
-    basis = la.kernel(m)
+    md = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 2, 2]]
+    basis = la.kernel(dense(md))
     assert basis == [{2: 1, 1: -1, 0: -1}]
-    md = m.to_dense()
     for v in basis:
         for row in md:
             assert sum(v.get(j, 0) * row[j] for j in range(3)) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 2 1\n0 1 5\n",  # row index 0
+        "2 2 1\n1 1 5\n2 2 3\n",  # more entry lines than the header's nnz
+        "2 2 2\n1 1 5\n",  # fewer
+        "2 2\n1 1 5\n",  # a two-field header
+        "2 2 1\n3 1 5\n",  # a row index past the header
+    ],
+    ids=["row-zero", "extra-line", "missing-line", "two-field-header", "row-past"],
+)
+def test_malformed_matrixmarket_raises(text):
+    with pytest.raises(MalformedPairing, match="MatrixMarket"):
+        la.SparseIntMatrix.from_matrixmarket(text)
 
 
 def test_matrixmarket_roundtrip():
@@ -193,14 +214,16 @@ def test_matrixmarket_roundtrip():
 
 
 def test_matrix_resource_limit(monkeypatch):
-    """`AK_MAX_MATRIX` bounds the entries an echelon stores.  Both echelons
-    of this 6 x 6 Vandermonde matrix, of M and of Mᵀ, store 6 + 5 + ... + 1
-    = 21 entries, so a limit of 20 stops every elimination and 21 passes."""
+    """`AK_MAX_MATRIX` bounds the entries an echelon stores.  Every echelon
+    of this 6 x 6 Vandermonde matrix, of M and of Mᵀ over Q and of M mod
+    each prime, stores 6 + 5 + ... + 1 = 21 entries, so a limit of 20 stops
+    every elimination and 21 passes."""
     m = dense([[(i + 2) ** j for j in range(6)] for i in range(6)])
     calls = (
         lambda: la.rank(m),
         lambda: la.kernel(m),
         lambda: la.solve_combinations(m, dense([[1] * 6])),
+        lambda: la.modular_rank(m, la.PRIMES),
     )
     monkeypatch.setenv("AK_MAX_MATRIX", "20")
     for call in calls:
@@ -208,6 +231,7 @@ def test_matrix_resource_limit(monkeypatch):
             call()
     monkeypatch.setenv("AK_MAX_MATRIX", "21")
     assert la.rank(m) == 6 and la.kernel(m) == []
+    assert la.modular_rank(m, la.PRIMES) == 6
 
 
 def test_no_floats_in_results():

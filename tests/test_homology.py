@@ -495,18 +495,20 @@ def _solve_first_reference(report, cls, echelon, functionals):
 )
 def test_certificates_share_one_elimination(monkeypatch, rng, k, conv, policy, kinds):
     """A report and every class and 50 random labelled graphs certified
-    against it make one exact echelon of M, for the functionals that give
-    the rank and the nonzero certificates, and one more, of Mᵀ with the
-    missed columns as targets, on the first relation combination, which
-    solves them all.  No query makes one of its own.  Each certificate is
-    the one that a tracked elimination of an unshared copy of M for that
-    query alone, solving forward over M's own echelon, gives."""
+    against it make one rational echelon of M, for the functionals that
+    give the rank and the nonzero certificates, and one more, of Mᵀ with
+    the missed columns as targets, on the first relation combination, which
+    solves them all.  No query makes one of its own.  The echelons mod p of
+    the rank cross-check are not counted.  Each certificate is the one that
+    a tracked elimination of an unshared copy of M for that query alone,
+    solving forward over M's own echelon, gives."""
     calls = []
     echelon = la._echelon
 
-    def counted(m):
-        calls.append(m)
-        return echelon(m)
+    def counted(m, p=None):
+        if p is None:
+            calls.append(m)
+        return echelon(m, p)
 
     monkeypatch.setattr(la, "_echelon", counted)
     report = hom.dimension(k, conv, policy)
@@ -1150,6 +1152,56 @@ def test_failed_replay_raises_under_optimize():
         "sign-witness certificate for class 0 failed replay",
         "excluded certificate (tadpole) failed replay",
     ]
+
+
+_WRONG_FUNCTIONALS = """
+from trihom import exactla, homology as hom
+from trihom.multigraph import TadpolePolicy as TP
+from trihom.orientation import Convention
+
+kernel = exactla.kernel
+
+
+def changed(m):
+    vecs = kernel(m)
+    pivot = min(set(range(m.num_cols)) - {max(v) for v in vecs})
+    vecs[-1][pivot] = vecs[-1].get(pivot, 0) + 1
+    return vecs
+
+
+def emptied(m):
+    vecs = kernel(m)
+    vecs[-1] = {}
+    return vecs
+
+
+for wrong in (None, changed, emptied):
+    exactla.kernel = wrong or kernel
+    try:
+        print(hom.dimension(4, Convention.ODD, TP.EXCLUDE).dimension)
+    except AssertionError as exc:
+        print(exc)
+"""
+
+
+def test_dimension_replays_every_functional():
+    """`dimension` refuses functionals that the rank cross-check alone would
+    pass, since there are as many as the rank mod p leaves: one that is
+    wrong at a pivot column fails its integer replay against the rows, and
+    an empty one, which replays, is not independent of the others.  Both
+    raise, also under `python -O`."""
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _WRONG_FUNCTIONALS],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "2",
+            "functional 1 failed replay",
+            "the functionals are not independent",
+        ]
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])

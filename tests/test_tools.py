@@ -9,11 +9,15 @@ since the tie-state test and the trie lookup; a change to the relabelling
 order or to the pruning changes them on purpose and must update them.
 The lookup counters of `relation_matrix` (trie walks, expansions, and the
 edges skipped by the orbit and term rules) are those of expanding each
-relation once.  `tools/bench_certify.py` counts the exact echelons: one per
-report, of the relation matrix, one more for a report with a relation
-combination, of its transpose, and none per certificate; and the calls of
+relation once.  `tools/bench_certify.py` counts the rational echelons: one
+per report, of the relation matrix, one more for a report with a relation
+combination, of its transpose, and none per certificate; apart from them,
+the echelons mod p of the rank cross-check: one per prime for a report with
+relation rows, and none per certificate; and the calls of
 `transported_sign`: a labelled query is certified by its class alone, so
 the only ones its certificate makes are the replays of sign witnesses.
+`tools/bench_rank.py` reaches the private `exactla._echelon` for its ranks
+mod p; its matrices, ranks and dimensions are pinned.
 """
 
 from __future__ import annotations
@@ -121,4 +125,52 @@ def test_bench_certify_counters():
         "k3_odd_include": (1, 0, 17, {"nonzero": 4, "sign-witness": 13}),
         "k4_even_exclude": (1, 0, 20, {"sign-witness": 20}),
         "k4_odd_exclude": (1, 0, 20, {"nonzero": 14, "sign-witness": 6}),
+    }
+    assert queries["modular_echelon_calls"] == 0
+    modular = {r["report"]: r["modular_echelon_calls"] for r in out["reports"]}
+    assert modular == {
+        "k3_even_exclude": 0,
+        "k3_odd_exclude": 3,
+        "k3_even_include": 3,
+        "k3_odd_include": 3,
+        "k4_even_exclude": 0,
+        "k4_odd_exclude": 3,
+    }
+
+
+def test_bench_rank_matrices_and_ranks():
+    out = _run_tool("bench_rank.py", "--k", "4", "5", "--repeats", "1")
+    got = {
+        (c["k"], c["convention"]): (
+            c["rows"],
+            c["generators"],
+            c["nnz"],
+            c["content_hash"],
+            c["rank"],
+            c["modular_rank"],
+            c["dimension"],
+        )
+        for c in out["cases"]
+    }
+    assert got == {
+        (4, "odd"): (
+            19, 14, 40,
+            "79a152621634fe238d3ce8044d3c719ae86b8b4e50be8109692e33e310f011ef",
+            12, 12, 2,
+        ),
+        (4, "even"): (
+            0, 0, 0,
+            "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101",
+            0, 0, 0,
+        ),
+        (5, "odd"): (
+            124, 54, 267,
+            "01fab02fd2e7951c1b59d29f98e505ec0ccb56139b300adb35cf665114fcc218",
+            52, 52, 2,
+        ),
+        (5, "even"): (
+            10, 7, 18,
+            "ef28de73688604bc69b7a53d7409171edc4b5f9b3627b31a6617ac3dee56ce48",
+            6, 6, 1,
+        ),
     }

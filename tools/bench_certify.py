@@ -6,14 +6,18 @@ Everything is counted from outside the program, by replacing module
 attributes with counting wrappers, so the same script measures any checkout
 put on PYTHONPATH.
 
-A report makes one exact echelon, `_echelon` of its relation matrix M,
-when `dimension` asks for its functionals, which the nonzero certificates
-take.  The first relation-combination certificate makes one more,
-`_echelon` of Mᵀ with the generators that every functional misses as
-extra columns, in the one `solve_combinations` call that solves all their
-combinations.  So each report below counts one `_echelon` call, two if
-it has a relation combination, and the queries, certified against a
-report that has already made its echelons, count none.
+A report makes one rational echelon, `_echelon` of its relation matrix M
+over Q, when `dimension` asks for its functionals, which the nonzero
+certificates take.  The first relation-combination certificate makes one
+more, `_echelon` of Mᵀ with the generators that every functional misses
+as extra columns, in the one `solve_combinations` call that solves all
+their combinations.  So each report below counts one rational echelon
+(`echelon_calls`), two if it has a relation combination, and the
+queries, certified against a report that has already made its echelons,
+count none.  The rank cross-check of a report with relation rows runs
+the same `_echelon` mod each of the three primes of `exactla.PRIMES`,
+counted apart as `modular_echelon_calls` (in a checkout that still has
+it, `_rank_mod_p_exact` calls).
 
 A labelled graph's certificate is its class's, so certifying one needs the
 graph's class and not its sign.  `transported_sign` is counted through the
@@ -57,6 +61,7 @@ from trihom import surgery  # noqa: E402
 COUNTED = (
     (la, "solve_combinations"),
     (la, "_echelon"),
+    (la, "_rank_mod_p_exact"),
     (hom, "_replayed"),
     (hom, "transported_sign"),
 )
@@ -77,7 +82,11 @@ class _Counters:
             self.saved.append((module, attr, fn))
 
             def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
-                self.calls[_attr] += 1
+                prime = kwargs.get("p", args[1] if len(args) > 1 else None)
+                if _attr == "_rank_mod_p_exact" or _attr == "_echelon" and prime:
+                    self.calls["mod p"] += 1
+                else:
+                    self.calls[_attr] += 1
                 if not self.replaying:
                     self.calls[_attr, "outside replay"] += 1
                 replay = _attr == "_replayed"
@@ -103,7 +112,9 @@ class _Counters:
         out = {
             names.get(a, f"{a}_calls"): self.calls[a] if hasattr(m, a) else None
             for m, a in COUNTED
+            if a != "_rank_mod_p_exact"
         }
+        out["modular_echelon_calls"] = self.calls["mod p"]
         out["sign_calls_outside_replay"] = self.calls["transported_sign", "outside replay"]
         return out
 

@@ -6,16 +6,20 @@ For each k and both conventions without loops, builds the class basis and
 the relation matrix once, then times `exactla.rank` on that matrix
 `--repeats` times and the rank mod each prime of the modular cross-check
 once.  The primes are `exactla.PRIMES`, or `exactla.default_primes(m)` in
-a checkout older than that constant, so the same script measures any
+a checkout older than that constant; the rank mod p is the number of
+pivots of `exactla._echelon(m, p)`, or `exactla._rank_mod_p_exact(m, p)`
+in a checkout that still has it.  So the same script measures any
 checkout put on PYTHONPATH: whatever elimination that checkout's
 `exactla.rank` runs is what its `dimension` runs for the rank.  Here that
-is `exactla.kernel`, one untracked echelon of the matrix itself plus a
+is `exactla.kernel`, the echelon of the matrix itself over Q plus a
 back-substitution per free column; older checkouts ran a tracked
 elimination of the transpose.  A matrix past the `AK_MAX_MATRIX` gate
 (here, an echelon storing more entries than it allows; in older
 checkouts, more rows x columns) has no exact rank, and `rank` and
-`dimension` read null.  The matrix `content_hash`, shape, nnz, ranks and
-dimension let two checkouts' outputs be compared.
+`dimension` read null; here the gate covers the echelons mod p too, and
+a prime whose echelon it stops reads a null rank.  The matrix
+`content_hash`, shape, nnz, ranks and dimension let two checkouts'
+outputs be compared.
 """
 
 from __future__ import annotations
@@ -47,10 +51,16 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
     except ResourceLimit:
         pass  # past the AK_MAX_MATRIX gate: no exact rank
     primes = getattr(exactla, "PRIMES", None) or exactla.default_primes(m)
+    rank_mod_p = getattr(exactla, "_rank_mod_p_exact", None) or (
+        lambda m, p: len(exactla._echelon(m, p))
+    )
     modular = []
     for p in primes:
         start = time.perf_counter()
-        rp = exactla._rank_mod_p_exact(m, p)
+        try:
+            rp = rank_mod_p(m, p)
+        except ResourceLimit:
+            rp = None  # past the AK_MAX_MATRIX gate
         modular_s = round(time.perf_counter() - start, 3)
         modular.append({"prime": p, "rank": rp, "s": modular_s})
     return {
@@ -63,7 +73,9 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
         "nnz": m.nnz,
         "content_hash": m.content_hash(),
         "rank": r,
-        "modular_rank": max((x["rank"] for x in modular), default=0),
+        "modular_rank": max(
+            (x["rank"] for x in modular if x["rank"] is not None), default=None
+        ),
         "dimension": None if r is None else basis.num_generators - r,
         "basis_and_relations_s": round(build_s, 2),
         "rank_s": walls,
