@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import MalformedPairing, NoSolution, ResourceLimit, env_int
@@ -27,7 +28,9 @@ PRIMES = (2**62 - 57, 2**62 - 87, 2**62 - 117)
 
 
 class SparseIntMatrix:
-    """Rows of sorted (col, value) pairs; no explicit zeros."""
+    """Rows of sorted (col, value) pairs; no explicit zeros.  Each column
+    and value is read through `operator.index`, so a float or a `Fraction`
+    raises `ValueError` and a bool is stored as its int."""
 
     __slots__ = ("num_rows", "num_cols", "rows")
 
@@ -41,7 +44,10 @@ class SparseIntMatrix:
         self.num_cols = num_cols
         self.rows: list[tuple[tuple[int, int], ...]] = []
         for row in rows:
-            entries = tuple(sorted((c, int(v)) for c, v in row if v != 0))
+            try:
+                entries = tuple(sorted((index(c), index(v)) for c, v in row if v != 0))
+            except TypeError:
+                raise ValueError("sparse entries must be integers") from None
             cols = [c for c, _ in entries]
             if any(not 0 <= c < num_cols for c in cols) or len(set(cols)) != len(cols):
                 raise ValueError("bad column indices in sparse row")

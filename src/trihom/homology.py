@@ -161,16 +161,21 @@ def _in_range(i: object, n: int) -> bool:
 def _check_labelling(g: DartGraph, labelling: OrientedLabelling) -> None:
     """Raise `ValueError` unless the vertex labels and the edge labels of
     `labelling` are each a permutation of 1..n, and each edge's direction
-    is that edge's two darts."""
+    is that edge's two darts; every label and dart must be an int, so a
+    bool, a float or a string that equals one is rejected."""
     for what, labels, n in (
         ("vertex", labelling.vertex_labels, g.num_vertices),
         ("edge", labelling.edge_labels, g.num_edges),
     ):
-        if sorted(labels) != list(range(1, n + 1)):
+        # one pass: a label that is no int is left out, and then the n
+        # labels cannot cover 1..n
+        ints = {x for x in labels if type(x) is int}
+        if len(labels) != n or ints != set(range(1, n + 1)):
             raise ValueError(f"{what} labels are not a permutation of 1..{n}")
     directions = labelling.directions
-    if len(directions) != g.num_edges or any(
-        tuple(ends) not in (edge, edge[::-1]) for ends, edge in zip(directions, g.edges)
+    if len(directions) != g.num_edges or not all(
+        tuple(ends) in (edge, edge[::-1]) and type(ends[0]) is type(ends[1]) is int
+        for ends, edge in zip(directions, g.edges)
     ):
         raise ValueError("directions are not their edges' darts")
 
@@ -559,8 +564,15 @@ class NonzeroCertificate:
 def _replay_zero(
     cert: ZeroCertificate, report: DimensionReport
 ) -> bool:
+    """Whether a zero certificate replays against `report`.  An excluded
+    one names no class and a reason the report can give: "disconnected",
+    or "tadpole" under Exclude.  It does not carry its graph, so the replay
+    cannot check that the graph is disconnected or has a loop."""
     if cert.kind == "excluded":
-        return True
+        return cert.class_id is None and (
+            cert.reason == "disconnected"
+            or cert.reason == "tadpole" and report.policy is TadpolePolicy.EXCLUDE
+        )
     basis = report.basis
     if cert.kind == "sign-witness":
         if not _in_range(cert.class_id, len(basis.classes)):

@@ -205,6 +205,21 @@ def test_malformed_matrixmarket_raises(text):
         la.SparseIntMatrix.from_matrixmarket(text)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [(0, 1.5), (0, Fraction(1, 2)), (0.0, 1), (0, "1")],
+    ids=["float-value", "fraction-value", "float-column", "str-value"],
+)
+def test_sparse_entries_must_be_integers(entry):
+    """A column or value that is no integer raises ValueError, where a float
+    value was truncated and a Fraction(1, 2) stored as an explicit 0; a
+    bool column is stored as its int."""
+    with pytest.raises(ValueError, match="integers"):
+        la.SparseIntMatrix(1, 2, [[entry]])
+    (entry,), = la.SparseIntMatrix(1, 2, [[(True, 3)]]).rows
+    assert entry == (1, 3) and type(entry[0]) is int
+
+
 def test_matrixmarket_roundtrip():
     m = dense([[0, -2, 0], [7, 0, 0]])
     text = m.to_matrixmarket()

@@ -327,7 +327,9 @@ def test_express_label_swap_sign(k4):
 
 # Labellings that are not labellings, built from a graph's reference
 # labelling `lab` with n vertices and e edges: a label list that is not a
-# permutation of 1..n, or a direction that is not its edge's two darts.
+# permutation of 1..n, or a direction that is not its edge's two darts; a
+# label or dart that only equals an int is none (`sorted` raised TypeError
+# on None or a str, a float failed later as an index, `True` read as 1).
 _NOT_LABELLINGS = {
     "vertex-zeros": lambda lab, n, e: dataclasses.replace(lab, vertex_labels=(0,) * n),
     "vertex-repeated": lambda lab, n, e: dataclasses.replace(
@@ -357,6 +359,23 @@ _NOT_LABELLINGS = {
     ),
     "direction-none": lambda lab, n, e: dataclasses.replace(
         lab, directions=((None, lab.directions[0][1]),) + lab.directions[1:]
+    ),
+    "vertex-none": lambda lab, n, e: dataclasses.replace(
+        lab, vertex_labels=(None,) + lab.vertex_labels[1:]
+    ),
+    "edge-str": lambda lab, n, e: dataclasses.replace(
+        lab, edge_labels=("1",) + lab.edge_labels[1:]
+    ),
+    "vertex-float": lambda lab, n, e: dataclasses.replace(
+        lab, vertex_labels=(1.0,) + lab.vertex_labels[1:]
+    ),
+    "direction-float": lambda lab, n, e: dataclasses.replace(
+        lab,
+        directions=((float(lab.directions[0][0]), lab.directions[0][1]),)
+        + lab.directions[1:],
+    ),
+    "vertex-bool": lambda lab, n, e: dataclasses.replace(
+        lab, vertex_labels=(True,) + lab.vertex_labels[1:]
     ),
 }
 
@@ -406,9 +425,29 @@ def test_certificate_b1_even(b1):
 
 
 def test_certificate_excluded(dumbbell):
-    rep = hom.dimension(1, Convention.ODD, TP.EXCLUDE)
-    cert = hom.certify(dumbbell, rep)
-    assert isinstance(cert, hom.ZeroCertificate) and cert.kind == "excluded"
+    """A disconnected graph, and one with a loop under Exclude, get an
+    excluded certificate that replays; one replays only without a class
+    and with a reason its report can give: "disconnected", or "tadpole"
+    under Exclude."""
+    thetas = [(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11)]
+    two_thetas = mg.from_pairing(4, thetas, allow_disconnected=True)
+    include = hom.dimension(2, Convention.ODD, TP.INCLUDE)
+    exclude = hom.dimension(1, Convention.ODD, TP.EXCLUDE)
+    for g, report, reason in (
+        (two_thetas, include, "disconnected"),
+        (dumbbell, exclude, "tadpole"),
+    ):
+        cert = hom.certify(g, report)
+        assert isinstance(cert, hom.ZeroCertificate)
+        assert (cert.kind, cert.class_id, cert.reason) == ("excluded", None, reason)
+        assert hom._replayed(cert, report) is cert
+    for cert in (
+        hom.ZeroCertificate("excluded", reason="made-up"),
+        hom.ZeroCertificate("excluded", class_id=0, reason="disconnected"),
+        hom.ZeroCertificate("excluded", reason="tadpole"),
+    ):
+        with pytest.raises(AssertionError, match="excluded certificate"):
+            hom._replayed(cert, include)
 
 
 def test_certify_refuses_a_class_id_out_of_range():

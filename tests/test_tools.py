@@ -1,10 +1,13 @@
 """The bench tools run against this tree and report their machine-free
 counters unchanged.
 
-`tools/bench_enum.py` and `tools/bench_lookup.py` reach into private
-functions of `trihom.multigraph` (their nested recursive walks), so a
-refactor of the relabelling walks can break them without any other test
-failing.  The counters pinned here are the figures the search has had
+Each tool reads only the internals of the tree it sits in, and all their
+counting goes through `tools/_counting.py` (`bench_certify.py` keeps its
+own `_Counters`, which splits the echelons by prime and the sign calls by
+replay).  `tools/bench_enum.py` and `tools/bench_lookup.py` reach into
+private functions of `trihom.multigraph` (their nested recursive walks),
+so a refactor of the relabelling walks can break them without any other
+test failing.  The counters pinned here are the figures the search has had
 since the tie-state test and the trie lookup; a change to the relabelling
 order or to the pruning changes them on purpose and must update them.
 The lookup counters of `relation_matrix` (trie walks, expansions, and the
@@ -17,7 +20,9 @@ relation rows, and none per certificate; and the calls of
 `transported_sign`: a labelled query is certified by its class alone, so
 the only ones its certificate makes are the replays of sign witnesses.
 `tools/bench_rank.py` reaches the private `exactla._echelon` for its ranks
-mod p; its matrices, ranks and dimensions are pinned.
+mod p; its matrices, ranks and dimensions are pinned.  Every field a tool
+prints that does not depend on the machine (all but its wall times) is
+pinned.
 """
 
 from __future__ import annotations
@@ -54,20 +59,24 @@ def test_bench_enum_counters():
             r["cuts"],
             r["leaf_tests"],
             r["leaf_cuts"],
-            r["prefix_test_frames"]["frames"],
+            r["prefix_test_frames"],
             r["from_scratch_frames"],
             r["tie_states"],
+            r["classes"],
         )
         for r in rows
     }
+    frames = "_prefix_ties.extend"
     assert got == {
         (4, "exclude"): (
-            149, 64, 37, 17, 3245, 8342,
+            149, 64, 37, 17, {"function": frames, "frames": 3245}, 8342,
             {"given": 2863, "carried": 1573, "resumed": 1290, "most_held": 82},
+            20,
         ),
         (4, "include"): (
-            289, 114, 168, 97, 5634, 14091,
+            289, 114, 168, 97, {"function": frames, "frames": 5634}, 14091,
             {"given": 4248, "carried": 1903, "resumed": 2345, "most_held": 82},
+            71,
         ),
     }
 
@@ -82,7 +91,7 @@ def test_bench_lookup_counters():
         "walk_seeds_per_lookup": 1.07,
     }
     relations = {
-        r["k"]: (
+        (r["k"], r["convention"]): (
             r["trie_walks_in_relation_matrix"],
             r["min_code_ties_calls_in_relation_matrix"],
             r["expansions"],
@@ -91,19 +100,52 @@ def test_bench_lookup_counters():
         )
         for r in out["relations"]
     }
-    assert relations == {4: (59, 0, 36, 111, 21), 5: (367, 0, 224, 439, 147)}
+    assert relations == {
+        (4, "odd"): (59, 0, 36, 111, 21),
+        (5, "odd"): (367, 0, 224, 439, 147),
+    }
+    # the basis and matrix, as `bench_rank.py` pins them
+    shapes = {
+        r["k"]: (
+            r["classes"],
+            r["generators"],
+            r["rows"],
+            r["rank"],
+            r["dimension"],
+            r["content_hash"],
+        )
+        for r in out["relations"]
+    }
+    assert shapes == {
+        4: (
+            20, 14, 19, 12, 2,
+            "79a152621634fe238d3ce8044d3c719ae86b8b4e50be8109692e33e310f011ef",
+        ),
+        5: (
+            91, 54, 124, 52, 2,
+            "01fab02fd2e7951c1b59d29f98e505ec0ccb56139b300adb35cf665114fcc218",
+        ),
+    }
+    # --repeats 0 times nothing
+    assert out["lookup_walls"] == {
+        "find_wall_s": [],
+        "find_median_us_per_call": None,
+        "vertex_invariants_wall_s": [],
+        "vertex_invariants_median_us_per_call": None,
+    }
 
 
 def test_bench_certify_counters():
     out = _run_tool("bench_certify.py", "--repeats", "0")
     queries = out["queries"]
     assert (
+        queries["seed"],
         queries["queries"],
         queries["echelon_calls"],
         queries["solve_combinations_calls"],
         queries["replays"],
         queries["kinds"],
-    ) == (2000, 0, 0, 2000, {"nonzero": 1597, "sign-witness": 403})
+    ) == (1, 2000, 0, 0, 2000, {"nonzero": 1597, "sign-witness": 403})
     # no query is signed: each sign is a sign witness's replay
     signs = (queries["sign_calls_outside_replay"], queries["sign_calls"])
     assert signs == (0, 403)
@@ -135,6 +177,25 @@ def test_bench_certify_counters():
         "k3_odd_include": 3,
         "k4_even_exclude": 0,
         "k4_odd_exclude": 3,
+    }
+    # generators, dimension, then every and outside-replay sign calls: a
+    # report signs its relation rows' terms, its certificates only replays
+    signs = {
+        r["report"]: (
+            r["generators"],
+            r["dimension"],
+            r["sign_calls"],
+            r["sign_calls_outside_replay"],
+        )
+        for r in out["reports"]
+    }
+    assert signs == {
+        "k3_even_exclude": (0, 0, 6, 0),
+        "k3_odd_exclude": (4, 1, 21, 19),
+        "k3_even_include": (2, 0, 24, 9),
+        "k3_odd_include": (4, 1, 32, 19),
+        "k4_even_exclude": (0, 0, 20, 0),
+        "k4_odd_exclude": (14, 2, 96, 90),
     }
 
 
@@ -173,4 +234,21 @@ def test_bench_rank_matrices_and_ranks():
             "ef28de73688604bc69b7a53d7409171edc4b5f9b3627b31a6617ac3dee56ce48",
             6, 6, 1,
         ),
+    }
+    # the rank mod each prime of `exactla.PRIMES` is the rank over Q
+    primes = [2**62 - 57, 2**62 - 87, 2**62 - 117]
+    modular = {
+        (c["k"], c["convention"]): (
+            c["tadpoles"],
+            c["classes"],
+            [m["prime"] for m in c["modular"]] == primes,
+            [m["rank"] for m in c["modular"]],
+        )
+        for c in out["cases"]
+    }
+    assert modular == {
+        (4, "odd"): ("exclude", 20, True, [12, 12, 12]),
+        (4, "even"): ("exclude", 20, True, [0, 0, 0]),
+        (5, "odd"): ("exclude", 91, True, [52, 52, 52]),
+        (5, "even"): ("exclude", 91, True, [6, 6, 6]),
     }

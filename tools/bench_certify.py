@@ -3,8 +3,9 @@
     PYTHONPATH=src python tools/bench_certify.py [--seed N] [--repeats N]
 
 Everything is counted from outside the program, by replacing module
-attributes with counting wrappers, so the same script measures any checkout
-put on PYTHONPATH.
+attributes with counting wrappers.  The script reads only the internals
+of the tree it sits in; to compare with another checkout, run that
+checkout's own copy.
 
 A report makes one rational echelon, `_echelon` of its relation matrix M
 over Q, when `dimension` asks for its functionals, which the nonzero
@@ -16,8 +17,7 @@ their combinations.  So each report below counts one rational echelon
 queries, certified against a report that has already made its echelons,
 count none.  The rank cross-check of a report with relation rows runs
 the same `_echelon` mod each of the three primes of `exactla.PRIMES`,
-counted apart as `modular_echelon_calls` (in a checkout that still has
-it, `_rank_mod_p_exact` calls).
+counted apart as `modular_echelon_calls`.
 
 A labelled graph's certificate is its class's, so certifying one needs the
 graph's class and not its sign.  `transported_sign` is counted through the
@@ -61,29 +61,27 @@ from trihom import surgery  # noqa: E402
 COUNTED = (
     (la, "solve_combinations"),
     (la, "_echelon"),
-    (la, "_rank_mod_p_exact"),
     (hom, "_replayed"),
     (hom, "transported_sign"),
 )
 
 
 class _Counters:
-    """Replace each attribute in COUNTED with a wrapper counting its calls;
-    an attribute the checkout does not have counts as null."""
+    """Replace each attribute in COUNTED with a wrapper counting its calls,
+    the `_echelon` calls with a prime apart from those over Q, and apart
+    again those made outside a replay."""
 
     def __enter__(self):
         self.calls = collections.Counter()
         self.replaying = 0  # the `_replayed` calls under way
         self.saved = []
         for module, attr in COUNTED:
-            fn = getattr(module, attr, None)
-            if fn is None:
-                continue
+            fn = getattr(module, attr)
             self.saved.append((module, attr, fn))
 
             def wrapper(*args, _fn=fn, _attr=attr, **kwargs):
                 prime = kwargs.get("p", args[1] if len(args) > 1 else None)
-                if _attr == "_rank_mod_p_exact" or _attr == "_echelon" and prime:
+                if _attr == "_echelon" and prime:
                     self.calls["mod p"] += 1
                 else:
                     self.calls[_attr] += 1
@@ -109,11 +107,7 @@ class _Counters:
             "_echelon": "echelon_calls",
             "transported_sign": "sign_calls",
         }
-        out = {
-            names.get(a, f"{a}_calls"): self.calls[a] if hasattr(m, a) else None
-            for m, a in COUNTED
-            if a != "_rank_mod_p_exact"
-        }
+        out = {names.get(a, f"{a}_calls"): self.calls[a] for _, a in COUNTED}
         out["modular_echelon_calls"] = self.calls["mod p"]
         out["sign_calls_outside_replay"] = self.calls["transported_sign", "outside replay"]
         return out

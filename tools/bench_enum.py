@@ -2,12 +2,12 @@
 
     PYTHONPATH=src python tools/bench_enum.py [--cases 4e,4i,...] [--time N]
 
-Everything is counted from outside the program, by replacing module
-attributes with counting wrappers and by a profile hook on nested function
-frames, so the same script measures any checkout put on PYTHONPATH that
-has `_prefix_ties`.  A case is k followed by `e` (no loops) or `i` (loops
-included); the default cases are k=4..7 without loops and k=4..6 with
-them.
+Everything is counted from outside the program, by a wrapper around
+`multigraph._prefix_ties` and by the profile hook of `_counting.Frames` on
+its nested `extend`.  The script reads only the internals of the tree it
+sits in; to compare with another checkout, run that checkout's own copy.
+A case is k followed by `e` (no loops) or `i` (loops included); the
+default cases are k=4..7 without loops and k=4..6 with them.
 
 Per case, from one enumeration:
 - `tested_nodes` and `cuts`: inner prefix tests run by the DFS and those
@@ -40,35 +40,13 @@ import statistics
 import sys
 import time
 
+from _counting import Frames
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom.multigraph import TadpolePolicy
 from trihom.orientation import Convention
 
 DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
-
-
-def _nested_code(fn, name):
-    """The code object of the function `name` defined inside `fn`."""
-    return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
-
-
-class _Frames:
-    """Count the frames of one code object entered while switched on."""
-
-    def __init__(self, code):
-        self.code, self.count = code, 0
-
-    def _profile(self, frame, event, arg):
-        if event == "call" and frame.f_code is self.code:
-            self.count += 1
-
-    def run(self, call, *args):
-        sys.setprofile(self._profile)
-        try:
-            return call(*args)
-        finally:
-            sys.setprofile(None)
 
 
 def _seeds(partner):
@@ -84,8 +62,7 @@ def _seeds(partner):
 def counters(k, policy):
     nd = 6 * k
     prefix_ties = mg._prefix_ties
-    extend = _nested_code(prefix_ties, "extend")
-    resumed_frames, scratch_frames = _Frames(extend), _Frames(extend)
+    resumed, scratch = Frames(prefix_ties, "extend"), Frames(prefix_ties, "extend")
     out = {"tested_nodes": 0, "cuts": 0, "leaf_tests": 0, "leaf_cuts": 0}
     ties_seen = {"given": 0, "carried": 0, "most_held": 0}
 
@@ -95,8 +72,8 @@ def counters(k, policy):
             found = prefix_ties(partner, end, ties, fresh_seeds)
             out["leaf_cuts"] += found is None
             return found
-        found = resumed_frames.run(prefix_ties, partner, end, ties, fresh_seeds)
-        scratch_frames.run(prefix_ties, list(partner), end, [], _seeds(partner))
+        found = resumed.run(prefix_ties, partner, end, ties, fresh_seeds)
+        scratch.run(prefix_ties, list(partner), end, [], _seeds(partner))
         out["tested_nodes"] += 1
         if found is None:
             out["cuts"] += 1
@@ -109,16 +86,15 @@ def counters(k, policy):
 
     mg._prefix_ties = counted_test
     try:
-        classes = sum(1 for _ in mg.enumerate_classes(k, policy))
+        out["classes"] = sum(1 for _ in mg.enumerate_classes(k, policy))
     finally:
         mg._prefix_ties = prefix_ties
     given, carried = ties_seen["given"], ties_seen["carried"]
-    out["classes"] = classes
     out["prefix_test_frames"] = {
         "function": "_prefix_ties.extend",
-        "frames": resumed_frames.count,
+        "frames": resumed.count,
     }
-    out["from_scratch_frames"] = scratch_frames.count
+    out["from_scratch_frames"] = scratch.count
     out["tie_states"] = {
         "given": given,
         "carried": carried,
@@ -129,14 +105,12 @@ def counters(k, policy):
 
 
 def wall_times(k, policy, runs):
-    # a checkout without the class memo has nothing to clear
-    clear = getattr(getattr(hom, "_classified", None), "cache_clear", lambda: None)
     walls, bases = [], []
     for _ in range(runs):
         start = time.perf_counter()
         list(mg.enumerate_trivalent(k, policy))
         walls.append(round(time.perf_counter() - start, 4))
-        clear()
+        hom._classified.cache_clear()
         start = time.perf_counter()
         hom.class_basis(k, Convention.ODD, policy)
         bases.append(round(time.perf_counter() - start, 4))

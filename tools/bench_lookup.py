@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python tools/bench_lookup.py [--repeats N] [--cases 4o,5o,6e]
 
-Everything is counted from outside the program, by replacing module
-attributes with counting wrappers or by a profile hook on nested function
-frames, so the same script measures any checkout put on PYTHONPATH.  Figures
-that a checkout's code does not have (a tree without the trie walk) read
-null.
+Everything is counted from outside the program, by the call-counting
+wrappers of `_counting.Counted` and the profile hook of `_counting.Frames`
+on nested function frames.  The script reads only the internals of the
+tree it sits in; to compare with another checkout, run that checkout's
+own copy.
 
 - `relations`: for each case of `--cases` (k and o/e for the odd or even
   convention, without loops; k=4 and 5 odd by default), the
@@ -29,13 +29,13 @@ null.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import random
 import statistics
 import sys
 import time
 
+from _counting import Counted, Frames
 from trihom import exactla
 from trihom import homology as hom
 from trihom import multigraph as mg
@@ -43,87 +43,9 @@ from trihom.multigraph import TadpolePolicy
 from trihom.orientation import Convention
 
 
-class _Counted:
-    """Replace `module.attr` with a wrapper counting its calls."""
-
-    def __init__(self, module, attr):
-        self.module, self.attr = module, attr
-        self.fn = getattr(module, attr, None)
-        self.calls = 0
-
-    def __enter__(self):
-        if self.fn is None:
-            return self
-
-        def wrapper(*args, **kwargs):
-            self.calls += 1
-            return self.fn(*args, **kwargs)
-
-        setattr(self.module, self.attr, wrapper)
-        return self
-
-    def __exit__(self, *exc):
-        if self.fn is not None:
-            setattr(self.module, self.attr, self.fn)
-
-    @property
-    def count(self):
-        return self.calls if self.fn is not None else None
-
-
-def _nested_code(fn, name):
-    """The code object of the function `name` defined inside `fn`."""
-    if fn is None:
-        return None
-    return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name)
-
-
-def _frames(fn, code, call):
-    """Frames of `code`, a function nested in `fn`, entered while `call()`
-    runs, and the seeds started: over the calls of `fn`, the distinct
-    values of its `seed` loop variable at its calls of `code`."""
-    count = 0
-    calls = 0
-    seeds: set[tuple[int, int]] = set()
-
-    def profile(frame, event, arg):
-        nonlocal count, calls
-        if event != "call":
-            return
-        if frame.f_code is fn.__code__:
-            calls += 1
-        elif frame.f_code is code:
-            count += 1
-            if frame.f_back.f_code is fn.__code__:
-                seeds.add((calls, frame.f_back.f_locals["seed"]))
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return count, len(seeds)
-
-
-def _orbit_skips(basis):
-    """The non-loop generator edges that are not the least of their orbit,
-    or None for a basis without orbit maps."""
-    orbit_min = getattr(basis, "orbit_min", None)
-    if orbit_min is None:
-        return None
-    return sum(
-        least != e and not c.rep.is_loop(e)
-        for c in basis.generators
-        for e, least in enumerate(orbit_min[c.class_id])
-    )
-
-
 def relations(k, convention, repeats):
     basis = hom.class_basis(k, convention, TadpolePolicy.EXCLUDE)
-    # lookups call the walk in `multigraph`; in an older checkout,
-    # `homology` imported it by name
-    walker = hom if hasattr(hom, "_trie_walk") else mg
-    searches, walks = _Counted(mg, "_min_code_ties"), _Counted(walker, "_trie_walk")
+    searches, walks = Counted(mg, "_min_code_ties"), Counted(mg, "_trie_walk")
     with searches, walks:
         rel = hom.relation_matrix(basis)
     walls = []
@@ -132,8 +54,12 @@ def relations(k, convention, repeats):
         hom.relation_matrix(basis)
         walls.append(round(time.perf_counter() - start, 3))
     rank = exactla.rank(rel.matrix)
-    skipped = getattr(rel, "skipped", None)
-    orbit_skips = _orbit_skips(basis)
+    # the non-loop generator edges that are not the least of their orbit
+    orbit_skips = sum(
+        least != e and not c.rep.is_loop(e)
+        for c in basis.generators
+        for e, least in enumerate(basis.orbit_min[c.class_id])
+    )
     return {
         "k": k,
         "convention": convention.value,
@@ -141,7 +67,7 @@ def relations(k, convention, repeats):
         "generators": basis.num_generators,
         "expansions": len(rel.rows) + len(rel.zero_rows) + rel.duplicates,
         "orbit_skips": orbit_skips,
-        "term_skips": None if orbit_skips is None else skipped - orbit_skips,
+        "term_skips": rel.skipped - orbit_skips,
         "rows": rel.matrix.num_rows,
         "content_hash": rel.matrix.content_hash(),
         "rank": rank,
@@ -165,45 +91,25 @@ def lookup_graphs(n_per_class=100):
     return basis, graphs
 
 
-def _find_args(table, graphs):
-    """What `table.find` takes for each graph: its pairing, or the graph
-    itself in a checkout from before `find` took pairings."""
-    if "g" in inspect.signature(table.find).parameters:
-        return graphs
-    return [g.partner for g in graphs]
-
-
 def frames(basis, graphs):
-    search = _nested_code(mg._prefix_ties, "extend")
-    search_frames, search_seeds = _frames(
-        mg._prefix_ties, search, lambda: [mg.canonical_form(g) for g in graphs]
-    )
-    trie_walk = getattr(mg, "_trie_walk", None)
-    walk = _nested_code(trie_walk, "walk")
-    keys = _find_args(basis.table, graphs)
-    walk_frames, walk_seeds = (
-        _frames(trie_walk, walk, lambda: [basis.table.find(x) for x in keys])
-        if walk is not None
-        else (None, None)
-    )
-
-    def per_lookup(n):
-        return None if n is None else round(n / len(graphs), 2)
-
+    search, walk = Frames(mg._prefix_ties, "extend"), Frames(mg._trie_walk, "walk")
+    search.run(lambda: [mg.canonical_form(g) for g in graphs])
+    walk.run(lambda: [basis.table.find(g.partner) for g in graphs])
+    n = len(graphs)
     return {
-        "lookups": len(graphs),
-        "search_frames_per_lookup": per_lookup(search_frames),
-        "search_seeds_per_lookup": per_lookup(search_seeds),
-        "walk_frames_per_lookup": per_lookup(walk_frames),
-        "walk_seeds_per_lookup": per_lookup(walk_seeds),
+        "lookups": n,
+        "search_frames_per_lookup": round(search.count / n, 2),
+        "search_seeds_per_lookup": round(len(search.seeds) / n, 2),
+        "walk_frames_per_lookup": round(walk.count / n, 2),
+        "walk_seeds_per_lookup": round(len(walk.seeds) / n, 2),
     }
 
 
 def lookup_walls(basis, graphs, repeats):
     """Wall times of `find` and of `vertex_invariants` over all `graphs`."""
-    keys = _find_args(basis.table, graphs)
+    partners = [g.partner for g in graphs]
     calls = {
-        "find": lambda: [basis.table.find(x) for x in keys],
+        "find": lambda: [basis.table.find(x) for x in partners],
         "vertex_invariants": lambda: [mg.vertex_invariants(g.partner) for g in graphs],
     }
     out = {}

@@ -4,22 +4,16 @@
 
 For each k and both conventions without loops, builds the class basis and
 the relation matrix once, then times `exactla.rank` on that matrix
-`--repeats` times and the rank mod each prime of the modular cross-check
-once.  The primes are `exactla.PRIMES`, or `exactla.default_primes(m)` in
-a checkout older than that constant; the rank mod p is the number of
-pivots of `exactla._echelon(m, p)`, or `exactla._rank_mod_p_exact(m, p)`
-in a checkout that still has it.  So the same script measures any
-checkout put on PYTHONPATH: whatever elimination that checkout's
-`exactla.rank` runs is what its `dimension` runs for the rank.  Here that
-is `exactla.kernel`, the echelon of the matrix itself over Q plus a
-back-substitution per free column; older checkouts ran a tracked
-elimination of the transpose.  A matrix past the `AK_MAX_MATRIX` gate
-(here, an echelon storing more entries than it allows; in older
-checkouts, more rows x columns) has no exact rank, and `rank` and
-`dimension` read null; here the gate covers the echelons mod p too, and
-a prime whose echelon it stops reads a null rank.  The matrix
-`content_hash`, shape, nnz, ranks and dimension let two checkouts'
-outputs be compared.
+`--repeats` times and the rank mod each prime of `exactla.PRIMES` once.
+The rank is what `dimension` runs: `exactla.kernel`, the echelon of the
+matrix over Q plus a back-substitution per free column.  The rank mod p
+is the number of pivots of `exactla._echelon(m, p)`.  A matrix past the
+`AK_MAX_MATRIX` gate (an echelon storing more entries than it allows) has
+no exact rank, and `rank` and `dimension` read null; the gate covers the
+echelons mod p too, and a prime whose echelon it stops reads a null rank.
+The script reads only the internals of the tree it sits in; to compare
+with another checkout, run that checkout's own copy and compare the
+matrix `content_hash`, shape, nnz, ranks and dimension.
 """
 
 from __future__ import annotations
@@ -50,15 +44,11 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
             walls.append(round(time.perf_counter() - start, 4))
     except ResourceLimit:
         pass  # past the AK_MAX_MATRIX gate: no exact rank
-    primes = getattr(exactla, "PRIMES", None) or exactla.default_primes(m)
-    rank_mod_p = getattr(exactla, "_rank_mod_p_exact", None) or (
-        lambda m, p: len(exactla._echelon(m, p))
-    )
     modular = []
-    for p in primes:
+    for p in exactla.PRIMES:
         start = time.perf_counter()
         try:
-            rp = rank_mod_p(m, p)
+            rp = len(exactla._echelon(m, p))
         except ResourceLimit:
             rp = None  # past the AK_MAX_MATRIX gate
         modular_s = round(time.perf_counter() - start, 3)
