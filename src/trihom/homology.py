@@ -159,25 +159,28 @@ def _in_range(i: object, n: int) -> bool:
 
 
 def _check_labelling(g: DartGraph, labelling: OrientedLabelling) -> None:
-    """Raise `ValueError` unless the vertex labels and the edge labels of
-    `labelling` are each a permutation of 1..n, and each edge's direction
-    is that edge's two darts; every label and dart must be an int, so a
-    bool, a float or a string that equals one is rejected."""
-    for what, labels, n in (
-        ("vertex", labelling.vertex_labels, g.num_vertices),
-        ("edge", labelling.edge_labels, g.num_edges),
-    ):
-        # one pass: a label that is no int is left out, and then the n
-        # labels cannot cover 1..n
-        ints = {x for x in labels if type(x) is int}
-        if len(labels) != n or ints != set(range(1, n + 1)):
-            raise ValueError(f"{what} labels are not a permutation of 1..{n}")
-    directions = labelling.directions
-    if len(directions) != g.num_edges or not all(
-        tuple(ends) in (edge, edge[::-1]) and type(ends[0]) is type(ends[1]) is int
-        for ends, edge in zip(directions, g.edges)
-    ):
-        raise ValueError("directions are not their edges' darts")
+    """Raise `ValueError` unless the vertex and edge labels of `labelling`
+    are each a permutation of 1..n and each edge's direction is its two
+    darts, every label and dart an int (not a bool, a float or a string
+    that equals one), and every list and direction a sequence."""
+    try:
+        for what, labels, n in (
+            ("vertex", labelling.vertex_labels, g.num_vertices),
+            ("edge", labelling.edge_labels, g.num_edges),
+        ):
+            # one pass: a label that is no int is left out, and then the n
+            # labels cannot cover 1..n
+            ints = {x for x in labels if type(x) is int}
+            if len(labels) != n or ints != set(range(1, n + 1)):
+                raise ValueError(f"{what} labels are not a permutation of 1..{n}")
+        directions = labelling.directions
+        if len(directions) != g.num_edges or not all(
+            tuple(ends) in (edge, edge[::-1]) and type(ends[0]) is type(ends[1]) is int
+            for ends, edge in zip(directions, g.edges)
+        ):
+            raise ValueError("directions are not their edges' darts")
+    except TypeError:  # a list or a direction that has no length or items
+        raise ValueError("the labelling is not lists of labels and darts") from None
 
 
 def _replay_column(basis: ClassBasis, class_id: object) -> int:

@@ -49,7 +49,7 @@ class DartGraph:
 
     __slots__ = (
         "num_vertices", "partner", "connected", "has_loop", "_edges", "_edge_of_dart",
-        "_canonical",
+        "_canonical", "_edge_order_sign",
     )
 
     def __init__(self, num_vertices: int, partner: Sequence[int], connected: bool):
@@ -89,6 +89,14 @@ class DartGraph:
     def edge_of_dart(self, dart: int) -> int:
         return self._edge_of_dart[dart]
 
+    @property
+    def edge_order_sign(self) -> int:
+        """The parity of the darts listed edge by edge, lesser dart first:
+        s of `orientation.reference_labelling`, worked out on first use."""
+        if not hasattr(self, "_edge_order_sign"):
+            self._edge_order_sign = perm_sign([d for edge in self._edges for d in edge])
+        return self._edge_order_sign
+
     def is_loop(self, edge_index: int) -> bool:
         a, b = self._edges[edge_index]
         return a // 3 == b // 3
@@ -108,6 +116,17 @@ class DartGraph:
 
     def __repr__(self) -> str:
         return f"DartGraph(2k={self.num_vertices}, edges={list(self._edges)})"
+
+
+def perm_sign(perm: Sequence[int]) -> int:
+    """Parity of a permutation given as the image list of 0..n-1:
+    (-1)^(n - its number of cycles)."""
+    seen, cycles = [False] * len(perm), 0
+    for i in range(len(perm)):
+        cycles += not seen[i]
+        while not seen[i]:  # walk i's cycle
+            seen[i], i = True, perm[i]
+    return -1 if (len(perm) - cycles) & 1 else 1
 
 
 def _connected(num_vertices: int, partner: Sequence[int]) -> bool:

@@ -163,7 +163,7 @@ def _edges_of(partner) -> list[tuple[int, int]]:
     return sorted((d, p) for d, p in enumerate(partner) if d < p)
 
 
-def _transport(src, dst, psi, tau=None) -> tuple[list[int], list[int], int, list[int]]:
+def _dart_maps(src, dst, psi, tau=None) -> tuple[list[int], list[int], int, list[int]]:
     """Edge map, vertex map, structural sign (product of the two maps'
     parities) and per-edge reversal flags of the dart bijection psi o tau
     from src to dst, directions referenced min->max on both sides.
@@ -209,7 +209,7 @@ def _ihx_terms(rep, e_idx, reps, policy):
         for ci, cand in enumerate(reps):
             found = _isos(term, list(cand))
             if found:
-                terms.append((ci, *_transport(rep, cand, found[0], tau)))
+                terms.append((ci, *_dart_maps(rep, cand, found[0], tau)))
                 break
         else:
             raise UnknownClass(
@@ -314,7 +314,7 @@ def _quotient(reps, policy, per_class, moves, carry) -> dict:
         off = ci * per_class
         ties += [(off + own, off + dst, sign) for dst, sign in moves]
         for auto in _isos(list(rep), list(rep), all_of_them=True):
-            ties.append((off + own, *carry(ci, *_transport(rep, rep, auto))))
+            ties.append((off + own, *carry(ci, *_dart_maps(rep, rep, auto))))
         for e_idx in range(len(rep) // 2):
             terms = _ihx_terms(rep, e_idx, reps, policy)
             if terms is not None:

@@ -1,9 +1,7 @@
 """Sign conventions for labelled trivalent graphs.
 
 A relabelling (an isomorphism, a change of labels, or both) moves one
-orientation of a graph to another.  `transported_sign` reads the
-permutations and reversals of one off its dart map and labelling, and
-`relabelling_sign` is the rule that gives its sign:
+orientation of a graph to another, and `transported_sign` gives its sign:
 
 - even convention: sgn(edge perm), the parity of the edge permutation;
 - odd convention: (-1)^(reversed edges) * sgn(vertex perm).
@@ -15,19 +13,36 @@ the determinant sign of its action on H_1.  The exact sequence
 determinant det(R^E) * det(H_0) / det(R^V), where det(R^E) =
 sgn(edge perm) * (-1)^(reversed edges), det(R^V) = sgn(vertex perm) and
 det(H_0) = 1 (Conant & Vogtmann, "On a theorem of Kontsevich", AGT 2003).
-The edge-order factor cancels, so the rule needs no cycle basis.  The test
-suite keeps the determinant of the action on a cycle basis
-(`tests/cycle_space_sign.py`) as the reference, and compares the rule with
-it on every automorphism of every graph with k <= 4, both tadpole policies.
+
+Neither sign needs the carried labelling.  The even one is the parity of
+the edge labels carried along the dart map m.  For the odd one, list the
+darts of a labelling L vertex by vertex in label order (each vertex's in
+index order), and edge by edge in label order (tail, head).  Moving blocks
+of three darts has the sign of the block permutation and moving blocks of
+two has none, so the first list has the sign sgn(vertex labels - 1), and
+each reversed edge flips the second.  So, with s(L) the product of their
+signs, the odd sign between labellings L and R of one graph is s(L) s(R).
+Along m, the edge list of L maps onto that of the carried labelling, with
+sign sgn(m) times its own, and so does the vertex list once each vertex's
+darts are put back in index order, which is even exactly when m keeps
+their cyclic order: turn_v(m) = +1 when (m[3v+1] - m[3v]) % 3 == 1, else
+-1.  The two sgn(m) cancel: against the target's reference R_T it is
+
+    s(L) * s(R_T) * prod_v turn_v(m);
+
+a dart swap transposes two darts of the edge list, so it flips s(L).  The
+tests keep the determinant on a cycle basis (`tests/cycle_space_sign.py`)
+and the carried permutations (`tests/transport_sign.py`) as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .multigraph import DartGraph
+from .multigraph import DartGraph, perm_sign
 
 
 class Convention(Enum):
@@ -53,79 +68,21 @@ class OrientedLabelling:
     edge_labels: tuple[int, ...]
     directions: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def sign(self) -> int:
+        """s(L) of the module docstring, worked out once per labelling."""
+        edges = sorted(zip(self.edge_labels, self.directions))
+        darts = [d for _, ends in edges for d in ends]
+        return perm_sign([v - 1 for v in self.vertex_labels]) * perm_sign(darts)
+
 
 def reference_labelling(g: DartGraph) -> OrientedLabelling:
     """Fixed reference: labels in index order, edges directed min dart -> max."""
-    return OrientedLabelling(
-        tuple(v + 1 for v in range(g.num_vertices)),
-        tuple(i + 1 for i in range(g.num_edges)),
-        tuple((a, b) for a, b in g.edges),
+    labelling = OrientedLabelling(
+        tuple(range(1, g.num_vertices + 1)), tuple(range(1, g.num_edges + 1)), g.edges
     )
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    """Parity of a permutation given as the image list of 0..n-1."""
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def relabelling_sign(
-    convention: Convention,
-    edge_perm: Sequence[int],
-    vertex_perm: Sequence[int],
-    reversals: int,
-) -> int:
-    """Sign of a relabelling that permutes the edges by `edge_perm`, the
-    vertices by `vertex_perm` and reverses `reversals` edge directions: the
-    convention's one sign rule."""
-    if convention is Convention.EVEN:
-        return perm_sign(edge_perm)
-    return (-1) ** reversals * perm_sign(vertex_perm)
-
-
-def _transport(
-    source: DartGraph,
-    labelling: OrientedLabelling,
-    dart_map: Sequence[int],
-    target: DartGraph,
-    swap: tuple[int, int] | None = None,
-) -> tuple[list[int], list[int], int]:
-    """The edge permutation, vertex permutation and reversal count that
-    carry (source, labelling) along the dart map of an isomorphism
-    source -> target onto the reference labelling of target.  With a dart
-    `swap` (`homology.ihx_expand`), source is first regrouped by it: its
-    vertices keep their darts and read `dart_map`, and its edges, moved by
-    the swap with their labels and directions, read `dart_map` after it."""
-    nv = target.num_vertices
-    sigma_v = [0] * nv
-    for v in range(nv):
-        sigma_v[dart_map[3 * v] // 3] = labelling.vertex_labels[v] - 1
-    if swap is not None:
-        x, y = swap
-        dart_map = list(dart_map)
-        dart_map[x], dart_map[y] = dart_map[y], dart_map[x]
-    sigma_e = [0] * target.num_edges
-    reversals = 0
-    for i, (a, _) in enumerate(source.edges):
-        j = target.edge_of_dart(dart_map[a])
-        sigma_e[j] = labelling.edge_labels[i] - 1
-        t, h = labelling.directions[i]
-        if (dart_map[t], dart_map[h]) != target.edges[j]:
-            reversals += 1
-    return sigma_e, sigma_v, reversals
+    object.__setattr__(labelling, "sign", g.edge_order_sign)  # s(R), kept by g
+    return labelling
 
 
 def transported_sign(
@@ -137,15 +94,38 @@ def transported_sign(
     swap: tuple[int, int] | None = None,
 ) -> int:
     """Sign relating (source, labelling), carried along the dart map of an
-    isomorphism source -> target, to the reference labelling of target;
-    with `swap`, of source's regrouping by that dart swap (see `_transport`).
+    isomorphism source -> target, to the reference labelling of target, by
+    the module docstring's rule.  With a dart `swap` (`homology.ihx_expand`),
+    source is first regrouped by it: its vertices keep their darts and read
+    `dart_map`, and its edges, moved by the swap with their labels and
+    directions, read `dart_map` after it.
 
     This is the sign of every relabelling: of an automorphism a of g it is
     transported_sign(convention, g, reference_labelling(g), a, g), and of a
     pure change of labels the identity map carries the new labels."""
-    return relabelling_sign(
-        convention, *_transport(source, labelling, dart_map, target, swap)
-    )
+    if convention is Convention.ODD:
+        sign = labelling.sign * target.edge_order_sign * _turns(dart_map)
+        return sign if swap is None else -sign
+    if swap is not None:
+        x, y = swap
+        dart_map = list(dart_map)
+        dart_map[x], dart_map[y] = dart_map[y], dart_map[x]
+    return _edge_sign(source.edges, labelling.edge_labels, dart_map, target)
+
+
+def _edge_sign(edges, labels, dart_map: Sequence[int], target: DartGraph) -> int:
+    """The parity of the labels of `edges` carried along `dart_map`."""
+    edge_of_dart = target.edge_of_dart
+    carried = [0] * target.num_edges
+    for (a, _), label in zip(edges, labels):
+        carried[edge_of_dart(dart_map[a])] = label - 1
+    return perm_sign(carried)
+
+
+def _turns(dart_map: Sequence[int]) -> int:
+    """prod_v turn_v(m) of the module docstring, for m = `dart_map`."""
+    odd = sum((b - a) % 3 != 1 for a, b in zip(dart_map[::3], dart_map[1::3]))
+    return -1 if odd & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -173,21 +153,19 @@ def classify(
 def classify_conventions(
     rep: DartGraph, autos: Iterable[Sequence[int]]
 ) -> dict[Convention, GraphClass]:
-    """`classify` under every convention in one pass over the group: it is
-    sorted once, and each automorphism's permutations and reversals are
-    read off once, up to the last convention's first -1 sign."""
-    labelling = reference_labelling(rep)
-    witnesses: dict[Convention, tuple[int, ...]] = {}
-    for auto in sorted(autos):
-        moved = _transport(rep, labelling, auto, rep)
-        for c in Convention:
-            if c not in witnesses and relabelling_sign(c, *moved) == -1:
-                witnesses[c] = auto
-        if len(witnesses) == len(Convention):
-            break
+    """`classify` under every convention: the group is sorted once, and
+    each convention signs it up to its first -1 sign.  Under the reference
+    labelling an automorphism's two factors s are equal, so its odd sign is
+    read off its turns alone."""
+    autos = sorted(autos)
+    edges, labels = rep.edges, range(1, rep.num_edges + 1)
+    witnesses = {
+        Convention.EVEN: (a for a in autos if _edge_sign(edges, labels, a, rep) < 0),
+        Convention.ODD: (a for a in autos if _turns(a) < 0),
+    }
     out = {}
-    for c in Convention:
-        w = witnesses.get(c)
+    for c, signed in witnesses.items():
+        w = next(signed, None)
         status = ClassStatus.GENERATOR if w is None else ClassStatus.ZERO
         out[c] = GraphClass(rep, status, w)
     return out

@@ -107,14 +107,10 @@ def test_criterion_3_sign_identity_suite():
 
 def test_criterion_3_detects_a_flipped_odd_sign(monkeypatch):
     """The sign-identity check fails when the production odd sign is
-    flipped: it reads the sign that `classify` uses, not a copy."""
-    rule = ori.relabelling_sign
-
-    def flipped(convention, *args):
-        sign = rule(convention, *args)
-        return -sign if convention is Convention.ODD else sign
-
-    monkeypatch.setattr(ori, "relabelling_sign", flipped)
+    flipped: it reads the sign that `classify` and `transported_sign` use,
+    the product of the vertex turns, not a copy."""
+    turns = ori._turns
+    monkeypatch.setattr(ori, "_turns", lambda dart_map: -turns(dart_map))
     checked, failures = _sign_identity_failures((1, 2))
     assert checked and failures >= checked // 2  # every odd comparison
 

@@ -329,7 +329,9 @@ def test_express_label_swap_sign(k4):
 # labelling `lab` with n vertices and e edges: a label list that is not a
 # permutation of 1..n, or a direction that is not its edge's two darts; a
 # label or dart that only equals an int is none (`sorted` raised TypeError
-# on None or a str, a float failed later as an index, `True` read as 1).
+# on None or a str, a float failed later as an index, `True` read as 1); and
+# a list or a direction that is not a sequence at all, which raised
+# TypeError.
 _NOT_LABELLINGS = {
     "vertex-zeros": lambda lab, n, e: dataclasses.replace(lab, vertex_labels=(0,) * n),
     "vertex-repeated": lambda lab, n, e: dataclasses.replace(
@@ -377,6 +379,12 @@ _NOT_LABELLINGS = {
     "vertex-bool": lambda lab, n, e: dataclasses.replace(
         lab, vertex_labels=(True,) + lab.vertex_labels[1:]
     ),
+    "direction-int": lambda lab, n, e: dataclasses.replace(
+        lab, directions=(lab.directions[0][0],) + lab.directions[1:]
+    ),
+    "vertex-labels-none": lambda lab, n, e: dataclasses.replace(lab, vertex_labels=None),
+    "edge-labels-none": lambda lab, n, e: dataclasses.replace(lab, edge_labels=None),
+    "directions-none": lambda lab, n, e: dataclasses.replace(lab, directions=None),
 }
 
 

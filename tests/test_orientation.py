@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycle_space_sign as ref
+import transport_sign
 from conftest import compose, inverse
+from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom import orientation as ori
 
@@ -58,14 +60,78 @@ def test_label_change_sign_examples(k4):
 
 @pytest.mark.parametrize("conv", [ori.Convention.EVEN, ori.Convention.ODD])
 def test_label_change_sign_matches_transport(theta, conv):
-    """A pure label change, carried along the identity map, has the sign
-    the rule gives its permutations with no edge reversed."""
+    """A pure label change, carried along the identity map, reverses no
+    edge: its sign is the parity of the edge permutation in the even
+    convention and of the vertex permutation in the odd one."""
     for edge_perm in ([0, 1, 2], [1, 0, 2], [1, 2, 0]):
         for vertex_perm in ([0, 1], [1, 0]):
             labelling = _label_change(theta, edge_perm, vertex_perm)
-            assert _sign(conv, theta, _identity(theta), labelling) == (
-                ori.relabelling_sign(conv, edge_perm, vertex_perm, 0)
-            )
+            perm = edge_perm if conv is ori.Convention.EVEN else vertex_perm
+            assert _sign(conv, theta, _identity(theta), labelling) == ori.perm_sign(perm)
+
+
+def _random_labelling(g, rng):
+    """g's labels shuffled and each of its edges directed at random."""
+    vertex_labels = list(range(1, g.num_vertices + 1))
+    edge_labels = list(range(1, g.num_edges + 1))
+    rng.shuffle(vertex_labels)
+    rng.shuffle(edge_labels)
+    directions = tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in g.edges)
+    return ori.OrientedLabelling(tuple(vertex_labels), tuple(edge_labels), directions)
+
+
+def _ihx_terms(g, basis):
+    """Each swap of an IHX term of g whose class is found, with its dart map
+    onto that class's representative."""
+    for e in range(g.num_edges):
+        if g.is_loop(e):
+            continue
+        for _, swap in hom.ihx_expand(g, e):
+            found = hom._lookup(g, basis, swap)
+            if not isinstance(found, str):
+                yield swap, found[1], basis.classes[found[0]].rep
+
+
+def test_transported_sign_matches_the_carried_permutations(rng):
+    """`transported_sign` reads the sign off the dart map alone; it agrees
+    with the rule on the permutations and reversals of the carried
+    labelling (`tests/transport_sign.py`) in both conventions: on every
+    automorphism of every class with k <= 5, both tadpole policies; on
+    every IHX term of every generator, k <= 5 under Exclude and k <= 4
+    under Include; and on random relabellings with shuffled labels and
+    flipped directions, carried onto their canonical form and into each of
+    their IHX terms."""
+    checked = 0
+
+    def check(*args):
+        nonlocal checked
+        for conv in ori.Convention:
+            checked += 1
+            want = transport_sign.transported_sign(conv, *args)
+            assert ori.transported_sign(conv, *args) == want, (conv, args)
+
+    for k in range(1, 6):
+        for policy in mg.TadpolePolicy:
+            for rep, autos in mg.enumerate_classes(k, policy):
+                labelling = ori.reference_labelling(rep)
+                for a in autos:
+                    check(rep, labelling, a, rep)
+            if k == 5 and policy is mg.TadpolePolicy.INCLUDE:
+                continue
+            bases = [hom.class_basis(k, conv, policy) for conv in ori.Convention]
+            generators = {cls.class_id for b in bases for cls in b.generators}
+            basis = bases[0]
+            for rep in (basis.classes[i].rep for i in sorted(generators)):
+                labelling = ori.reference_labelling(rep)
+                for swap, dart_map, target in _ihx_terms(rep, basis):
+                    check(rep, labelling, dart_map, target, swap)
+                g = mg.relabel(rep, mg.random_relabelling(rep, rng))
+                labelling = _random_labelling(g, rng)
+                canon, dart_map = mg.canonical_form(g)
+                check(g, labelling, dart_map, canon)
+                for swap, dart_map, target in _ihx_terms(g, basis):
+                    check(g, labelling, dart_map, target, swap)
+    assert checked > 50_000
 
 
 def test_perm_sign_basics():

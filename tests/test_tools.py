@@ -22,11 +22,13 @@ the only ones its certificate makes are the replays of sign witnesses.
 `tools/bench_rank.py` reaches the private `exactla._echelon` for its ranks
 mod p; its matrices, ranks and dimensions are pinned.  Every field a tool
 prints that does not depend on the machine (all but its wall times) is
-pinned.
+pinned.  Last, no module of `src/trihom` checks anything with `assert`,
+which `python -O` strips.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -252,3 +254,16 @@ def test_bench_rank_matrices_and_ranks():
         (5, "odd"): ("exclude", 91, True, [52, 52, 52]),
         (5, "even"): ("exclude", 91, True, [6, 6, 6]),
     }
+
+
+def test_no_assert_statement_in_the_package():
+    """Every check in `src/trihom` raises explicitly: an `assert` would
+    vanish under `python -O`, and the check with it."""
+    paths = sorted((ROOT / "src" / "trihom").glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(paths) > 5 and not found, found
