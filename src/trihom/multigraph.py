@@ -6,17 +6,18 @@ provides validation, isomorphism machinery, isomorph-free enumeration,
 and `ClassTable`, the one lookup of a graph among known representatives,
 which builds and walks the tries.  A relabelling, and so an isomorphism, is
 its dart map: a tuple whose entry d is the new dart of old dart d, which
-moves vertex v to dmap[3v] // 3.  Two functions walk the same
-relabellings: `_prefix_ties` (enumeration's tie-state test and, with a
-running bound, the canonical code, witness and automorphism group in one
-pass) and `_trie_walk` (lookup, which prunes by a trie of codes).
+moves vertex v to dmap[3v] // 3.  Two functions walk the relabellings:
+`_prefix_ties` (enumeration's tie-state test and, with a running bound,
+the canonical code, witness and automorphism group in one pass), which
+walks one branch of each loop or double-edge swap, and `_trie_walk`
+(lookup, which prunes by a trie of codes).
 """
 
 from __future__ import annotations
 
 import random
 from enum import Enum
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -210,11 +211,28 @@ def _min_code_ties(partner: Sequence[int]) -> tuple[tuple[int, ...], list[list[i
     """The least code over all relabellings of the pairing `partner`, and
     every dart map (old dart -> new dart) reaching it in search order: the
     first is the witness, and composed with its inverse they are the
-    code's automorphisms, each once.  One running-bound `_prefix_ties`."""
+    code's automorphisms, each once.  One running-bound `_prefix_ties`,
+    whose expanded maps sorted by their inverses are in search order."""
     nd = len(partner)
     bound = [nd] * nd
-    states = _prefix_ties(partner, nd, (), _seeds(partner, nd // 3), bound)
-    return tuple(bound), [s[2] for s in states]
+    maps = _tie_maps(_prefix_ties(partner, nd, (), _seeds(partner, nd // 3), bound))
+    maps.sort(key=lambda m: sorted(range(nd), key=m.__getitem__))
+    return tuple(bound), maps
+
+
+def _tie_maps(states: Iterable[tuple]) -> list[list[int]]:
+    """The dart maps of tie states: each state's `dmap` composed with every
+    product of its swaps (x z)(a b), which commute; a loop's is (x z)."""
+    maps = []
+    for _, _, dmap, _, _, swaps in states:
+        expanded = [dmap]
+        for x, z, a, b in swaps:
+            for m in expanded[:]:
+                s = m.copy()
+                s[x], s[z], s[a], s[b] = m[z], m[x], m[b], m[a]
+                expanded.append(s)
+        maps += expanded
+    return maps
 
 
 def _prefix_ties(
@@ -234,9 +252,10 @@ def _prefix_ties(
     `partner` holds -1 for darts whose partner is not yet known (the
     orderly generator's partial pairings); a code counts only up to the
     first slot whose dart has an unknown partner.  A tie state (pos, vnext,
-    dmap, dinv, vmap, vinv) is a partial relabelling whose code is
-    partner[:pos] and which stopped at `end` or at such a slot; `vinv[0]`
-    is its seed.  So None means every completion of `partner` has a code
+    dmap, dinv, vmap, swaps) is a partial relabelling whose code is
+    partner[:pos] and which stopped at `end` or at such a slot, with the
+    swaps of the branches it skipped; new vertex t is old vertex
+    dinv[3t] // 3.  So None means every completion of `partner` has a code
     below its own.
 
     A vertex takes its slots in order, the first when it is revealed, so a
@@ -247,6 +266,15 @@ def _prefix_ties(
     a branch point the state is copied for the first free dart and goes on
     in place with the second.
 
+    A loop or double edge at two free darts x < z, of a seed or at a branch
+    point (partners a, b known and on one vertex, a = z for a loop; not
+    numbered, as each numbered dart's partner was numbered at its slot),
+    gives the swap (x z)(a b): an automorphism of every completion that
+    fixes every numbered dart (McKay & Piperno 2014), so z's branch is x's
+    composed with it, code for code.  Only x's branch (at a seed, the
+    orders with x before z) is walked, and the swap is carried on the
+    state; a state's later swaps move darts not yet numbered, so commute.
+
     The search starts each order of each seed's darts in `fresh_seeds` and
     resumes each state in `ties`.  The tie states of a shorter bound that
     `partner` extends are enough: a code that went above or below it
@@ -254,7 +282,7 @@ def _prefix_ties(
     still has no partner is returned as the same object; no state is
     changed in place.  On a complete pairing with every seed of `_seeds`
     started or resumed, None means some relabelling has a smaller code,
-    and otherwise the states' `dmap`s are the pairing's automorphisms.
+    and otherwise the states' maps are the pairing's automorphisms.
 
     Given `bound`, a list of len(partner) slots, the search compares with
     it instead and lowers it in place: a code below it rewrites it from
@@ -266,11 +294,10 @@ def _prefix_ties(
     add a per-slot branch to this loop, which enumeration runs hottest.
     """
     nd = len(partner)
-    nv = nd // 3
     ref = partner if bound is None else bound
     found: list[tuple] = []
 
-    def extend(pos: int, vnext: int, dmap, dinv, vmap, vinv) -> bool:
+    def extend(pos: int, vnext: int, dmap, dinv, vmap, swaps) -> bool:
         """Follow a relabelling from slot `pos`, whose code so far ties the
         bound, on lists it owns; False if its code falls below a fixed
         bound."""
@@ -278,7 +305,7 @@ def _prefix_ties(
             x = dinv[pos]
             if x == -1:
                 # slot of a partially revealed vertex; its first free dart
-                x = 3 * vinv[pos // 3]
+                x = dinv[pos - pos % 3] // 3 * 3
                 if dmap[x] != -1:
                     x += 1
                     if dmap[x] != -1:
@@ -287,12 +314,15 @@ def _prefix_ties(
                     # a branch point: the vertex's second slot, with the
                     # dart after x that is free as the other branch
                     z = x + 1 if dmap[x + 1] == -1 else x + 2
-                    d, i = dmap.copy(), dinv.copy()
-                    d[x], i[pos] = pos, x
-                    if not extend(pos, vnext, d, i, vmap.copy(), vinv.copy()):
-                        return False
-                    dmap[z], dinv[pos] = pos, z
-                    return extend(pos, vnext, dmap, dinv, vmap, vinv)
+                    a, b = partner[x], partner[z]
+                    if a != -1 and a // 3 == b // 3:
+                        swaps += ((x, z, a, b),)
+                    else:
+                        d, i = dmap.copy(), dinv.copy()
+                        d[x], i[pos] = pos, x
+                        if not extend(pos, vnext, d, i, vmap.copy(), swaps):
+                            return False
+                        x = z
                 dmap[x] = pos
                 dinv[pos] = x
             y = partner[x]
@@ -320,36 +350,36 @@ def _prefix_ties(
             if dmap[y] == -1:
                 if t == -1:
                     vmap[w] = vnext
-                    vinv[vnext] = w
                     vnext += 1
                 dmap[y] = c
                 dinv[c] = y
             pos += 1
-        found.append((pos, vnext, dmap, dinv, vmap, vinv))
+        found.append((pos, vnext, dmap, dinv, vmap, swaps))
         return True
 
     try:
         for tie in ties:
-            pos, vnext, dmap, dinv, vmap, vinv = tie
+            pos, vnext, dmap, dinv, vmap, swaps = tie
             x = dinv[pos]
             if x != -1 and partner[x] == -1:
                 found.append(tie)
-            elif not extend(
-                pos, vnext, dmap.copy(), dinv.copy(), vmap.copy(), vinv.copy()
-            ):
+            elif not extend(pos, vnext, dmap.copy(), dinv.copy(), vmap.copy(), swaps):
                 return None
         for seed in fresh_seeds:
-            for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
-                dmap = [-1] * nd
-                dinv = [-1] * nd
-                vmap = [-1] * nv
-                vinv = [-1] * nv
-                for i, d in enumerate(order):
-                    dmap[d] = i
-                    dinv[i] = d
+            darts = (3 * seed, 3 * seed + 1, 3 * seed + 2)
+            swaps = ()
+            for x, z in combinations(darts, 2):
+                a, b = partner[x], partner[z]
+                if a != -1 and a // 3 == b // 3:
+                    swaps = ((x, z, a, b),)
+                    break
+            for order in permutations(darts):
+                if swaps and order.index(x) > order.index(z):
+                    continue
+                dmap, vmap = [-1] * nd, [-1] * (nd // 3)
+                dmap[order[0]], dmap[order[1]], dmap[order[2]] = 0, 1, 2
                 vmap[seed] = 0
-                vinv[0] = seed
-                if not extend(0, 1, dmap, dinv, vmap, vinv):
+                if not extend(0, 1, dmap, [*order] + [-1] * (nd - 3), vmap, swaps):
                     return None
         return found
     finally:
@@ -401,15 +431,15 @@ def _trie_walk(
     dart -> new dart) at the first code found.
 
     The walk follows the relabellings of `_prefix_ties` in the same order,
-    with the same branch points found the same way, but goes down a branch
-    only while its code so far is a path of its seed's trie (why it is a
-    walk of its own is said there).  At a branch point it recurses once
-    per free dart and undoes each in place.  The minimal
-    code is reached on one of these relabellings, so a code in the trie of
-    that relabelling's seed is always matched.  The search seeds only loop
-    vertices when there are loops; the walk leaves that to `roots`, since
-    a relabelling from any other seed puts a loopless vertex first and so
-    matches no minimal code of a graph with loops.
+    with the same branch points found the same way, but walks both sides
+    of a swap and goes down a branch only while its code so far is a path
+    of its seed's trie (why it is a walk of its own is said there).  At a
+    branch point it recurses once per free dart and undoes each in place.
+    The minimal code is reached on one of these relabellings, so a code in
+    the trie of that relabelling's seed is always matched.  The search
+    seeds only loop vertices when there are loops; the walk leaves that to
+    `roots`, since a relabelling from any other seed puts a loopless vertex
+    first and so matches no minimal code of a graph with loops.
     """
     nd = len(partner)
     nv = nd // 3
@@ -615,7 +645,7 @@ def enumerate_classes(
     cut when a relabelling of the revealed part already has a smaller
     determined code, so no completion is its own minimal code.  A complete
     pairing is always tested; it passes once per class, and the relabellings
-    that tie its whole code are its automorphism group.
+    that tie its whole code (`_tie_maps` of its states) are its automorphisms.
 
     The test resumes the tie states of the nearest tested ancestor and
     starts fresh only the seeds that ancestor did not have, so it checks
@@ -663,14 +693,14 @@ def enumerate_classes(
             # first loop on, only loop vertices seed
             seeds = _seeds(partner, touched)
             if any(v not in seeds for v in seeded):
-                ties = [t for t in ties if t[5][0] in seeds]
+                ties = [t for t in ties if t[3][0] // 3 in seeds]
             fresh = [v for v in seeds if v not in seeded]
             ties = _prefix_ties(partner, x, ties, fresh)
             if ties is None:
                 return
             seeded = seeds
         if x == nd:
-            group = [tuple(t[2]) for t in ties]
+            group = [tuple(m) for m in _tie_maps(ties)]
             yield _canonical_graph(nv, tuple(partner), True), group
             return
         for y in cands:

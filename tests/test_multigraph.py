@@ -135,8 +135,9 @@ def test_one_dfs_pairing_per_class_passes_bound(k, policy):
 def test_full_length_tie_test_matches_exhaustive_reference(k, policy):
     """On every DFS pairing the full-length tie test from scratch returns
     None exactly when the exhaustive search finds a code below the pairing;
-    otherwise its states' dart maps are the exhaustive search's
-    automorphism group.  So each class reached by the DFS is kept once."""
+    otherwise its states' dart maps, expanded by their swaps, are the
+    exhaustive search's automorphism group, each once.  So each class
+    reached by the DFS is kept once."""
     include = policy is mg.TadpolePolicy.INCLUDE
     kept = []
     for p in ref.pairing_dfs(k, include):
@@ -145,7 +146,7 @@ def test_full_length_tie_test_matches_exhaustive_reference(k, policy):
         want = exhaustive_search.min_code_maps(g, collect_all=True, bound=p)
         assert (ties is None) == (want is None)
         if ties is not None:
-            assert sorted(t[2] for t in ties) == sorted(want[1])
+            assert sorted(mg._tie_maps(ties)) == sorted(want[1])
             kept.append(p)
     assert sorted(kept) == [g.partner for g in mg.enumerate_trivalent(k, policy)]
 
@@ -204,11 +205,14 @@ def _tie_key(tie):
 )
 def test_resumed_prefix_test_matches_test_from_scratch(monkeypatch, k, policy):
     """At every tested node the prefix test resumed from the nearest tested
-    ancestor's tie states gives the verdict, and on a pass the tie states,
-    that the same test gives from scratch: no tie states and every seed
-    fresh.  Every state resumed and every seed started is a seed of the
-    node.  Resumed states are passed back unchanged when their next dart
-    is still unpaired, and never modified in place."""
+    ancestor's tie states gives the verdict, and on a pass the dart maps
+    of the tie states expanded by their swaps, that the same test gives
+    from scratch: no tie states and every seed fresh.  The states
+    themselves may differ, as a resumed pair can meet a branch point
+    before both partners are known and so carry other swaps.  Every state
+    resumed and every seed started is a seed of the node.  Resumed states
+    are passed back unchanged when their next dart is still unpaired, and
+    never modified in place."""
     prefix_ties = mg._prefix_ties
     tested = resumed = carried = 0
 
@@ -216,14 +220,14 @@ def test_resumed_prefix_test_matches_test_from_scratch(monkeypatch, k, policy):
         nonlocal tested, resumed, carried
         seeds = _seeds_from_scratch(partner)
         assert set(fresh_seeds) <= set(seeds)
-        assert all(t[5][0] in seeds for t in ties)
+        assert all(t[3][0] // 3 in seeds for t in ties)
         before = [_tie_key(t) for t in ties]
         got = prefix_ties(partner, end, ties, fresh_seeds)
         want = prefix_ties(list(partner), end, [], seeds)
         assert [_tie_key(t) for t in ties] == before
         assert (got is None) == (want is None)
         if got is not None:
-            assert sorted(map(_tie_key, got)) == sorted(map(_tie_key, want))
+            assert sorted(mg._tie_maps(got)) == sorted(mg._tie_maps(want))
             same = {id(t) for t in ties}
             carried += sum(id(t) in same for t in got)
         tested += 1
@@ -245,6 +249,88 @@ def test_enumerated_maps_give_the_automorphism_group(k, policy):
     automorphism group the exhaustive search finds, each once."""
     for rep, autos in mg.enumerate_classes(k, policy):
         assert sorted(autos) == _reference_automorphisms(rep)
+
+
+def _swap_kinds(states):
+    """Where the swaps of complete tie states fired, at a seed (the swapped
+    dart took a slot of vertex 0) or at a branch point, and on what, a loop
+    (a = z) or a double edge."""
+    return {
+        ("seed" if dmap[x] < 3 else "branch", "loop" if a == z else "double edge")
+        for _, _, dmap, _, _, swaps in states
+        for x, z, a, _ in swaps
+    }
+
+
+def _x_z_only(states):
+    """`_tie_maps` broken on purpose: each swap exchanges x and z but leaves
+    their partners a and b in place."""
+    maps = []
+    for _, _, dmap, _, _, swaps in states:
+        expanded = [dmap]
+        for x, z, _, _ in swaps:
+            for m in expanded[:]:
+                s = m.copy()
+                s[x], s[z] = m[z], m[x]
+                expanded.append(s)
+        maps += expanded
+    return maps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_swapped_branches_expand_to_the_automorphism_group(monkeypatch, k, policy):
+    """The tie walk walks one branch of each loop or double-edge swap, and
+    the maps of the branches it skips are its states' maps composed with
+    their swaps: each class's group from enumeration, and the maps of its
+    full-length test from scratch, are the exhaustive search's
+    automorphisms, each once.  Swaps fire at seeds and at branch points,
+    on double edges and, with loops, on loops.  From k = 2 on, an expansion
+    that swaps x and z but not their partners misses the group of some
+    class."""
+    nd = 6 * k
+    kinds = set()
+    for rep, autos in mg.enumerate_classes(k, policy):
+        want = _reference_automorphisms(rep)
+        assert sorted(autos) == want
+        states = mg._prefix_ties(rep.partner, nd, [], mg._seeds(rep.partner, 2 * k))
+        assert sorted(map(tuple, mg._tie_maps(states))) == want
+        kinds |= _swap_kinds(states)
+    fired = {("seed", "double edge"), ("branch", "double edge")}
+    if policy is mg.TadpolePolicy.INCLUDE:
+        fired |= {("seed", "loop"), ("branch", "loop")}
+    assert kinds == fired or k == 1
+    monkeypatch.setattr(mg, "_tie_maps", _x_z_only)
+    assert k == 1 or any(
+        sorted(autos) != _reference_automorphisms(rep)
+        for rep, autos in mg.enumerate_classes(k, policy)
+    )
+
+
+@pytest.mark.parametrize(
+    "graph, kinds",
+    [
+        ("dumbbell", {("seed", "loop"), ("branch", "loop")}),
+        ("theta", {("seed", "double edge")}),
+        ("b1", {("seed", "double edge"), ("branch", "double edge")}),
+    ],
+)
+def test_swap_fires_at_seeds_and_branch_points(request, graph, kinds):
+    """On the dumbbell the swap fires on the seed's loop and on the loop of
+    the vertex the seed reveals; on the theta on two of the seed's three
+    parallel edges; on the 4-cycle with two opposite edges doubled on the
+    seed's double edge and on the far double edge at a branch point.  The
+    search's maps are the exhaustive search's, in its order; swapping x
+    and z but not their partners breaks them where a double edge fired."""
+    g = request.getfixturevalue(graph)
+    nd = g.num_darts
+    states = mg._prefix_ties(g.partner, nd, (), mg._seeds(g.partner, nd // 3), [nd] * nd)
+    assert _swap_kinds(states) == kinds
+    code, maps = exhaustive_search.min_code_maps(g, collect_all=True)
+    assert mg._min_code_ties(g.partner) == (code, maps)
+    assert len(mg._tie_maps(states)) == len(maps) > len(states)
+    double_edge = any(kind == "double edge" for _, kind in kinds)
+    assert (sorted(_x_z_only(states)) != sorted(maps)) == double_edge
 
 
 @pytest.mark.parametrize(

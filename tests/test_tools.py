@@ -65,20 +65,21 @@ def test_bench_enum_counters():
             r["from_scratch_frames"],
             r["tie_states"],
             r["classes"],
+            r["group_order_sum"],
         )
         for r in rows
     }
     frames = "_prefix_ties.extend"
     assert got == {
         (4, "exclude"): (
-            149, 64, 37, 17, {"function": frames, "frames": 3245}, 8342,
-            {"given": 2863, "carried": 1573, "resumed": 1290, "most_held": 82},
-            20,
+            149, 64, 37, 17, {"function": frames, "frames": 2555}, 5302,
+            {"given": 2855, "carried": 1567, "resumed": 1288, "most_held": 82},
+            20, 572,
         ),
         (4, "include"): (
-            289, 114, 168, 97, {"function": frames, "frames": 5634}, 14091,
-            {"given": 4248, "carried": 1903, "resumed": 2345, "most_held": 82},
-            71,
+            289, 114, 168, 97, {"function": frames, "frames": 3579}, 7231,
+            {"given": 3637, "carried": 1789, "resumed": 1848, "most_held": 82},
+            71, 2700,
         ),
     }
 
@@ -87,7 +88,7 @@ def test_bench_lookup_counters():
     out = _run_tool("bench_lookup.py", "--repeats", "0")
     assert out["frames"] == {
         "lookups": 2000,
-        "search_frames_per_lookup": 228.71,
+        "search_frames_per_lookup": 89.12,
         "search_seeds_per_lookup": 8.0,
         "walk_frames_per_lookup": 8.88,
         "walk_seeds_per_lookup": 1.07,

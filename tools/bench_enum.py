@@ -23,7 +23,9 @@ Per case, from one enumeration:
 - `tie_states`: states handed to inner tested nodes that pass (`given`),
   those returned as the same object because their next dart is still
   unpaired (`carried`), the rest, which were extended (`resumed`), and the
-  most returned by one node (`most_held`).
+  most returned by one node (`most_held`);
+- `classes` and `group_order_sum`: the classes enumerated and the sum of
+  the orders of their automorphism groups, as enumeration yields them.
 
 With `--time N` each case also gets the wall times of N further runs of
 `list(enumerate_trivalent(k, policy))` and of `class_basis(k, odd,
@@ -86,9 +88,10 @@ def counters(k, policy):
 
     mg._prefix_ties = counted_test
     try:
-        out["classes"] = sum(1 for _ in mg.enumerate_classes(k, policy))
+        orders = [len(group) for _, group in mg.enumerate_classes(k, policy)]
     finally:
         mg._prefix_ties = prefix_ties
+    out["classes"], out["group_order_sum"] = len(orders), sum(orders)
     given, carried = ties_seen["given"], ties_seen["carried"]
     out["prefix_test_frames"] = {
         "function": "_prefix_ties.extend",
