@@ -288,7 +288,7 @@ class RelationData:
 
     `rows[i]` is the (generator class id, edge) pair whose expansion gave
     `matrix.rows[i]`; `zero_rows` holds the pairs of zero rows.  No notes
-    are kept: `_row` writes them again from the pair's `_terms`.  Every
+    are kept: `_notes` writes them again from the pair's `_terms`.  Every
     non-loop edge of a generator is counted once: as a row, a zero row, a
     duplicate, or `skipped` unexpanded (see `relation_matrix`)."""
 
@@ -331,20 +331,26 @@ def _terms(
     ]
 
 
-def _row(
-    basis: ClassBasis, terms: list[tuple[str, Expressed]]
-) -> tuple[dict[int, int], tuple[str, ...]]:
-    """The sum of `terms` over generator columns, plus per-term notes."""
+def _row(basis: ClassBasis, terms: list[tuple[str, Expressed]]) -> dict[int, int]:
+    """The sum of `terms` over generator columns."""
     acc: dict[int, int] = {}
+    for _, res in terms:
+        if not res.is_zero:
+            col = basis.columns[res.cls.class_id]
+            acc[col] = acc.get(col, 0) + res.coefficient
+    return {c: v for c, v in acc.items() if v != 0}
+
+
+def _notes(basis: ClassBasis, terms: list[tuple[str, Expressed]]) -> tuple[str, ...]:
+    """A note per term: its tag with its zero reason or its signed column."""
     notes = []
     for tag, res in terms:
         if res.is_zero:
             notes.append(f"{tag}:0({res.zero_reason})")
-            continue
-        col = basis.columns[res.cls.class_id]
-        notes.append(f"{tag}:{'+' if res.coefficient > 0 else '-'}g{col}")
-        acc[col] = acc.get(col, 0) + res.coefficient
-    return {c: v for c, v in acc.items() if v != 0}, tuple(notes)
+        else:
+            sign = "+" if res.coefficient > 0 else "-"
+            notes.append(f"{tag}:{sign}g{basis.columns[res.cls.class_id]}")
+    return tuple(notes)
 
 
 def relation_matrix(basis: ClassBasis) -> RelationData:
@@ -390,7 +396,7 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
                     image = res.cls.rep.edge_of_dart(res.dart_map[a])
                     term_id = res.cls.class_id
                     done.add((term_id, basis.orbit_min[term_id][image]))
-            acc = _row(basis, terms)[0]
+            acc = _row(basis, terms)
             if not acc:
                 zero_rows.append((cls.class_id, e))
                 continue

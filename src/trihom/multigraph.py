@@ -6,11 +6,11 @@ provides validation, isomorphism machinery, isomorph-free enumeration,
 and `ClassTable`, the one lookup of a graph among known representatives,
 which builds and walks the tries.  A relabelling, and so an isomorphism, is
 its dart map: a tuple whose entry d is the new dart of old dart d, which
-moves vertex v to dmap[3v] // 3.  Two functions walk the relabellings:
-`_prefix_ties` (enumeration's tie-state test and, with a running bound,
-the canonical code, witness and automorphism group in one pass), which
-walks one branch of each loop or double-edge swap, and `_trie_walk`
-(lookup, which prunes by a trie of codes).
+moves vertex v to dmap[3v] // 3.  Two functions walk the relabellings,
+each down one branch of each loop or double-edge swap: `_prefix_ties`
+(enumeration's tie-state test and, with a running bound, the canonical
+code, witness and automorphism group in one pass) and `_trie_walk`
+(lookup, which prunes by tries of codes).
 """
 
 from __future__ import annotations
@@ -419,35 +419,39 @@ def vertex_invariants(partner: Sequence[int]) -> list[tuple[int, int, int, int]]
 
 
 def _trie_walk(
-    partner: Sequence[int], roots: Sequence[dict | None]
+    partner: Sequence[int], invariants: Sequence[tuple], roots: dict[tuple, dict]
 ) -> tuple[object, tuple[int, ...]] | None:
     """A relabelling of the complete pairing `partner` whose code is one of
     the codes stored in the tries `roots`, or None if there is none.
 
-    `roots[v]` holds the codes that a relabelling sending vertex v to
-    vertex 0 may reach, as nested dicts, one level per slot, with a payload
-    in place of the last level's dict; None there means no code is reached
-    from v, and v is not tried.  Returns the payload and the dart map (old
+    `roots[i][e]` holds the codes that a relabelling may reach when it
+    sends to vertex 0 a vertex of invariant i whose darts, in their new
+    order, lead to vertices of invariants e, as nested dicts, one level per
+    slot, with a payload in place of the last level's dict; `invariants`
+    are those of `partner`'s vertices.  An order of a seed's darts with no
+    such trie is not started.  Returns the payload and the dart map (old
     dart -> new dart) at the first code found.
 
     The walk follows the relabellings of `_prefix_ties` in the same order,
-    with the same branch points found the same way, but walks both sides
-    of a swap and goes down a branch only while its code so far is a path
-    of its seed's trie (why it is a walk of its own is said there).  At a
-    branch point it recurses once per free dart and undoes each in place.
-    The minimal code is reached on one of these relabellings, so a code in
-    the trie of that relabelling's seed is always matched.  The search
-    seeds only loop vertices when there are loops; the walk leaves that to
-    `roots`, since a relabelling from any other seed puts a loopless vertex
-    first and so matches no minimal code of a graph with loops.
+    with the same branch points found the same way, and goes down a branch
+    only while its code so far is a path of its order's trie (why it is a
+    walk of its own is said there).  At a branch point it recurses once per
+    free dart and undoes each in place.  Of two free darts x < z whose
+    partners are on one vertex, at a seed or at a branch point, only x's
+    branch is walked: the swap (x z)(a b), a and b their partners, is an
+    automorphism fixing every numbered dart, so z's branch reaches x's
+    codes, after x's, and can match only where x's has.  The minimal code is reached on one of the
+    walked relabellings, so a code in the trie of that relabelling's order
+    is always matched.  The search seeds only loop vertices when there are
+    loops; the walk leaves that to `roots`, since a relabelling from any
+    other seed puts a loopless vertex first and so matches no minimal code
+    of a graph with loops.
     """
     nd = len(partner)
-    nv = nd // 3
 
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
-    vmap = [-1] * nv  # old vertex -> new vertex
-    vinv = [-1] * nv  # new vertex -> old vertex
+    vmap = [-1] * (nd // 3)  # old vertex -> new vertex
 
     def walk(pos: int, vnext: int, node) -> tuple[object, tuple[int, ...]] | None:
         """Extend the relabelling from slot `pos`, whose code prefix led to
@@ -461,21 +465,24 @@ def _trie_walk(
                 break
             x = dinv[pos]
             if x == -1:
-                x = 3 * vinv[pos // 3]
+                # its vertex was revealed by the dart at its first slot
+                x = dinv[pos - pos % 3] // 3 * 3
                 if dmap[x] != -1:
                     x += 1
                     if dmap[x] != -1:
                         x += 1
                 if pos % 3 == 1:
-                    for y in (x, x + 1 if dmap[x + 1] == -1 else x + 2):
-                        dmap[y] = pos
-                        dinv[pos] = y
-                        found = walk(pos, vnext, node)
-                        dmap[y] = -1
-                        dinv[pos] = -1
-                        if found is not None:
-                            break
-                    break
+                    z = x + 1 if dmap[x + 1] == -1 else x + 2
+                    if partner[x] // 3 != partner[z] // 3:
+                        for y in (x, z):
+                            dmap[y] = pos
+                            dinv[pos] = y
+                            found = walk(pos, vnext, node)
+                            dmap[y] = -1
+                            dinv[pos] = -1
+                            if found is not None:
+                                break
+                        break
                 dmap[x] = pos
                 dinv[pos] = x
                 assigned.append(x)
@@ -499,7 +506,6 @@ def _trie_walk(
                 break
             if reveal != -1:
                 vmap[reveal] = vnext
-                vinv[vnext] = reveal
                 revealed.append(reveal)
                 vnext += 1
             if dmap[y] == -1:
@@ -511,27 +517,38 @@ def _trie_walk(
             dinv[dmap[d]] = -1
             dmap[d] = -1
         for w in revealed:
-            vinv[vmap[w]] = -1
             vmap[w] = -1
         return found
 
-    for seed, root in enumerate(roots):
-        if root is None:
+    for seed, invariant in enumerate(invariants):
+        by_ends = roots.get(invariant)
+        if by_ends is None:
             continue
         vmap[seed] = 0
-        vinv[0] = seed
-        for order in permutations((3 * seed, 3 * seed + 1, 3 * seed + 2)):
-            for i, d in enumerate(order):
-                dmap[d] = i
-                dinv[i] = d
+        darts = (3 * seed, 3 * seed + 1, 3 * seed + 2)
+        ends = [partner[d] // 3 for d in darts]
+        keys = [invariants[w] for w in ends]
+        for i, j, l in permutations(range(3)):
+            root = by_ends.get((keys[i], keys[j], keys[l]))
+            # a swap's z before its x: the order with the two exchanged
+            # comes first and reaches the same codes
+            if root is None or (
+                (i > j and ends[i] == ends[j])
+                or (i > l and ends[i] == ends[l])
+                or (j > l and ends[j] == ends[l])
+            ):
+                continue
+            order = (darts[i], darts[j], darts[l])
+            for slot, d in enumerate(order):
+                dmap[d] = slot
+                dinv[slot] = d
             found = walk(0, 1, root)
-            for i, d in enumerate(order):
+            for slot, d in enumerate(order):
                 dmap[d] = -1
-                dinv[i] = -1
+                dinv[slot] = -1
             if found is not None:
                 return found
         vmap[seed] = -1
-        vinv[0] = -1
     return None
 
 
@@ -542,16 +559,18 @@ class ClassTable:
 
     The tries are bucketed by `vertex_invariants`: first by the sorted
     invariants of the whole graph, then by the invariant of the
-    representative's vertex 0."""
+    representative's vertex 0, then by the invariants of the vertices at
+    the other ends of its darts 0, 1 and 2, in slot order."""
 
     def __init__(self, reps: Sequence[DartGraph]):
         self._ids = {rep.partner: i for i, rep in enumerate(reps)}
-        self._buckets: dict[tuple, dict[tuple, dict]] = {}
+        self._buckets: dict[tuple, dict[tuple, dict[tuple, dict]]] = {}
         for i, rep in enumerate(reps):
             invariants = vertex_invariants(rep.partner)
             roots = self._buckets.setdefault(tuple(sorted(invariants)), {})
             *head, last = rep.partner
-            node = roots.setdefault(invariants[0], {})
+            ends = tuple(invariants[y // 3] for y in head[:3])
+            node = roots.setdefault(invariants[0], {}).setdefault(ends, {})
             for x in head:
                 node = node.setdefault(x, {})
             node[last] = i
@@ -562,12 +581,15 @@ class ClassTable:
 
         A representative is its own witness under the identity; any other
         graph is matched by walking the representatives' codes in its
-        invariants' bucket, from each vertex whose invariant some
-        representative's vertex 0 has.  The graph's own representative is in
-        that bucket, and a relabelling onto it sends to vertex 0 a vertex with
-        the invariant of the representative's vertex 0; so the walk skips
-        only seeds and codes that match nothing, and its first match is the
-        one a walk of every code from every seed would find.
+        invariants' bucket, from each order of a vertex's darts whose
+        vertex and whose darts' other ends, in that order, have the
+        invariants of some representative's vertex 0 and of the other ends
+        of its darts 0, 1 and 2.  The graph's own representative is in that
+        bucket, and a relabelling onto it carries each vertex to one with
+        the same invariant; so the walk skips only orders and codes that
+        match nothing, and branches that match only after a branch walked
+        before them (see `_trie_walk`), and its first match is the one a
+        walk of every code from every order of every seed would find.
         Representatives are pairwise non-isomorphic, so the class is unique.
         """
         class_id = self._ids.get(partner)
@@ -575,11 +597,7 @@ class ClassTable:
             return class_id, tuple(range(len(partner)))
         invariants = vertex_invariants(partner)
         roots = self._buckets.get(tuple(sorted(invariants)))
-        found = (
-            None
-            if roots is None
-            else _trie_walk(partner, [roots.get(x) for x in invariants])
-        )
+        found = None if roots is None else _trie_walk(partner, invariants, roots)
         if found is None:
             code = " ".join(map(str, partner))
             raise UnknownClass(f"no class in the table for pairing {code}")
@@ -630,11 +648,10 @@ def automorphisms(g: DartGraph) -> list[tuple[int, ...]]:
     return sorted(tuple(w_inv[c] for c in t) for t in maps)
 
 
-def enumerate_classes(
-    k: int, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
-) -> Iterator[tuple[DartGraph, list[tuple[int, ...]]]]:
+def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tuple]]]:
     """One canonical representative per isomorphism class, in canonical-code
-    order, each with its automorphism group as dart maps, in no set order.
+    order, each with the tie states of its test (see `enumerate_classes`,
+    whose automorphisms are their `_tie_maps`).
 
     Orderly generation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998).  A DFS pairs the smallest free dart x with the
@@ -645,7 +662,7 @@ def enumerate_classes(
     cut when a relabelling of the revealed part already has a smaller
     determined code, so no completion is its own minimal code.  A complete
     pairing is always tested; it passes once per class, and the relabellings
-    that tie its whole code (`_tie_maps` of its states) are its automorphisms.
+    that tie its whole code are its automorphisms.
 
     The test resumes the tie states of the nearest tested ancestor and
     starts fresh only the seeds that ancestor did not have, so it checks
@@ -672,7 +689,7 @@ def enumerate_classes(
 
     def rec(
         x: int, touched: int, ties: list[tuple], seeded: Sequence[int]
-    ) -> Iterator[tuple[DartGraph, list[tuple[int, ...]]]]:
+    ) -> Iterator[tuple[DartGraph, list[tuple]]]:
         while x < 3 * touched and partner[x] != -1:
             x += 1
         cands = []
@@ -700,8 +717,7 @@ def enumerate_classes(
                 return
             seeded = seeds
         if x == nd:
-            group = [tuple(m) for m in _tie_maps(ties)]
-            yield _canonical_graph(nv, tuple(partner), True), group
+            yield _canonical_graph(nv, tuple(partner), True), ties
             return
         for y in cands:
             partner[x] = y
@@ -718,9 +734,20 @@ def enumerate_classes(
         yield found
 
 
+def enumerate_classes(
+    k: int, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
+) -> Iterator[tuple[DartGraph, list[tuple[int, ...]]]]:
+    """One canonical representative per isomorphism class, in canonical-code
+    order (see `_orderly`), each with its automorphism group as dart maps,
+    in no set order: the `_tie_maps` of its test's tie states."""
+    for rep, ties in _orderly(k, policy):
+        yield rep, [tuple(m) for m in _tie_maps(ties)]
+
+
 def enumerate_trivalent(
     k: int, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
 ) -> Iterator[DartGraph]:
-    """One canonical representative per isomorphism class, in canonical-code order."""
-    for rep, _ in enumerate_classes(k, policy):
+    """One canonical representative per isomorphism class, in canonical-code
+    order, without the groups that `enumerate_classes` expands."""
+    for rep, _ in _orderly(k, policy):
         yield rep

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from trihom.errors import LoopEdge
 from trihom.exactla import SparseIntMatrix
-from trihom.homology import ClassBasis, Expressed, RelationData, _row
+from trihom.homology import ClassBasis, Expressed, RelationData, _notes, _row
 from trihom.multigraph import DartGraph, TadpolePolicy, _connected
 from trihom.orientation import (
     ClassStatus,
@@ -108,7 +108,8 @@ def expand_row(
     basis: ClassBasis, g: DartGraph, labelling: OrientedLabelling, edge_index: int
 ) -> tuple[dict[int, int], tuple[str, ...]]:
     """One IHX row over generator columns, plus per-term notes."""
-    return _row(basis, expand_terms(basis, g, labelling, edge_index))
+    terms = expand_terms(basis, g, labelling, edge_index)
+    return _row(basis, terms), _notes(basis, terms)
 
 
 def relation_matrix(

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -150,8 +151,8 @@ def test_skipped_edges_keep_the_full_expansion_rows(k, conv, policy):
         class_id, e = pair
         rep = basis.classes[class_id].rep
         terms = hom._terms(basis, rep, reference_labelling(rep), e)
-        acc, notes = hom._row(basis, terms)
-        return tuple(sorted(acc.items())), notes
+        acc = hom._row(basis, terms)
+        return tuple(sorted(acc.items())), hom._notes(basis, terms)
 
     assert rel.matrix.content_hash() == ref.matrix.content_hash()
     assert rel.rows == ref.rows
@@ -897,9 +898,9 @@ def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):
         searches.append((phase[0], tuple(partner)))
         return min_code_ties(partner)
 
-    def counted_walk(partner, roots):
+    def counted_walk(partner, invariants, roots):
         walks.append((phase[0], tuple(partner)))
-        return trie_walk(partner, roots)
+        return trie_walk(partner, invariants, roots)
 
     def relations_phase(basis):
         phase[0] = "relations"
@@ -927,9 +928,9 @@ def walks(monkeypatch):
     trie_walk = mg._trie_walk
 
     @functools.wraps(trie_walk)
-    def counted_walk(partner, roots):
+    def counted_walk(partner, invariants, roots):
         walked.append(partner)
-        return trie_walk(partner, roots)
+        return trie_walk(partner, invariants, roots)
 
     monkeypatch.setattr(mg, "_trie_walk", counted_walk)
     return walked
@@ -937,9 +938,10 @@ def walks(monkeypatch):
 
 def test_term_walks_follow_a_third_of_the_shared_trie_frames(walks):
     """Recursive walk frames in the full expansion of every edge at k=4,
-    odd, exclude, without a clock: its 268 term walks follow 2,556 frames
-    from the bucketed tries, where walks of one trie of every code followed
-    10,266."""
+    odd, exclude, without a clock: its 268 term walks follow 1,543 frames
+    from the tries keyed by the seed's and its neighbours' invariants, where
+    walks from every order of every seed whose own invariant matched
+    followed 2,556, and walks of one trie of every code followed 10,266."""
     trie_walk = mg._trie_walk.__wrapped__  # the fixture counts the walks
     walk = next(
         c for c in trie_walk.__code__.co_consts if getattr(c, "co_name", None) == "walk"
@@ -957,7 +959,7 @@ def test_term_walks_follow_a_third_of_the_shared_trie_frames(walks):
     finally:
         sys.setprofile(None)
     assert len(walks) == 268
-    assert len(frames) == 2_556
+    assert len(frames) == 1_543
     assert 3 * len(frames) <= 10_266
 
 
@@ -1017,6 +1019,34 @@ def test_find_matches_canonical_form_reference():
                     walked += 1
                 assert list(witness) == expected
     assert walked > 300
+
+
+@pytest.mark.parametrize("graph, k, policy", [
+    ("dumbbell", 1, TP.INCLUDE), ("theta", 1, TP.INCLUDE), ("b1", 2, TP.EXCLUDE)
+])
+def test_find_skips_swapped_orders_and_branches_exactly(request, graph, k, policy):
+    """On the graphs where swaps fire at seeds and at branch points (loops
+    on the dumbbell, the theta's parallel edges, the double edges of the
+    4-cycle with two opposite edges doubled), every random relabelling is
+    found with the witness that the walk of one trie of every code, from
+    every order of every seed and down both branches of each swap, finds
+    first.  The two-vertex graphs are drawn in each of their relabelled
+    pairings."""
+    g = request.getfixturevalue(graph)
+    basis = hom.class_basis(k, Convention.ODD, policy)
+    trie = ref.shared_trie(basis.classes)
+    rng = random.Random(33)
+    drawn = set()
+    for _ in range(100):
+        h = mg.relabel(g, mg.random_relabelling(g, rng))
+        class_id, witness = basis.table.find(h.partner)
+        ref_cls, expected = ref.trie_walk(h.partner, trie)
+        assert basis.classes[class_id] is ref_cls
+        assert list(witness) == expected
+        drawn.add(h.partner)
+    nv = g.num_vertices
+    pairings = math.factorial(nv) * 6**nv // len(mg.automorphisms(g))
+    assert len(drawn) >= min(pairings, 80)
 
 
 @pytest.mark.parametrize("bucket", ["absent", "present"])
@@ -1277,7 +1307,7 @@ def test_rows_labelling_invariant_and_complete(walks, k, conv, rng):
                     terms = hom._terms(basis, h, lab, e)
                     reference = full_expansion.expand_terms(basis, h, lab, e)
                     assert terms == reference
-                    acc, _notes = hom._row(basis, terms)
+                    acc = hom._row(basis, terms)
                     if acc:
                         extra_rows.append(sorted(acc.items()))
     stacked = SparseIntMatrix(

@@ -239,16 +239,19 @@ def test_resumed_prefix_test_matches_test_from_scratch(monkeypatch, k, policy):
     assert (tested and resumed and carried) or k == 1
 
 
-@pytest.mark.parametrize(
-    "k, policy",
-    [(k, pol) for k in (1, 2, 3, 4) for pol in mg.TadpolePolicy]
-    + [(5, mg.TadpolePolicy.EXCLUDE)],
-)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
 def test_enumerated_maps_give_the_automorphism_group(k, policy):
-    """The dart maps enumeration yields with a representative are the
-    automorphism group the exhaustive search finds, each once."""
+    """The dart maps enumeration yields with a representative, and the maps
+    of its full-length test from scratch, each state's map composed with
+    every product of its swaps, are the automorphism group the exhaustive
+    search finds, each once."""
+    nd = 6 * k
     for rep, autos in mg.enumerate_classes(k, policy):
-        assert sorted(autos) == _reference_automorphisms(rep)
+        want = _reference_automorphisms(rep)
+        assert sorted(autos) == want
+        states = mg._prefix_ties(rep.partner, nd, [], mg._seeds(rep.partner, 2 * k))
+        assert sorted(map(tuple, mg._tie_maps(states))) == want
 
 
 def _swap_kinds(states):
@@ -279,32 +282,26 @@ def _x_z_only(states):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
-def test_swapped_branches_expand_to_the_automorphism_group(monkeypatch, k, policy):
+def test_swapped_branches_expand_to_the_automorphism_group(k, policy):
     """The tie walk walks one branch of each loop or double-edge swap, and
     the maps of the branches it skips are its states' maps composed with
-    their swaps: each class's group from enumeration, and the maps of its
-    full-length test from scratch, are the exhaustive search's
-    automorphisms, each once.  Swaps fire at seeds and at branch points,
-    on double edges and, with loops, on loops.  From k = 2 on, an expansion
-    that swaps x and z but not their partners misses the group of some
-    class."""
+    their swaps, which give each class's group (checked against the
+    exhaustive search above).  Swaps fire at seeds and at branch points, on
+    double edges and, with loops, on loops.  From k = 2 on, an expansion of
+    enumeration's tie states that swaps x and z but not their partners
+    misses the group of some class."""
     nd = 6 * k
     kinds = set()
-    for rep, autos in mg.enumerate_classes(k, policy):
-        want = _reference_automorphisms(rep)
-        assert sorted(autos) == want
+    broken = False
+    for rep, ties in mg._orderly(k, policy):
         states = mg._prefix_ties(rep.partner, nd, [], mg._seeds(rep.partner, 2 * k))
-        assert sorted(map(tuple, mg._tie_maps(states))) == want
         kinds |= _swap_kinds(states)
+        broken = broken or sorted(_x_z_only(ties)) != sorted(mg._tie_maps(ties))
     fired = {("seed", "double edge"), ("branch", "double edge")}
     if policy is mg.TadpolePolicy.INCLUDE:
         fired |= {("seed", "loop"), ("branch", "loop")}
     assert kinds == fired or k == 1
-    monkeypatch.setattr(mg, "_tie_maps", _x_z_only)
-    assert k == 1 or any(
-        sorted(autos) != _reference_automorphisms(rep)
-        for rep, autos in mg.enumerate_classes(k, policy)
-    )
+    assert broken or k == 1
 
 
 @pytest.mark.parametrize(
@@ -528,13 +525,14 @@ def test_enumeration_streams_in_code_order(k, policy):
 
 
 def test_enumeration_resource_limit(monkeypatch):
-    """The class count is checked as classes stream out: the first class
-    of k=2 is yielded under a ceiling of 1, the second raises."""
+    """The class count is checked as classes stream out, with or without
+    their groups: the first class of k=2 is yielded under a ceiling of 1,
+    the second raises."""
     monkeypatch.setenv("AK_MAX_CLASSES", "1")
-    classes = mg.enumerate_trivalent(2)
-    assert next(classes).partner == (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8)
-    with pytest.raises(ResourceLimit, match="AK_MAX_CLASSES=1 at k=2"):
-        next(classes)
+    for classes in (mg.enumerate_trivalent(2), (r for r, _ in mg.enumerate_classes(2))):
+        assert next(classes).partner == (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8)
+        with pytest.raises(ResourceLimit, match="AK_MAX_CLASSES=1 at k=2"):
+            next(classes)
 
 
 def test_enumeration_malformed_limit(monkeypatch):

@@ -90,8 +90,10 @@ def test_bench_lookup_counters():
         "lookups": 2000,
         "search_frames_per_lookup": 89.12,
         "search_seeds_per_lookup": 8.0,
-        "walk_frames_per_lookup": 8.88,
-        "walk_seeds_per_lookup": 1.07,
+        "walk_frames_per_lookup": 5.3,
+        "walk_seeds_per_lookup": 1.0,
+        "walk_orders_per_lookup": 1.15,
+        "table_dicts": 521,
     }
     relations = {
         (r["k"], r["convention"]): (

@@ -39,13 +39,14 @@ class Counted:
 
 class Frames:
     """The frames of the function `name` nested in `outer` entered while
-    `run` calls (`count`), and the seeds `outer` started them at: over the
-    calls of `outer`, the distinct values of its `seed` loop variable at
-    its own calls of the nested function (`seeds`, as (call, seed))."""
+    `run` calls (`count`), those of them that `outer` started in its seed
+    loop (`starts`), and the seeds it started them at: over the calls of
+    `outer`, the distinct values of its `seed` loop variable at its own
+    calls of the nested function (`seeds`, as (call, seed))."""
 
     def __init__(self, outer, name):
         self.outer, self.code = outer.__code__, nested_code(outer, name)
-        self.count = self.calls = 0
+        self.count = self.calls = self.starts = 0
         self.seeds: set[tuple[int, int]] = set()
 
     def _profile(self, frame, event, arg):
@@ -58,6 +59,7 @@ class Frames:
             caller = frame.f_back
             # a call made before the seed loop (a resumed state) has none
             if caller.f_code is self.outer and "seed" in caller.f_locals:
+                self.starts += 1
                 self.seeds.add((self.calls, caller.f_locals["seed"]))
 
     def run(self, call, *args):

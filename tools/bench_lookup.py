@@ -20,7 +20,9 @@ own copy.
   behind `canonical_form` runs (`_prefix_ties.extend`) and of the trie walk
   behind `ClassTable.find`, per lookup, and the seeds each starts per
   lookup (the distinct values of the outer function's `seed` loop
-  variable at its calls of the recursive one).
+  variable at its calls of the recursive one); for the trie walk also the
+  orders of a seed's darts it starts per lookup (those calls), and the
+  dicts of the class table, its tries and the levels that key them.
 - `lookup_walls`: on the same 2,000 graphs, `--repeats` uncounted wall
   times of all their `ClassTable.find` calls and of all their
   `vertex_invariants` calls, with the medians per call in microseconds.
@@ -102,7 +104,14 @@ def frames(basis, graphs):
         "search_seeds_per_lookup": round(len(search.seeds) / n, 2),
         "walk_frames_per_lookup": round(walk.count / n, 2),
         "walk_seeds_per_lookup": round(len(walk.seeds) / n, 2),
+        "walk_orders_per_lookup": round(walk.starts / n, 2),
+        "table_dicts": dicts(basis.table._buckets),
     }
+
+
+def dicts(node):
+    """The dicts nested in `node`, itself included."""
+    return 1 + sum(dicts(v) for v in node.values() if isinstance(v, dict))
 
 
 def lookup_walls(basis, graphs, repeats):
