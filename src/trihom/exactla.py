@@ -2,11 +2,10 @@
 
 Everything here is exact.  One sparse echelon, `_echelon(m, p)`, over Q or
 over F_p and gated by `AK_MAX_MATRIX` on the entries it stores, serves
-every call.  Over Q, back-substitution gives `kernel`, and so `rank`; the
-same over Mᵀ with the targets as extra columns gives `solve_combinations`,
-x M = t.  Its pivots mod the fixed primes `PRIMES` give `modular_rank`,
-never above the rank over Q; as both ranks share the code,
-`homology.dimension` replays the functionals in integers.  No floats.
+every call.  Its pivots are `rank`, and mod a prime p `modular_rank`, never
+above it; back-substitution over Q gives `kernel`, and over Mᵀ with the
+targets as extra columns `solve_combinations`, x M = t.  As the ranks share
+the code, `homology.dimension` also replays the functionals.  No floats.
 """
 
 from __future__ import annotations
@@ -169,11 +168,9 @@ def _echelon(
     return pivots
 
 
-def modular_rank(m: SparseIntMatrix, primes: Sequence[int]) -> int:
-    """max over primes of rank mod p; a certified lower bound for rank()."""
-    if len(primes) < 2:
-        raise ValueError("need at least 2 primes")
-    return max(len(_echelon(m, p)) for p in primes)
+def modular_rank(m: SparseIntMatrix, p: int) -> int:
+    """Rank mod the prime p: never above `rank`."""
+    return len(_echelon(m, p))
 
 
 def _back_substitute(
@@ -203,8 +200,8 @@ def kernel(m: SparseIntMatrix) -> list[dict[int, Fraction]]:
 
 
 def rank(m: SparseIntMatrix) -> int:
-    """Exact rank over the rationals: the columns less the kernel's size."""
-    return m.num_cols - len(kernel(m))
+    """Exact rank over the rationals: the pivots of m's echelon."""
+    return len(_echelon(m))
 
 
 def solve_combinations(

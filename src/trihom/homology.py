@@ -483,11 +483,12 @@ def dimension(
     k: int, convention: Convention, policy: TadpolePolicy = TadpolePolicy.EXCLUDE
 ) -> DimensionReport:
     """Exact dimension of the quotient at (k, convention, policy): the number
-    of functionals that vanish on every relation row, which certify
-    nonzero classes; the rank is the generators less that number.  No two
-    functionals end at one column, so they are independent, and each
-    replays in integers (`_annihilates`): a lower bound that the rank mod
-    `PRIMES` meets from above.  A failed check raises."""
+    of functionals that vanish on every relation row, which certify nonzero
+    classes; the rank r is the generators less that number.  They end at
+    distinct columns, so are independent, and replay in integers
+    (`_annihilates`): M's rank is at most r.  No rank mod p is above it, so
+    the check stops at the first prime of `PRIMES` that meets r, and raises
+    when none does, as every other failed check raises."""
     basis = class_basis(k, convention, policy)
     report = DimensionReport(basis, relation_matrix(basis))
     rel, r = report.relations, report.rank
@@ -497,13 +498,14 @@ def dimension(
     for i, vec in enumerate(rel.functionals):
         if not _annihilates(rel, dict(_scaled(sorted(vec.items()))[1])):
             raise AssertionError(f"functional {i} failed replay")
-    if rel.matrix.num_rows:
-        rm = modular_rank(rel.matrix, PRIMES)
-        if rm != r:
+    ranks: list[int] = []  # mod each prime of PRIMES, until one meets r
+    while rel.matrix.num_rows and r not in ranks:
+        if len(ranks) == len(PRIMES):
             raise AssertionError(
                 "modular rank disagrees with exact rank: "
-                f"{rm} != {r}; matrix dump:\n{rel.matrix.to_matrixmarket()}"
+                f"{max(ranks)} != {r}; matrix dump:\n{rel.matrix.to_matrixmarket()}"
             )
+        ranks.append(modular_rank(rel.matrix, PRIMES[len(ranks)]))
     return report
 
 

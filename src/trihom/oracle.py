@@ -1,6 +1,7 @@
 """Independent brute-force dimension of the quotient over the full labelled basis.
 
-This deliberately avoids the canonical-form pipeline: representatives come
+This deliberately avoids the canonical-form pipeline: representatives, their
+automorphisms, and each IHX term's class with an isomorphism onto it come
 from marking the orbit of each new pairing under every vertex-block
 preserving dart map, sign bookkeeping is limited to the literal relation
 rows (edge-label transposition -1, vertex-label transposition +1, direction
@@ -70,49 +71,6 @@ def _has_loop(partner) -> bool:
     return any(partner[d] // 3 == d // 3 for d in range(len(partner)))
 
 
-def _isos(p1, p2, all_of_them: bool = False) -> list[list[int]]:
-    """Dart bijections p1 -> p2 by vertex-by-vertex backtracking."""
-    nv = len(p1) // 3
-
-    # neighbour-multiset keys are label-dependent; use only degree of self-loops
-    def lkey(p, v):
-        return sum(1 for d in (3 * v, 3 * v + 1, 3 * v + 2) if p[d] // 3 == v)
-
-    k2 = [lkey(p2, w) for w in range(nv)]
-    k1 = [lkey(p1, v) for v in range(nv)]
-    results: list[list[int]] = []
-    dmap = [-1] * len(p1)
-    vused = [False] * nv
-
-    def rec(v: int) -> bool:
-        if v == nv:
-            results.append(dmap.copy())
-            return not all_of_them
-        for w in range(nv):
-            if vused[w] or k1[v] != k2[w]:
-                continue
-            vused[w] = True
-            src = (3 * v, 3 * v + 1, 3 * v + 2)
-            for slots in permutations((3 * w, 3 * w + 1, 3 * w + 2)):
-                ok = True
-                for d, img in zip(src, slots):
-                    dmap[d] = img
-                for d in src:
-                    e = p1[d]
-                    if dmap[e] != -1 and p2[dmap[d]] != dmap[e]:
-                        ok = False
-                        break
-                if ok and rec(v + 1):
-                    return True
-                for d in src:
-                    dmap[d] = -1
-            vused[w] = False
-        return False
-
-    rec(0)
-    return results
-
-
 def _inverse(perm) -> list[int]:
     inv = [0] * len(perm)
     for i, x in enumerate(perm):
@@ -120,11 +78,13 @@ def _inverse(perm) -> list[int]:
     return inv
 
 
-def _representatives(k: int) -> list[tuple[int, ...]]:
+def _representatives(k: int) -> tuple[dict, dict]:
     """One pairing per isomorphism class of connected graphs (loops included):
     the first of its class in `_all_pairings` order.  Every image of a new
     representative under the (2k)! * 6^(2k) dart maps that keep vertex
-    blocks whole is marked as seen."""
+    blocks whole is marked with the representative and the inverse map, an
+    isomorphism onto it.  Returns each representative, in that order (which
+    is sorted), to its automorphisms, the maps that fix it; and the marking."""
     if k > 2:
         raise ResourceLimit("oracle is capped at k <= 2")
     maps = []
@@ -132,14 +92,15 @@ def _representatives(k: int) -> list[tuple[int, ...]]:
         for slots in product(permutations(range(3)), repeat=2 * k):
             f = [3 * vperm[d // 3] + slots[d // 3][d % 3] for d in range(6 * k)]
             maps.append((f, _inverse(f)))
-    seen: set[tuple[int, ...]] = set()
-    reps = []
+    groups: dict[tuple[int, ...], list[list[int]]] = {}
+    marks: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     for p in _all_pairings(k):
-        if p in seen or not _connected(p):
+        if p in marks or not _connected(p):
             continue
-        reps.append(p)
-        seen.update(tuple([f[p[x]] for x in finv]) for f, finv in maps)
-    return sorted(reps)
+        images = [(tuple([f[p[x]] for x in finv]), finv) for f, finv in maps]
+        marks.update((q, (p, finv)) for q, finv in images)
+        groups[p] = [finv for q, finv in images if q == p]
+    return groups, marks
 
 
 def _perm_parity(perm) -> int:
@@ -181,10 +142,11 @@ def _dart_maps(src, dst, psi, tau=None) -> tuple[list[int], list[int], int, list
     return edge_map, vmap, _perm_parity(edge_map) * _perm_parity(vmap), reversed_
 
 
-def _ihx_terms(rep, e_idx, reps, policy):
+def _ihx_terms(rep, e_idx, index, marks, policy):
     """For one expanded edge: per term, (target class, *transport) or None
     when the term drops (disconnected, or a tadpole under Exclude); None
-    for a loop edge."""
+    for a loop edge.  `index` numbers the classes by representative, and
+    `marks` gives each term's representative and an isomorphism onto it."""
     a, b = _edges_of(rep)[e_idx]
     u, v = a // 3, b // 3
     if u == v:
@@ -206,23 +168,20 @@ def _ihx_terms(rep, e_idx, reps, policy):
         ):
             terms.append(None)
             continue
-        for ci, cand in enumerate(reps):
-            found = _isos(term, list(cand))
-            if found:
-                terms.append((ci, *_dart_maps(rep, cand, found[0], tau)))
-                break
-        else:
+        cand, iso = marks.get(tuple(term), (None, None))
+        if cand not in index:
             raise UnknownClass(
                 f"IHX term {' '.join(map(str, term))} matches no representative"
             )
+        terms.append((index[cand], *_dart_maps(rep, cand, iso, tau)))
     return terms
 
 
-def _grid_classes(k: int, policy: TadpolePolicy) -> list[tuple[int, ...]]:
-    reps = _representatives(k)
+def _grid_classes(k: int, policy: TadpolePolicy) -> tuple[dict, dict]:
+    groups, marks = _representatives(k)
     if policy is TadpolePolicy.EXCLUDE:
-        return [r for r in reps if not _has_loop(r)]
-    return reps
+        groups = {r: g for r, g in groups.items() if not _has_loop(r)}
+    return groups, marks
 
 
 def _transpositions(n: int, paranoid: bool) -> list[list[int]]:
@@ -296,8 +255,9 @@ class _LabelSpace:
         )
 
 
-def _quotient(reps, policy, per_class, moves, carry) -> dict:
-    """Basis size, rank and dimension over `per_class` columns per class.
+def _quotient(classes, marks, policy, per_class, moves, carry) -> dict:
+    """Basis size, rank and dimension over `per_class` columns per class, for
+    `classes` and `marks` as `_grid_classes` gives them.
 
     Two-term rows tie each column of a class to its image, with a sign,
     under every move (class-relative columns) and every automorphism;
@@ -307,16 +267,17 @@ def _quotient(reps, policy, per_class, moves, carry) -> dict:
     is one live coordinate up to sign.  The IHX rows of every non-loop edge,
     one per source column, are then projected onto live coordinates and
     ranked exactly."""
-    total = len(reps) * per_class
+    total = len(classes) * per_class
     own = np.arange(per_class, dtype=np.int64)
+    index = {rep: ci for ci, rep in enumerate(classes)}
     ties, expansions = [], []
-    for ci, rep in enumerate(reps):
+    for ci, (rep, group) in enumerate(classes.items()):
         off = ci * per_class
         ties += [(off + own, off + dst, sign) for dst, sign in moves]
-        for auto in _isos(list(rep), list(rep), all_of_them=True):
+        for auto in group:
             ties.append((off + own, *carry(ci, *_dart_maps(rep, rep, auto))))
         for e_idx in range(len(rep) // 2):
-            terms = _ihx_terms(rep, e_idx, reps, policy)
+            terms = _ihx_terms(rep, e_idx, index, marks, policy)
             if terms is not None:
                 expansions.append([carry(*t) for t in terms if t is not None])
 
@@ -378,7 +339,7 @@ def brute_dimension(
         raise ValueError(f"k must be an int >= 1, got {k!r}")
     if k > 2:
         raise ResourceLimit("oracle is capped at k <= 2")
-    reps = _grid_classes(k, policy)
+    classes, marks = _grid_classes(k, policy)
     space = _LabelSpace(k)
     odd = convention is Convention.ODD
 
@@ -391,6 +352,8 @@ def brute_dimension(
         "k": k,
         "convention": convention.value,
         "tadpoles": policy.value,
-        "num_classes": len(reps),
-        **_quotient(reps, policy, space.size, space.relabellings(paranoid), carry),
+        "num_classes": len(classes),
+        **_quotient(
+            classes, marks, policy, space.size, space.relabellings(paranoid), carry
+        ),
     }

@@ -39,7 +39,7 @@ def brute_dimension_directed(
 ) -> dict:
     if k != 1:
         raise ResourceLimit("directed oracle variant is exercised at k = 1 only")
-    reps = _grid_classes(k, policy)
+    classes, marks = _grid_classes(k, policy)
     space = _LabelSpace(k)
     ndir = 1 << 3 * k
     odd = convention is Convention.ODD
@@ -63,6 +63,6 @@ def brute_dimension_directed(
         "k": k,
         "convention": convention.value,
         "tadpoles": policy.value,
-        "num_classes": len(reps),
-        **_quotient(reps, policy, space.size * ndir, moves, carry),
+        "num_classes": len(classes),
+        **_quotient(classes, marks, policy, space.size * ndir, moves, carry),
     }

@@ -153,10 +153,10 @@ def test_criterion_4_randomized_properties():
 
 
 def _ranks_agree(m):
-    """Whether the exact rank is the modular one and the exact kernel that
-    of the tracked reference elimination."""
+    """Whether the exact rank is the rank mod each prime and the exact
+    kernel that of the tracked reference elimination."""
     return (
-        la.rank(m) == la.modular_rank(m, la.PRIMES)
+        [la.modular_rank(m, p) for p in la.PRIMES] == [la.rank(m)] * 3
         and la.kernel(m) == forward_solve.kernel(m)
     )
 

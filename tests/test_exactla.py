@@ -41,13 +41,11 @@ def test_rank_transpose_and_nullity():
 
 def test_modular_rank_examples():
     ident = dense([[1, 0], [0, 1]])
-    assert la.modular_rank(ident, [3, 5]) == 2
+    assert [la.modular_rank(ident, q) for q in (3, 5)] == [2, 2]
     p = 2147483647
     degenerate = dense([[p, 0], [0, 1]])
     assert len(la._echelon(degenerate, p)) == 1
-    assert la.modular_rank(degenerate, [p, 7]) == 2
-    with pytest.raises(ValueError):
-        la.modular_rank(ident, [7])
+    assert [la.modular_rank(degenerate, q) for q in (p, 7)] == [1, 2]
     # the last row holds only pivot 0's column; reducing by it fills pivot
     # 1's column, whose subtraction then clears the row of `filled` and
     # leaves that of `kept` at column 2, over Q and mod p
@@ -63,7 +61,8 @@ def test_modular_rank_examples():
     q0 = la.PRIMES[0]
     vanishing = dense([[q0, 1], [0, 1]])
     assert [len(la._echelon(vanishing, q)) for q in la.PRIMES] == [1, 2, 2]
-    assert la.modular_rank(vanishing, la.PRIMES) == la.rank(vanishing) == 2
+    assert [la.modular_rank(vanishing, q) for q in la.PRIMES] == [1, 2, 2]
+    assert la.rank(vanishing) == 2
 
 
 def test_random_rank_cross_check():
@@ -72,8 +71,9 @@ def test_random_rank_cross_check():
         m = [[rng.randint(-5, 5) if rng.random() < 0.15 else 0 for _ in range(60)]
              for _ in range(40)]
         sm = dense(m)
-        assert la.rank(sm) == la.modular_rank(sm, la.PRIMES)
-        assert la.kernel(sm) == forward_solve.kernel(sm)
+        r, vecs = la.rank(sm), la.kernel(sm)
+        assert [la.modular_rank(sm, q) for q in la.PRIMES] == [r] * 3
+        assert vecs == forward_solve.kernel(sm) and len(vecs) == 60 - r
 
 
 def test_primes_are_three_distinct_62bit_primes():
@@ -238,7 +238,7 @@ def test_matrix_resource_limit(monkeypatch):
         lambda: la.rank(m),
         lambda: la.kernel(m),
         lambda: la.solve_combinations(m, dense([[1] * 6])),
-        lambda: la.modular_rank(m, la.PRIMES),
+        *(lambda q=q: la.modular_rank(m, q) for q in la.PRIMES),
     )
     monkeypatch.setenv("AK_MAX_MATRIX", "20")
     for call in calls:
@@ -246,7 +246,7 @@ def test_matrix_resource_limit(monkeypatch):
             call()
     monkeypatch.setenv("AK_MAX_MATRIX", "21")
     assert la.rank(m) == 6 and la.kernel(m) == []
-    assert la.modular_rank(m, la.PRIMES) == 6
+    assert [la.modular_rank(m, q) for q in la.PRIMES] == [6] * 3
 
 
 def test_no_floats_in_results():

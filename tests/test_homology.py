@@ -1252,12 +1252,16 @@ def emptied(m):
     return vecs
 
 
-for wrong in (None, changed, emptied):
+def dropped(m):
+    return kernel(m)[:-1]
+
+
+for wrong in (None, changed, emptied, dropped):
     exactla.kernel = wrong or kernel
     try:
         print(hom.dimension(4, Convention.ODD, TP.EXCLUDE).dimension)
     except AssertionError as exc:
-        print(exc)
+        print(str(exc).splitlines()[0])
 """
 
 
@@ -1265,8 +1269,10 @@ def test_dimension_replays_every_functional():
     """`dimension` refuses functionals that the rank cross-check alone would
     pass, since there are as many as the rank mod p leaves: one that is
     wrong at a pivot column fails its integer replay against the rows, and
-    an empty one, which replays, is not independent of the others.  Both
-    raise, also under `python -O`."""
+    an empty one, which replays, is not independent of the others.  A
+    kernel short of its last vector still replays and stays independent,
+    and only the rank cross-check refuses it.  All three raise, also under
+    `python -O`; the first line of each message is pinned."""
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _WRONG_FUNCTIONALS],
@@ -1278,7 +1284,36 @@ def test_dimension_replays_every_functional():
             "2",
             "functional 1 failed replay",
             "the functionals are not independent",
+            "modular rank disagrees with exact rank: 12 != 13; matrix dump:",
         ]
+
+
+def test_rank_check_stops_at_the_first_prime_that_meets_the_rank(monkeypatch):
+    """The rank cross-check of a report with relation rows makes one echelon
+    mod p when the first prime of `PRIMES` meets the rank, two when only
+    the second does, and raises, after all three, when none does."""
+    calls = []
+
+    def short_at(primes):
+        def modular_rank(m, p):
+            calls.append(p)
+            return la.modular_rank(m, p) - (p in primes)
+
+        return modular_rank
+
+    for short, made in (((), 1), (la.PRIMES[:1], 2)):
+        calls.clear()
+        monkeypatch.setattr(hom, "modular_rank", short_at(short))
+        assert hom.dimension(4, Convention.ODD, TP.EXCLUDE).dimension == 2
+        assert calls == list(la.PRIMES[:made])
+    calls.clear()
+    monkeypatch.setattr(hom, "modular_rank", short_at(la.PRIMES))
+    with pytest.raises(AssertionError) as exc:
+        hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    assert str(exc.value).splitlines()[0] == (
+        "modular rank disagrees with exact rank: 11 != 12; matrix dump:"
+    )
+    assert calls == list(la.PRIMES)
 
 
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])

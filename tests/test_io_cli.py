@@ -126,7 +126,8 @@ def test_cli_oracle_failure_exit_code(monkeypatch, capsys):
     `error:` line and the oracle-mismatch exit code, not a traceback."""
     from trihom import oracle
 
-    monkeypatch.setattr(oracle, "_isos", lambda *args, **kwargs: [])
+    groups, _ = oracle._representatives(1)
+    monkeypatch.setattr(oracle, "_representatives", lambda k: (groups, {}))
     assert main(["dim", "--k", "1", "--convention", "odd", "--oracle-check"]) == 5
     out, err = capsys.readouterr()
     assert out == ""

@@ -73,17 +73,32 @@ def test_oracle_basis_sizes():
 def test_oracle_representatives_match_enumeration():
     for k in (1, 2):
         for pol in (TP.EXCLUDE, TP.INCLUDE):
-            reps = oracle._grid_classes(k, pol)
-            assert len(reps) == len(list(mg.enumerate_trivalent(k, pol)))
-    # the first pairing of each class in generation order, sorted
-    assert oracle._representatives(1) == [(1, 0, 3, 2, 5, 4), (3, 4, 5, 0, 1, 2)]
-    assert oracle._representatives(2) == [
+            classes, _ = oracle._grid_classes(k, pol)
+            assert len(classes) == len(list(mg.enumerate_trivalent(k, pol)))
+    # the first pairing of each class in generation order, sorted, to its
+    # automorphism group; the marking places each connected pairing, and
+    # each orbit holds (2k)! * 6^(2k) over its group's order of them
+    groups, marks = oracle._representatives(1)
+    assert list(groups) == [(1, 0, 3, 2, 5, 4), (3, 4, 5, 0, 1, 2)]
+    assert [len(g) for g in groups.values()] == [8, 12]
+    assert len(marks) == 72 // 8 + 72 // 12 == 15
+    groups, marks = oracle._representatives(2)
+    assert list(groups) == [
         (1, 0, 3, 2, 6, 7, 4, 5, 9, 8, 11, 10),
         (1, 0, 3, 2, 6, 9, 4, 8, 7, 5, 11, 10),
         (1, 0, 3, 2, 6, 9, 4, 10, 11, 5, 7, 8),
         (3, 4, 6, 0, 1, 9, 2, 10, 11, 5, 7, 8),
         (3, 6, 9, 0, 7, 10, 1, 4, 11, 2, 5, 8),
     ]
+    assert [len(g) for g in groups.values()] == [16, 48, 8, 16, 24]
+    assert len(marks) == sum(31104 // len(g) for g in groups.values()) == 9720
+    # each mark is an isomorphism onto its representative, and each group
+    # element an automorphism of it
+    for p, (rep, iso) in marks.items():
+        assert all(rep[iso[d]] == iso[p[d]] for d in range(12))
+    for rep, group in groups.items():
+        assert marks[rep][0] == rep
+        assert all(rep[a[d]] == a[rep[d]] for a in group for d in range(12))
 
 
 def test_oracle_capped():
@@ -146,11 +161,9 @@ from trihom.errors import UnknownClass
 from trihom.multigraph import TadpolePolicy as TP
 from trihom.orientation import Convention
 
-isos = oracle._isos
-# automorphisms are still found; no IHX term matches its representative
-oracle._isos = lambda p1, p2, all_of_them=False: (
-    isos(p1, p2, all_of_them) if all_of_them else []
-)
+representatives = oracle._representatives
+# automorphisms are still found; the marking places no IHX term
+oracle._representatives = lambda k: (representatives(k)[0], {})
 try:
     oracle.brute_dimension(1, Convention.ODD, TP.EXCLUDE)
 except UnknownClass as exc:

@@ -16,8 +16,9 @@ their combinations.  So each report below counts one rational echelon
 (`echelon_calls`), two if it has a relation combination, and the
 queries, certified against a report that has already made its echelons,
 count none.  The rank cross-check of a report with relation rows runs
-the same `_echelon` mod each of the three primes of `exactla.PRIMES`,
-counted apart as `modular_echelon_calls`.
+the same `_echelon` mod the first prime of `exactla.PRIMES`, and mod the
+next only while the primes so far miss the rank: one echelon mod p per
+report with rows here, counted apart as `modular_echelon_calls`.
 
 A labelled graph's certificate is its class's, so certifying one needs the
 graph's class and not its sign.  `transported_sign` is counted through the

@@ -12,9 +12,10 @@ own copy.
   convention, without loops; k=4 and 5 odd by default), the
   `_min_code_ties` calls and trie walks made inside `relation_matrix`, its
   IHX expansions (rows, zero rows and duplicates), the non-loop generator
-  edges it skipped by the orbit rule and by the term rule, the matrix
-  shape, content hash, rank and dimension, and `relation_matrix` wall
-  times over `--repeats` further runs on the same basis, uncounted.
+  edges it skipped by the orbit rule and by the term rule, and
+  `relation_matrix` wall times over `--repeats` further runs on the same
+  basis, uncounted.  The basis and matrix themselves, their shape, content
+  hash, rank and dimension, are `bench_rank.py`'s.
 - `frames`: 2,000 random relabellings of the k=4 classes without loops (100
   per class): recursive frames of the tie walk that the min-code search
   behind `canonical_form` runs (`_prefix_ties.extend`) and of the trie walk
@@ -38,7 +39,6 @@ import sys
 import time
 
 from _counting import Counted, Frames
-from trihom import exactla
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom.multigraph import TadpolePolicy
@@ -55,7 +55,6 @@ def relations(k, convention, repeats):
         start = time.perf_counter()
         hom.relation_matrix(basis)
         walls.append(round(time.perf_counter() - start, 3))
-    rank = exactla.rank(rel.matrix)
     # the non-loop generator edges that are not the least of their orbit
     orbit_skips = sum(
         least != e and not c.rep.is_loop(e)
@@ -65,15 +64,9 @@ def relations(k, convention, repeats):
     return {
         "k": k,
         "convention": convention.value,
-        "classes": len(basis.classes),
-        "generators": basis.num_generators,
         "expansions": len(rel.rows) + len(rel.zero_rows) + rel.duplicates,
         "orbit_skips": orbit_skips,
         "term_skips": rel.skipped - orbit_skips,
-        "rows": rel.matrix.num_rows,
-        "content_hash": rel.matrix.content_hash(),
-        "rank": rank,
-        "dimension": basis.num_generators - rank,
         "min_code_ties_calls_in_relation_matrix": searches.count,
         "trie_walks_in_relation_matrix": walks.count,
         "relation_matrix_wall_s": walls,

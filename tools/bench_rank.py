@@ -3,11 +3,13 @@
     PYTHONPATH=src python tools/bench_rank.py [--k 5 6 7] [--repeats N]
 
 For each k and both conventions without loops, builds the class basis and
-the relation matrix once, then times `exactla.rank` on that matrix
+the relation matrix once, then times `exactla.kernel` on that matrix
 `--repeats` times and the rank mod each prime of `exactla.PRIMES` once.
-The rank is what `dimension` runs: `exactla.kernel`, the echelon of the
-matrix over Q plus a back-substitution per free column.  The rank mod p
-is the number of pivots of `exactla._echelon(m, p)`.  A matrix past the
+The kernel is what `dimension` runs for its functionals: the echelon of
+the matrix over Q plus a back-substitution per free column; the rank is
+the columns less its size.  The rank mod p is the number of pivots of
+`exactla._echelon(m, p)`, which `dimension` makes at the first prime
+only, unless that prime misses the rank.  A matrix past the
 `AK_MAX_MATRIX` gate (an echelon storing more entries than it allows) has
 no exact rank, and `rank` and `dimension` read null; the gate covers the
 echelons mod p too, and a prime whose echelon it stops reads a null rank.
@@ -40,7 +42,7 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
     try:
         for _ in range(repeats):
             start = time.perf_counter()
-            r = exactla.rank(m)
+            r = m.num_cols - len(exactla.kernel(m))
             walls.append(round(time.perf_counter() - start, 4))
     except ResourceLimit:
         pass  # past the AK_MAX_MATRIX gate: no exact rank
@@ -68,7 +70,7 @@ def case(k: int, convention: Convention, repeats: int) -> dict:
         ),
         "dimension": None if r is None else basis.num_generators - r,
         "basis_and_relations_s": round(build_s, 2),
-        "rank_s": walls,
+        "kernel_s": walls,
         "modular": modular,
     }
 
