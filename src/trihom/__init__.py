@@ -32,13 +32,7 @@ from .multigraph import (
     enumerate_trivalent,
     from_pairing,
 )
-from .orientation import (
-    ClassStatus,
-    Convention,
-    GraphClass,
-    OrientedLabelling,
-    classify,
-)
+from .orientation import ClassStatus, Convention, GraphClass, OrientedLabelling
 from .surgery import SurgeryPlan, VertexType, assign_vertex_types, plan, y_link_report
 
 __version__ = "0.1.0"
@@ -71,7 +65,6 @@ __all__ = [
     "canonical_form",
     "certify",
     "class_basis",
-    "classify",
     "dimension",
     "enumerate_trivalent",
     "express",

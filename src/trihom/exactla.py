@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from operator import index
 from typing import Iterable, Sequence
 
-from .errors import MalformedPairing, NoSolution, ResourceLimit, env_int
+from .errors import NoSolution, ResourceLimit, env_int
 
 # entries an echelon may store: about 160 bytes each in the echelon of the
 # k=7 odd relation matrix, so near 1.6 GB, well below an 8 GB host's memory
@@ -90,27 +90,6 @@ class SparseIntMatrix:
             for c, v in row:
                 lines.append(f"{i + 1} {c + 1} {v}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_matrixmarket(text: str) -> "SparseIntMatrix":
-        """The matrix of a `to_matrixmarket` text.  MalformedPairing unless a
-        header of three counts is followed by exactly its number of entry
-        lines, each three integers with 1-based indices inside the shape."""
-        lines = [ln.split() for ln in text.splitlines() if ln.strip() and ln[0] != "%"]
-        if not lines:
-            raise MalformedPairing("empty MatrixMarket input")
-        try:
-            (nr, nc, nnz), *entries = [[int(x) for x in ln] for ln in lines]
-            if len(entries) != nnz:
-                raise ValueError(f"{nnz} entries in the header, {len(entries)} given")
-            rows: list[list[tuple[int, int]]] = [[] for _ in range(nr)]
-            for i, j, v in entries:
-                if not 0 < i <= nr:
-                    raise ValueError(f"row index {i} outside 1..{nr}")
-                rows[i - 1].append((j - 1, v))
-            return SparseIntMatrix(nr, nc, rows)
-        except ValueError as exc:
-            raise MalformedPairing(f"bad MatrixMarket input: {exc}") from None
 
 
 def _echelon(

@@ -18,7 +18,7 @@ coordinates, shares its classes, transports and component solve.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -184,14 +184,12 @@ def _grid_classes(k: int, policy: TadpolePolicy) -> tuple[dict, dict]:
     return groups, marks
 
 
-def _transpositions(n: int, paranoid: bool) -> list[list[int]]:
-    """The adjacent transpositions of range(n), or all of them if paranoid."""
-    adjacent = ((j, j + 1) for j in range(n - 1))
-    pairs = combinations(range(n), 2) if paranoid else adjacent
+def _transpositions(n: int) -> list[list[int]]:
+    """The adjacent transpositions of range(n)."""
     taus = []
-    for i, j in pairs:
+    for j in range(n - 1):
         tau = list(range(n))
-        tau[i], tau[j] = j, i
+        tau[j], tau[j + 1] = j + 1, j
         taus.append(tau)
     return taus
 
@@ -236,16 +234,16 @@ class _LabelSpace:
         ei = self._ei if te is None else te[self._ei]
         return vi * self.ne + ei
 
-    def relabellings(self, paranoid: bool) -> list[tuple[np.ndarray, int]]:
-        """(columns, sign) of each label-transposition row: edge labels -1,
-        vertex labels +1."""
+    def relabellings(self) -> list[tuple[np.ndarray, int]]:
+        """(columns, sign) of each adjacent label-transposition row: edge
+        labels -1, vertex labels +1."""
         k = self.k
         return [
             (self.columns(te=self.e.value_table(t)), -1)
-            for t in _transpositions(3 * k, paranoid)
+            for t in _transpositions(3 * k)
         ] + [
             (self.columns(tv=self.v.value_table(t)), 1)
-            for t in _transpositions(2 * k, paranoid)
+            for t in _transpositions(2 * k)
         ]
 
     def carried(self, edge_map, vmap) -> np.ndarray:
@@ -327,13 +325,12 @@ def brute_dimension(
     k: int,
     convention: Convention,
     policy: TadpolePolicy = TadpolePolicy.EXCLUDE,
-    paranoid: bool = False,
 ) -> dict:
     """Exact dimension by literal relation rows over every labelling.
 
     Returns {"basis_size", "rank", "dim", "num_classes", "oracle": True}.
-    `paranoid` writes a row for every label transposition, not only the
-    adjacent ones.  A k that is no int of at least 1 raises `ValueError`.
+    The label rows are the adjacent transpositions, which generate every
+    relabelling.  A k that is no int of at least 1 raises `ValueError`.
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an int >= 1, got {k!r}")
@@ -353,7 +350,5 @@ def brute_dimension(
         "convention": convention.value,
         "tadpoles": policy.value,
         "num_classes": len(classes),
-        **_quotient(
-            classes, marks, policy, space.size, space.relabellings(paranoid), carry
-        ),
+        **_quotient(classes, marks, policy, space.size, space.relabellings(), carry),
     }

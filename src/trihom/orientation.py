@@ -140,23 +140,15 @@ class GraphClass:
     class_id: int | None = None
 
 
-def classify(
-    rep: DartGraph, convention: Convention, autos: Iterable[Sequence[int]]
-) -> GraphClass:
-    """Zero with a -1 witness, or Generator, for a canonical representative
-    and its automorphism group `autos` as dart maps in any order, as
-    `enumerate_classes` yields it.  The witness is the first automorphism
-    of sign -1 by dart map."""
-    return classify_conventions(rep, autos)[convention]
-
-
 def classify_conventions(
     rep: DartGraph, autos: Iterable[Sequence[int]]
 ) -> dict[Convention, GraphClass]:
-    """`classify` under every convention: the group is sorted once, and
-    each convention signs it up to its first -1 sign.  Under the reference
-    labelling an automorphism's two factors s are equal, so its odd sign is
-    read off its turns alone."""
+    """Zero with a -1 witness, or Generator, under every convention, for a
+    canonical representative and its automorphism group `autos` as dart
+    maps in any order, as `enumerate_classes` yields it.  The group is
+    sorted once, and each convention signs it up to its first -1 sign, the
+    witness.  Under the reference labelling an automorphism's two factors s
+    are equal, so its odd sign is read off its turns alone."""
     autos = sorted(autos)
     edges, labels = rep.edges, range(1, rep.num_edges + 1)
     witnesses = {

@@ -229,6 +229,10 @@ _NOTES = (
 )
 
 
+# the plan's own figures that a report repeats, as `to_json` writes them
+_SUMMARY = ("hopf_ledger", "family_dim", "final_handles", "admissible")
+
+
 def y_link_report(p: SurgeryPlan) -> dict:
     """Per-vertex and per-edge breakdown of a plan, JSON round-trippable."""
     vertices = [
@@ -256,19 +260,13 @@ def y_link_report(p: SurgeryPlan) -> dict:
         }
         for i, ((a, b), pol) in enumerate(zip(p.graph_pairing, p.edge_polarity))
     ]
+    doc = p.to_json()
     return {
-        "d": p.d,
-        "k": p.k,
+        "d": doc["d"],
+        "k": doc["k"],
         "vertices": vertices,
         "edges": edges,
-        "hopf_ledger": {
-            "base": p.hopf_base,
-            "chained": p.hopf_chained,
-            "w_copies": p.w_copies,
-        },
-        "family_dim": p.family_dim,
-        "final_handles": list(p.final_handles),
-        "admissible": p.admissible,
+        **{key: doc[key] for key in _SUMMARY},
         "notes": list(_NOTES),
     }
 

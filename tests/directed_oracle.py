@@ -52,7 +52,7 @@ def brute_dimension_directed(
         dirs = _directions(edge_map, reversed_)
         return columns(ci, space.carried(edge_map, vmap), dirs), struct if odd else 1
 
-    moves = [(columns(0, cols, bits), sign) for cols, sign in space.relabellings(False)]
+    moves = [(columns(0, cols, bits), sign) for cols, sign in space.relabellings()]
     moves += [
         (columns(0, space.columns(), bits ^ (1 << x)), -1 if odd else 1)
         for x in range(3 * k)

@@ -62,17 +62,18 @@ def test_criterion_2_anchored_values():
 
 
 def _auto_sign(conv, g, a):
-    """The sign of the automorphism a of g, as `classify` and the
+    """The sign of the automorphism a of g, as `classify_conventions` and the
     sign-witness replay take it."""
     return ori.transported_sign(conv, g, ori.reference_labelling(g), a, g)
 
 
 def _sign_identity_failures(ks):
     """Compare, for every automorphism of every graph with k in `ks` (both
-    tadpole policies) and both conventions, the sign that `classify` and the
-    sign-witness replay use with the cycle-space reference; and each
-    class's status and witness with the reference signs of its group.
-    Returns (automorphisms checked, failures)."""
+    tadpole policies) and both conventions, the sign that
+    `classify_conventions` and the sign-witness replay use with the
+    cycle-space reference; and each class's status and witness with the
+    reference signs of its group.  Returns (automorphisms checked,
+    failures)."""
     checked = 0
     failures = 0
     for k in ks:
@@ -80,12 +81,13 @@ def _sign_identity_failures(ks):
             for g in mg.enumerate_trivalent(k, pol):
                 dirs = ori.reference_labelling(g).directions
                 autos = mg.automorphisms(g)
+                classes = ori.classify_conventions(g, autos)
                 for conv in (Convention.EVEN, Convention.ODD):
                     signs = [ref.reference_sign(conv, g, dirs, a) for a in autos]
                     for a, sign in zip(autos, signs):
                         checked += 1
                         failures += _auto_sign(conv, g, a) != sign
-                    c = ori.classify(g, conv, autos)
+                    c = classes[conv]
                     zero = c.status is ori.ClassStatus.ZERO
                     failures += zero != (-1 in signs)
                     if zero:
@@ -107,8 +109,8 @@ def test_criterion_3_sign_identity_suite():
 
 def test_criterion_3_detects_a_flipped_odd_sign(monkeypatch):
     """The sign-identity check fails when the production odd sign is
-    flipped: it reads the sign that `classify` and `transported_sign` use,
-    the product of the vertex turns, not a copy."""
+    flipped: it reads the sign that `classify_conventions` and
+    `transported_sign` use, the product of the vertex turns, not a copy."""
     turns = ori._turns
     monkeypatch.setattr(ori, "_turns", lambda dart_map: -turns(dart_map))
     checked, failures = _sign_identity_failures((1, 2))

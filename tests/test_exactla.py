@@ -7,7 +7,7 @@ import pytest
 from miller_rabin import is_probable_prime
 
 from trihom import exactla as la
-from trihom.errors import MalformedPairing, NoSolution, ResourceLimit
+from trihom.errors import NoSolution, ResourceLimit
 
 
 def dense(m):
@@ -190,22 +190,6 @@ def test_kernel_replay():
 
 
 @pytest.mark.parametrize(
-    "text",
-    [
-        "2 2 1\n0 1 5\n",  # row index 0
-        "2 2 1\n1 1 5\n2 2 3\n",  # more entry lines than the header's nnz
-        "2 2 2\n1 1 5\n",  # fewer
-        "2 2\n1 1 5\n",  # a two-field header
-        "2 2 1\n3 1 5\n",  # a row index past the header
-    ],
-    ids=["row-zero", "extra-line", "missing-line", "two-field-header", "row-past"],
-)
-def test_malformed_matrixmarket_raises(text):
-    with pytest.raises(MalformedPairing, match="MatrixMarket"):
-        la.SparseIntMatrix.from_matrixmarket(text)
-
-
-@pytest.mark.parametrize(
     "entry",
     [(0, 1.5), (0, Fraction(1, 2)), (0.0, 1), (0, "1")],
     ids=["float-value", "fraction-value", "float-column", "str-value"],
@@ -221,11 +205,37 @@ def test_sparse_entries_must_be_integers(entry):
 
 
 def test_matrixmarket_roundtrip():
-    m = dense([[0, -2, 0], [7, 0, 0]])
-    text = m.to_matrixmarket()
-    assert text.startswith("%%MatrixMarket matrix coordinate integer general")
-    back = la.SparseIntMatrix.from_matrixmarket(text)
-    assert back.rows == m.rows and back.num_cols == m.num_cols
+    """The `--dump-matrix` text, byte for byte: a header, then one 1-based
+    line per stored entry in row order, so an empty row writes nothing and
+    a negative entry keeps its sign."""
+    m = dense([[0, -2, 0, 0], [0, 0, 0, 0], [7, 0, 0, 5]])
+    assert m.to_matrixmarket() == (
+        "%%MatrixMarket matrix coordinate integer general\n"
+        "3 4 3\n"
+        "1 2 -2\n"
+        "3 1 7\n"
+        "3 4 5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "m, body",
+    [
+        (la.SparseIntMatrix(0, 5, []), "0 5 0\n"),  # no rows
+        (la.SparseIntMatrix(2, 3, [[], []]), "2 3 0\n"),  # all rows empty
+        (la.SparseIntMatrix(1, 12, [[(11, -3)]]), "1 12 1\n1 12 -3\n"),
+        (  # a row's entries come out in column order, however given
+            la.SparseIntMatrix(1, 3, [[(2, 4), (0, 1)]]),
+            "1 3 2\n1 1 1\n1 3 4\n",
+        ),
+        (dense([[10**30]]), f"1 1 1\n1 1 {10**30}\n"),  # no overflow
+    ],
+    ids=["no-rows", "empty-rows", "two-digit-column", "column-order", "big-entry"],
+)
+def test_matrixmarket_writer_cases(m, body):
+    assert m.to_matrixmarket() == (
+        "%%MatrixMarket matrix coordinate integer general\n" + body
+    )
 
 
 def test_matrix_resource_limit(monkeypatch):

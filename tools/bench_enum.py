@@ -51,16 +51,6 @@ from trihom.orientation import Convention
 DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
 
 
-def _seeds(partner):
-    """The seeds of a partial pairing's prefix test from scratch: its loop
-    vertices if it has any, else every vertex whose first dart is paired."""
-    nv = len(partner) // 3
-    loops = [
-        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
-    ]
-    return loops or [v for v in range(nv) if partner[3 * v] != -1]
-
-
 def counters(k, policy):
     nd = 6 * k
     prefix_ties = mg._prefix_ties
@@ -75,7 +65,10 @@ def counters(k, policy):
             out["leaf_cuts"] += found is None
             return found
         found = resumed.run(prefix_ties, partner, end, ties, fresh_seeds)
-        scratch.run(prefix_ties, list(partner), end, [], _seeds(partner))
+        # the vertices whose first dart is paired, a prefix in orderly
+        # generation, seed the test from scratch
+        touched = sum(partner[d] != -1 for d in range(0, nd, 3))
+        scratch.run(prefix_ties, list(partner), end, [], mg._seeds(partner, touched))
         out["tested_nodes"] += 1
         if found is None:
             out["cuts"] += 1
