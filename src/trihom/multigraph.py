@@ -224,7 +224,7 @@ def _tie_maps(states: Iterable[tuple]) -> list[list[int]]:
     """The dart maps of tie states: each state's `dmap` composed with every
     product of its swaps (x z)(a b), which commute; a loop's is (x z)."""
     maps = []
-    for _, _, dmap, _, _, swaps in states:
+    for _, _, dmap, _, swaps in states:
         expanded = [dmap]
         for x, z, a, b in swaps:
             for m in expanded[:]:
@@ -252,11 +252,11 @@ def _prefix_ties(
     `partner` holds -1 for darts whose partner is not yet known (the
     orderly generator's partial pairings); a code counts only up to the
     first slot whose dart has an unknown partner.  A tie state (pos, vnext,
-    dmap, dinv, vmap, swaps) is a partial relabelling whose code is
-    partner[:pos] and which stopped at `end` or at such a slot, with the
-    swaps of the branches it skipped; new vertex t is old vertex
-    dinv[3t] // 3.  So None means every completion of `partner` has a code
-    below its own.
+    dmap, dinv, swaps) is a partial relabelling whose code is partner[:pos]
+    and which stopped at `end` or at such a slot, with the swaps of the
+    branches it skipped; new vertex t is old vertex dinv[3t] // 3, and old
+    vertex w is new vertex dmap[d] // 3 for any numbered dart d of w.  So
+    None means every completion of `partner` has a code below its own.
 
     A vertex takes its slots in order, the first when it is revealed, so a
     slot not yet filled belongs to a partially revealed vertex, and its
@@ -297,7 +297,7 @@ def _prefix_ties(
     ref = partner if bound is None else bound
     found: list[tuple] = []
 
-    def extend(pos: int, vnext: int, dmap, dinv, vmap, swaps) -> bool:
+    def extend(pos: int, vnext: int, dmap, dinv, swaps) -> bool:
         """Follow a relabelling from slot `pos`, whose code so far ties the
         bound, on lists it owns; False if its code falls below a fixed
         bound."""
@@ -320,7 +320,7 @@ def _prefix_ties(
                     else:
                         d, i = dmap.copy(), dinv.copy()
                         d[x], i[pos] = pos, x
-                        if not extend(pos, vnext, d, i, vmap.copy(), swaps):
+                        if not extend(pos, vnext, d, i, swaps):
                             return False
                         x = z
                 dmap[x] = pos
@@ -330,14 +330,16 @@ def _prefix_ties(
                 break
             c = dmap[y]
             if c == -1:
-                w = y // 3
-                t = vmap[w]
+                v = y - y % 3
+                t = dmap[v]
                 if t == -1:
-                    c = 3 * vnext
-                else:
-                    c = 3 * t
-                    while dinv[c] != -1:
-                        c += 1
+                    t = dmap[v + 1]
+                    if t == -1:
+                        t = dmap[v + 2]
+                # a new vertex's slots are all free
+                c = 3 * vnext if t == -1 else t - t % 3
+                while dinv[c] != -1:
+                    c += 1
             b = ref[pos]
             if c != b:
                 if c > b or bound is None:
@@ -348,22 +350,21 @@ def _prefix_ties(
                     bound[pos + 1 :] = [nd] * (end - pos - 1)
                 found.clear()
             if dmap[y] == -1:
-                if t == -1:
-                    vmap[w] = vnext
+                if c == 3 * vnext:
                     vnext += 1
                 dmap[y] = c
                 dinv[c] = y
             pos += 1
-        found.append((pos, vnext, dmap, dinv, vmap, swaps))
+        found.append((pos, vnext, dmap, dinv, swaps))
         return True
 
     try:
         for tie in ties:
-            pos, vnext, dmap, dinv, vmap, swaps = tie
+            pos, vnext, dmap, dinv, swaps = tie
             x = dinv[pos]
             if x != -1 and partner[x] == -1:
                 found.append(tie)
-            elif not extend(pos, vnext, dmap.copy(), dinv.copy(), vmap.copy(), swaps):
+            elif not extend(pos, vnext, dmap.copy(), dinv.copy(), swaps):
                 return None
         for seed in fresh_seeds:
             darts = (3 * seed, 3 * seed + 1, 3 * seed + 2)
@@ -376,10 +377,9 @@ def _prefix_ties(
             for order in permutations(darts):
                 if swaps and order.index(x) > order.index(z):
                     continue
-                dmap, vmap = [-1] * nd, [-1] * (nd // 3)
+                dmap = [-1] * nd
                 dmap[order[0]], dmap[order[1]], dmap[order[2]] = 0, 1, 2
-                vmap[seed] = 0
-                if not extend(0, 1, dmap, [*order] + [-1] * (nd - 3), vmap, swaps):
+                if not extend(0, 1, dmap, [*order] + [-1] * (nd - 3), swaps):
                     return None
         return found
     finally:
@@ -435,15 +435,17 @@ def _trie_walk(
     The walk follows the relabellings of `_prefix_ties` in the same order,
     with the same branch points found the same way, and goes down a branch
     only while its code so far is a path of its order's trie (why it is a
-    walk of its own is said there).  At a branch point it recurses once per
-    free dart and undoes each in place.  Of two free darts x < z whose
-    partners are on one vertex, at a seed or at a branch point, only x's
-    branch is walked: the swap (x z)(a b), a and b their partners, is an
-    automorphism fixing every numbered dart, so z's branch reaches x's
-    codes, after x's, and can match only where x's has.  The minimal code is reached on one of the
-    walked relabellings, so a code in the trie of that relabelling's order
-    is always matched.  The search seeds only loop vertices when there are
-    loops; the walk leaves that to `roots`, since a relabelling from any
+    walk of its own is said there).  As in a tie state, new vertex t is old
+    vertex dinv[3t] // 3, and old vertex w is new vertex dmap[d] // 3 for
+    any numbered dart d of w.  At a branch point it recurses once per free
+    dart and undoes each in place.  Of two free darts x < z whose partners
+    are on one vertex, at a seed or at a branch point, only x's branch is
+    walked: the swap (x z)(a b), a and b their partners, is an automorphism
+    fixing every numbered dart, so z's branch reaches x's codes, after x's,
+    and can match only where x's has.  The minimal code is reached on one of
+    the walked relabellings, so a code in the trie of that relabelling's
+    order is always matched.  The search seeds only loop vertices when there
+    are loops; the walk leaves that to `roots`, since a relabelling from any
     other seed puts a loopless vertex first and so matches no minimal code
     of a graph with loops.
     """
@@ -451,13 +453,11 @@ def _trie_walk(
 
     dmap = [-1] * nd  # old dart -> new slot
     dinv = [-1] * nd  # new slot -> old dart
-    vmap = [-1] * (nd // 3)  # old vertex -> new vertex
 
     def walk(pos: int, vnext: int, node) -> tuple[object, tuple[int, ...]] | None:
         """Extend the relabelling from slot `pos`, whose code prefix led to
         `node` of the trie."""
         assigned: list[int] = []  # darts given a slot at this node
-        revealed: list[int] = []  # old vertices revealed at this node
         found = None
         while True:
             if pos == nd:
@@ -487,26 +487,21 @@ def _trie_walk(
                 dinv[pos] = x
                 assigned.append(x)
             y = partner[x]
-            if dmap[y] != -1:
-                c = dmap[y]
-                reveal = -1
-            else:
-                w = y // 3
-                t = vmap[w]
+            c = dmap[y]
+            if c == -1:
+                v = y - y % 3
+                t = dmap[v]
                 if t == -1:
-                    c = 3 * vnext
-                    reveal = w
-                else:
-                    c = 3 * t
-                    while dinv[c] != -1:
-                        c += 1
-                    reveal = -1
+                    t = dmap[v + 1]
+                    if t == -1:
+                        t = dmap[v + 2]
+                c = 3 * vnext if t == -1 else t - t % 3
+                while dinv[c] != -1:
+                    c += 1
             node = node.get(c)
             if node is None:
                 break
-            if reveal != -1:
-                vmap[reveal] = vnext
-                revealed.append(reveal)
+            if c == 3 * vnext:
                 vnext += 1
             if dmap[y] == -1:
                 dmap[y] = c
@@ -516,15 +511,12 @@ def _trie_walk(
         for d in assigned:
             dinv[dmap[d]] = -1
             dmap[d] = -1
-        for w in revealed:
-            vmap[w] = -1
         return found
 
     for seed, invariant in enumerate(invariants):
         by_ends = roots.get(invariant)
         if by_ends is None:
             continue
-        vmap[seed] = 0
         darts = (3 * seed, 3 * seed + 1, 3 * seed + 2)
         ends = [partner[d] // 3 for d in darts]
         keys = [invariants[w] for w in ends]
@@ -539,16 +531,13 @@ def _trie_walk(
             ):
                 continue
             order = (darts[i], darts[j], darts[l])
-            for slot, d in enumerate(order):
-                dmap[d] = slot
-                dinv[slot] = d
+            dmap[order[0]], dmap[order[1]], dmap[order[2]] = 0, 1, 2
+            dinv[:3] = order
             found = walk(0, 1, root)
-            for slot, d in enumerate(order):
-                dmap[d] = -1
-                dinv[slot] = -1
+            dmap[order[0]] = dmap[order[1]] = dmap[order[2]] = -1
+            dinv[:3] = (-1, -1, -1)
             if found is not None:
                 return found
-        vmap[seed] = -1
     return None
 
 

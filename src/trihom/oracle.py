@@ -138,8 +138,9 @@ def _dart_maps(src, dst, psi, tau=None) -> tuple[list[int], list[int], int, list
         ia, ib = dmap[a], dmap[b]
         edge_map.append(dst_index[(min(ia, ib), max(ia, ib))])
         reversed_.append(int(ia > ib))
-    vmap = [psi[3 * v] // 3 for v in range(len(src) // 3)]
-    return edge_map, vmap, _perm_parity(edge_map) * _perm_parity(vmap), reversed_
+    vertex_map = [psi[3 * v] // 3 for v in range(len(src) // 3)]
+    struct = _perm_parity(edge_map) * _perm_parity(vertex_map)
+    return edge_map, vertex_map, struct, reversed_
 
 
 def _ihx_terms(rep, e_idx, index, marks, policy):
@@ -246,10 +247,10 @@ class _LabelSpace:
             for t in _transpositions(2 * k)
         ]
 
-    def carried(self, edge_map, vmap) -> np.ndarray:
+    def carried(self, edge_map, vertex_map) -> np.ndarray:
         """Column of each labelling carried along an edge and a vertex map."""
         return self.columns(
-            self.v.position_table(vmap), self.e.position_table(edge_map)
+            self.v.position_table(vertex_map), self.e.position_table(edge_map)
         )
 
 
@@ -340,9 +341,9 @@ def brute_dimension(
     space = _LabelSpace(k)
     odd = convention is Convention.ODD
 
-    def carry(ci, edge_map, vmap, struct, reversed_):
+    def carry(ci, edge_map, vertex_map, struct, reversed_):
         sign = struct * (-1) ** sum(reversed_) if odd else 1
-        return ci * space.size + space.carried(edge_map, vmap), sign
+        return ci * space.size + space.carried(edge_map, vertex_map), sign
 
     return {
         "oracle": True,

@@ -260,7 +260,7 @@ def _swap_kinds(states):
     (a = z) or a double edge."""
     return {
         ("seed" if dmap[x] < 3 else "branch", "loop" if a == z else "double edge")
-        for _, _, dmap, _, _, swaps in states
+        for _, _, dmap, _, swaps in states
         for x, z, a, _ in swaps
     }
 
@@ -269,7 +269,7 @@ def _x_z_only(states):
     """`_tie_maps` broken on purpose: each swap exchanges x and z but leaves
     their partners a and b in place."""
     maps = []
-    for _, _, dmap, _, _, swaps in states:
+    for _, _, dmap, _, swaps in states:
         expanded = [dmap]
         for x, z, _, _ in swaps:
             for m in expanded[:]:
