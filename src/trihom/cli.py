@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import homology, io as gio, surgery
 from .errors import (
@@ -41,19 +43,28 @@ class _CannotWrite(Exception):
     """An output file could not be written."""
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, texts: Iterable[str]) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     except OSError as exc:
         raise _CannotWrite(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, texts: Iterable[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
-        _write_file(path, text)
+        _write_file(path, texts)
+
+
+def _json_text(doc: dict) -> Iterator[str]:
+    """The text of `json.dumps(doc, sort_keys=True, indent=2)` and a newline,
+    in batches of the encoder's chunks: a report with every certificate is
+    written as it is encoded, never held as one string."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    yield from iter(lambda: "".join(islice(chunks, 4096)), "")
+    yield "\n"
 
 
 def cmd_enumerate(args) -> int:
@@ -71,7 +82,7 @@ def cmd_enumerate(args) -> int:
             chunks.append(gio.to_graph_text(g))
         else:
             chunks.append(gio.to_dot(g, name=f"G{i}"))
-    _write(args.output, "".join(chunks))
+    _write(args.output, chunks)
     return EXIT_OK
 
 
@@ -119,14 +130,13 @@ def cmd_dim(args) -> int:
             )
             return EXIT_ORACLE_MISMATCH
     if args.dump_matrix:
-        _write_file(args.dump_matrix, report.relations.matrix.to_matrixmarket())
+        _write_file(args.dump_matrix, [report.relations.matrix.to_matrixmarket()])
     _emit_report(args, doc)
     return EXIT_OK
 
 
 def _emit_report(args, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _write(args.json, text)
+    _write(args.json, _json_text(doc))
 
 
 def cmd_plan(args) -> int:
@@ -147,9 +157,9 @@ def cmd_plan(args) -> int:
     if args.format == "json":
         doc = p.to_json()
         doc["report"] = surgery.y_link_report(p)
-        _write(args.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write(args.output, _json_text(doc))
     else:
-        _write(args.output, surgery.render_plan_text(p))
+        _write(args.output, [surgery.render_plan_text(p)])
     return EXIT_OK
 
 

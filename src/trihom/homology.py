@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import is_
 from typing import Sequence
 
 from . import exactla
@@ -284,7 +285,9 @@ class RelationData:
     echelons give every certificate: the functionals, made by `dimension`,
     which give the rank and the nonzero certificates, and the relation
     combinations of the generators that every functional misses, solved
-    once, on the first certificate that needs one.
+    once, on the first certificate that needs one.  The functionals'
+    integer forms, replayed against the rows once, are kept on the report
+    (`DimensionReport._replays`).
 
     `rows[i]` is the (generator class id, edge) pair whose expansion gave
     `matrix.rows[i]`; `zero_rows` holds the pairs of zero rows.  No notes
@@ -297,11 +300,6 @@ class RelationData:
     zero_rows: list[tuple[int, int]]
     duplicates: int
     skipped: int
-    # a nonzero certificate's scaled integer functional, by column -> whether
-    # it annihilates every row of `matrix`; see `_replay_nonzero`
-    annihilates: dict[tuple[tuple[int, int], ...], bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def functionals(self) -> list[dict[int, Fraction]]:
@@ -411,6 +409,10 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
     return RelationData(matrix, list(seen.values()), zero_rows, duplicates, skipped)
 
 
+# a functional's (generator class id, value) listing and its replayed `_form`
+_Replay = tuple[list[tuple[int, Fraction]], dict[int, int] | None]
+
+
 @dataclass
 class DimensionReport:
     """A basis and its relations, off which every figure is read."""
@@ -451,13 +453,23 @@ class DimensionReport:
         return len(self.relations.functionals)
 
     @cached_property
-    def _listings(self) -> dict[int, list[tuple[int, Fraction]]]:
-        """Each column that a functional is nonzero at, to the first such
-        functional as sorted (generator class id, value) pairs."""
-        ids, out = self.basis.generator_ids, {}
+    def _replays(self) -> list[_Replay]:
+        """Each functional as sorted (generator class id, value) pairs, with
+        its `_form`: scaled, mapped to columns and replayed against every
+        row once per report, and None if that replay fails."""
+        ids, out = self.basis.generator_ids, []
         for vec in self.relations.functionals:
             listing = [(ids[i], v) for i, v in sorted(vec.items())]
-            out.update((col, listing) for col in vec if col not in out)
+            out.append((listing, _form(self, listing)))
+        return out
+
+    @cached_property
+    def _listings(self) -> dict[int, _Replay]:
+        """Each column that a functional is nonzero at, to the first such
+        functional's pair in `_replays`."""
+        out: dict[int, _Replay] = {}
+        for vec, pair in zip(self.relations.functionals, self._replays):
+            out.update((col, pair) for col in vec if col not in out)
         return out
 
     def to_json(self) -> dict:
@@ -486,17 +498,17 @@ def dimension(
     of functionals that vanish on every relation row, which certify nonzero
     classes; the rank r is the generators less that number.  They end at
     distinct columns, so are independent, and replay in integers
-    (`_annihilates`): M's rank is at most r.  No rank mod p is above it, so
-    the check stops at the first prime of `PRIMES` that meets r, and raises
-    when none does, as every other failed check raises."""
+    (`DimensionReport._replays`): M's rank is at most r.  No rank mod p is
+    above it, so the check stops at the first prime of `PRIMES` that meets
+    r, and raises when none does, as every other failed check raises."""
     basis = class_basis(k, convention, policy)
     report = DimensionReport(basis, relation_matrix(basis))
     rel, r = report.relations, report.rank
     last = {max(vec, default=-1) for vec in rel.functionals} - {-1}
     if len(last) < len(rel.functionals):
         raise AssertionError("the functionals are not independent")
-    for i, vec in enumerate(rel.functionals):
-        if not _annihilates(rel, dict(_scaled(sorted(vec.items()))[1])):
+    for i, (_, form) in enumerate(report._replays):
+        if form is None:
             raise AssertionError(f"functional {i} failed replay")
     ranks: list[int] = []  # mod each prime of PRIMES, until one meets r
     while rel.matrix.num_rows and r not in ranks:
@@ -614,9 +626,11 @@ def _replay_zero(
 def _is_automorphism(g: DartGraph, dart_map: Sequence[int] | None) -> bool:
     """Whether `dart_map` is an automorphism of g: a bijection of its darts
     that keeps the three darts of each vertex together and commutes with
-    the pairing."""
+    the pairing.  Every entry must be an int: a bool or a float that equals
+    a dart is no dart."""
     n = g.num_darts
-    if dart_map is None or sorted(dart_map) != list(range(n)):
+    ints = dart_map is not None and all(type(d) is int for d in dart_map)
+    if not ints or sorted(dart_map) != list(range(n)):
         return False
     return all(
         dart_map[d] // 3 == dart_map[d - d % 3] // 3
@@ -636,33 +650,37 @@ def _scaled(vec: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]
 
 
 def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
-    """Whether the functional is nonzero at the certificate's class, checked
-    per certificate, and annihilates every relation row, checked once per
-    distinct functional of the report: the verdict of that deterministic
-    check is kept on `RelationData.annihilates`, keyed by the scaled integer
-    functional itself, so many classes certified by one functional replay
-    it against the rows once."""
-    basis = report.basis
-    _, scaled = _scaled(cert.functional)
-    columns, n = basis.columns, len(basis.columns)  # `_replay_column`, inlined:
-    func = {columns[c] if type(c) is int and 0 <= c < n else -1: v for c, v in scaled}
+    """Whether the functional is nonzero at the certificate's class and
+    annihilates every relation row.
+
+    A functional made of the very entries of the report's listing at that
+    class's column, as `_certify_class` makes every nonzero certificate,
+    reads the `_form` that `DimensionReport._replays` made of the listing
+    once per report, so only the class and its column are checked here.
+    The entries are compared by identity, since `==` would take True for
+    the id 1.  Any other functional is scaled and replayed in full."""
+    col = _replay_column(report.basis, cert.class_id)
+    listing, form = report._listings.get(col, ((), None))
+    func = cert.functional
+    if len(func) != len(listing) or not all(map(is_, func, listing)):
+        form = _form(report, func)
+    return form is not None and bool(form.get(col))
+
+
+def _form(
+    report: DimensionReport, functional: list[tuple[int, Fraction]]
+) -> dict[int, int] | None:
+    """`functional`, over generator class ids, scaled by `_scaled` and
+    mapped to columns, if it annihilates every row of the report's matrix;
+    None if it does not, or names a zero class, no class, or an id twice."""
+    _, scaled = _scaled(functional)
+    func = {_replay_column(report.basis, c): v for c, v in scaled}
     if -1 in func or len(func) < len(scaled):  # a zero class, no class, a repeat
-        return False
-    if not func.get(_replay_column(basis, cert.class_id)):
-        return False
-    return _annihilates(report.relations, func)
-
-
-def _annihilates(rel: RelationData, func: dict[int, int]) -> bool:
-    """Whether the integer functional `func`, by column, annihilates every
-    row of `rel.matrix`: checked once per functional, the verdict kept on
-    `rel.annihilates`, keyed by `func`'s items."""
-    key = tuple(func.items())
-    if key not in rel.annihilates:
-        rel.annihilates[key] = not any(
-            sum(func.get(c, 0) * v for c, v in row) for row in rel.matrix.rows
-        )
-    return rel.annihilates[key]
+        return None
+    rows = report.relations.matrix.rows
+    if any(sum(func.get(c, 0) * v for c, v in row) for row in rows):
+        return None
+    return func
 
 
 def _replayed(
@@ -719,7 +737,8 @@ def _certify_class(
     class is a combination of rows exactly when every functional vanishes at
     its column.  Only then is its combination read, from the report's
     `combinations`, solved for every such column at once.  A nonzero
-    certificate copies its functional's listing in `_listings`.
+    certificate is a new list of the entries of its functional's listing
+    in `_listings`, which `_replay_nonzero` checks only at the class.
     """
     if cls.status is ClassStatus.ZERO:
         cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
@@ -727,8 +746,8 @@ def _certify_class(
         )
         return _replayed(cert, report)
     col = report.basis.columns[cls.class_id]
-    listing = report._listings.get(col)
-    if listing is not None:  # a copy, so that no caller's change reaches another
+    if col in report._listings:  # a copy, so that no caller's change reaches another
+        listing, _ = report._listings[col]
         cert = NonzeroCertificate(class_id=cls.class_id, functional=list(listing))
         return _replayed(cert, report)
     cert = ZeroCertificate(

@@ -721,6 +721,85 @@ def test_nonzero_certificates_share_no_list():
     assert hom.certify(first.class_id, report).functional == listing
 
 
+def _counting_scaled(monkeypatch):
+    """A list that gets one entry per later call of `homology._scaled`."""
+    calls, scaled = [], hom._scaled
+
+    def counted(vec):
+        calls.append(len(vec))
+        return scaled(vec)
+
+    monkeypatch.setattr(hom, "_scaled", counted)
+    return calls
+
+
+def test_edited_nonzero_certificates_fail_replay(monkeypatch):
+    """A nonzero certificate as `certify` returns it replays by its class
+    alone, reading the form its report made of the listing, with no
+    scaling.  Edited in place after `certify`, by one value altered, one
+    entry dropped, a zero class's id in place of a generator's, an id
+    repeated, or the id 1 given as True (which `==` takes for 1), it is
+    scaled and replayed in full, and fails.  An equal functional made of
+    new entries replays in full, and passes."""
+    for k, cid in ((4, 8), (3, 2)):
+        report = hom.dimension(k, Convention.ODD, TP.EXCLUDE)
+        basis = report.basis
+        zero = next(c.class_id for c in basis.classes if c.status is ClassStatus.ZERO)
+        calls = _counting_scaled(monkeypatch)
+        assert hom._replay_nonzero(hom.certify(cid, report), report)
+        assert calls == []
+        edits = {
+            "value": lambda f: f.__setitem__(-1, (f[-1][0], f[-1][1] + 1)),
+            "dropped": lambda f: f.pop(-1),
+            "zero-class": lambda f: f.__setitem__(-1, (zero, f[-1][1])),
+            "repeated": lambda f: f.append(f[0]),
+            "bool-id": lambda f: f.__setitem__(0, (True, f[0][1])),
+        }
+        for name, edit in edits.items():
+            cert = hom.certify(cid, report)
+            if name == "bool-id" and cert.functional[0][0] != 1:
+                continue
+            edit(cert.functional)
+            assert not hom._replay_nonzero(cert, report), name
+        assert len(calls) == len(edits) - (k == 4)
+        cert = hom.certify(cid, report)
+        fresh = [(c, Fraction(v)) for c, v in cert.functional]
+        assert hom._replay_nonzero(hom.NonzeroCertificate(cid, fresh), report)
+        assert len(calls) == len(edits) - (k == 4) + 1
+        monkeypatch.undo()
+
+
+def test_reports_read_only_their_own_replays(monkeypatch):
+    """The replayed forms are kept per report: a certificate of one report
+    is refused by a report of another k or convention, and is replayed in
+    full by a second report of the same (k, convention, policy), which
+    accepts it.  With the first report's forms all made None, that report
+    refuses its own certificates, while a second report still accepts its
+    own."""
+    first = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    certs = [
+        c for c in (hom.certify(g.class_id, first) for g in first.basis.generators)
+        if isinstance(c, hom.NonzeroCertificate)
+    ]
+    assert len(certs) == 14
+    others = [
+        hom.dimension(3, Convention.ODD, TP.EXCLUDE),
+        hom.dimension(4, Convention.EVEN, TP.EXCLUDE),
+    ]
+    second = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
+    calls = _counting_scaled(monkeypatch)
+    for cert in certs:
+        assert not any(hom._replay_nonzero(cert, other) for other in others)
+        assert hom._replay_nonzero(cert, second)
+    assert len(calls) == 3 * len(certs)
+    first._listings.update((col, (f, None)) for col, (f, _) in first._listings.items())
+    for g in first.basis.generators:
+        with pytest.raises(AssertionError, match="nonzero certificate"):
+            hom.certify(g.class_id, first)
+        hom.certify(g.class_id, second)
+    assert len(calls) == 3 * len(certs)
+
+
 _MALFORMED = {
     "negative-ids", "ids-out-of-range", "zero-class", "repeated-id", "bool-id"
 }
@@ -831,7 +910,7 @@ def test_replay_rejects_tampered_certificates(k, conv, policy, changes):
             doubled = [(rid, 2 * c) for rid, c in cert.combination]
             tampered.append(("doubled", dataclasses.replace(cert, combination=doubled)))
     assert {change for change, _ in tampered} == changes
-    assert all(report.relations.annihilates.values())
+    assert all(form is not None for _, form in report._replays)
     for _ in range(2):
         for _, cert in tampered:
             with pytest.raises(
@@ -880,6 +959,20 @@ def test_sign_witness_replay_checks_the_map_the_status_and_the_sign():
         for dmap in accepted:
             assert dmap in autos
             assert ori.transported_sign(conv, theta, labelling, dmap, theta) == -1
+
+
+def test_sign_witness_replay_refuses_darts_that_are_not_ints():
+    """A sign witness whose darts 0 and 1 are given as False and True, or
+    whose every dart is a float, equals a genuine witness entry by entry,
+    and is refused without indexing: bools and floats are no darts."""
+    report = hom.dimension(3, Convention.EVEN, TP.EXCLUDE)
+    witness = hom.certify(0, report).witness_dart_perm
+    assert witness[:2] == (0, 1)
+    for dmap in ((False, True, *witness[2:]), tuple(float(d) for d in witness)):
+        assert list(dmap) == list(witness)
+        cert = hom.ZeroCertificate("sign-witness", 0, dmap)
+        with pytest.raises(AssertionError, match="for class 0 failed replay"):
+            hom._replayed(cert, report)
 
 
 def test_ihx_terms_walk_the_trie_not_the_search(monkeypatch):

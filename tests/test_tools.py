@@ -19,7 +19,9 @@ the echelons mod p of the rank cross-check: one for a report with relation
 rows, whose first prime meets the rank, and none per certificate; and the
 calls of `transported_sign`: a labelled query is certified by its class
 alone, so the only ones its certificate makes are the replays of sign
-witnesses.
+witnesses; and the calls of `homology._scaled`: one per functional of a
+report and one per relation combination, and none per nonzero
+certificate, which reads the form its report made of its functional.
 `tools/bench_rank.py` reaches the private `exactla._echelon` for its ranks
 mod p; its matrices, ranks and dimensions are pinned.  Every field a tool
 prints that does not depend on the machine (all but its wall times) is
@@ -133,6 +135,8 @@ def test_bench_certify_counters():
     # no query is signed: each sign is a sign witness's replay
     signs = (queries["sign_calls_outside_replay"], queries["sign_calls"])
     assert signs == (0, 403)
+    # the report scaled its functionals when it was made: no query scales one
+    assert queries["scaled_calls"] == 0
     reports = {
         r["report"]: (
             r["echelon_calls"],
@@ -180,6 +184,17 @@ def test_bench_certify_counters():
         "k3_odd_include": (4, 1, 32, 19),
         "k4_even_exclude": (0, 0, 20, 0),
         "k4_odd_exclude": (14, 2, 96, 90),
+    }
+    # a report scales each functional once and each relation combination,
+    # and no nonzero certificate
+    scaled = {r["report"]: r["scaled_calls"] for r in out["reports"]}
+    assert scaled == {
+        "k3_even_exclude": 0,
+        "k3_odd_exclude": 1,
+        "k3_even_include": 2,
+        "k3_odd_include": 1,
+        "k4_even_exclude": 0,
+        "k4_odd_exclude": 2,
     }
 
 

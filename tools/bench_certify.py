@@ -27,12 +27,20 @@ name `homology` calls it by: `sign_calls` counts every call, and
 query sign the query itself, and for a report its relation rows.  The
 replay of a sign witness makes one call of its own.
 
+`homology._scaled` is counted as `scaled_calls`.  `dimension` scales each
+functional of the report once, maps it to columns and replays it against
+every row, and a nonzero certificate made of its listing's entries reads
+that form: so a report counts one call per functional and one per
+relation combination, and the queries, whose report was made before the
+count, none.
+
 - `queries`: the 2,000 random labelled k=4 graphs of perfbench's
   certify-queries workload (drawn from `--seed`), certified against one odd
   report without loops: `solve_combinations` and `_echelon` calls made
-  through `exactla`, replays run (`_replayed` calls), the sign calls and
-  the certificate kinds; then the wall time of the 2,000 `certify` calls
-  alone over `--repeats` further runs on the same report, uncounted.
+  through `exactla`, replays run (`_replayed` calls), the sign and
+  scaling calls and the certificate kinds; then the wall time of the
+  2,000 `certify` calls alone over `--repeats` further runs on the same
+  report, uncounted.
 - `reports`: for each report of perfbench's dim-report grid, `dimension`
   followed by `certify` of every class, as `trihom dim --certify` does: the
   same counters, per report.
@@ -64,6 +72,7 @@ COUNTED = (
     (la, "_echelon"),
     (hom, "_replayed"),
     (hom, "transported_sign"),
+    (hom, "_scaled"),
 )
 
 
@@ -107,6 +116,7 @@ class _Counters:
             "_replayed": "replays",
             "_echelon": "echelon_calls",
             "transported_sign": "sign_calls",
+            "_scaled": "scaled_calls",
         }
         out = {names.get(a, f"{a}_calls"): self.calls[a] for _, a in COUNTED}
         out["modular_echelon_calls"] = self.calls["mod p"]
