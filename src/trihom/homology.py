@@ -610,10 +610,12 @@ def _replay_zero(
         )
     if cert.kind == "relation-combination":
         target_col = _replay_column(basis, cert.class_id)
-        scale, coeffs = _scaled(cert.combination)
+        scaled = _scaled(cert.combination)
+        if target_col == -1 or scaled is None:
+            return False
+        scale, coeffs = scaled
         rows = report.relations.matrix.rows
-        in_range = all(_in_range(rid, len(rows)) for rid, _ in coeffs)
-        if target_col == -1 or not in_range:
+        if not all(_in_range(rid, len(rows)) for rid, _ in coeffs):
             return False
         acc: dict[int, int] = {}
         for rid, w in coeffs:
@@ -639,12 +641,18 @@ def _is_automorphism(g: DartGraph, dart_map: Sequence[int] | None) -> bool:
     )
 
 
-def _scaled(vec: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
-    """`vec` times the lcm of its denominators, as that lcm and integers.
+def _scaled(
+    vec: list[tuple[int, Fraction]]
+) -> tuple[int, list[tuple[int, int]]] | None:
+    """`vec` times the lcm of its denominators, as that lcm and integers;
+    None if a value is not an int or a `Fraction` (a bool or a float is no
+    exact value).
 
     A positive scale keeps every sum's zero-ness, so a replay checks the
     integer vector exactly as it would check the Fraction one.
     """
+    if not all(type(v) in (int, Fraction) for _, v in vec):
+        return None
     scale = lcm(*(v.denominator for _, v in vec))
     return scale, [(i, v.numerator * (scale // v.denominator)) for i, v in vec]
 
@@ -672,10 +680,14 @@ def _form(
 ) -> dict[int, int] | None:
     """`functional`, over generator class ids, scaled by `_scaled` and
     mapped to columns, if it annihilates every row of the report's matrix;
-    None if it does not, or names a zero class, no class, or an id twice."""
-    _, scaled = _scaled(functional)
-    func = {_replay_column(report.basis, c): v for c, v in scaled}
-    if -1 in func or len(func) < len(scaled):  # a zero class, no class, a repeat
+    None if it does not, has a value `_scaled` refuses, or names a zero
+    class, no class, or an id twice."""
+    scaled = _scaled(functional)
+    if scaled is None:
+        return None
+    _, entries = scaled
+    func = {_replay_column(report.basis, c): v for c, v in entries}
+    if -1 in func or len(func) < len(entries):  # a zero class, no class, a repeat
         return None
     rows = report.relations.matrix.rows
     if any(sum(func.get(c, 0) * v for c, v in row) for row in rows):

@@ -199,12 +199,21 @@ def random_relabelling(g: DartGraph, rng: random.Random) -> tuple[int, ...]:
 
 def _seeds(partner: Sequence[int], nv: int) -> Sequence[int]:
     """The seed vertices of a relabelling among the first `nv` vertices of
-    the pairing `partner`: its loop vertices if it has any, else all."""
-    # a loop takes two of its vertex's three darts, one of them 3v or 3v+1
-    loops = [
-        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
-    ]
-    return loops or range(nv)
+    the pairing `partner`: its loop vertices if it has any, else its
+    double-edge vertices if it has any, else all.  A least code starts
+    (1, 0) from a loop vertex, (3, 4) from a double-edge vertex and (3, 6)
+    from any other, so no other seed reaches it."""
+    loops, doubles = [], []
+    for v in range(nv):
+        # the vertices v's darts lead to, -1 for an unknown partner
+        a, b, c = partner[3 * v] // 3, partner[3 * v + 1] // 3, partner[3 * v + 2] // 3
+        if a == b or c in (a, b):
+            # a loop takes two of v's darts, one of them 3v or 3v+1
+            if v in (a, b):
+                loops.append(v)
+            elif -1 != c in (a, b) or -1 != a == b:  # not two unknowns
+                doubles.append(v)
+    return loops or doubles or range(nv)
 
 
 def _min_code_ties(partner: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -282,7 +291,9 @@ def _prefix_ties(
     still has no partner is returned as the same object; no state is
     changed in place.  On a complete pairing with every seed of `_seeds`
     started or resumed, None means some relabelling has a smaller code,
-    and otherwise the states' maps are the pairing's automorphisms.
+    and otherwise the states' maps are the pairing's automorphisms: a
+    relabelling from a vertex of a worse local type than those seeds has
+    a code above the least one in its first two slots (see `_seeds`).
 
     Given `bound`, a list of len(partner) slots, the search compares with
     it instead and lowers it in place: a code below it rewrites it from
@@ -444,10 +455,12 @@ def _trie_walk(
     fixing every numbered dart, so z's branch reaches x's codes, after x's,
     and can match only where x's has.  The minimal code is reached on one of
     the walked relabellings, so a code in the trie of that relabelling's
-    order is always matched.  The search seeds only loop vertices when there
-    are loops; the walk leaves that to `roots`, since a relabelling from any
-    other seed puts a loopless vertex first and so matches no minimal code
-    of a graph with loops.
+    order is always matched.  The search seeds only the vertices of the
+    best local type (`_seeds`: loop vertices, else double-edge vertices,
+    else all); the walk leaves that to `roots`, since a vertex's invariant
+    gives its type (its loop flag, and fewer than three distinct
+    neighbours at a double edge), and a relabelling from a vertex of a
+    worse type puts it first and so matches no minimal code.
     """
     nd = len(partner)
 
@@ -653,9 +666,21 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
     pairing is always tested; it passes once per class, and the relabellings
     that tie its whole code are its automorphisms.
 
+    Vertex 0 of a least code has the best local type in its graph: the
+    code starts (1, 0) if the graph has a loop, (3, 4) if it has a double
+    edge and no loop, and (3, 6) otherwise, as a relabelling from a vertex
+    of a better type gives a smaller code.  So the DFS tries no partner
+    that makes a loop while partner[0] != 1, or a double edge while
+    partner[1] == 6: no completion of such a child is its own least code.
+
     The test resumes the tie states of the nearest tested ancestor and
     starts fresh only the seeds that ancestor did not have, so it checks
-    the same relabellings as a test from the root.
+    the same relabellings as a test from the root.  No resumed state needs
+    dropping, as the seeds of `_seeds` only grow along a DFS path: past
+    the root, partner[0] = 1 keeps loops at vertex 0 and so the seeds the
+    loop vertices; otherwise no loop is made, partner[1] = 4 keeps the
+    seeds the double-edge vertices, and partner[1] = 6 all vertices, as no
+    double edge is made either; and a loop or double-edge vertex stays one.
 
     An inner node with a single child is not tested: the child's prefix
     extends its own, so the child's test finds every smaller code the
@@ -684,22 +709,30 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
         cands = []
         # a revealed partner would close off the revealed vertices when x
         # and it are their last free darts
-        if touched == nv or partner[x + 1 : 3 * touched].count(-1) > 1:
+        if x < nd and (touched == nv or partner[x + 1 : 3 * touched].count(-1) > 1):
+            # vertex 0 has the best local type: a partner may make a loop
+            # only if vertex 0 has one, or a double edge only if vertex 0
+            # has a loop or a double edge (partner[1] != 6)
+            v = x // 3
+            if partner[1] == 6:
+                barred = (v, partner[3 * v] // 3, partner[3 * v + 1] // 3)
+            elif include_loops and partner[0] in (-1, 1):
+                barred = ()
+            else:
+                barred = (v,)
             for w in range(touched):
                 for y in (3 * w, 3 * w + 1, 3 * w + 2):
                     if partner[y] == -1 and y != x:
-                        if w != x // 3 or include_loops:
+                        if w not in barred:
                             cands.append(y)
                         break
         if touched < nv:
             cands.append(3 * touched)
         # the root reveals nothing to test; a complete pairing always is
         if x == nd or (len(cands) > 1 and x):
-            # every revealed vertex has its first dart paired; from the
-            # first loop on, only loop vertices seed
+            # every revealed vertex has its first dart paired; the seeds
+            # of a path only grow, so every resumed state has one
             seeds = _seeds(partner, touched)
-            if any(v not in seeds for v in seeded):
-                ties = [t for t in ties if t[3][0] // 3 in seeds]
             fresh = [v for v in seeds if v not in seeded]
             ties = _prefix_ties(partner, x, ties, fresh)
             if ties is None:

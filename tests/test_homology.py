@@ -200,7 +200,7 @@ def test_class_memo_gives_the_same_report_bytes(k, policy):
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
 def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
     """class_basis enumerates once per (k, policy) and builds one class
-    table: at k=4 the first convention runs the 186 (no loops) or 457
+    table: at k=4 the first convention runs the 161 (no loops) or 345
     (loops) prefix tests of one enumeration and builds the table, and the
     other convention runs none and holds the same table object."""
     tests, tables = [], []
@@ -219,7 +219,7 @@ def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
     monkeypatch.setattr(mg.ClassTable, "__init__", counted_table)
     hom._classified.cache_clear()
     first = hom.class_basis(4, Convention.ODD, policy)
-    assert len(tests) == {TP.EXCLUDE: 186, TP.INCLUDE: 457}[policy]
+    assert len(tests) == {TP.EXCLUDE: 161, TP.INCLUDE: 345}[policy]
     tests.clear()
     second = hom.class_basis(4, Convention.EVEN, policy)
     assert tests == []
@@ -767,6 +767,38 @@ def test_edited_nonzero_certificates_fail_replay(monkeypatch):
         assert hom._replay_nonzero(hom.NonzeroCertificate(cid, fresh), report)
         assert len(calls) == len(edits) - (k == 4) + 1
         monkeypatch.undo()
+
+
+def test_replay_refuses_values_that_are_not_exact():
+    """A nonzero certificate's functional values, or a relation
+    combination's coefficients, given as floats (all of them or the last),
+    or a value 1 given as True, are refused with False and so fail replay
+    with its own error, though each equals the genuine value: only an int
+    or a `Fraction` is an exact value.  The same values as ints replay."""
+    odd = hom.dimension(3, Convention.ODD, TP.EXCLUDE)
+    even = hom.dimension(3, Convention.EVEN, TP.INCLUDE)
+    combo = hom.certify(3, even)
+    assert combo.kind == "relation-combination"
+    cases = (
+        (hom.certify(2, odd), "functional", odd, hom._replay_nonzero),
+        (combo, "combination", even, hom._replay_zero),
+    )
+    for cert, name, report, replay in cases:
+        entries = getattr(cert, name)
+        one = next(j for j, (_, v) in enumerate(entries) if v == 1)
+        changes = {
+            "ints": [(i, int(v)) for i, v in entries],
+            "floats": [(i, float(v)) for i, v in entries],
+            "last-float": [*entries[:-1], (entries[-1][0], float(entries[-1][1]))],
+            "bool": [(i, True if j == one else v) for j, (i, v) in enumerate(entries)],
+        }
+        for change, values in changes.items():
+            edited = dataclasses.replace(cert, **{name: values})
+            assert values == entries, change
+            assert replay(edited, report) == (change == "ints"), change
+            if change != "ints":
+                with pytest.raises(AssertionError, match="failed replay"):
+                    hom._replayed(edited, report)
 
 
 def test_reports_read_only_their_own_replays(monkeypatch):

@@ -84,6 +84,24 @@ def test_enumerate_counts_small():
     assert len(list(mg.enumerate_trivalent(2, mg.TadpolePolicy.INCLUDE))) == 5
 
 
+def test_simple_classes_match_a002851():
+    """The classes without a loop start (3, 6) exactly when they have no
+    double edge either, and those simple connected cubic graphs on 2k
+    vertices number 0, 1, 2, 5, 19, 85 for k = 1..6: OEIS A002851, quoted
+    from memory, not checked against the source."""
+    counts = []
+    for k in range(1, 7):
+        simple = 0
+        for g in mg.enumerate_trivalent(k):
+            p = g.partner
+            ends = [{p[d] // 3 for d in range(3 * v, 3 * v + 3)} for v in range(2 * k)]
+            plain = all(len(e) == 3 and v not in e for v, e in enumerate(ends))
+            assert (p[:2] == (3, 6)) == plain
+            simple += plain
+        counts.append(simple)
+    assert counts == [0, 1, 2, 5, 19, 85]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize(
     "policy", [mg.TadpolePolicy.EXCLUDE, mg.TadpolePolicy.INCLUDE]
@@ -183,14 +201,75 @@ def test_prefix_cuts_hold_no_minimal_pairing(monkeypatch, k, policy):
             assert mg.canonical_code(mg.DartGraph(2 * k, p, True)) < p
 
 
+def _dropped_by_vertex_zero(node, x):
+    """Whether the DFS child `node`, which has just paired dart x, breaks
+    vertex 0's local type: a loop where vertex 0 has none (node[0] != 1),
+    or a double edge where vertex 0 has neither (node[1] == 6)."""
+    y = node[x]
+    ends = [node[d] // 3 for d in range(x - x % 3, x) if node[d] != -1]
+    if y // 3 == x // 3:
+        return node[0] != 1
+    return y // 3 in ends and node[1] == 6
+
+
+def _dfs_path(p):
+    """The DFS children on the way to the DFS node p, each with the dart it
+    paired: the least free dart, with its partner in p."""
+    node = [-1] * len(p)
+    for x, y in enumerate(p):
+        if node[x] == -1:  # the least free dart
+            if y == -1:
+                return
+            node[x], node[y] = y, x
+            yield tuple(node), x
+
+
+@pytest.mark.parametrize(
+    "k, policy",
+    [(k, pol) for k in (1, 2, 3) for pol in mg.TadpolePolicy]
+    + [(4, mg.TadpolePolicy.EXCLUDE)],
+)
+def test_vertex_zero_drops_hold_no_minimal_pairing(monkeypatch, k, policy):
+    """Every DFS child that vertex 0's local type rules out (a loop where
+    vertex 0 has none, a double edge where it has neither), walked with
+    the leaf-only DFS, holds no pairing that is its own minimal code, as a
+    minimal code starts (1, 0) on a graph with a loop, (3, 4) on one with
+    a double edge and (3, 6) on the rest.  Enumeration tests no node in
+    such a subtree.  There is one from k = 2 on, and at k = 1 with loops."""
+    include = policy is mg.TadpolePolicy.INCLUDE
+    dropped = {
+        node
+        for p in ref.pairing_dfs(k, include)
+        for node, x in _dfs_path(p)
+        if _dropped_by_vertex_zero(node, x)
+    }
+    assert bool(dropped) == (k > 1 or include)
+    for node in dropped:
+        for p in ref.pairing_dfs(k, include, start=node):
+            assert mg.canonical_code(mg.DartGraph(2 * k, p, True)) < p
+    tested = []
+    prefix_ties = mg._prefix_ties
+
+    def recording_test(partner, end, ties, fresh_seeds):
+        tested.append(tuple(partner))
+        return prefix_ties(partner, end, ties, fresh_seeds)
+
+    monkeypatch.setattr(mg, "_prefix_ties", recording_test)
+    list(mg.enumerate_trivalent(k, policy))
+    assert tested
+    for partner in tested:
+        assert not any(_dropped_by_vertex_zero(*step) for step in _dfs_path(partner))
+
+
 def _seeds_from_scratch(partner):
     """The seeds of a partial pairing's prefix test: its loop vertices if it
-    has any, else every vertex whose first dart has a known partner."""
+    has any, else its double-edge vertices if it has any, else every vertex
+    whose first dart has a known partner."""
     nv = len(partner) // 3
-    loops = [
-        v for v in range(nv) if v in (partner[3 * v] // 3, partner[3 * v + 1] // 3)
-    ]
-    return loops or [v for v in range(nv) if partner[3 * v] != -1]
+    ends = [[p // 3 for p in partner[3 * v : 3 * v + 3] if p != -1] for v in range(nv)]
+    loops = [v for v in range(nv) if v in ends[v]]
+    doubles = [v for v in range(nv) if len(set(ends[v])) < len(ends[v])]
+    return loops or doubles or [v for v in range(nv) if partner[3 * v] != -1]
 
 
 def _tie_key(tie):
@@ -333,9 +412,9 @@ def test_swap_fires_at_seeds_and_branch_points(request, graph, kinds):
 @pytest.mark.parametrize(
     "k, policy, counts",
     [
-        (4, mg.TadpolePolicy.EXCLUDE, (149, 64, 37, 17)),
-        (4, mg.TadpolePolicy.INCLUDE, (289, 114, 168, 97)),
-        (5, mg.TadpolePolicy.EXCLUDE, (718, 303, 201, 110)),
+        (4, mg.TadpolePolicy.EXCLUDE, (130, 50, 31, 11)),
+        (4, mg.TadpolePolicy.INCLUDE, (231, 75, 114, 43)),
+        (5, mg.TadpolePolicy.EXCLUDE, (648, 254, 175, 84)),
     ],
     ids=["k4-exclude", "k4-include", "k5-exclude"],
 )

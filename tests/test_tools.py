@@ -75,13 +75,13 @@ def test_bench_enum_counters():
     frames = "_prefix_ties.extend"
     assert got == {
         (4, "exclude"): (
-            149, 64, 37, 17, {"function": frames, "frames": 2555}, 5302,
-            {"given": 2855, "carried": 1567, "resumed": 1288, "most_held": 82},
+            130, 50, 31, 11, {"function": frames, "frames": 1924}, 3607,
+            {"given": 2065, "carried": 1096, "resumed": 969, "most_held": 82},
             20, 572,
         ),
         (4, "include"): (
-            289, 114, 168, 97, {"function": frames, "frames": 3579}, 7231,
-            {"given": 3637, "carried": 1789, "resumed": 1848, "most_held": 82},
+            231, 75, 114, 43, {"function": frames, "frames": 2506}, 4518,
+            {"given": 2468, "carried": 1176, "resumed": 1292, "most_held": 82},
             71, 2700,
         ),
     }
@@ -91,8 +91,8 @@ def test_bench_lookup_counters():
     out = _run_tool("bench_lookup.py", "--repeats", "0")
     assert out["frames"] == {
         "lookups": 2000,
-        "search_frames_per_lookup": 89.12,
-        "search_seeds_per_lookup": 8.0,
+        "search_frames_per_lookup": 64.56,
+        "search_seeds_per_lookup": 5.1,
         "walk_frames_per_lookup": 5.3,
         "walk_seeds_per_lookup": 1.0,
         "walk_orders_per_lookup": 1.15,

@@ -19,7 +19,8 @@ Per case, from one enumeration:
   enumeration runs them (`_prefix_ties.extend` resumed);
 - `from_scratch_frames`: frames of `_prefix_ties.extend` when the same
   inner test is called at the same nodes with no tie states and every seed
-  fresh;
+  of `_seeds` fresh (the loop vertices, else the double-edge vertices, else
+  every revealed vertex);
 - `tie_states`: states handed to inner tested nodes that pass (`given`),
   those returned as the same object because their next dart is still
   unpaired (`carried`), the rest, which were extended (`resumed`), and the
