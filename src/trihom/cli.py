@@ -3,9 +3,9 @@
 Exit codes: 0 ok, 2 bad input, 4 resource limit exceeded or out of
 memory, 5 oracle mismatch (also an oracle that cannot place an IHX term in
 its own class list).  Code 3 (infeasible vertex typing) is retired: every
-trivalent multigraph has a Type I/II typing.  A malformed `AK_MAX_CLASSES` or
-`AK_MAX_MATRIX` value and an output path that cannot be written are bad
-input.  Output is byte-deterministic for fixed arguments.
+trivalent multigraph has a Type I/II typing.  A malformed or negative
+`AK_MAX_CLASSES` or `AK_MAX_MATRIX` value and an output path that cannot be
+written are bad input.  Output is byte-deterministic for fixed arguments.
 """
 
 from __future__ import annotations

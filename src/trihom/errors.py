@@ -33,18 +33,23 @@ class ResourceLimit(TrihomError):
 
 
 class BadEnvironment(TrihomError, ValueError):
-    """An `AK_*` environment variable holds a value that is not an integer."""
+    """An `AK_*` environment variable holds a value that is not an integer,
+    or a negative one."""
 
 
 def env_int(name: str, default: int) -> int:
-    """Integer value of environment variable `name`, or `default` when unset."""
+    """Integer value of environment variable `name`, or `default` when unset;
+    every knob is a ceiling, so a negative value is refused."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise BadEnvironment(f"{name}={raw!r} is not an integer") from None
+    if value < 0:
+        raise BadEnvironment(f"{name}={raw!r} must be >= 0")
+    return value
 
 
 class DimensionTooSmall(TrihomError):

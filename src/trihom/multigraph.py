@@ -687,7 +687,16 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
     node's test would, and the child gets the tie states unchanged.
     Pairings that would leave a component closed before all 2k vertices
     are revealed are not tried, so such single-child nodes are common near
-    the leaves.
+    the leaves.  Nor is a node reached by a pure tree edge tested: its
+    parent paired the smallest free dart x' with a new vertex's first dart,
+    and its own smallest free dart is x' + 1.  The test's bound grows by
+    slot x' alone, whose value, the next new vertex, is the largest that
+    slot can take, so every state reaching slot x' ties it.  Such a test
+    could cut only through a state that stopped at dart x' before slot x';
+    otherwise it just branches the states at the new vertex's free darts
+    before their partners are known (it cut 52 of 452 times at k=6 without
+    loops, against 1,329 of 2,349 after a pair closing onto a revealed
+    vertex).
 
     Classes are yielded as the DFS reaches them, which is code order: the
     smallest free dart x is the first slot where sibling pairings differ,
@@ -728,8 +737,11 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
                         break
         if touched < nv:
             cands.append(3 * touched)
-        # the root reveals nothing to test; a complete pairing always is
-        if x == nd or (len(cands) > 1 and x):
+        # the root reveals nothing to test, nor does a pure tree edge: x
+        # follows the dart that revealed the newest vertex, then the least
+        # free dart, so the pair just made revealed it and x is the next
+        # dart; a complete pairing is always tested
+        if x == nd or (len(cands) > 1 and x and partner[x - 1] != 3 * touched - 3):
             # every revealed vertex has its first dart paired; the seeds
             # of a path only grow, so every resumed state has one
             seeds = _seeds(partner, touched)

@@ -200,7 +200,7 @@ def test_class_memo_gives_the_same_report_bytes(k, policy):
 @pytest.mark.parametrize("policy", [TP.EXCLUDE, TP.INCLUDE])
 def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
     """class_basis enumerates once per (k, policy) and builds one class
-    table: at k=4 the first convention runs the 161 (no loops) or 345
+    table: at k=4 the first convention runs the 143 (no loops) or 311
     (loops) prefix tests of one enumeration and builds the table, and the
     other convention runs none and holds the same table object."""
     tests, tables = [], []
@@ -219,7 +219,7 @@ def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
     monkeypatch.setattr(mg.ClassTable, "__init__", counted_table)
     hom._classified.cache_clear()
     first = hom.class_basis(4, Convention.ODD, policy)
-    assert len(tests) == {TP.EXCLUDE: 161, TP.INCLUDE: 345}[policy]
+    assert len(tests) == {TP.EXCLUDE: 143, TP.INCLUDE: 311}[policy]
     tests.clear()
     second = hom.class_basis(4, Convention.EVEN, policy)
     assert tests == []

@@ -322,6 +322,22 @@ def test_cli_malformed_limit_exit_code(monkeypatch, var, argv):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "var, argv",
+    [
+        ("AK_MAX_CLASSES", ("enumerate", "--k", "3")),
+        ("AK_MAX_MATRIX", ("dim", "--k", "2", "--convention", "odd")),
+    ],
+)
+def test_cli_negative_limit_exit_code(monkeypatch, var, argv):
+    """A negative ceiling is bad input, not a limit every run exceeds."""
+    monkeypatch.setenv(var, "-1")
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {var}='-1' must be >= 0\n"
+    assert out.stdout == ""
+
+
 def test_cli_byte_determinism():
     a = run_cli_ok("dim", "--k", "2", "--convention", "even", "--certify")
     b = run_cli_ok("dim", "--k", "2", "--convention", "even", "--certify")

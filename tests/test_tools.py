@@ -65,6 +65,7 @@ def test_bench_enum_counters():
             r["leaf_tests"],
             r["leaf_cuts"],
             r["prefix_test_frames"],
+            r["leaf_test_frames"],
             r["from_scratch_frames"],
             r["tie_states"],
             r["classes"],
@@ -75,13 +76,13 @@ def test_bench_enum_counters():
     frames = "_prefix_ties.extend"
     assert got == {
         (4, "exclude"): (
-            130, 50, 31, 11, {"function": frames, "frames": 1924}, 3607,
-            {"given": 2065, "carried": 1096, "resumed": 969, "most_held": 82},
+            110, 48, 33, 13, {"function": frames, "frames": 1501}, 908, 3050,
+            {"given": 1430, "carried": 755, "resumed": 675, "most_held": 82},
             20, 572,
         ),
         (4, "include"): (
-            231, 75, 114, 43, {"function": frames, "frames": 2506}, 4518,
-            {"given": 2468, "carried": 1176, "resumed": 1292, "most_held": 82},
+            192, 73, 119, 48, {"function": frames, "frames": 1927}, 1561, 3784,
+            {"given": 1666, "carried": 803, "resumed": 863, "most_held": 82},
             71, 2700,
         ),
     }

@@ -17,6 +17,8 @@ Per case, from one enumeration:
   None);
 - `prefix_test_frames`: recursive frames of the inner prefix tests as
   enumeration runs them (`_prefix_ties.extend` resumed);
+- `leaf_test_frames`: the same frames of the leaf tests, so that the two
+  fields together count every `extend` frame of an enumeration;
 - `from_scratch_frames`: frames of `_prefix_ties.extend` when the same
   inner test is called at the same nodes with no tie states and every seed
   of `_seeds` fresh (the loop vertices, else the double-edge vertices, else
@@ -55,14 +57,14 @@ DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
 def counters(k, policy):
     nd = 6 * k
     prefix_ties = mg._prefix_ties
-    resumed, scratch = Frames(prefix_ties, "extend"), Frames(prefix_ties, "extend")
+    resumed, scratch, leaf = (Frames(prefix_ties, "extend") for _ in range(3))
     out = {"tested_nodes": 0, "cuts": 0, "leaf_tests": 0, "leaf_cuts": 0}
     ties_seen = {"given": 0, "carried": 0, "most_held": 0}
 
     def counted_test(partner, end, ties, fresh_seeds):
         if end == nd:
             out["leaf_tests"] += 1
-            found = prefix_ties(partner, end, ties, fresh_seeds)
+            found = leaf.run(prefix_ties, partner, end, ties, fresh_seeds)
             out["leaf_cuts"] += found is None
             return found
         found = resumed.run(prefix_ties, partner, end, ties, fresh_seeds)
@@ -91,6 +93,7 @@ def counters(k, policy):
         "function": "_prefix_ties.extend",
         "frames": resumed.count,
     }
+    out["leaf_test_frames"] = leaf.count
     out["from_scratch_frames"] = scratch.count
     out["tie_states"] = {
         "given": given,
