@@ -14,11 +14,10 @@ class is all a certificate reads (`_lookup`), and `signed_class` signs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import is_
 from typing import Sequence
 
 from . import exactla
@@ -204,7 +203,7 @@ class ClassBasis:
     k: int
     convention: Convention
     policy: TadpolePolicy
-    classes: list[GraphClass]
+    classes: tuple[GraphClass, ...]
     table: ClassTable
     orbit_min: tuple[tuple[int, ...] | None, ...]
 
@@ -234,7 +233,7 @@ def class_basis(
         raise ValueError(f"k must be an int >= 1, got {k!r}")
     limit = env_int("AK_MAX_CLASSES", DEFAULT_MAX_CLASSES)
     by_convention, orbit_min, table = _classified(k, policy, limit)
-    classes = list(by_convention[convention])
+    classes = by_convention[convention]
     return ClassBasis(k, convention, policy, classes, table, orbit_min)
 
 
@@ -309,14 +308,15 @@ class RelationData:
         return exactla.kernel(self.matrix)
 
     @cached_property
-    def combinations(self) -> dict[int, dict[int, Fraction]]:
+    def combinations(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
         """Each column that every functional misses, which is then a
-        combination of the rows, to that combination by row id."""
+        combination of the rows, to that combination: sorted (row id, value)."""
         m = self.matrix
         hit = set().union(*self.functionals)
         missed = [c for c in range(m.num_cols) if c not in hit]
         units = SparseIntMatrix(len(missed), m.num_cols, [[(c, 1)] for c in missed])
-        return dict(zip(missed, exactla.solve_combinations(m, units)))
+        solved = exactla.solve_combinations(m, units)
+        return {c: tuple(sorted(x.items())) for c, x in zip(missed, solved)}
 
 
 def _terms(
@@ -410,7 +410,7 @@ def relation_matrix(basis: ClassBasis) -> RelationData:
 
 
 # a functional's (generator class id, value) listing and its replayed `_form`
-_Replay = tuple[list[tuple[int, Fraction]], dict[int, int] | None]
+_Replay = tuple[tuple[tuple[int, Fraction], ...], dict[int, int] | None]
 
 
 @dataclass
@@ -459,7 +459,7 @@ class DimensionReport:
         row once per report, and None if that replay fails."""
         ids, out = self.basis.generator_ids, []
         for vec in self.relations.functionals:
-            listing = [(ids[i], v) for i, v in sorted(vec.items())]
+            listing = tuple((ids[i], v) for i, v in sorted(vec.items()))
             out.append((listing, _form(self, listing)))
         return out
 
@@ -549,7 +549,7 @@ class ZeroCertificate:
     kind: str  # "sign-witness" | "excluded" | "relation-combination"
     class_id: int | None = None
     witness_dart_perm: tuple[int, ...] | None = None
-    combination: list[tuple[int, Fraction]] = field(default_factory=list)
+    combination: tuple[tuple[int, Fraction], ...] = ()
     reason: str | None = None
 
     def to_json(self) -> dict:
@@ -572,7 +572,7 @@ class NonzeroCertificate:
     """Functional over generator columns annihilating every relation row."""
 
     class_id: int
-    functional: list[tuple[int, Fraction]]
+    functional: tuple[tuple[int, Fraction], ...]
 
     def to_json(self) -> dict:
         return {
@@ -642,7 +642,7 @@ def _is_automorphism(g: DartGraph, dart_map: Sequence[int] | None) -> bool:
 
 
 def _scaled(
-    vec: list[tuple[int, Fraction]]
+    vec: Sequence[tuple[int, Fraction]]
 ) -> tuple[int, list[tuple[int, int]]] | None:
     """`vec` times the lcm of its denominators, as that lcm and integers;
     None if a value is not an int or a `Fraction` (a bool or a float is no
@@ -661,22 +661,21 @@ def _replay_nonzero(cert: NonzeroCertificate, report: DimensionReport) -> bool:
     """Whether the functional is nonzero at the certificate's class and
     annihilates every relation row.
 
-    A functional made of the very entries of the report's listing at that
-    class's column, as `_certify_class` makes every nonzero certificate,
-    reads the `_form` that `DimensionReport._replays` made of the listing
-    once per report, so only the class and its column are checked here.
-    The entries are compared by identity, since `==` would take True for
-    the id 1.  Any other functional is scaled and replayed in full."""
+    A functional that is the report's own listing (a tuple, which no edit
+    reaches) at that class's column, as `_certify_class` makes every nonzero
+    certificate, reads the `_form` that `DimensionReport._replays` made of
+    it once per report, so only the class and its column are checked here.
+    It is compared by identity, since `==` would take True for the id 1.
+    Any other functional is scaled and replayed in full."""
     col = _replay_column(report.basis, cert.class_id)
     listing, form = report._listings.get(col, ((), None))
-    func = cert.functional
-    if len(func) != len(listing) or not all(map(is_, func, listing)):
-        form = _form(report, func)
+    if cert.functional is not listing:
+        form = _form(report, cert.functional)
     return form is not None and bool(form.get(col))
 
 
 def _form(
-    report: DimensionReport, functional: list[tuple[int, Fraction]]
+    report: DimensionReport, functional: Sequence[tuple[int, Fraction]]
 ) -> dict[int, int] | None:
     """`functional`, over generator class ids, scaled by `_scaled` and
     mapped to columns, if it annihilates every row of the report's matrix;
@@ -748,9 +747,9 @@ def _certify_class(
     The functionals are a basis of ker M, `report.dimension` vectors, so the
     class is a combination of rows exactly when every functional vanishes at
     its column.  Only then is its combination read, from the report's
-    `combinations`, solved for every such column at once.  A nonzero
-    certificate is a new list of the entries of its functional's listing
-    in `_listings`, which `_replay_nonzero` checks only at the class.
+    `combinations`, solved for every such column at once.  A certificate
+    holds the report's own tuple, never a copy: its combination, or its
+    functional's listing in `_listings`, which replay checks at the class.
     """
     if cls.status is ClassStatus.ZERO:
         cert: ZeroCertificate | NonzeroCertificate = ZeroCertificate(
@@ -758,13 +757,13 @@ def _certify_class(
         )
         return _replayed(cert, report)
     col = report.basis.columns[cls.class_id]
-    if col in report._listings:  # a copy, so that no caller's change reaches another
+    if col in report._listings:
         listing, _ = report._listings[col]
-        cert = NonzeroCertificate(class_id=cls.class_id, functional=list(listing))
+        cert = NonzeroCertificate(class_id=cls.class_id, functional=listing)
         return _replayed(cert, report)
     cert = ZeroCertificate(
         kind="relation-combination",
         class_id=cls.class_id,
-        combination=sorted(report.relations.combinations[col].items()),
+        combination=report.relations.combinations[col],
     )
     return _replayed(cert, report)

@@ -227,6 +227,16 @@ def test_second_convention_runs_no_prefix_test(monkeypatch, policy):
     assert second.table is first.table and len(tables) == 1
 
 
+def test_class_basis_holds_the_memos_tuple():
+    """Every basis of one (k, convention, policy) holds the memo's tuple of
+    classes itself: no basis copies it, and none can change it in place."""
+    first = hom.class_basis(3, Convention.ODD, TP.EXCLUDE)
+    second = hom.class_basis(3, Convention.ODD, TP.EXCLUDE)
+    assert isinstance(first.classes, tuple) and second.classes is first.classes
+    with pytest.raises(AttributeError):
+        first.classes.append(first.classes[0])
+
+
 def test_class_memo_enforces_a_lower_class_limit(monkeypatch):
     """The class limit in force is part of the memo's key: a limit set after
     a report still raises for the other convention of its (k, policy)."""
@@ -415,7 +425,7 @@ def test_certificates_theta():
     theta_cls = rep_odd.basis.classes[0]
     cert = hom.certify(theta_cls.class_id, rep_odd)
     assert isinstance(cert, hom.NonzeroCertificate)
-    assert cert.functional == [(0, Fraction(1))]
+    assert cert.functional == ((0, Fraction(1)),)
 
     rep_even = hom.dimension(1, Convention.EVEN)
     theta = mg.from_pairing(2, [(0, 3), (1, 4), (2, 5)])
@@ -706,19 +716,30 @@ def test_certify_labelled_graphs_sign_nothing(monkeypatch, rng, conv, policy):
                 hom.certify((g, change(lab, g.num_vertices, g.num_edges)), report)
 
 
-def test_nonzero_certificates_share_no_list():
-    """Classes certified by one functional get equal lists that are not one
-    list: a caller who changes one certificate changes no other, nor a
-    later certificate of that functional."""
+def test_certificates_hold_their_reports_tuples():
+    """Classes certified by one functional hold the very tuple of its
+    listing in the report, and a relation combination the very tuple of
+    `RelationData.combinations`: neither can be changed in place, so a
+    caller who gives one certificate another functional changes no other
+    certificate, nor a later certificate of that functional."""
     report = hom.dimension(4, Convention.ODD, TP.EXCLUDE)
     certs = [hom.certify(c.class_id, report) for c in report.basis.generators]
     first, second = [c for c in certs if isinstance(c, hom.NonzeroCertificate)][:2]
-    listing = list(second.functional)
-    assert first.functional == listing
-    first.functional.append(first.functional[0])
-    first.functional[0] = (first.functional[0][0], Fraction(99))
-    assert second.functional == listing
-    assert hom.certify(first.class_id, report).functional == listing
+    listing, _ = report._listings[report.basis.columns[first.class_id]]
+    assert first.functional is listing and second.functional is listing
+    even = hom.dimension(3, Convention.EVEN, TP.INCLUDE)
+    combo = hom.certify(3, even)
+    assert combo.kind == "relation-combination"
+    assert combo.combination is even.relations.combinations[even.basis.columns[3]]
+    for entries in (listing, combo.combination):
+        with pytest.raises(AttributeError):
+            entries.append(entries[0])
+        with pytest.raises(TypeError):
+            entries[0] = (entries[0][0], Fraction(99))
+    saved = list(listing)
+    first.functional = ((listing[0][0], Fraction(99)), *listing[1:])
+    assert second.functional is listing and list(listing) == saved
+    assert hom.certify(first.class_id, report).functional is listing
 
 
 def _counting_scaled(monkeypatch):
@@ -736,7 +757,7 @@ def _counting_scaled(monkeypatch):
 def test_edited_nonzero_certificates_fail_replay(monkeypatch):
     """A nonzero certificate as `certify` returns it replays by its class
     alone, reading the form its report made of the listing, with no
-    scaling.  Edited in place after `certify`, by one value altered, one
+    scaling.  Rebuilt by `dataclasses.replace` with one value altered, one
     entry dropped, a zero class's id in place of a generator's, an id
     repeated, or the id 1 given as True (which `==` takes for 1), it is
     scaled and replayed in full, and fails.  An equal functional made of
@@ -749,21 +770,22 @@ def test_edited_nonzero_certificates_fail_replay(monkeypatch):
         assert hom._replay_nonzero(hom.certify(cid, report), report)
         assert calls == []
         edits = {
-            "value": lambda f: f.__setitem__(-1, (f[-1][0], f[-1][1] + 1)),
-            "dropped": lambda f: f.pop(-1),
-            "zero-class": lambda f: f.__setitem__(-1, (zero, f[-1][1])),
-            "repeated": lambda f: f.append(f[0]),
-            "bool-id": lambda f: f.__setitem__(0, (True, f[0][1])),
+            "value": lambda f: (*f[:-1], (f[-1][0], f[-1][1] + 1)),
+            "dropped": lambda f: f[:-1],
+            "zero-class": lambda f: (*f[:-1], (zero, f[-1][1])),
+            "repeated": lambda f: (*f, f[0]),
+            "bool-id": lambda f: ((True, f[0][1]), *f[1:]),
         }
         for name, edit in edits.items():
             cert = hom.certify(cid, report)
             if name == "bool-id" and cert.functional[0][0] != 1:
                 continue
-            edit(cert.functional)
-            assert not hom._replay_nonzero(cert, report), name
+            edited = dataclasses.replace(cert, functional=edit(cert.functional))
+            assert not hom._replay_nonzero(edited, report), name
         assert len(calls) == len(edits) - (k == 4)
         cert = hom.certify(cid, report)
-        fresh = [(c, Fraction(v)) for c, v in cert.functional]
+        fresh = tuple((c, Fraction(v)) for c, v in cert.functional)
+        assert fresh == cert.functional and fresh is not cert.functional
         assert hom._replay_nonzero(hom.NonzeroCertificate(cid, fresh), report)
         assert len(calls) == len(edits) - (k == 4) + 1
         monkeypatch.undo()
@@ -794,7 +816,7 @@ def test_replay_refuses_values_that_are_not_exact():
         }
         for change, values in changes.items():
             edited = dataclasses.replace(cert, **{name: values})
-            assert values == entries, change
+            assert values == list(entries), change
             assert replay(edited, report) == (change == "ints"), change
             if change != "ints":
                 with pytest.raises(AssertionError, match="failed replay"):

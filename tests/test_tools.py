@@ -102,7 +102,6 @@ def test_bench_lookup_counters():
     relations = {
         (r["k"], r["convention"]): (
             r["trie_walks_in_relation_matrix"],
-            r["min_code_ties_calls_in_relation_matrix"],
             r["expansions"],
             r["orbit_skips"],
             r["term_skips"],
@@ -110,8 +109,8 @@ def test_bench_lookup_counters():
         for r in out["relations"]
     }
     assert relations == {
-        (4, "odd"): (59, 0, 36, 111, 21),
-        (5, "odd"): (367, 0, 224, 439, 147),
+        (4, "odd"): (59, 36, 111, 21),
+        (5, "odd"): (367, 224, 439, 147),
     }
     # --repeats 0 times nothing
     assert out["lookup_walls"] == {

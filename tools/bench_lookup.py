@@ -9,13 +9,14 @@ tree it sits in; to compare with another checkout, run that checkout's
 own copy.
 
 - `relations`: for each case of `--cases` (k and o/e for the odd or even
-  convention, without loops; k=4 and 5 odd by default), the
-  `_min_code_ties` calls and trie walks made inside `relation_matrix`, its
-  IHX expansions (rows, zero rows and duplicates), the non-loop generator
-  edges it skipped by the orbit rule and by the term rule, and
-  `relation_matrix` wall times over `--repeats` further runs on the same
-  basis, uncounted.  The basis and matrix themselves, their shape, content
-  hash, rank and dimension, are `bench_rank.py`'s.
+  convention, without loops; k=4 and 5 odd by default), the trie walks
+  made inside `relation_matrix`, its IHX expansions (rows, zero rows and
+  duplicates), the non-loop generator edges it skipped by the orbit rule
+  and by the term rule, and `relation_matrix` wall times over `--repeats`
+  further runs on the same basis, uncounted.  It runs no min-code search,
+  as `test_ihx_terms_walk_the_trie_not_the_search` asserts.  The basis
+  and matrix themselves, their shape, content hash, rank and dimension,
+  are `bench_rank.py`'s.
 - `frames`: 2,000 random relabellings of the k=4 classes without loops (100
   per class): recursive frames of the tie walk that the min-code search
   behind `canonical_form` runs (`_prefix_ties.extend`) and of the trie walk
@@ -47,8 +48,8 @@ from trihom.orientation import Convention
 
 def relations(k, convention, repeats):
     basis = hom.class_basis(k, convention, TadpolePolicy.EXCLUDE)
-    searches, walks = Counted(mg, "_min_code_ties"), Counted(mg, "_trie_walk")
-    with searches, walks:
+    walks = Counted(mg, "_trie_walk")
+    with walks:
         rel = hom.relation_matrix(basis)
     walls = []
     for _ in range(repeats):
@@ -67,7 +68,6 @@ def relations(k, convention, repeats):
         "expansions": len(rel.rows) + len(rel.zero_rows) + rel.duplicates,
         "orbit_skips": orbit_skips,
         "term_skips": rel.skipped - orbit_skips,
-        "min_code_ties_calls_in_relation_matrix": searches.count,
         "trie_walks_in_relation_matrix": walks.count,
         "relation_matrix_wall_s": walls,
     }
