@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .errors import MalformedPairing
 from .multigraph import DartGraph, canonical_code, from_pairing
 
@@ -60,9 +58,11 @@ def to_dot(g: DartGraph, name: str = "G") -> str:
 
 
 def to_jsonl_record(g: DartGraph) -> str:
-    rec = {
-        "k": g.k,
-        "pairing": [list(e) for e in g.edges],
-        "canonical_code": " ".join(str(x) for x in canonical_code(g)),
-    }
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    """One JSON line: keys sorted, no spaces between tokens.  Every value is
+    an int or a code of ints and spaces (`from_pairing` refuses darts that
+    are not ints), so the record is written directly with nothing to escape,
+    byte for byte what `json.dumps(..., sort_keys=True, separators=(",",
+    ":"))` writes."""
+    code = " ".join(map(str, canonical_code(g)))
+    pairing = ",".join(f"[{a},{b}]" for a, b in g.edges)
+    return f'{{"canonical_code":"{code}","k":{g.k},"pairing":[{pairing}]}}'

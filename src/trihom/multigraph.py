@@ -160,6 +160,8 @@ def from_pairing(
         raise MalformedPairing(f"{nd} darts need {nd // 2} pairs, got {len(pairs)}")
     partner = [-1] * nd
     for a, b in pairs:
+        if type(a) is not int or type(b) is not int:
+            raise MalformedPairing(f"dart not an int in pair ({a!r}, {b!r})")
         if not (0 <= a < nd and 0 <= b < nd):
             raise MalformedPairing(f"dart out of range in pair ({a}, {b})")
         if a == b:
@@ -659,12 +661,13 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
     J. Algorithms 1998).  A DFS pairs the smallest free dart x with the
     first free dart of a revealed vertex or the first dart of a new one, so
     vertices are revealed in discovery order and each vertex's darts are
-    consumed smallest first; every minimal code is such a pairing.  Each
-    tested node runs one test, `_prefix_ties` against partner[:x], and is
-    cut when a relabelling of the revealed part already has a smaller
-    determined code, so no completion is its own minimal code.  A complete
-    pairing is always tested; it passes once per class, and the relabellings
-    that tie its whole code are its automorphisms.
+    consumed smallest first; every minimal code is such a pairing.  The
+    vertices before x's are full, so the scan for partners starts at x's own
+    vertex.  Each tested node runs one test, `_prefix_ties` against
+    partner[:x], and is cut when a relabelling of the revealed part already
+    has a smaller determined code, so no completion is its own minimal code.
+    A complete pairing is always tested; it passes once per class, and the
+    relabellings that tie its whole code are its automorphisms.
 
     Vertex 0 of a least code has the best local type in its graph: the
     code starts (1, 0) if the graph has a loop, (3, 4) if it has a double
@@ -681,6 +684,9 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
     loop vertices; otherwise no loop is made, partner[1] = 4 keeps the
     seeds the double-edge vertices, and partner[1] = 6 all vertices, as no
     double edge is made either; and a loop or double-edge vertex stays one.
+    So a (3, 6) prefix's seeds are its revealed vertices and its fresh
+    seeds those revealed since its tested ancestor, read off without
+    `_seeds`.
 
     An inner node with a single child is not tested: the child's prefix
     extends its own, so the child's test finds every smaller code the
@@ -729,7 +735,7 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
                 barred = ()
             else:
                 barred = (v,)
-            for w in range(touched):
+            for w in range(v, touched):
                 for y in (3 * w, 3 * w + 1, 3 * w + 2):
                     if partner[y] == -1 and y != x:
                         if w not in barred:
@@ -744,8 +750,12 @@ def _orderly(k: int, policy: TadpolePolicy) -> Iterator[tuple[DartGraph, list[tu
         if x == nd or (len(cands) > 1 and x and partner[x - 1] != 3 * touched - 3):
             # every revealed vertex has its first dart paired; the seeds
             # of a path only grow, so every resumed state has one
-            seeds = _seeds(partner, touched)
-            fresh = [v for v in seeds if v not in seeded]
+            if partner[1] == 6:
+                seeds = range(touched)
+                fresh = range(len(seeded), touched)
+            else:
+                seeds = _seeds(partner, touched)
+                fresh = [v for v in seeds if v not in seeded]
             ties = _prefix_ties(partner, x, ties, fresh)
             if ties is None:
                 return

@@ -53,6 +53,31 @@ def test_dot_and_jsonl(theta):
     jsonschema.validate(rec, _schema("enumerate-record.schema.json"))
 
 
+def _json_dumps_record(g):
+    """The record as `json.dumps` writes it, keys sorted and no spaces
+    between tokens: the reference that `to_jsonl_record` must match."""
+    rec = {
+        "k": g.k,
+        "pairing": [list(e) for e in g.edges],
+        "canonical_code": " ".join(str(x) for x in mg.canonical_code(g)),
+    }
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("policy", list(mg.TadpolePolicy))
+def test_jsonl_record_matches_json_dumps(policy, rng):
+    """Each record is byte for byte what `json.dumps` writes, for every
+    class with k <= 5 and for random relabellings of the classes with
+    k <= 4, which are not canonical and so reach the minimal-code search."""
+    for k in range(1, 6):
+        for rep in mg.enumerate_trivalent(k, policy):
+            assert gio.to_jsonl_record(rep) == _json_dumps_record(rep)
+            if k <= 4:
+                g = mg.relabel(rep, mg.random_relabelling(rep, rng))
+                assert not g._canonical
+                assert gio.to_jsonl_record(g) == _json_dumps_record(g)
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "trihom.cli", *argv],

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import types
 
 import pytest
 
@@ -42,6 +44,25 @@ def test_malformed_pairings():
         mg.from_pairing(3, [])
     with pytest.raises(NotTrivalent):
         mg.from_pairing(0, [])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, True), (2, 3), (4, 5)],
+        [(False, 3), (1, 4), (2, 5)],
+        [(0.0, 3), (1, 4), (2, 5)],
+        [(0, 3), (1, 4.0), (2, 5)],
+        [("0", 3), (1, 4), (2, 5)],
+        [(0, 3), (1, 4), (2, "5")],
+    ],
+)
+def test_darts_that_are_not_ints_are_refused(pairs):
+    """A bool, float or str dart is refused as malformed, not stored (a
+    bool is an int, and would be written as `True` or `true`) nor left to
+    fail as a bare TypeError."""
+    with pytest.raises(MalformedPairing, match="not an int"):
+        mg.from_pairing(2, pairs)
 
 
 def test_disconnected_detected():
@@ -364,6 +385,102 @@ def test_resumed_prefix_test_matches_test_from_scratch(monkeypatch, k, policy):
     assert (tested and resumed) or k == 1
     # at k = 2 no state that a tested node hands on meets an unpaired dart
     assert carried or k < 3
+
+
+_BOOKKEEPING_CASES = [(k, mg.TadpolePolicy.EXCLUDE) for k in (1, 2, 3, 4, 5)] + [
+    (k, mg.TadpolePolicy.INCLUDE) for k in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("k, policy", _BOOKKEEPING_CASES)
+def test_seeds_of_a_3_6_prefix_are_its_revealed_vertices(monkeypatch, k, policy):
+    """At every tested node whose prefix starts (3, 6), the seeds and the
+    fresh seeds that enumeration uses, read off the node's frame, are the
+    seeds of `_seeds` and those of them the nearest tested ancestor did not
+    have, though enumeration calls `_seeds` at no such node: a
+    (3, 6) prefix has no loop and no double edge, so its seeds are its
+    revealed vertices.  From k = 2 on some such node is tested."""
+    prefix_ties, seeds_of = mg._prefix_ties, mg._seeds
+    checked = 0
+
+    def checked_test(partner, end, ties, fresh_seeds):
+        nonlocal checked
+        if partner[1] == 6:
+            node = sys._getframe(1).f_locals
+            seeds = seeds_of(partner, node["touched"])
+            assert list(node["seeds"]) == list(seeds)
+            old_fresh = [v for v in seeds if v not in node["seeded"]]
+            assert list(fresh_seeds) == list(node["fresh"]) == old_fresh
+            checked += 1
+        return prefix_ties(partner, end, ties, fresh_seeds)
+
+    def seeds_off_3_6(partner, nv):
+        assert partner[1] != 6
+        return seeds_of(partner, nv)
+
+    monkeypatch.setattr(mg, "_prefix_ties", checked_test)
+    monkeypatch.setattr(mg, "_seeds", seeds_off_3_6)
+    list(mg.enumerate_trivalent(k, policy))
+    assert checked or k == 1
+
+
+def _candidates_from_vertex_0(partner, x, touched, include_loops):
+    """The partners that a DFS node with least free dart x tries, scanned
+    from vertex 0: the first free dart other than x of each revealed vertex
+    that vertex 0's local type does not bar, if the revealed vertices keep
+    another free dart, then a new vertex's first dart."""
+    nd = len(partner)
+    cands = []
+    if x < nd and (touched == nd // 3 or partner[x + 1 : 3 * touched].count(-1) > 1):
+        v = x // 3
+        if partner[1] == 6:
+            barred = (v, partner[3 * v] // 3, partner[3 * v + 1] // 3)
+        elif include_loops and partner[0] in (-1, 1):
+            barred = ()
+        else:
+            barred = (v,)
+        for w in range(touched):
+            for y in (3 * w, 3 * w + 1, 3 * w + 2):
+                if partner[y] == -1 and y != x:
+                    if w not in barred:
+                        cands.append(y)
+                    break
+    if touched < nd // 3:
+        cands.append(3 * touched)
+    return cands
+
+
+@pytest.mark.parametrize("k, policy", _BOOKKEEPING_CASES)
+def test_candidates_match_a_scan_from_vertex_0(k, policy):
+    """Every DFS node's candidate partners, read off its frame as it ends,
+    are those of a scan from vertex 0, as no vertex before the least free
+    dart's has a free dart.  A node's frame ends once, returning None, with
+    its own pairing restored; it yields each class below it first."""
+    rec = next(
+        c
+        for c in mg._orderly.__code__.co_consts
+        if isinstance(c, types.CodeType) and c.co_name == "rec"
+    )
+    nodes = []
+
+    def profile(frame, event, arg):
+        if event == "return" and arg is None and frame.f_code is rec:
+            node = frame.f_locals
+            nodes.append(
+                (list(node["partner"]), node["x"], node["touched"], node["cands"])
+            )
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        count = sum(1 for _ in mg.enumerate_trivalent(k, policy))
+    finally:
+        sys.setprofile(previous)
+    include_loops = policy is mg.TadpolePolicy.INCLUDE
+    for partner, x, touched, cands in nodes:
+        assert -1 not in partner[:x] and (x == len(partner) or partner[x] == -1)
+        assert cands == _candidates_from_vertex_0(partner, x, touched, include_loops)
+    assert len(nodes) > count
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -10,6 +10,9 @@ so a refactor of the relabelling walks can break them without any other
 test failing.  The counters pinned here are the figures the search has had
 since the tie-state test and the trie lookup; a change to the relabelling
 order or to the pruning changes them on purpose and must update them.
+Enumeration calls `_seeds` only at tested nodes whose prefix does not
+start (3, 6), so a return to calling it at every tested node changes
+`seeds_calls` and nothing else.
 The lookup counters of `relation_matrix` (trie walks, expansions, and the
 edges skipped by the orbit and term rules) are those of expanding each
 relation once.  `tools/bench_certify.py` counts the rational echelons: one
@@ -86,6 +89,9 @@ def test_bench_enum_counters():
             71, 2700,
         ),
     }
+    # one `_seeds` call per tested node whose prefix does not start (3, 6)
+    seeds_calls = {(r["k"], r["policy"]): r["seeds_calls"] for r in rows}
+    assert seeds_calls == {(4, "exclude"): 71, (4, "include"): 239}
 
 
 def test_bench_lookup_counters():

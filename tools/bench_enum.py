@@ -23,6 +23,9 @@ Per case, from one enumeration:
   inner test is called at the same nodes with no tie states and every seed
   of `_seeds` fresh (the loop vertices, else the double-edge vertices, else
   every revealed vertex);
+- `seeds_calls`: calls of `multigraph._seeds` by enumeration, one per
+  tested node whose prefix does not start (3, 6) (a (3, 6) prefix's
+  seeds are its revealed vertices, read off without `_seeds`);
 - `tie_states`: states handed to inner tested nodes that pass (`given`),
   those returned as the same object because their next dart is still
   unpaired (`carried`), the rest, which were extended (`resumed`), and the
@@ -45,7 +48,7 @@ import statistics
 import sys
 import time
 
-from _counting import Frames
+from _counting import Counted, Frames
 from trihom import homology as hom
 from trihom import multigraph as mg
 from trihom.multigraph import TadpolePolicy
@@ -56,7 +59,7 @@ DEFAULT_CASES = "4e,5e,6e,7e,4i,5i,6i"
 
 def counters(k, policy):
     nd = 6 * k
-    prefix_ties = mg._prefix_ties
+    prefix_ties, seeds_of = mg._prefix_ties, mg._seeds
     resumed, scratch, leaf = (Frames(prefix_ties, "extend") for _ in range(3))
     out = {"tested_nodes": 0, "cuts": 0, "leaf_tests": 0, "leaf_cuts": 0}
     ties_seen = {"given": 0, "carried": 0, "most_held": 0}
@@ -71,7 +74,7 @@ def counters(k, policy):
         # the vertices whose first dart is paired, a prefix in orderly
         # generation, seed the test from scratch
         touched = sum(partner[d] != -1 for d in range(0, nd, 3))
-        scratch.run(prefix_ties, list(partner), end, [], mg._seeds(partner, touched))
+        scratch.run(prefix_ties, list(partner), end, [], seeds_of(partner, touched))
         out["tested_nodes"] += 1
         if found is None:
             out["cuts"] += 1
@@ -84,7 +87,8 @@ def counters(k, policy):
 
     mg._prefix_ties = counted_test
     try:
-        orders = [len(group) for _, group in mg.enumerate_classes(k, policy)]
+        with Counted(mg, "_seeds") as seeds_calls:
+            orders = [len(group) for _, group in mg.enumerate_classes(k, policy)]
     finally:
         mg._prefix_ties = prefix_ties
     out["classes"], out["group_order_sum"] = len(orders), sum(orders)
@@ -95,6 +99,7 @@ def counters(k, policy):
     }
     out["leaf_test_frames"] = leaf.count
     out["from_scratch_frames"] = scratch.count
+    out["seeds_calls"] = seeds_calls.count
     out["tie_states"] = {
         "given": given,
         "carried": carried,
